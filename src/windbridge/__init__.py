@@ -15,7 +15,6 @@ from .bridge import (
     embed_bridge,
     extract_peak,
     sample_latent_bridge,
-    triangle,
     triangle_path,
 )
 from .errors import (
@@ -37,7 +36,6 @@ from .estimation import (
     mle_sigma,
     nominal_param_support,
     predict_sigma,
-    sample_params,
 )
 from .pipeline import (
     RunConfig,
@@ -74,9 +72,9 @@ from .simulate import (
     MomentTable,
     PenaltyPath,
     PenaltySpec,
+    battery_recursion,
     discounted_penalty,
     mc_moments,
-    simulate_charge,
     simulate_penalty_path,
 )
 from .validation import ComparisonReport, compare_segments, mape, rel_l2_error

@@ -26,7 +26,6 @@ __all__ = [
     "ErrorPath",
     "embed_bridge",
     "extract_peak",
-    "triangle",
     "triangle_path",
     "compute_initial_power",
     "decompose",
@@ -98,20 +97,8 @@ def extract_peak(bridge: ChargeBridge) -> tuple[int, float]:
     return tau, float(interior[tau - 1])
 
 
-def triangle(t: float, params: BridgeParams, x: int) -> float:
-    """Triangle baseline ``g(t)``: linear up to ``(tau, h)``, back to zero at ``x+1``."""
-    tau, h = params.tau, params.h
-    if not 1 <= tau <= x:
-        raise InputError(f"peak time {tau} outside {{1..{x}}}")
-    if not 0 <= t <= x + 1:
-        raise InputError(f"time {t} outside [0, {x + 1}]")
-    if t <= tau:
-        return h * t / tau
-    return h * (x + 1 - t) / (x + 1 - tau)
-
-
 def triangle_path(params: BridgeParams, x: int) -> np.ndarray:
-    """``g(k)`` for ``k = 0..x+1`` as an array."""
+    """Triangle baseline ``g(k)``, ``k = 0..x+1``: up to ``(tau, h)``, down to 0 at ``x+1``."""
     tau, h = params.tau, params.h
     if not 1 <= tau <= x:
         raise InputError(f"peak time {tau} outside {{1..{x}}}")

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import qr
 from scipy.special import ndtr, ndtri
-from scipy.stats import rankdata
 
-from .bridge import SIGMA_FLOOR, ErrorPath
+from .bridge import SIGMA_FLOOR, ErrorPath, bb_transition
 from .errors import EstimationError, InputError, InsufficientDataError
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "EmpiricalCopulaSampler",
     "DegenerateSampler",
     "fit_joint_density",
-    "sample_params",
     "sampler_from_dict",
     "mle_sigma",
     "SigmaModel",
@@ -261,31 +259,23 @@ class EmpiricalCopulaSampler(ParamSampler):
             rho = self._invert_marginal(0, u[:, 0])
             tau = _nearest_tau(self._invert_marginal(1, u[:, 1]), self.support.x)
             h = self._invert_marginal(2, u[:, 2])
-            ok = self.support.contains(rho, tau, h)
-            idx = np.flatnonzero(ok)
-            if idx.size == 0:
-                consecutive_rejects += m
-            else:
-                gaps = np.diff(np.concatenate(([-1], idx))) - 1
-                longest = max(consecutive_rejects + int(gaps[0]), int(gaps.max()))
-                if longest >= MAX_REJECTIONS:
-                    raise EstimationError(
-                        f"{MAX_REJECTIONS} consecutive rejections: fitted density is "
-                        f"inconsistent with its support (side={self.support.side}, "
-                        f"x={self.support.x})"
-                    )
-                consecutive_rejects = m - 1 - int(idx[-1])
-                take = idx[: n - filled]
-                rho_out[filled : filled + take.size] = rho[take]
-                tau_out[filled : filled + take.size] = tau[take]
-                h_out[filled : filled + take.size] = h[take]
-                filled += take.size
-            if consecutive_rejects >= MAX_REJECTIONS:
+            idx = np.flatnonzero(self.support.contains(rho, tau, h))
+            # runs of rejects before, between and after the accepted draws;
+            # the first run continues the previous batch's trailing run
+            gaps = np.diff(np.concatenate(([-1], idx, [m]))) - 1
+            gaps[0] += consecutive_rejects
+            if gaps.max() >= MAX_REJECTIONS:
                 raise EstimationError(
                     f"{MAX_REJECTIONS} consecutive rejections: fitted density is "
                     f"inconsistent with its support (side={self.support.side}, "
                     f"x={self.support.x})"
                 )
+            consecutive_rejects = int(gaps[-1])
+            take = idx[: n - filled]
+            rho_out[filled : filled + take.size] = rho[take]
+            tau_out[filled : filled + take.size] = tau[take]
+            h_out[filled : filled + take.size] = h[take]
+            filled += take.size
         return rho_out, tau_out, h_out
 
     def to_dict(self) -> dict:
@@ -363,6 +353,17 @@ def sampler_from_dict(data: dict) -> ParamSampler:
     raise InputError(f"unknown sampler type {kind!r}")
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks ``1..n`` of ``values``; a run of ties shares the mean of its ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], ordered.size)
+    ranks = np.empty(ordered.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def _nearest_corr(corr: np.ndarray, floor: float = 1e-10) -> np.ndarray:
     """Push a correlation matrix to the nearest comfortably PD one."""
     vals, vecs = np.linalg.eigh(corr)
@@ -425,7 +426,7 @@ def fit_joint_density(
         data = np.column_stack([rho, tau, h])
 
     scores = np.column_stack(
-        [ndtri(rankdata(data[:, d]) / (data.shape[0] + 1.0)) for d in range(3)]
+        [ndtri(_average_ranks(data[:, d]) / (data.shape[0] + 1.0)) for d in range(3)]
     )
     with np.errstate(invalid="ignore"):
         corr = np.corrcoef(scores, rowvar=False)
@@ -438,12 +439,6 @@ def fit_joint_density(
         n_obs=n_obs,
         bootstrap_augmented=augmented,
     )
-
-
-def sample_params(sampler: ParamSampler, seed) -> tuple[float, int, float]:
-    """Draw one ``(rho, tau, h)`` from a fitted sampler, deterministically in ``seed``."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return sampler.sample(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +466,9 @@ def mle_sigma(error: ErrorPath, tau: int, x: int) -> float:
         u = float(k)
         y = float(values[k - 1])
         horizon = float(tau) if u <= tau else float(x + 1)
-        if u == horizon:
-            u_prev, y_prev = u, y
-            continue
-        mean = y_prev * (horizon - u) / (horizon - u_prev)
-        var_factor = (u - u_prev) * (horizon - u) / (horizon - u_prev)
-        terms.append((y - mean) ** 2 / var_factor)
+        if u != horizon:
+            mean, var_factor = bb_transition(y_prev, u_prev, u, horizon, 1.0)
+            terms.append((y - mean) ** 2 / var_factor)
         u_prev, y_prev = u, y
     if not terms:
         raise InsufficientDataError(
@@ -528,9 +520,6 @@ class SigmaModel:
         self.feature_names = tuple(self.feature_names)
         if self.coef.shape != (len(self.feature_names),):
             raise InputError("one coefficient per feature required")
-
-    def predict(self, rho: float, tau: float, h: float, x: float) -> float:
-        return predict_sigma(self, rho, tau, h, x)
 
     @classmethod
     def constant(cls, sigma: float, sigma_floor: float = SIGMA_FLOOR) -> "SigmaModel":

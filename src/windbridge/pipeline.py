@@ -50,7 +50,7 @@ from .power import (
     write_power_csv,
     write_wind_csv,
 )
-from .segmentation import Segment, SemiMarkovKernel, estimate_kernel, extract_segments, step_states
+from .segmentation import Segment, SemiMarkovKernel, complete_classes, estimate_kernel, extract_segments, step_states
 from .simulate import (
     DEFAULT_BATTERY,
     DEFAULT_FEES,
@@ -126,6 +126,9 @@ class RunConfig:
             raise InputError("at least one ramp limit is required")
         if any(not 0.0 < l <= 1.0 for l in self.limits):
             raise InputError(f"limits must be fractions in (0, 1], got {self.limits}")
+        tags = [self.limit_tag(l) for l in self.limits]
+        if len(set(tags)) < len(tags):
+            raise InputError(f"limits {self.limits} repeat an artifact tag: {tags}")
         if self.horizon < 1:
             raise InputError("horizon must be >= 1")
         if self.n_paths < 1:
@@ -337,17 +340,9 @@ def build_model_doc(
     if group_rng is None:
         group_rng = lambda i, j, x: np.random.default_rng()  # noqa: E731
 
-    by_key: dict[tuple[int, int, int], list[Segment]] = {}
-    for seg in segments:
-        if seg.censored or seg.i == 0 or seg.j is None:
-            continue
-        by_key.setdefault(seg.key, []).append(seg)
-
     samplers: dict[str, dict] = {}
     sigma_obs: dict[tuple[int, int], list[tuple[float, float, int, float, int]]] = {}
-    for key in sorted(by_key):
-        i, j, x = key
-        group = by_key[key]
+    for (i, j, x), group in complete_classes(segments).items():
         support = attainable_param_support(i, x, limit, capacity)
         triplets = []
         for seg in group:
@@ -435,10 +430,7 @@ def stage_fit(cfg: RunConfig) -> list[Path]:
     for idx, frac in enumerate(cfg.limits):
         doc = _fit_limit(cfg, frac, idx)
         path = _artifact(cfg, f"model_{cfg.limit_tag(frac)}.json")
-        with _atomic(path) as tmp:
-            with open(tmp, "w") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=1)
-                fh.write("\n")
+        _write_json(path, doc)
         out.append(path)
     return out
 
@@ -449,12 +441,17 @@ def load_charge_model(path: str | Path) -> ChargeModel:
         return charge_model_from_doc(json.load(fh))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list], comment: str) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_json(path: Path, doc: dict) -> None:
+    with _atomic(path) as tmp, open(tmp, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def _write_csv(path: Path, rows: list[list], comment: str) -> None:
+    """Write ``# comment`` and then ``rows``, the first of which is the header."""
+    with _atomic(path) as tmp, open(tmp, "w", newline="") as fh:
         fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerows(rows)
 
 
 def stage_simulate(cfg: RunConfig) -> list[Path]:
@@ -471,13 +468,12 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
             ).penalty
 
         table = mc_moments(generate, cfg.n_paths, cfg.horizon, cfg.moment_order, cfg.fees)
-        rows = [
+        rows = [["t", "mean", "std", "se_mean"]] + [
             [int(t), repr(float(m)), repr(float(s)), repr(float(se))]
             for t, m, s, se in zip(table.steps, table.mean, table.std, table.se_mean)
         ]
         path = _artifact(cfg, f"moments_{tag}.csv")
-        with _atomic(path) as tmp:
-            _write_csv(tmp, ["t", "mean", "std", "se_mean"], rows, _stamp(cfg))
+        _write_csv(path, rows, _stamp(cfg))
         out.append(path)
 
         if cfg.dump_paths:
@@ -485,15 +481,14 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
                 kernel, model, cfg.battery, cfg.fees,
                 horizon=cfg.horizon, seed=_rng(cfg, "simulate", idx, 0),
             )
-            rows = [
+            rows = [["k", "state", "S", "M", "W"]] + [
                 [int(k), int(st), repr(float(s)), repr(float(m)), repr(float(w))]
                 for k, (st, s, m, w) in enumerate(
                     zip(sample.step_states, sample.soc, sample.penalty, sample.discounted)
                 )
             ]
             dump = _artifact(cfg, f"paths_{tag}.csv")
-            with _atomic(dump) as tmp:
-                _write_csv(tmp, ["k", "state", "S", "M", "W"], rows, _stamp(cfg))
+            _write_csv(dump, rows, _stamp(cfg))
             out.append(dump)
     return out
 
@@ -567,16 +562,9 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
             **report.to_dict(),
         )
         jpath = _artifact(cfg, f"validation_{tag}.json")
-        with _atomic(jpath) as tmp:
-            with open(tmp, "w") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=1)
-                fh.write("\n")
+        _write_json(jpath, doc)
         cpath = _artifact(cfg, f"validation_{tag}.csv")
-        rows = report.csv_rows()
-        with _atomic(cpath) as tmp:
-            with open(tmp, "w", newline="") as fh:
-                fh.write(f"# {_stamp(cfg)}\n")
-                csv.writer(fh).writerows(rows)
+        _write_csv(cpath, report.csv_rows(), _stamp(cfg))
         out.extend([jpath, cpath])
     return out
 

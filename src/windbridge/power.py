@@ -114,8 +114,8 @@ def wind_to_power(speed, turbine: TurbineSpec):
     Accepts a scalar or an array; returns the matching shape.
     """
     v = np.asarray(speed, dtype=float)
-    if np.any(v < 0.0):
-        raise InputError("wind speed must be nonnegative")
+    if not np.all(np.isfinite(v) & (v >= 0.0)):
+        raise InputError("wind speed must be finite and nonnegative")
     vi3 = turbine.cut_in_speed**3
     vr3 = turbine.rated_speed**3
     ramp = turbine.rated_capacity * (v**3 - vi3) / (vr3 - vi3)

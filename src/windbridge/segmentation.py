@@ -24,6 +24,7 @@ __all__ = [
     "SemiMarkovKernel",
     "extract_segments",
     "estimate_kernel",
+    "complete_classes",
     "step_states",
     "backward_times",
 ]
@@ -70,6 +71,13 @@ class Segment:
         if self.censored or self.j is None:
             raise InputError("censored segment has no (i, j, x) key")
         return (self.i, self.j, self.x)
+
+
+def _inverse_cdf(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn by inverse CDF from weights that need not sum to one."""
+    cum = np.cumsum(probs)
+    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    return min(idx, len(cum) - 1)
 
 
 def _sign(diff: np.ndarray, tol: float) -> np.ndarray:
@@ -128,6 +136,19 @@ def extract_segments(
             )
         )
     return points, segments
+
+
+def complete_classes(segments: list[Segment]) -> dict[tuple[int, int, int], list[Segment]]:
+    """Uncensored charging and discharging segments grouped by ``(i, j, x)``.
+
+    Keys come in sorted order; segments keep their order within a class.
+    """
+    by_key: dict[tuple[int, int, int], list[Segment]] = {}
+    for seg in segments:
+        if seg.censored or seg.i == 0 or seg.j is None:
+            continue
+        by_key.setdefault(seg.key, []).append(seg)
+    return {key: by_key[key] for key in sorted(by_key)}
 
 
 def step_states(points: list[RenewalPoint], n_steps: int) -> np.ndarray:
@@ -229,17 +250,12 @@ class SemiMarkovKernel:
                 )
             ks = ks[mask]
             probs = probs[mask] / probs[mask].sum()
-        cum = np.cumsum(probs)
-        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        return int(ks[min(idx, len(ks) - 1)])
+        return int(ks[_inverse_cdf(probs, rng)])
 
     def sample_successor(self, i: int, x: int, rng: np.random.Generator) -> int:
         cond = self.successor_pmf(i, x)
         js = sorted(cond)
-        probs = np.array([cond[j] for j in js])
-        cum = np.cumsum(probs)
-        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        return js[min(idx, len(js) - 1)]
+        return js[_inverse_cdf(np.array([cond[j] for j in js]), rng)]
 
     def simulate(
         self, n_transitions: int, initial_state: int, rng: np.random.Generator

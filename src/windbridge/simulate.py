@@ -33,9 +33,10 @@ __all__ = [
     "DEFAULT_BATTERY",
     "DEFAULT_FEES",
     "charge_from_params",
-    "simulate_charge",
+    "battery_recursion",
     "simulate_penalty_path",
     "discounted_penalty",
+    "window_sums",
     "MomentTable",
     "mc_moments",
 ]
@@ -79,10 +80,6 @@ DEFAULT_BATTERY = BatterySpec(soc_min=0.0, soc_max=0.36, soc_init=0.18)
 DEFAULT_FEES = PenaltySpec(up_fee=21.52, down_fee=26.50, discount_rate=0.0)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 def charge_from_params(
     params: BridgeParams, x: int, limit: float, rng: np.random.Generator,
     sigma_floor: float = SIGMA_FLOOR,
@@ -113,21 +110,6 @@ def charge_from_params(
     return out
 
 
-def simulate_charge(
-    i: int, j: int, x: int,
-    sampler: ParamSampler, sigma_model: SigmaModel,
-    limit: float, seed, sigma_floor: float = SIGMA_FLOOR,
-) -> np.ndarray:
-    """Sample parameters, predict the volatility, and simulate one charge path."""
-    if i not in (-1, 1):
-        raise InputError("charge paths exist only for charging or discharging segments")
-    rng = _as_rng(seed)
-    rho, tau, h = sampler.sample(rng)
-    sigma = predict_sigma(sigma_model, rho, tau, h, x)
-    params = BridgeParams(rho=rho, tau=tau, h=h, sigma=sigma)
-    return charge_from_params(params, x, limit, rng, sigma_floor)
-
-
 class ChargeModel:
     """Registry of fitted samplers and volatility models for one ramp limit.
 
@@ -151,12 +133,10 @@ class ChargeModel:
         self.capacity = float(capacity)
         self.sigma_default = float(sigma_default)
         self.sigma_floor = float(sigma_floor)
-        self._x_by_pair: dict[tuple[int, int], np.ndarray] = {}
+        xs: dict[tuple[int, int], list[int]] = {}
         for (i, j, x) in self.samplers:
-            self._x_by_pair.setdefault((i, j), [])  # type: ignore[arg-type]
-        for (i, j, x) in self.samplers:
-            self._x_by_pair[(i, j)].append(x)  # type: ignore[union-attr]
-        self._x_by_pair = {k: np.sort(np.asarray(v)) for k, v in self._x_by_pair.items()}
+            xs.setdefault((i, j), []).append(x)
+        self._x_by_pair = {pair: np.sort(np.asarray(v)) for pair, v in xs.items()}
 
     def sampler_for(self, i: int, j: int, x: int) -> tuple[ParamSampler, bool]:
         """Exact sampler if fitted, else the nearest-sojourn fallback."""
@@ -212,12 +192,65 @@ class PenaltyPath:
 
 
 def discounted_penalty(penalty: np.ndarray, rate: float) -> np.ndarray:
-    """Running sum of ``penalty[m] * exp(-rate * m)``; nondecreasing for r >= 0."""
+    """Running sum of ``penalty[..., m] * exp(-rate * m)`` along the last axis.
+
+    Nondecreasing for r >= 0 and nonnegative penalties.  Rows of a 2-d array
+    are independent paths or windows, each discounted from its own column 0.
+    """
     if rate < 0:
         raise InputError("discount rate must be nonnegative")
     m = np.asarray(penalty, dtype=float)
-    weights = np.exp(-rate * np.arange(m.size))
-    return np.cumsum(m * weights)
+    weights = np.exp(-rate * np.arange(m.shape[-1]))
+    return np.cumsum(m * weights, axis=-1)
+
+
+def window_sums(windows: np.ndarray, rate: float) -> np.ndarray:
+    """``W(t) = sum_{1<=k<=t} M(k) exp(-rate k)`` for each row of ``windows``.
+
+    ``windows`` has shape ``(n, T)`` and holds ``M(1..T)``; the result has the
+    same shape.  Step 0 enters as ``-0.0``, the exact additive identity, so
+    every sum starts at step 1 bit for bit.
+    """
+    n, steps = windows.shape
+    padded = np.full((n, steps + 1), -0.0)
+    padded[:, 1:] = windows
+    return discounted_penalty(padded, rate)[:, 1:]
+
+
+def battery_recursion(
+    states: np.ndarray,
+    charges: np.ndarray,
+    battery: BatterySpec,
+    fees: PenaltySpec,
+    soc0: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Capped state-of-charge and penalty recursion over aligned steps.
+
+    Charging (+1) moves the SOC up, capped at ``soc_max``; discharging (-1)
+    moves it down, floored at ``soc_min``; the fee is charged on whatever part
+    of the charge did not fit.  Any other state leaves the SOC unchanged.
+    Step 0 holds ``soc0`` and a zero penalty: its state and charge are never
+    used.  Returns ``(soc, penalty)`` with one entry per step.
+    """
+    zs = np.asarray(states).tolist()
+    cs = np.asarray(charges, dtype=float).tolist()
+    if not zs:
+        raise InputError("need at least one step")
+    s = float(soc0)
+    soc = [s]
+    penalty = [0.0]
+    for state, c in zip(zs[1:], cs[1:]):
+        if state == 1:
+            m = fees.up_fee * max(c - (battery.soc_max - s), 0.0)
+            s = min(s + c, battery.soc_max)
+        elif state == -1:
+            m = fees.down_fee * max(c - (s - battery.soc_min), 0.0)
+            s = max(s - c, battery.soc_min)
+        else:
+            m = 0.0
+        soc.append(s)
+        penalty.append(m)
+    return np.asarray(soc), np.asarray(penalty)
 
 
 def simulate_penalty_path(
@@ -235,12 +268,11 @@ def simulate_penalty_path(
     """Simulate the renewal chain with its SOC and penalty processes.
 
     Sojourns come from the kernel's sojourn marginal, successors from its
-    conditional transition law, charges from ``charge_model``.  Charging moves
-    the SOC up (capped at the maximum), discharging moves it down (floored at
-    the minimum), and the penalty charges the fee on whatever part of the
-    charge did not fit.  A positive ``initial_backward`` resumes ``b`` steps
-    into the first sojourn: its total length is drawn conditional on exceeding
-    ``b`` and the first ``b`` charge values are skipped.
+    conditional transition law, charges from ``charge_model``, and the SOC
+    and penalty from :func:`battery_recursion`.  A positive
+    ``initial_backward`` resumes ``b`` steps into the first sojourn: its total
+    length is drawn conditional on exceeding ``b`` and the first ``b`` charge
+    values are skipped.
 
     Runs ``n_transitions`` jumps or until ``horizon`` steps are covered,
     whichever comes first (at least one of the two must be given).
@@ -251,17 +283,16 @@ def simulate_penalty_path(
         raise InputError("need at least one transition")
     if initial_backward < 0:
         raise InputError("backward time must be nonnegative")
-    rng = _as_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     soc0 = battery.soc_init if initial_soc is None else float(initial_soc)
     if not battery.soc_min <= soc0 <= battery.soc_max:
         raise InputError(f"initial SOC {soc0} outside the battery band")
 
     states = [int(initial_state)]
     jump_times = [0]
-    soc = [soc0]
-    penalty = [0.0]
     backward = [int(initial_backward)]
     step_states: list[int] = [int(initial_state)]
+    step_charges = [0.0]
 
     state = int(initial_state)
     time = 0
@@ -286,19 +317,7 @@ def simulate_penalty_path(
             if horizon is not None and t > horizon:
                 truncated = True
                 break
-            c = float(charges[offset + d + 1])
-            s_prev = soc[-1]
-            if state == 1:
-                m = fees.up_fee * max(c - (battery.soc_max - s_prev), 0.0)
-                s = min(s_prev + c, battery.soc_max)
-            elif state == -1:
-                m = fees.down_fee * max(c - (s_prev - battery.soc_min), 0.0)
-                s = max(s_prev - c, battery.soc_min)
-            else:
-                m = 0.0
-                s = s_prev
-            soc.append(s)
-            penalty.append(m)
+            step_charges.append(charges[offset + d + 1])
             backward.append(offset + d)
             step_states.append(state)
         time += x - offset
@@ -307,14 +326,15 @@ def simulate_penalty_path(
         state = nxt
         n += 1
 
-    m_arr = np.asarray(penalty)
+    z = np.asarray(step_states, dtype=int)
+    soc, penalty = battery_recursion(z, step_charges, battery, fees, soc0)
     return PenaltyPath(
         states=np.asarray(states, dtype=int),
         jump_times=np.asarray(jump_times, dtype=int),
-        step_states=np.asarray(step_states, dtype=int),
-        soc=np.asarray(soc),
-        penalty=m_arr,
-        discounted=discounted_penalty(m_arr, fees.discount_rate),
+        step_states=z,
+        soc=soc,
+        penalty=penalty,
+        discounted=discounted_penalty(penalty, fees.discount_rate),
         backward=np.asarray(backward, dtype=int),
     )
 
@@ -351,8 +371,7 @@ def mc_moments(
         raise InputError("moment order must be >= 1")
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    weights = np.exp(-fees.discount_rate * np.arange(1, horizon + 1))
-    w = np.empty((n_paths, horizon))
+    m_paths = np.empty((n_paths, horizon))
     for n in range(n_paths):
         try:
             m = np.asarray(path_generator(n), dtype=float)
@@ -362,7 +381,8 @@ def mc_moments(
             raise SimulationError(
                 f"path {n} covers {m.size - 1} steps, needs at least {horizon}"
             )
-        w[n] = np.cumsum(m[1 : horizon + 1] * weights)
+        m_paths[n] = m[1 : horizon + 1]
+    w = window_sums(m_paths, fees.discount_rate)
     moments = [w.mean(axis=0)]
     for a in range(2, order + 1):
         moments.append((w**a).mean(axis=0))

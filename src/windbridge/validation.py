@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .segmentation import RenewalPoint, Segment, backward_times, step_states
-from .simulate import BatterySpec, ChargeModel, PenaltySpec, discounted_penalty
+from .segmentation import RenewalPoint, Segment, backward_times, complete_classes, step_states
+from .simulate import BatterySpec, ChargeModel, PenaltySpec, battery_recursion, window_sums
 
 __all__ = [
     "rel_l2_error",
@@ -132,19 +132,11 @@ def compare_segments(
     whose real covariance is identically zero report no covariance error.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    by_key: dict[tuple[int, int, int], list[Segment]] = {}
-    for seg in segments:
-        if seg.censored or seg.i == 0 or seg.j is None:
-            continue
-        by_key.setdefault((seg.i, seg.j, seg.x), []).append(seg)
-
     report = ComparisonReport(eligibility=eligibility)
-    for key in sorted(by_key):
-        group = by_key[key]
+    for (i, j, x), group in complete_classes(segments).items():
         n_real = len(group)
         if n_real < eligibility:
             continue
-        i, j, x = key
         real = np.vstack([np.abs(s.charges) for s in group])
         n_sim = max(path_multiplier * n_real, min_paths)
         sim = np.empty((n_sim, x))
@@ -181,22 +173,8 @@ def empirical_penalty(
     charges = np.asarray(charges, dtype=float)
     if states.shape != charges.shape:
         raise InputError("states and charges must be aligned")
-    n = states.size
-    soc = np.empty(n)
-    pen = np.zeros(n)
-    soc[0] = battery.soc_init if initial_soc is None else float(initial_soc)
-    for k in range(1, n):
-        c = charges[k]
-        s_prev = soc[k - 1]
-        if states[k] == 1:
-            pen[k] = fees.up_fee * max(c - (battery.soc_max - s_prev), 0.0)
-            soc[k] = min(s_prev + c, battery.soc_max)
-        elif states[k] == -1:
-            pen[k] = fees.down_fee * max(c - (s_prev - battery.soc_min), 0.0)
-            soc[k] = max(s_prev - c, battery.soc_min)
-        else:
-            soc[k] = s_prev
-    return soc, pen
+    soc0 = battery.soc_init if initial_soc is None else float(initial_soc)
+    return battery_recursion(states, charges, battery, fees, soc0)
 
 
 def daily_penalty_moments(
@@ -212,11 +190,7 @@ def daily_penalty_moments(
     n_days = (m.size - 1) // horizon
     if n_days < 1:
         raise InputError(f"series too short for one {horizon}-step window")
-    weights = np.exp(-discount_rate * np.arange(1, horizon + 1))
-    w = np.empty((n_days, horizon))
-    for d in range(n_days):
-        block = m[d * horizon + 1 : (d + 1) * horizon + 1]
-        w[d] = np.cumsum(block * weights)
+    w = window_sums(m[1 : n_days * horizon + 1].reshape(n_days, horizon), discount_rate)
     return w.mean(axis=0), (w**2).mean(axis=0), n_days
 
 

@@ -16,7 +16,6 @@ from windbridge.bridge import (
     error_bounds,
     extract_peak,
     sample_latent_bridge,
-    triangle,
     triangle_path,
 )
 from windbridge.errors import InputError
@@ -74,24 +73,30 @@ class TestEmbedAndPeak:
 
 class TestTriangle:
     def test_apex_and_endpoints(self):
-        params = BridgeParams(rho=1.0, tau=2, h=0.8)
-        assert triangle(2, params, 4) == approx(0.8)
-        assert triangle(0, params, 4) == 0.0
-        assert triangle(5, params, 4) == 0.0
+        path = triangle_path(BridgeParams(rho=1.0, tau=2, h=0.8), 4)
+        assert path[2] == approx(0.8)
+        assert path[0] == 0.0
+        assert path[5] == 0.0
 
     def test_hand_value(self):
-        params = BridgeParams(rho=1.0, tau=2, h=1.0)
-        assert triangle(3, params, 4) == approx(2.0 / 3.0)
+        path = triangle_path(BridgeParams(rho=1.0, tau=2, h=1.0), 4)
+        np.testing.assert_allclose(path, [0.0, 0.5, 1.0, 2.0 / 3.0, 1.0 / 3.0, 0.0])
 
     def test_path_matches_scalar(self):
-        params = BridgeParams(rho=1.0, tau=3, h=0.6)
-        path = triangle_path(params, 7)
-        for t in range(9):
-            assert path[t] == approx(triangle(t, params, 7))
+        # the piecewise-linear formula, one time at a time
+        def g(t, tau, h, x):
+            return h * t / tau if t <= tau else h * (x + 1 - t) / (x + 1 - tau)
+
+        for tau in (1, 3, 7):
+            path = triangle_path(BridgeParams(rho=1.0, tau=tau, h=0.6), 7)
+            for t in range(9):
+                assert path[t] == approx(g(t, tau, 0.6, 7))
 
     def test_invalid_tau(self):
         with pytest.raises(InputError):
-            triangle(1, BridgeParams(rho=1.0, tau=5, h=1.0), 4)
+            triangle_path(BridgeParams(rho=1.0, tau=5, h=1.0), 4)
+        with pytest.raises(InputError):
+            triangle_path(BridgeParams(rho=1.0, tau=0, h=1.0), 4)
 
 
 class TestInitialPower:

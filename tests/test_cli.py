@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from windbridge.cli import main
+from windbridge.errors import InputError
 from windbridge.pipeline import (
     RunConfig,
     SyntheticWindSpec,
@@ -97,6 +98,15 @@ class TestPipeline:
         for p in artifacts:
             q = cfg2.out_dir / p.name
             assert q.read_bytes() == p.read_bytes(), p.name
+
+
+class TestRunConfig:
+    def test_limits_sharing_an_artifact_tag_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="artifact tag"):
+            small_config(tmp_path, limits=(0.05, 0.05))
+        with pytest.raises(InputError, match="artifact tag"):
+            small_config(tmp_path, limits=(0.01, 0.05, 0.05000001))
+        assert small_config(tmp_path, limits=(0.05, 0.051)).limits == (0.05, 0.051)
 
 
 class TestStageErrors:
@@ -196,6 +206,17 @@ class TestFileInput:
                            limits=(0.01,), n_paths=30)
         run_pipeline(cfg)
         assert (cfg.out_dir / "moments_0.01.csv").exists()
+
+    def test_nan_wind_row_rejected_at_ingest(self, tmp_path):
+        wind_file = tmp_path / "measured.csv"
+        wind_file.write_text(
+            "timestamp,speed_ms\n"
+            "2010-01-01T00:00:00,8.5\n2010-01-01T01:00:00,nan\n2010-01-01T02:00:00,9.0\n"
+        )
+        cfg = small_config(tmp_path / "out", wind_csv=wind_file)
+        with pytest.raises(InputError, match=r"^\[ingest\].*finite"):
+            run_stage(cfg, "ingest")
+        assert not (cfg.out_dir / "power.csv").exists()
 
 
 class TestPartialArtifacts:

@@ -20,7 +20,6 @@ from windbridge.estimation import (
     mle_sigma,
     nominal_param_support,
     predict_sigma,
-    sample_params,
     sampler_from_dict,
 )
 
@@ -138,12 +137,66 @@ class TestJointDensity:
         with pytest.raises(EstimationError, match="rejection"):
             bad.sample_n(1, np.random.default_rng(8))
 
+    @pytest.mark.parametrize(
+        "n, accepted, raises",
+        [
+            # accepted candidate indices per batch; the budget is 100 rejects
+            (2, [[63], [40]], False),
+            (2, [[0], [36]], False),  # 63 trailing + 36 leading = 99
+            (2, [[0], [37]], True),  # 63 + 37 = 100
+            (2, [[0], []], True),  # 63 + 64
+            (1, [[], [35]], False),  # 64 + 35
+            (1, [[], [36]], True),  # 64 + 36
+            (150, [[0, *range(100, 150)], list(range(99))], False),  # 99 inside a batch
+            (150, [[0, *range(101, 150)]], True),  # 100 inside a batch
+        ],
+    )
+    def test_rejection_budget_boundary(self, monkeypatch, n, accepted, raises):
+        import windbridge.estimation as est
+
+        monkeypatch.setattr(est, "MAX_REJECTIONS", 100)
+        batches = iter(accepted)
+
+        class ScriptedSupport:
+            side, x = 1, 3
+
+            def contains(self, rho, tau, h):
+                ok = np.zeros(np.size(rho), dtype=bool)
+                ok[next(batches)] = True
+                return ok
+
+        sampler = EmpiricalCopulaSampler(
+            support=ScriptedSupport(), corr=np.eye(3),
+            marginals=(np.ones(3), np.ones(3), np.ones(3)), n_obs=3,
+        )
+        if raises:
+            with pytest.raises(EstimationError, match="100 consecutive rejections"):
+                sampler.sample_n(n, np.random.default_rng(0))
+        else:
+            assert sampler.sample_n(n, np.random.default_rng(0))[0].size == n
+
+    def test_average_ranks_match_scipy(self):
+        from scipy.stats import rankdata
+
+        from windbridge.estimation import _average_ranks
+
+        rng = np.random.default_rng(11)
+        cases = [
+            rng.standard_normal(50),  # no ties
+            rng.integers(1, 6, 200).astype(float),  # many ties
+            np.array([3.0, 1.0, 3.0, 3.0, 2.0, 1.0]),
+            np.array([7.0]),
+            np.tile([0.5, 0.25], 10),
+        ]
+        for values in cases:
+            np.testing.assert_array_equal(_average_ranks(values), rankdata(values))
+
 
 class TestSampleParams:
     def test_tau_rounding(self):
         sup = attainable_param_support(1, 5, LIMIT, CAPACITY)
         s = DegenerateSampler(sup, rho=1.9, tau=2, h=0.5)
-        assert sample_params(s, 0) == (1.9, 2, 0.5)
+        assert s.sample(np.random.default_rng(0)) == (1.9, 2, 0.5)
         from windbridge.estimation import _nearest_tau
 
         assert _nearest_tau(2.4, 5) == 2
@@ -153,13 +206,14 @@ class TestSampleParams:
 
     def test_deterministic_given_seed(self, fitted_model):
         sampler = next(iter(fitted_model.samplers.values()))
-        assert sample_params(sampler, 42) == sample_params(sampler, 42)
+        draw = sampler.sample(np.random.default_rng(42))
+        assert draw == sampler.sample(np.random.default_rng(42))
 
     def test_serialization_round_trip(self, fitted_model):
         sampler = next(iter(fitted_model.samplers.values()))
         back = sampler_from_dict(sampler.to_dict())
         assert back.to_dict() == sampler.to_dict()
-        assert sample_params(back, 3) == sample_params(sampler, 3)
+        assert back.sample(np.random.default_rng(3)) == sampler.sample(np.random.default_rng(3))
 
 
 class TestMleSigma:

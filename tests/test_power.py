@@ -45,6 +45,12 @@ class TestWindToPower:
         with pytest.raises(InputError):
             wind_to_power(-1.0, DEFAULT_TURBINE)
 
+    def test_non_finite_speed_rejected(self):
+        with pytest.raises(InputError, match="finite"):
+            wind_to_power(np.array([10, 11, 12, np.nan, 14, 14.0]), DEFAULT_TURBINE)
+        with pytest.raises(InputError, match="finite"):
+            wind_to_power(np.inf, DEFAULT_TURBINE)
+
     @settings(max_examples=200, deadline=None)
     @given(
         v1=st.floats(min_value=0.0, max_value=25.0),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from windbridge.bridge import SIGMA_FLOOR, BridgeParams, triangle_path
@@ -10,10 +12,10 @@ from windbridge.simulate import (
     BatterySpec,
     ChargeModel,
     PenaltySpec,
+    battery_recursion,
     charge_from_params,
     discounted_penalty,
     mc_moments,
-    simulate_charge,
     simulate_penalty_path,
 )
 
@@ -50,35 +52,24 @@ class TestChargeSimulation:
         np.testing.assert_array_equal(c, np.maximum(expected, 0.0))
 
     def test_endpoints_zero_and_band_respected(self):
-        sup = attainable_param_support(-1, 8, LIMIT, CAPACITY)
-        sampler = DegenerateSampler(sup, rho=1.0, tau=3, h=0.4)
-        model = SigmaModel.constant(0.05)
+        model = degenerate_model({(-1, 0, 8): (1.0, 3, 0.4)}, sigma=0.05)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            c = simulate_charge(-1, 0, 8, sampler, model, LIMIT, rng)
+            c = model.charge_path(-1, 0, 8, rng)
             assert c[0] == 0.0 and c[-1] == 0.0
             k = np.arange(8)
             assert np.all(c[1:9] >= -1e-12)
             assert np.all(c[1:9] <= 1.0 - k * LIMIT + 1e-12)
 
     def test_single_step_segment(self):
-        sup = attainable_param_support(1, 1, LIMIT, CAPACITY)
-        sampler = DegenerateSampler(sup, rho=2.0, tau=1, h=0.8)
-        c = simulate_charge(1, 0, 1, sampler, SigmaModel.constant(0.3), LIMIT, 0)
+        model = degenerate_model({(1, 0, 1): (2.0, 1, 0.8)}, sigma=0.3)
+        c = model.charge_path(1, 0, 1, np.random.default_rng(0))
         np.testing.assert_array_equal(c, [0.0, 0.8, 0.0])
 
-    def test_idle_state_rejected(self):
-        sup = attainable_param_support(1, 2, LIMIT, CAPACITY)
-        sampler = DegenerateSampler(sup, rho=1.9, tau=1, h=0.5)
-        with pytest.raises(InputError):
-            simulate_charge(0, 1, 2, sampler, SigmaModel.constant(0.1), LIMIT, 0)
-
     def test_deterministic_given_seed(self):
-        sup = attainable_param_support(1, 6, LIMIT, CAPACITY)
-        sampler = DegenerateSampler(sup, rho=1.9, tau=2, h=0.6)
-        model = SigmaModel.constant(0.08)
-        a = simulate_charge(1, 0, 6, sampler, model, LIMIT, 99)
-        b = simulate_charge(1, 0, 6, sampler, model, LIMIT, 99)
+        model = degenerate_model({(1, 0, 6): (1.9, 2, 0.6)}, sigma=0.08)
+        a = model.charge_path(1, 0, 6, np.random.default_rng(99))
+        b = model.charge_path(1, 0, 6, np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)
 
     def test_nearest_sojourn_fallback(self):
@@ -250,6 +241,40 @@ class TestDegenerateOracle:
         np.testing.assert_array_equal(path.soc[:n], np.asarray(soc))
         np.testing.assert_array_equal(path.penalty[:n], np.asarray(pen))
         np.testing.assert_array_equal(path.discounted[:n], w)
+
+
+class TestBatteryRecursion:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.sampled_from([-1, 0, 1]), st.floats(min_value=0.0, max_value=1.0)),
+            min_size=1, max_size=60,
+        ),
+        soc_min=st.floats(min_value=0.0, max_value=0.5),
+        width=st.floats(min_value=0.0, max_value=0.5),
+        start=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_confinement_complementarity_and_idle(self, steps, soc_min, width, start):
+        battery = BatterySpec(soc_min, soc_min + width, soc_min + start * width)
+        z = np.array([s for s, _ in steps])
+        c = np.array([c for _, c in steps])
+        soc, pen = battery_recursion(z, c, battery, PenaltySpec(21.52, 26.50), battery.soc_init)
+        assert soc.shape == pen.shape == z.shape
+        assert soc[0] == battery.soc_init and pen[0] == 0.0
+        assert np.all((soc >= battery.soc_min) & (soc <= battery.soc_max))
+        assert np.all(pen >= 0.0)
+        # a penalty is paid only against a full (charging) or empty (discharging) battery
+        hot = pen > 0.0
+        assert np.all(soc[hot & (z == 1)] == battery.soc_max)
+        assert np.all(soc[hot & (z == -1)] == battery.soc_min)
+        idle = np.flatnonzero(z[1:] == 0) + 1
+        assert np.all(soc[idle] == soc[idle - 1])
+        assert np.all(pen[idle] == 0.0)
+
+    def test_empty_rejected(self):
+        with pytest.raises(InputError):
+            battery_recursion(np.array([], int), np.array([]), BatterySpec(0, 1, 0.5),
+                              PenaltySpec(1, 1), 0.5)
 
 
 class TestDiscountedPenalty:

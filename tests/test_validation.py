@@ -7,7 +7,7 @@ from pytest import approx
 from windbridge.errors import InputError
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
 from windbridge.segmentation import Segment
-from windbridge.simulate import BatterySpec, PenaltySpec
+from windbridge.simulate import BatterySpec, PenaltySpec, mc_moments
 from windbridge.validation import (
     compare_segments,
     daily_penalty_moments,
@@ -185,6 +185,18 @@ class TestDailyFolding:
     def test_too_short(self):
         with pytest.raises(InputError):
             daily_penalty_moments(np.zeros(10), horizon=24)
+
+    def test_matches_mc_moments_on_the_same_windows(self):
+        horizon, n_days, r = 6, 5, 0.1
+        # three trailing steps make no complete window and are dropped
+        pen = np.random.default_rng(3).uniform(0.0, 2.0, n_days * horizon + 1 + 3)
+        first, second, got_days = daily_penalty_moments(pen, horizon, r)
+        # window d as a path: its step 0 is step d*horizon of the series
+        windows = [pen[d * horizon : (d + 1) * horizon + 1] for d in range(n_days)]
+        table = mc_moments(lambda d: windows[d], n_days, horizon, 2, PenaltySpec(1, 1, r))
+        assert got_days == n_days
+        np.testing.assert_array_equal(first, table.mean)
+        np.testing.assert_array_equal(second, table.moments[1])
 
     def test_day_start_conditions(self, renewal_data, corrected_series):
         points, _ = renewal_data
