@@ -45,16 +45,17 @@ def main() -> None:
     if not matches:
         raise SystemExit(f"no segments with i={args.state}, x={args.sojourn}; try another class")
     args.out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    js = sorted({s.j for s in matches})
-    for n in range(min(args.count, len(matches))):
-        seg = matches[n]
-        write_bridge_csv(args.out / f"real_{n:03d}.csv", embed_bridge(seg))
-        c = model.charge_path(args.state, js[n % len(js)], args.sojourn, rng)
-        sim = ChargeBridge(values=c, i=args.state, j=None, x=args.sojourn)
+    count = min(args.count, len(matches))
+    # simulate the class's most common successor, all paths in one draw
+    js = [s.j for s in matches]
+    j = max(sorted(set(js)), key=js.count)
+    sims = model.charge_paths(args.state, j, args.sojourn, count, np.random.default_rng(args.seed))
+    for n in range(count):
+        write_bridge_csv(args.out / f"real_{n:03d}.csv", embed_bridge(matches[n]))
+        sim = ChargeBridge(values=sims[n], i=args.state, j=j, x=args.sojourn)
         write_bridge_csv(args.out / f"sim_{n:03d}.csv", sim)
-    print(f"wrote {min(args.count, len(matches))} real/sim bridge pairs to {args.out}/ "
-          f"({len(matches)} real segments available for this class)")
+    print(f"wrote {count} real/sim bridge pairs to {args.out}/ "
+          f"({len(matches)} real segments available for this class; simulated j={j})")
 
 
 if __name__ == "__main__":

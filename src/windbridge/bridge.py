@@ -59,7 +59,12 @@ class ChargeBridge:
 
 @dataclass(frozen=True)
 class BridgeParams:
-    """Per-segment bridge parameters: ceiling proxy, peak location/height, volatility."""
+    """Per-segment bridge parameters: ceiling proxy, peak location/height, volatility.
+
+    The fields may also be equal-length 1-d arrays, one entry per path of a
+    batch; :func:`triangle_path`, :func:`error_bounds` and :func:`clip_error`
+    then return one row per path.
+    """
 
     rho: float
     tau: int
@@ -69,10 +74,15 @@ class BridgeParams:
 
 @dataclass
 class ErrorPath:
-    """Signed deviation from the triangle at ``k = 1..x`` with clip flags."""
+    """Signed deviation from the triangle at ``k = 1..x`` with clip flags.
+
+    :func:`clip_error` also keeps the triangle ``g(1..x)`` it clipped against
+    in ``triangle``, so that ``triangle + values`` is the charge path.
+    """
 
     values: np.ndarray
     clipped: np.ndarray
+    triangle: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -97,14 +107,29 @@ def extract_peak(bridge: ChargeBridge) -> tuple[int, float]:
     return tau, float(interior[tau - 1])
 
 
+def _per_path(value):
+    """A batch's array of one value per path as an ``(n, 1)`` column; a scalar as is."""
+    return value[:, None] if isinstance(value, np.ndarray) else value
+
+
+def _all(condition) -> bool:
+    """Whether a scalar condition, or every entry of a batch's, holds."""
+    if isinstance(condition, np.ndarray):
+        return bool(np.logical_and.reduce(condition, axis=None))
+    return bool(condition)
+
+
 def triangle_path(params: BridgeParams, x: int) -> np.ndarray:
-    """Triangle baseline ``g(k)``, ``k = 0..x+1``: up to ``(tau, h)``, down to 0 at ``x+1``."""
-    tau, h = params.tau, params.h
-    if not 1 <= tau <= x:
-        raise InputError(f"peak time {tau} outside {{1..{x}}}")
+    """Triangle baseline ``g(k)``, ``k = 0..x+1``: up to ``(tau, h)``, down to 0 at ``x+1``.
+
+    Shape ``(x+2,)``, or ``(n, x+2)`` for a batch of ``n`` parameter sets.
+    """
+    tau, h = _per_path(params.tau), _per_path(params.h)
+    if not _all((1 <= tau) & (tau <= x)):
+        raise InputError(f"peak time {params.tau} outside {{1..{x}}}")
     k = np.arange(x + 2, dtype=float)
     up = h * k / tau
-    down = h * (x + 1 - k) / (x + 1 - tau) if tau < x + 1 else np.zeros_like(k)
+    down = h * (x + 1 - k) / (x + 1 - tau)
     return np.where(k <= tau, up, down)
 
 
@@ -146,27 +171,32 @@ def decompose(
 
 def error_bounds(params: BridgeParams, x: int, limit: float) -> tuple[np.ndarray, np.ndarray]:
     """Clip band for the error process: ``-g(k) <= E(k) <= rho - (k-1)*limit - g(k)``."""
-    g = triangle_path(params, x)[1 : x + 1]
+    g = triangle_path(params, x)[..., 1 : x + 1]
     k = np.arange(1, x + 1, dtype=float)
     lower = -g
-    upper = params.rho - (k - 1.0) * limit - g
+    upper = _per_path(params.rho) - (k - 1.0) * limit - g
     return lower, upper
 
 
 def clip_error(latent: np.ndarray, params: BridgeParams, x: int, limit: float) -> ErrorPath:
-    """Clamp a latent path into the feasible band, flagging where it was moved."""
+    """Clamp a latent path into the feasible band, flagging where it was moved.
+
+    ``latent`` has shape ``(x,)``, or ``(n, x)`` for a batch of ``n`` parameter
+    sets.
+    """
     y = np.asarray(latent, dtype=float)
-    if y.shape != (x,):
-        raise InputError(f"latent path must have length {x}")
     lower, upper = error_bounds(params, x, limit)
+    if y.shape != lower.shape:
+        raise InputError(f"latent path must have shape {lower.shape}")
     if np.any(upper < lower):
-        k_bad = int(np.flatnonzero(upper < lower)[0]) + 1
+        *row, k = np.argwhere(upper < lower)[0]
+        rho, tau, h = (np.asarray(v)[tuple(row)] for v in (params.rho, params.tau, params.h))
         raise InputError(
-            f"inconsistent bridge parameters: clip band empty at k={k_bad} "
-            f"(rho={params.rho}, tau={params.tau}, h={params.h}, x={x})"
+            f"inconsistent bridge parameters: clip band empty at k={k + 1} "
+            f"(rho={float(rho)}, tau={int(tau)}, h={float(h)}, x={x})"
         )
     values = np.minimum(np.maximum(y, lower), upper)
-    return ErrorPath(values=values, clipped=values != y)
+    return ErrorPath(values=values, clipped=values != y, triangle=-lower)
 
 
 def bb_transition(
@@ -206,11 +236,15 @@ def sample_latent_bridge(
 
     Two independent Brownian motions are pinned into bridges on ``[0, tau]``
     and ``[tau, x+1]``; both pieces vanish at ``tau``, so every sampled path
-    has ``Y(tau) == 0`` exactly.
+    has ``Y(tau) == 0`` exactly.  ``sigma`` is one volatility for every path
+    or an array of ``n_paths``, one per path.  The normals are drawn as an
+    ``(n_paths, tau)`` block, then an ``(n_paths, x+1-tau)`` block if
+    ``tau < x``: ``x`` normals per path when ``tau == x``, else ``x+1``.
     """
     if not 1 <= tau <= x:
         raise InputError(f"peak time {tau} outside {{1..{x}}}")
-    if sigma <= 0:
+    sigma = _per_path(sigma)
+    if not _all(sigma > 0):
         raise InputError(f"sigma must be positive, got {sigma}")
     out = np.empty((n_paths, x))
 

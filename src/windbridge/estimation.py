@@ -34,6 +34,7 @@ __all__ = [
     "SigmaModel",
     "fit_sigma_regression",
     "predict_sigma",
+    "predict_sigma_batch",
     "box_cox",
     "inv_box_cox",
     "MAX_REJECTIONS",
@@ -109,6 +110,20 @@ class SupportSpec:
         if ok.ndim == 0:
             return bool(ok)
         return ok
+
+    def clamp(self, rho, tau, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Move ``(rho, tau, h)`` to the nearest point of the support.
+
+        ``tau`` comes back as a float in ``[1, x]``; ``h`` is kept at least
+        1e-15 and, for an open bound, just below ``h_max``.
+        """
+        rho = np.clip(rho, self.rho_min, self.rho_max)
+        tau = np.clip(tau, 1.0, float(self.x))
+        hmax = self.h_max(rho, tau)
+        ceiling = hmax if not self.h_open else hmax * (1.0 - 1e-9)
+        h = np.minimum(h, np.maximum(ceiling, 1e-15))
+        h = np.maximum(h, 1e-15)
+        return rho, tau, h
 
     def to_dict(self) -> dict:
         return {
@@ -197,7 +212,8 @@ def attainable_param_support(side: int, x: int, limit: float, capacity: float) -
 
 def _nearest_tau(tau_cont, x: int) -> np.ndarray:
     """Nearest integer in {1..x}, ties rounded up."""
-    return np.clip(np.floor(np.asarray(tau_cont, dtype=float) + 0.5), 1, x).astype(int)
+    nearest = np.floor(np.asarray(tau_cont, dtype=float) + 0.5)
+    return np.minimum(np.maximum(nearest, 1), x).astype(int)
 
 
 class ParamSampler:
@@ -240,11 +256,11 @@ class EmpiricalCopulaSampler(ParamSampler):
         self.n_obs = int(n_obs)
         self.bootstrap_augmented = bool(bootstrap_augmented)
         self._chol = np.linalg.cholesky(_nearest_corr(self.corr))
+        # plotting positions of each sorted marginal, for the quantile lookup
+        self._pp = tuple((np.arange(m.size) + 0.5) / m.size for m in self.marginals)
 
     def _invert_marginal(self, dim: int, u: np.ndarray) -> np.ndarray:
-        vals = self.marginals[dim]
-        pp = (np.arange(vals.size) + 0.5) / vals.size
-        return np.interp(u, pp, vals)
+        return np.interp(u, self._pp[dim], self.marginals[dim])
 
     def sample_n(self, n: int, rng: np.random.Generator):
         rho_out = np.empty(n)
@@ -260,17 +276,17 @@ class EmpiricalCopulaSampler(ParamSampler):
             tau = _nearest_tau(self._invert_marginal(1, u[:, 1]), self.support.x)
             h = self._invert_marginal(2, u[:, 2])
             idx = np.flatnonzero(self.support.contains(rho, tau, h))
-            # runs of rejects before, between and after the accepted draws;
-            # the first run continues the previous batch's trailing run
-            gaps = np.diff(np.concatenate(([-1], idx, [m]))) - 1
-            gaps[0] += consecutive_rejects
-            if gaps.max() >= MAX_REJECTIONS:
+            # edges: the accepted draws, led by a virtual one just before the
+            # previous batch's trailing run of rejects; the rejects between
+            # two edges form one run
+            edges = np.concatenate(([-1 - consecutive_rejects], idx, [m]))
+            if (edges[1:] - edges[:-1]).max() > MAX_REJECTIONS:
                 raise EstimationError(
                     f"{MAX_REJECTIONS} consecutive rejections: fitted density is "
                     f"inconsistent with its support (side={self.support.side}, "
                     f"x={self.support.x})"
                 )
-            consecutive_rejects = int(gaps[-1])
+            consecutive_rejects = m - 1 - int(edges[-2])
             take = idx[: n - filled]
             rho_out[filled : filled + take.size] = rho[take]
             tau_out[filled : filled + take.size] = tau[take]
@@ -373,18 +389,6 @@ def _nearest_corr(corr: np.ndarray, floor: float = 1e-10) -> np.ndarray:
     return fixed / np.outer(d, d)
 
 
-def _clamp_into_support(
-    support: SupportSpec, rho: np.ndarray, tau: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rho = np.clip(rho, support.rho_min, support.rho_max)
-    tau = np.clip(tau, 1.0, float(support.x))
-    hmax = support.h_max(rho, tau)
-    ceiling = hmax if not support.h_open else hmax * (1.0 - 1e-9)
-    h = np.minimum(h, np.maximum(ceiling, 1e-15))
-    h = np.maximum(h, 1e-15)
-    return rho, tau, h
-
-
 def fit_joint_density(
     triplets,
     support: SupportSpec,
@@ -422,7 +426,7 @@ def fit_joint_density(
             widths.append(w if w > 0 else float(fallback[d]))
         jitter = rng.uniform(-1.0, 1.0, size=data.shape) * (0.01 * np.asarray(widths))
         data = data + jitter
-        rho, tau, h = _clamp_into_support(support, data[:, 0], data[:, 1], data[:, 2])
+        rho, tau, h = support.clamp(data[:, 0], data[:, 1], data[:, 2])
         data = np.column_stack([rho, tau, h])
 
     scores = np.column_stack(
@@ -492,13 +496,18 @@ def box_cox(y, lam: float):
 
 
 def inv_box_cox(p, lam: float):
+    """Inverse of :func:`box_cox`; NaN outside its domain ``lam * p + 1 > 0``.
+
+    The power is taken one element at a time with Python floats, because
+    numpy's array power can differ from the scalar one in the last bit.
+    """
     p = np.asarray(p, dtype=float)
     if lam == 0.0:
         return np.exp(p)
     base = lam * p + 1.0
-    if np.any(base <= 0):
-        raise InputError("prediction outside the inverse Box-Cox domain")
-    return base ** (1.0 / lam)
+    power = 1.0 / lam
+    values = [b**power if b > 0 else np.nan for b in base.ravel().tolist()]
+    return np.array(values).reshape(base.shape)
 
 
 @dataclass
@@ -563,9 +572,12 @@ class SigmaModel:
 
 
 def _design_matrix(rho, tau, h, x) -> np.ndarray:
-    rho, tau, h, x = (np.asarray(a, dtype=float) for a in (rho, tau, h, x))
+    """One row of regressors per ``(rho, tau, h, x)``; ``x`` may be one scalar."""
+    rho, tau, h = (np.asarray(a, dtype=float) for a in (rho, tau, h))
+    one = np.ones_like(rho)
+    x = one * x
     cols = [
-        np.ones_like(rho), rho, tau, h, x,
+        one, rho, tau, h, x,
         rho * tau, rho * h, rho * x, tau * h, tau * x, h * x,
     ]
     return np.column_stack(cols)
@@ -670,20 +682,33 @@ def fit_sigma_regression(
 
 def predict_sigma(model: SigmaModel, rho: float, tau: float, h: float, x: float) -> float:
     """Volatility prediction: anti-transformed linear response, floored."""
+    return float(predict_sigma_batch(model, [rho], [tau], [h], x)[0])
+
+
+def predict_sigma_batch(model: SigmaModel, rho, tau, h, x: float) -> np.ndarray:
+    """:func:`predict_sigma` for arrays of ``(rho, tau, h)`` at one sojourn ``x``.
+
+    A one-row batch equals :func:`predict_sigma` bit for bit; rows of a
+    larger batch may differ from it in the last bit, since the matrix-vector
+    product sums in another order.  Predictions outside the inverse
+    transform's domain are floored and counted in
+    ``model.floored_predictions``.
+    """
+    rho = np.asarray(rho, dtype=float)
     if model.feature_names == ("const",):
-        pred = float(model.coef[0])
+        pred = np.full(rho.shape, float(model.coef[0]))
     else:
-        row = _design_matrix([rho], [tau], [h], [x])[0]
-        pred = float(row @ model.coef)
-    try:
-        sigma = float(inv_box_cox(pred, model.lam))
-    except InputError:
-        model.floored_predictions += 1
-        log = logger.warning if model.floored_predictions == 1 else logger.debug
-        log(
-            "sigma prediction %.4g outside the inverse transform domain "
-            "(lambda=%.2f); flooring (occurrence %d)",
-            pred, model.lam, model.floored_predictions,
+        pred = _design_matrix(rho, tau, h, x) @ model.coef
+    sigma = inv_box_cox(pred, model.lam)
+    outside = np.isnan(sigma)
+    n_outside = int(np.count_nonzero(outside))
+    if n_outside:
+        first = model.floored_predictions == 0
+        model.floored_predictions += n_outside
+        (logger.warning if first else logger.debug)(
+            "%d sigma prediction(s) outside the inverse transform domain "
+            "(lambda=%.2f, first %.4g); flooring (%d so far)",
+            n_outside, model.lam, pred[outside][0], model.floored_predictions,
         )
-        return model.sigma_floor
-    return max(sigma, model.sigma_floor)
+    # fmax also floors the NaN entries
+    return np.fmax(sigma, model.sigma_floor)

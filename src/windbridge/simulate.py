@@ -5,7 +5,7 @@ and Monte Carlo estimation of the discounted cumulative penalty moments.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -14,14 +14,13 @@ from .bridge import (
     BridgeParams,
     clip_error,
     sample_latent_bridge,
-    triangle_path,
 )
 from .errors import InputError, SimulationError
 from .estimation import (
     ParamSampler,
     SigmaModel,
     attainable_param_support,
-    predict_sigma,
+    predict_sigma_batch,
 )
 from .segmentation import SemiMarkovKernel
 
@@ -32,7 +31,6 @@ __all__ = [
     "ChargeModel",
     "DEFAULT_BATTERY",
     "DEFAULT_FEES",
-    "charge_from_params",
     "battery_recursion",
     "simulate_penalty_path",
     "discounted_penalty",
@@ -80,42 +78,13 @@ DEFAULT_BATTERY = BatterySpec(soc_min=0.0, soc_max=0.36, soc_init=0.18)
 DEFAULT_FEES = PenaltySpec(up_fee=21.52, down_fee=26.50, discount_rate=0.0)
 
 
-def charge_from_params(
-    params: BridgeParams, x: int, limit: float, rng: np.random.Generator,
-    sigma_floor: float = SIGMA_FLOOR,
-) -> np.ndarray:
-    """Charge path ``c(0..x+1)`` for given bridge parameters.
-
-    Volatilities at the floor give the clipped triangle; otherwise the latent
-    two-piece bridge is sampled, clipped into the feasible band, and added to
-    the triangle.  Every value lies in ``[0, rho - (k-1)*limit]`` and the
-    endpoints are exactly zero.
-    """
-    if x < 1:
-        raise InputError(f"sojourn must be >= 1, got {x}")
-    if x == 1:
-        c1 = min(max(params.h, 0.0), params.rho)
-        return np.array([0.0, c1, 0.0])
-    g = triangle_path(params, x)
-    # volatilities within rounding of the floor count as "no noise"
-    if params.sigma <= sigma_floor * (1.0 + 1e-9):
-        latent = np.zeros(x)
-    else:
-        latent = sample_latent_bridge(x, params.tau, params.sigma, rng)[0]
-    err = clip_error(latent, params, x, limit)
-    out = g.copy()
-    out[1 : x + 1] += err.values
-    out[0] = 0.0
-    out[x + 1] = 0.0
-    return out
-
-
 class ChargeModel:
     """Registry of fitted samplers and volatility models for one ramp limit.
 
     Sojourns without a fitted sampler for their (i, j) pair fall back to the
     nearest fitted sojourn length, with the drawn parameters clamped into the
-    support of the actual length.
+    support of the actual length; a length that no attainable ``rho`` can
+    carry raises :class:`SimulationError`.
     """
 
     def __init__(
@@ -158,19 +127,68 @@ class ChargeModel:
 
     def charge_path(self, i: int, j: int, x: int, rng: np.random.Generator) -> np.ndarray:
         """Charge path ``c(0..x+1)``; identically zero in the idle state."""
+        return self.charge_paths(i, j, x, 1, rng)[0]
+
+    def charge_paths(
+        self, i: int, j: int, x: int, n: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """``n`` charge paths ``c(0..x+1)`` of class ``(i, j, x)``, shape ``(n, x+2)``.
+
+        One ``sample_n(n)`` draws the ``(rho, tau, h)`` rows, each volatility
+        is predicted from its row, and the latent bridges are sampled one
+        group of equal ``tau`` at a time, in increasing ``tau``; volatilities
+        at the floor draw no bridge and give the clipped triangle.  Every
+        value lies in ``[0, rho - (k-1)*limit]`` and the endpoints are exactly
+        zero.  For ``n = 1`` the draws are those of one sampler draw followed
+        by one latent bridge.  Identically zero in the idle state.
+        """
+        if x < 1:
+            raise InputError(f"sojourn must be >= 1, got {x}")
+        out = np.zeros((n, x + 2))
         if i == 0:
-            return np.zeros(x + 2)
+            return out
         sampler, fell_back = self.sampler_for(i, j, x)
-        rho, tau, h = sampler.sample(rng)
+        rho, tau, h = sampler.sample_n(n, rng)
         if fell_back:
-            support = attainable_param_support(i, x, self.limit, self.capacity)
-            rho = float(np.clip(rho, support.rho_min, support.rho_max))
-            tau = int(np.clip(tau, 1, x))
-            hmax = float(support.h_max(rho, tau))
-            h = float(min(max(h, 1e-15), max(hmax, 1e-15)))
-        sigma = predict_sigma(self.sigma_model_for(i, j), rho, tau, h, x)
+            rho, tau, h = self._clamp_to_sojourn(i, j, x, rho, tau, h)
+        sigma = predict_sigma_batch(self.sigma_model_for(i, j), rho, tau, h, x)
+        if x == 1:
+            out[:, 1] = np.minimum(np.maximum(h, 0.0), rho)
+            return out
         params = BridgeParams(rho=rho, tau=tau, h=h, sigma=sigma)
-        return charge_from_params(params, x, self.limit, rng, self.sigma_floor)
+        # rows by peak time; volatilities within rounding of the floor count
+        # as "no noise" and draw no bridge
+        groups: dict[int, list[int]] = {}
+        noise_floor = self.sigma_floor * (1.0 + 1e-9)
+        for r, (t, s) in enumerate(zip(tau.tolist(), sigma.tolist())):
+            if s > noise_floor:
+                groups.setdefault(t, []).append(r)
+        latent = np.zeros((n, x))
+        for t in sorted(groups):
+            rows = groups[t]
+            latent[rows] = sample_latent_bridge(x, t, sigma[rows], rng, n_paths=len(rows))
+        err = clip_error(latent, params, x, self.limit)
+        out[:, 1 : x + 1] = err.triangle + err.values
+        return out
+
+    def _clamp_to_sojourn(
+        self, i: int, j: int, x: int, rho: np.ndarray, tau: np.ndarray, h: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Move nearest-sojourn draws into the attainable support of length ``x``.
+
+        ``rho`` is also floored at ``(x-1)*limit``, the least ceiling under
+        which a charge path of ``x`` steps stays nonnegative.
+        """
+        support = attainable_param_support(i, x, self.limit, self.capacity)
+        rho_needed = (x - 1) * self.limit
+        if rho_needed > support.rho_max:
+            raise SimulationError(
+                f"no attainable rho covers a sojourn of {x} steps for "
+                f"(i={i}, j={j}, x={x}): needs {rho_needed}, support ends at {support.rho_max}"
+            )
+        support = replace(support, rho_min=max(support.rho_min, rho_needed))
+        rho, tau, h = support.clamp(rho, tau, h)
+        return rho, tau.astype(int), h
 
 
 @dataclass

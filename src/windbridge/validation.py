@@ -128,8 +128,10 @@ def compare_segments(
 
     Only classes with at least ``eligibility`` complete observations are
     compared; each gets ``max(path_multiplier * n_real, min_paths)`` simulated
-    paths.  Covariance entries use the n-1 convention on both sides; classes
-    whose real covariance is identically zero report no covariance error.
+    paths, drawn in one :meth:`ChargeModel.charge_paths` call per class, class
+    after class from ``rng``.  Covariance entries use the n-1 convention on
+    both sides; classes whose real covariance is identically zero report no
+    covariance error.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     report = ComparisonReport(eligibility=eligibility)
@@ -139,9 +141,7 @@ def compare_segments(
             continue
         real = np.vstack([np.abs(s.charges) for s in group])
         n_sim = max(path_multiplier * n_real, min_paths)
-        sim = np.empty((n_sim, x))
-        for p in range(n_sim):
-            sim[p] = charge_model.charge_path(i, j, x, rng)[1 : x + 1]
+        sim = charge_model.charge_paths(i, j, x, n_sim, rng)[:, 1 : x + 1]
         l2_mean = rel_l2_error(real.mean(axis=0), sim.mean(axis=0))
         cov_real = np.atleast_2d(np.cov(real, rowvar=False, ddof=1))
         cov_sim = np.atleast_2d(np.cov(sim, rowvar=False, ddof=1))

@@ -181,6 +181,29 @@ class TestDecomposeAndClip:
         assert np.all(c >= -1e-12)
         assert np.all(c <= rho - (np.arange(x)) * LIMIT + 1e-12)
 
+    def test_batch_matches_rows(self):
+        rng = np.random.default_rng(12)
+        x = 7
+        tau = rng.integers(1, x + 1, size=30)
+        rho = rng.uniform((x + 1) * LIMIT, 2.0, size=30)
+        h = rng.uniform(1e-6, rho - tau * LIMIT)
+        y = rng.normal(scale=0.5, size=(30, x))
+        batch = BridgeParams(rho=rho, tau=tau, h=h)
+        g = triangle_path(batch, x)
+        err = clip_error(y, batch, x, LIMIT)
+        for r in range(30):
+            row = BridgeParams(rho=float(rho[r]), tau=int(tau[r]), h=float(h[r]))
+            np.testing.assert_array_equal(g[r], triangle_path(row, x))
+            one = clip_error(y[r], row, x, LIMIT)
+            np.testing.assert_array_equal(err.values[r], one.values)
+            np.testing.assert_array_equal(err.clipped[r], one.clipped)
+            np.testing.assert_array_equal(err.triangle[r], g[r, 1 : x + 1])
+
+    def test_batch_names_inconsistent_row(self):
+        batch = BridgeParams(rho=np.array([1.0, 0.01]), tau=np.array([2, 1]), h=np.array([0.3, 0.005]))
+        with pytest.raises(InputError, match=r"k=2 \(rho=0.01, tau=1, h=0.005, x=5\)"):
+            clip_error(np.zeros((2, 5)), batch, 5, 0.02)
+
 
 class TestRealDataBounds:
     def test_charging_side_bound_is_exact(self, renewal_data):
@@ -276,6 +299,14 @@ class TestLatentBridge:
         paths = sample_latent_bridge(4, 4, 0.5, rng, n_paths=10)
         assert paths.shape == (10, 4)
         assert np.all(paths[:, 3] == 0.0)
+
+    def test_per_path_sigma_scales_each_row(self):
+        sigma = np.array([0.1, 0.5, 2.0])
+        paths = sample_latent_bridge(6, 2, sigma, np.random.default_rng(4), n_paths=3)
+        unit = sample_latent_bridge(6, 2, 1.0, np.random.default_rng(4), n_paths=3)
+        np.testing.assert_array_equal(paths, sigma[:, None] * unit)
+        with pytest.raises(InputError, match="positive"):
+            sample_latent_bridge(6, 2, np.array([0.1, 0.0]), np.random.default_rng(4), n_paths=2)
 
 
 class TestBridgeCsv:

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,18 @@ class TestPipeline:
         for p in artifacts:
             q = cfg2.out_dir / p.name
             assert q.read_bytes() == p.read_bytes(), p.name
+
+    def test_class_comparison_independent_of_path_count(self, pipeline_run, tmp_path):
+        cfg, _ = pipeline_run
+        fewer = small_config(tmp_path / "fewer", n_paths=20)
+        shutil.copytree(cfg.out_dir, fewer.out_dir)
+        run_stage(fewer, "validate")
+        for frac in cfg.limits:
+            name = f"validation_{cfg.limit_tag(frac)}.json"
+            a = json.loads((cfg.out_dir / name).read_text())
+            b = json.loads((fewer.out_dir / name).read_text())
+            assert a["groups"] and a["groups"] == b["groups"]
+            assert b["n_paths"] == 20
 
 
 class TestRunConfig:
@@ -217,6 +230,14 @@ class TestFileInput:
         with pytest.raises(InputError, match=r"^\[ingest\].*finite"):
             run_stage(cfg, "ingest")
         assert not (cfg.out_dir / "power.csv").exists()
+
+    def test_nan_power_row_rejected_at_correct(self, tmp_path):
+        cfg = small_config(tmp_path / "out")
+        cfg.out_dir.mkdir()
+        (cfg.out_dir / "power.csv").write_text("k,e\n0,1.0\n1,1.2\n2,nan\n3,1.9\n")
+        with pytest.raises(InputError, match=r"^\[correct\].*finite"):
+            run_stage(cfg, "correct")
+        assert not list(cfg.out_dir.glob("corrected_*"))
 
 
 class TestPartialArtifacts:

@@ -20,6 +20,7 @@ from windbridge.estimation import (
     mle_sigma,
     nominal_param_support,
     predict_sigma,
+    predict_sigma_batch,
     sampler_from_dict,
 )
 
@@ -254,6 +255,14 @@ class TestBoxCox:
         np.testing.assert_allclose(inv_box_cox(box_cox(y, 0.0), 0.0), y)
         np.testing.assert_allclose(inv_box_cox(box_cox(y, 0.5), 0.5), y)
         np.testing.assert_allclose(inv_box_cox(box_cox(y, -1.3), -1.3), y)
+        # lambda * p + 1 <= 0 has no preimage
+        np.testing.assert_array_equal(inv_box_cox(np.array([-2.0, -3.0, 0.0]), 0.5), [np.nan, np.nan, 1.0])
+
+    def test_inverse_matches_scalar_power_bit_for_bit(self):
+        p = np.random.default_rng(29).uniform(-0.5, 0.5, size=2000)  # inside every domain
+        for lam in (0.35, -0.45, 1.3):
+            want = [(lam * v + 1.0) ** (1.0 / lam) for v in p.tolist()]
+            assert inv_box_cox(p, lam).tolist() == want
 
     def test_nonpositive_rejected(self):
         with pytest.raises(InputError):
@@ -322,6 +331,27 @@ class TestSigmaRegression:
         model = fit_sigma_regression(obs)
         # absurd regressors force the linear response far below the floor
         assert predict_sigma(model, 0.0, 0.0, -50.0, 0.0) >= SIGMA_FLOOR
+
+    def test_batch_matches_scalar_and_counts_floored(self):
+        obs = synthetic_sigma_observations(100, np.random.default_rng(26))
+        fitted = fit_sigma_regression(obs)
+        # lambda = 0.5, sigma = (0.5 * (0.1 + h) + 1)^2: outside the domain for h <= -2.1
+        names = fitted.feature_names
+        halved = SigmaModel(
+            lam=0.5, coef=np.array([0.1, 0, 0, 1.0] + [0.0] * 7), feature_names=names,
+            adj_r2=1.0, resid_std=0.0, n_outliers_removed=0, n_obs=0,
+        )
+        rng = np.random.default_rng(28)
+        rho, tau, h = rng.uniform(0, 2, 200), rng.integers(1, 9, 200), rng.uniform(0, 0.5, 200)
+        h[:5] = -50.0
+        for model in (fitted, halved):
+            batch = predict_sigma_batch(model, rho, tau, h, 8)
+            for r in range(200):
+                one = predict_sigma_batch(model, rho[r : r + 1], tau[r : r + 1], h[r : r + 1], 8)
+                assert one[0] == predict_sigma(model, rho[r], tau[r], h[r], 8)
+                assert batch[r] == approx(one[0], rel=1e-12)
+        np.testing.assert_array_equal(predict_sigma_batch(halved, rho, tau, h, 8)[:5], SIGMA_FLOOR)
+        assert halved.floored_predictions == 5 * 4  # batch, one-row batch, scalar, last batch
 
     def test_fixed_lambda_predictions(self):
         names = (

@@ -99,6 +99,12 @@ class TestRampLimit:
         with pytest.raises(InputError):
             PowerSeries(generated=np.array([]))
 
+    def test_non_finite_power_rejected(self):
+        with pytest.raises(InputError, match="generated power must be finite"):
+            PowerSeries(generated=np.array([1.0, 1.2, np.nan, 1.9]))
+        with pytest.raises(InputError, match="corrected power must be finite"):
+            PowerSeries(generated=np.ones(3), corrected=np.array([1.0, np.inf, 1.0]))
+
     @settings(max_examples=100, deadline=None)
     @given(
         data=st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=60),

@@ -4,16 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from windbridge.bridge import SIGMA_FLOOR, BridgeParams, triangle_path
+from windbridge.bridge import (
+    SIGMA_FLOOR,
+    BridgeParams,
+    clip_error,
+    sample_latent_bridge,
+    triangle_path,
+)
 from windbridge.errors import InputError, SimulationError
-from windbridge.estimation import DegenerateSampler, SigmaModel, attainable_param_support
+from windbridge.estimation import (
+    DegenerateSampler,
+    SigmaModel,
+    attainable_param_support,
+    predict_sigma,
+)
 from windbridge.segmentation import SemiMarkovKernel
 from windbridge.simulate import (
     BatterySpec,
     ChargeModel,
     PenaltySpec,
     battery_recursion,
-    charge_from_params,
     discounted_penalty,
     mc_moments,
     simulate_penalty_path,
@@ -42,14 +52,36 @@ def cycle_kernel(x=3):
     return SemiMarkovKernel(q, {1: 1, 0: 1, -1: 1})
 
 
+def oracle_charge_path(model, i, j, x, rng):
+    """One charge path composed from the scalar primitives, step by step."""
+    sampler, fell_back = model.sampler_for(i, j, x)
+    rho, tau, h = (v[0] for v in sampler.sample_n(1, rng))
+    rho, tau, h = float(rho), int(tau), float(h)
+    if fell_back:
+        sup = attainable_param_support(i, x, model.limit, model.capacity)
+        rho = max(min(max(rho, sup.rho_min), sup.rho_max), (x - 1) * model.limit)
+        tau = min(max(tau, 1), x)
+        h = min(max(h, 1e-15), max(float(sup.h_max(rho, tau)), 1e-15))
+    sigma = predict_sigma(model.sigma_model_for(i, j), rho, tau, h, x)
+    if x == 1:
+        return np.array([0.0, min(max(h, 0.0), rho), 0.0])
+    params = BridgeParams(rho=rho, tau=tau, h=h, sigma=sigma)
+    latent = np.zeros(x)
+    if sigma > model.sigma_floor * (1.0 + 1e-9):
+        latent = sample_latent_bridge(x, tau, sigma, rng)[0]
+    c = triangle_path(params, x)
+    c[1 : x + 1] += clip_error(latent, params, x, model.limit).values
+    return c
+
+
 class TestChargeSimulation:
     def test_floor_sigma_gives_clipped_triangle(self):
-        params = BridgeParams(rho=0.5, tau=2, h=0.3, sigma=SIGMA_FLOOR)
-        rng = np.random.default_rng(0)
-        c = charge_from_params(params, 5, LIMIT, rng)
-        g = triangle_path(params, 5)
+        model = degenerate_model({(1, 0, 5): (0.5, 2, 0.3)}, sigma=SIGMA_FLOOR)
+        c = model.charge_paths(1, 0, 5, 3, np.random.default_rng(0))
+        g = triangle_path(BridgeParams(rho=0.5, tau=2, h=0.3), 5)
         expected = np.minimum(g, np.concatenate([[np.inf], 0.5 - np.arange(5) * LIMIT, [np.inf]]))
-        np.testing.assert_array_equal(c, np.maximum(expected, 0.0))
+        for row in c:
+            np.testing.assert_array_equal(row, np.maximum(expected, 0.0))
 
     def test_endpoints_zero_and_band_respected(self):
         model = degenerate_model({(-1, 0, 8): (1.0, 3, 0.4)}, sigma=0.05)
@@ -85,6 +117,81 @@ class TestChargeSimulation:
         model = degenerate_model({(1, 0, 4): (1.9, 2, 0.6)})
         with pytest.raises(SimulationError, match=r"\(i=-1, j=0\)"):
             model.charge_path(-1, 0, 4, np.random.default_rng(3))
+
+    def test_fallback_past_largest_fitted_sojourn(self):
+        # both sides stay in the band well past the largest fitted sojourn; on
+        # the charging side a low rho clamped into the support of x=60 would
+        # leave the clip band empty at k=x, so the fallback floors it at
+        # (x-1)*limit
+        model = degenerate_model(
+            {(1, 0, 4): (0.5, 2, 0.3), (-1, 1, 4): (1.0, 2, 0.5)}, sigma=0.05
+        )
+        for i, j, x in [(1, 0, 60), (-1, 1, 95)]:
+            c = model.charge_paths(i, j, x, 50, np.random.default_rng(4))
+            assert np.all(c[:, 0] == 0.0) and np.all(c[:, -1] == 0.0)
+            assert np.all(c[:, 1 : x + 1] >= 0.0)
+            # nothing is left to charge at the last step of the floored ceiling
+            if i == 1:
+                np.testing.assert_allclose(c[:, x], 0.0, atol=1e-12)
+
+    def test_fallback_without_attainable_rho_names_class(self):
+        model = degenerate_model({(1, 0, 4): (1.9, 2, 0.6), (-1, 1, 4): (1.0, 2, 0.5)})
+        # (x-1)*limit = 2.18 MW exceeds every attainable rho on both sides
+        for i, j in [(1, 0), (-1, 1)]:
+            with pytest.raises(SimulationError, match=rf"\(i={i}, j={j}, x=110\)"):
+                model.charge_path(i, j, 110, np.random.default_rng(5))
+
+
+class TestChargePaths:
+    def check_against_oracle(self, model, keys, draws=20):
+        for key in keys:
+            i, j, x = key
+            for d in range(draws):
+                seed = (d, i + 2, j + 2, x)
+                got = model.charge_paths(i, j, x, 1, np.random.default_rng(seed))
+                want = oracle_charge_path(model, i, j, x, np.random.default_rng(seed))
+                assert got.shape == (1, x + 2)
+                np.testing.assert_array_equal(got[0], want)
+
+    def test_one_row_matches_oracle_on_fitted_model(self, fitted_model):
+        keys = sorted(fitted_model.samplers)
+        assert any(x == 1 for _, _, x in keys)
+        self.check_against_oracle(fitted_model, keys, draws=5)
+
+    def test_one_row_matches_oracle_on_fallback(self, fitted_model):
+        xmax = {}
+        for i, j, x in fitted_model.samplers:
+            xmax[(i, j)] = max(xmax.get((i, j), 0), x)
+        keys = [(i, j, x + 2) for (i, j), x in sorted(xmax.items())]
+        self.check_against_oracle(fitted_model, keys)
+
+    @pytest.mark.parametrize(
+        "entries, sigma",
+        [
+            ({(1, 0, 1): (2.0, 1, 0.8)}, 0.3),  # x = 1: no bridge
+            ({(1, 0, 6): (1.9, 6, 0.6)}, 0.08),  # tau == x: x normals, not x+1
+            ({(-1, 1, 5): (1.0, 2, 0.4)}, SIGMA_FLOOR),  # floor sigma: no draw
+            ({(1, 0, 4): (0.5, 2, 0.3)}, 0.05),  # fallback with the rho floor
+        ],
+    )
+    def test_one_row_matches_oracle_on_edge_cases(self, entries, sigma):
+        model = degenerate_model(entries, sigma=sigma)
+        (key,) = entries
+        x = 60 if key == (1, 0, 4) else key[2]
+        self.check_against_oracle(model, [(key[0], key[1], x)])
+
+    def test_large_batch_in_band_with_zero_endpoints(self, fitted_model):
+        for (i, j, x), sampler in sorted(fitted_model.samplers.items())[:6]:
+            c = fitted_model.charge_paths(i, j, x, 500, np.random.default_rng(x))
+            assert c.shape == (500, x + 2)
+            assert np.all(c[:, 0] == 0.0) and np.all(c[:, -1] == 0.0)
+            k = np.arange(x)
+            assert np.all(c[:, 1 : x + 1] >= -1e-12)
+            assert np.all(c[:, 1 : x + 1] <= sampler.support.rho_max - k * LIMIT + 1e-12)
+
+    def test_idle_state_is_zero(self):
+        c = degenerate_model({}).charge_paths(0, 1, 4, 7, np.random.default_rng(0))
+        np.testing.assert_array_equal(c, np.zeros((7, 6)))
 
 
 class TestPenaltyPath:

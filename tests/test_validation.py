@@ -6,7 +6,7 @@ from pytest import approx
 
 from windbridge.errors import InputError
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
-from windbridge.segmentation import Segment
+from windbridge.segmentation import Segment, complete_classes
 from windbridge.simulate import BatterySpec, PenaltySpec, mc_moments
 from windbridge.validation import (
     compare_segments,
@@ -132,6 +132,21 @@ class TestCompareSegments:
         a = compare_segments(segments, fitted_model, rng=3)
         b = compare_segments(segments, fitted_model, rng=3)
         assert [g.__dict__ for g in a.groups] == [g.__dict__ for g in b.groups]
+
+    def test_one_batch_per_class_from_rng(self, renewal_data, fitted_model):
+        _, segments = renewal_data
+        report = compare_segments(segments, fitted_model, rng=3)
+        rng = np.random.default_rng(3)
+        expected = []
+        for (i, j, x), group in complete_classes(segments).items():
+            if len(group) < report.eligibility:
+                continue
+            real = np.vstack([np.abs(s.charges) for s in group])
+            n_sim = max(3 * len(group), 100)
+            sim = fitted_model.charge_paths(i, j, x, n_sim, rng)[:, 1 : x + 1]
+            expected.append(rel_l2_error(real.mean(axis=0), sim.mean(axis=0)))
+        assert len(expected) >= 2
+        assert [g.l2_mean_pct for g in report.groups] == expected
 
     def test_real_data_errors_are_moderate(self, renewal_data, fitted_model):
         _, segments = renewal_data
