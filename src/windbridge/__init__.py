@@ -76,6 +76,7 @@ from .simulate import (
     discounted_penalty,
     mc_moments,
     simulate_penalty_path,
+    simulate_penalty_paths,
 )
 from .validation import ComparisonReport, compare_segments, mape, rel_l2_error
 

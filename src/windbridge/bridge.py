@@ -159,13 +159,12 @@ def decompose(
     latent bridge.
     """
     x = bridge.x
-    g = triangle_path(params, x)
-    values = bridge.values[1 : x + 1] - g[1 : x + 1]
     if limit is None:
-        clipped = np.zeros(x, dtype=bool)
-    else:
-        lower, upper = error_bounds(params, x, limit)
-        clipped = (values <= lower + CLIP_TOLERANCE) | (values >= upper - CLIP_TOLERANCE)
+        values = bridge.values[1 : x + 1] - triangle_path(params, x)[1 : x + 1]
+        return ErrorPath(values=values, clipped=np.zeros(x, dtype=bool))
+    lower, upper = error_bounds(params, x, limit)
+    values = bridge.values[1 : x + 1] + lower  # lower == -g(1..x)
+    clipped = (values <= lower + CLIP_TOLERANCE) | (values >= upper - CLIP_TOLERANCE)
     return ErrorPath(values=values, clipped=clipped)
 
 

@@ -26,7 +26,6 @@ from .errors import (
     EstimationError,
     InputError,
     InsufficientDataError,
-    SimulationError,
     WindBridgeError,
 )
 from .estimation import (
@@ -58,7 +57,7 @@ from .simulate import (
     ChargeModel,
     PenaltySpec,
     mc_moments,
-    simulate_penalty_path,
+    simulate_penalty_paths,
 )
 from .validation import (
     ComparisonReport,
@@ -86,6 +85,9 @@ logger = logging.getLogger(__name__)
 
 STAGES = ("ingest", "correct", "segment", "fit", "simulate", "validate")
 _STAGE_IDS = {name: idx + 1 for idx, name in enumerate(STAGES)}
+
+#: Penalty paths per random stream in simulate and validate.
+BLOCK_PATHS = 128
 
 
 @dataclass(frozen=True)
@@ -162,13 +164,37 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
 
+#: Every section and key an INI run configuration may set.
+_CONFIG_KEYS = {
+    "input": {"wind_csv"},
+    "synthetic": {"n_steps", "shape", "scale", "autocorrelation"},
+    "turbine": {"cut_in_speed", "rated_speed", "cut_out_speed", "rated_capacity"},
+    "policy": {"limits"},
+    "battery": {"soc_min", "soc_max", "soc_init"},
+    "fees": {"up", "down", "discount_rate"},
+    "simulation": {"horizon", "paths", "moment_order", "seed"},
+    "validation": {"eligibility"},
+    "fit": {"min_group_sample"},
+    "output": {"dir"},
+}
+
+
 def load_config(path: str | Path, out_dir: str | Path | None = None) -> RunConfig:
-    """Parse the INI-style run configuration."""
+    """Parse the INI-style run configuration; unknown sections and keys are errors."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.read(path)
+    for section in parser.sections():
+        if section not in _CONFIG_KEYS:
+            raise InputError(
+                f"{path}: unknown section [{section}]; expected one of {', '.join(sorted(_CONFIG_KEYS))}"
+            )
+    for section in [configparser.DEFAULTSECT, *parser.sections()]:
+        unknown = sorted(set(parser[section]) - _CONFIG_KEYS.get(section, set()))
+        if unknown:
+            raise InputError(f"{path}: unknown key(s) in [{section}]: {', '.join(unknown)}")
 
     kwargs: dict = {}
     if parser.has_option("input", "wind_csv"):
@@ -215,6 +241,8 @@ def load_config(path: str | Path, out_dir: str | Path | None = None) -> RunConfi
         kwargs["seed"] = s.getint("seed", 12345)
     if parser.has_option("validation", "eligibility"):
         kwargs["eligibility"] = parser.getint("validation", "eligibility")
+    if parser.has_option("fit", "min_group_sample"):
+        kwargs["min_group_sample"] = parser.getint("fit", "min_group_sample")
     if out_dir is None:
         out_dir = parser.get("output", "dir", fallback="windbridge_out")
     return RunConfig(out_dir=Path(out_dir), **kwargs)
@@ -454,6 +482,15 @@ def _write_csv(path: Path, rows: list[list], comment: str) -> None:
         csv.writer(fh).writerows(rows)
 
 
+def _blocks(cfg: RunConfig) -> range:
+    """Indices of the path blocks that cover ``cfg.n_paths``.
+
+    Every block is simulated in full from its own stream and only the first
+    ``cfg.n_paths`` paths are used, so adding paths never perturbs existing ones.
+    """
+    return range(-(-cfg.n_paths // BLOCK_PATHS))
+
+
 def stage_simulate(cfg: RunConfig) -> list[Path]:
     out = []
     for idx, frac in enumerate(cfg.limits):
@@ -461,13 +498,16 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
         kernel = SemiMarkovKernel.from_json(_require(_artifact(cfg, f"kernel_{tag}.json"), "simulate"))
         model = load_charge_model(_require(_artifact(cfg, f"model_{tag}.json"), "simulate"))
 
-        def generate(n: int):
-            return simulate_penalty_path(
-                kernel, model, cfg.battery, cfg.fees,
-                horizon=cfg.horizon, seed=_rng(cfg, "simulate", idx, n),
-            ).penalty
-
-        table = mc_moments(generate, cfg.n_paths, cfg.horizon, cfg.moment_order, cfg.fees)
+        penalty = []
+        for b in _blocks(cfg):
+            block = simulate_penalty_paths(
+                kernel, model, cfg.battery, cfg.fees, np.zeros(BLOCK_PATHS, dtype=int),
+                _rng(cfg, "simulate", idx, b), horizon=cfg.horizon,
+            )
+            if b == 0:
+                sample = block[0]
+            penalty += [path.penalty for path in block]
+        table = mc_moments(lambda n: penalty[n], cfg.n_paths, cfg.horizon, cfg.moment_order, cfg.fees)
         rows = [["t", "mean", "std", "se_mean"]] + [
             [int(t), repr(float(m)), repr(float(s)), repr(float(se))]
             for t, m, s, se in zip(table.steps, table.mean, table.std, table.se_mean)
@@ -477,10 +517,6 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
         out.append(path)
 
         if cfg.dump_paths:
-            sample = simulate_penalty_path(
-                kernel, model, cfg.battery, cfg.fees,
-                horizon=cfg.horizon, seed=_rng(cfg, "simulate", idx, 0),
-            )
             rows = [["k", "state", "S", "M", "W"]] + [
                 [int(k), int(st), repr(float(s)), repr(float(m)), repr(float(w))]
                 for k, (st, s, m, w) in enumerate(
@@ -505,6 +541,7 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
         report = compare_segments(
             segments, model, rng=_rng(cfg, "validate", idx, 1), eligibility=cfg.eligibility
         )
+        del segments  # one object per segment: freed, the penalty blocks peak lower
 
         # Empirical penalty statistics from the observed series.
         n = len(series)
@@ -515,30 +552,32 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
             pen, cfg.horizon, cfg.fees.discount_rate
         )
 
-        # Simulated counterpart, restarted from empirically observed
+        # Simulated counterpart, started from empirically observed
         # window-start conditions so both sides face the same initial law.
+        # A window that starts inside a sojourn at least as long as any
+        # completed one (the censored trailing run) restarts that sojourn.
         z0, b0, s0 = day_start_conditions(points, soc, n, cfg.horizon)
-
-        def generate(p: int):
-            rng = _rng(cfg, "validate", idx, 2, p)
-            d = int(rng.integers(n_days))
-            try:
-                path = simulate_penalty_path(
-                    kernel, model, cfg.battery, cfg.fees,
-                    horizon=cfg.horizon, initial_state=int(z0[d]),
-                    initial_soc=float(s0[d]), initial_backward=int(b0[d]), seed=rng,
+        longest = {int(z): kernel.max_sojourn(int(z)) for z in np.unique(z0)}
+        restart = b0 >= np.array([longest[int(z)] for z in z0])
+        penalty, days = [], []
+        for b in _blocks(cfg):
+            rng = _rng(cfg, "validate", idx, 2, b)
+            d = rng.integers(n_days, size=BLOCK_PATHS)
+            days.append(d)
+            penalty += [
+                path.penalty
+                for path in simulate_penalty_paths(
+                    kernel, model, cfg.battery, cfg.fees, z0[d], rng,
+                    initial_socs=s0[d], initial_backwards=np.where(restart[d], 0, b0[d]),
+                    horizon=cfg.horizon,
                 )
-            except SimulationError:
-                # Window starts inside a sojourn longer than any completed one;
-                # restart the sojourn instead.
-                path = simulate_penalty_path(
-                    kernel, model, cfg.battery, cfg.fees,
-                    horizon=cfg.horizon, initial_state=int(z0[d]),
-                    initial_soc=float(s0[d]), initial_backward=0, seed=rng,
-                )
-            return path.penalty
-
-        table = mc_moments(generate, cfg.n_paths, cfg.horizon, 2, cfg.fees)
+            ]
+        restarts = int(restart[np.concatenate(days)[: cfg.n_paths]].sum())
+        logger.info(
+            "limit %s: %d of %d paths start inside a sojourn at least as long as "
+            "any completed one and restart it", tag, restarts, cfg.n_paths,
+        )
+        table = mc_moments(lambda n: penalty[n], cfg.n_paths, cfg.horizon, 2, cfg.fees)
         sim_second = table.moments[1]
         try:
             mape_first, skipped = mape_detail(emp_first, table.mean)
@@ -559,6 +598,7 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
             limit_mw=cfg.limit_mw(frac),
             n_days=n_days,
             n_paths=cfg.n_paths,
+            sojourn_restarts=restarts,
             **report.to_dict(),
         )
         jpath = _artifact(cfg, f"validation_{tag}.json")

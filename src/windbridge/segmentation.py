@@ -22,6 +22,7 @@ __all__ = [
     "RenewalPoint",
     "Segment",
     "SemiMarkovKernel",
+    "JumpChains",
     "extract_segments",
     "estimate_kernel",
     "complete_classes",
@@ -73,11 +74,21 @@ class Segment:
         return (self.i, self.j, self.x)
 
 
-def _inverse_cdf(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn by inverse CDF from weights that need not sum to one."""
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    return min(idx, len(cum) - 1)
+@dataclass
+class JumpChains:
+    """Jump chains of a block of rows, one column per round.
+
+    Row ``n`` makes ``counts[n]`` jumps: it enters ``states[n, r]`` at time
+    ``jump_times[n, r]`` and stays ``sojourns[n, r]`` steps, for ``r <
+    counts[n]``; column ``counts[n]`` holds its last state and end time.  A
+    row that starts ``b`` steps into its first sojourn has ``jump_times[n,
+    1] == sojourns[n, 0] - b``.  Columns past a row's last are padding.
+    """
+
+    states: np.ndarray
+    sojourns: np.ndarray
+    jump_times: np.ndarray
+    counts: np.ndarray
 
 
 def _sign(diff: np.ndarray, tol: float) -> np.ndarray:
@@ -210,6 +221,33 @@ class SemiMarkovKernel:
             self._sojourn_values[i] = ks
             self._sojourn_probs[i] = np.array([hi[int(k)] for k in ks])
 
+        # Inverse-CDF tables for batched draws, one row per source state.
+        # Sojourns: the sorted values, padded with values that no condition
+        # reaches, and the CDF at 0 and after each value, padded with inf.
+        # Successors: cumulative weights over every state ever entered, for
+        # each (i, x), and the index of the last positive weight.
+        sources = [i for i in sorted(self.q) if self._sojourn_values[i].size]
+        self._sources = np.array(sources, dtype=int)
+        self._targets = np.array(sorted({j for jj in self.q.values() for j in jj}), dtype=int)
+        width = max((self._sojourn_values[i].size for i in sources), default=0)
+        max_x = max((int(self._sojourn_values[i][-1]) for i in sources), default=0)
+        self._sojourn_table = np.full((len(sources), width), np.iinfo(int).max)
+        self._sojourn_cdf = np.full((len(sources), width + 1), np.inf)
+        self._sojourn_count = np.zeros(len(sources), dtype=int)
+        self._successor_cum = np.zeros((len(sources), max_x + 1, self._targets.size))
+        self._successor_last = np.full((len(sources), max_x + 1), -1)
+        for r, i in enumerate(sources):
+            ks = self._sojourn_values[i]
+            self._sojourn_table[r, : ks.size] = ks
+            self._sojourn_cdf[r, 0] = 0.0
+            self._sojourn_cdf[r, 1 : ks.size + 1] = np.cumsum(self._sojourn_probs[i])
+            self._sojourn_count[r] = ks.size
+            for k, cond in self.p_cond[i].items():
+                weights = np.zeros(self._targets.size)
+                weights[np.searchsorted(self._targets, list(cond))] = list(cond.values())
+                self._successor_cum[r, k] = np.cumsum(weights)
+                self._successor_last[r, k] = int(np.flatnonzero(weights > 0.0)[-1])
+
     # -- queries ------------------------------------------------------------
 
     @property
@@ -237,40 +275,133 @@ class SemiMarkovKernel:
 
     # -- sampling -----------------------------------------------------------
 
+    def _source_rows(self, states: np.ndarray) -> np.ndarray:
+        """Table row of each source state; an unseen state raises as in :meth:`sojourn_pmf`."""
+        if not self._sources.size:
+            self._require_state(int(states[0]))
+        rows = np.minimum(np.searchsorted(self._sources, states), self._sources.size - 1)
+        unseen = states[self._sources[rows] != states]
+        if unseen.size:
+            self._require_state(int(unseen[0]))
+        return rows
+
+    def sample_sojourns(
+        self, states: np.ndarray, rng: np.random.Generator, longer_than: np.ndarray | None = None
+    ) -> np.ndarray:
+        """One sojourn per entry of ``states`` from ``h_i``, by inverse CDF.
+
+        Draws one uniform per entry, in order.  Entry ``n`` is conditioned on
+        exceeding ``longer_than[n]``: its uniform is mapped onto the part of
+        the CDF above that length.
+        """
+        states = np.asarray(states, dtype=int)
+        rows = self._source_rows(states)
+        cdf = self._sojourn_cdf[rows]
+        count = self._sojourn_count[rows]
+        total = cdf[np.arange(rows.size), count]
+        if longer_than is None:
+            v = rng.random(rows.size) * total
+        else:
+            n_short = (self._sojourn_table[rows] <= np.asarray(longer_than)[:, None]).sum(axis=1)
+            if np.any(n_short == count):
+                n = int(np.flatnonzero(n_short == count)[0])
+                raise SimulationError(
+                    f"state {states[n]} has no observed sojourn longer than {longer_than[n]}"
+                )
+            lower = cdf[np.arange(rows.size), n_short]
+            v = lower + rng.random(rows.size) * (total - lower)
+        idx = (cdf[:, 1:] <= v[:, None]).sum(axis=1)
+        return self._sojourn_table[rows, np.minimum(idx, count - 1)]
+
+    def sample_successors(
+        self, states: np.ndarray, sojourns: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One successor per ``(state, sojourn)`` pair from ``p_cond``, by inverse CDF."""
+        states = np.asarray(states, dtype=int)
+        sojourns = np.asarray(sojourns, dtype=int)
+        rows = self._source_rows(states)
+        inside = np.clip(sojourns, 0, self._successor_last.shape[1] - 1)
+        last = self._successor_last[rows, inside]
+        bad = (last < 0) | (inside != sojourns)
+        if bad.any():
+            n = int(np.flatnonzero(bad)[0])
+            raise SimulationError(
+                f"state {states[n]} has no observed sojourn of length {sojourns[n]}"
+            )
+        cum = self._successor_cum[rows, sojourns]
+        idx = (cum <= (rng.random(rows.size) * cum[:, -1])[:, None]).sum(axis=1)
+        return self._targets[np.minimum(idx, last)]
+
     def sample_sojourn(self, i: int, rng: np.random.Generator, longer_than: int = 0) -> int:
         """Draw a sojourn from ``h_i``, optionally conditioned on exceeding ``longer_than``."""
-        self._require_state(i)
-        ks = self._sojourn_values[i]
-        probs = self._sojourn_probs[i]
-        if longer_than > 0:
-            mask = ks > longer_than
-            if not mask.any():
-                raise SimulationError(
-                    f"state {i} has no observed sojourn longer than {longer_than}"
-                )
-            ks = ks[mask]
-            probs = probs[mask] / probs[mask].sum()
-        return int(ks[_inverse_cdf(probs, rng)])
+        condition = np.array([longer_than]) if longer_than > 0 else None
+        return int(self.sample_sojourns(np.array([i]), rng, condition)[0])
 
     def sample_successor(self, i: int, x: int, rng: np.random.Generator) -> int:
-        cond = self.successor_pmf(i, x)
-        js = sorted(cond)
-        return js[_inverse_cdf(np.array([cond[j] for j in js]), rng)]
+        return int(self.sample_successors(np.array([i]), np.array([x]), rng)[0])
+
+    def sample_chains(
+        self,
+        initial_states: np.ndarray,
+        rng: np.random.Generator,
+        initial_backwards: np.ndarray | None = None,
+        horizon: int | None = None,
+        n_transitions: int | None = None,
+    ) -> JumpChains:
+        """Jump chains of a block of rows, drawn together round by round.
+
+        Each round draws a sojourn for every row still running, then its
+        successor (:meth:`sample_sojourns`, :meth:`sample_successors`).  Row
+        ``n`` starts ``initial_backwards[n]`` steps into its first sojourn:
+        that sojourn is conditioned on being longer, and only its remainder
+        counts towards the row's time.  A row stops after ``n_transitions``
+        jumps or once its time passes ``horizon``, whichever comes first.
+        """
+        if n_transitions is None and horizon is None:
+            raise InputError("give n_transitions, horizon, or both")
+        if n_transitions is not None and n_transitions < 1:
+            raise InputError("need at least one transition")
+        state = np.array(initial_states, dtype=int)
+        p = state.size
+        if p == 0:
+            raise InputError("need at least one initial state")
+        backward = np.zeros(p, dtype=int) if initial_backwards is None else np.asarray(initial_backwards, dtype=int)
+        if np.any(backward < 0):
+            raise InputError("backward time must be nonnegative")
+        time = -backward
+        states, sojourns, times = [state.copy()], [], [np.zeros(p, dtype=int)]
+        rows = np.arange(p)
+        while rows.size and (n_transitions is None or len(sojourns) < n_transitions):
+            x = self.sample_sojourns(state[rows], rng, None if sojourns else backward)
+            nxt = self.sample_successors(state[rows], x, rng)
+            column = np.zeros(p, dtype=int)
+            column[rows] = x
+            sojourns.append(column)
+            time[rows] += x
+            state[rows] = nxt
+            states.append(state.copy())
+            times.append(time.copy())
+            if horizon is not None:
+                rows = rows[time[rows] <= horizon]
+        sojourns = np.column_stack(sojourns)
+        return JumpChains(
+            states=np.column_stack(states),
+            sojourns=sojourns,
+            jump_times=np.column_stack(times),
+            counts=np.sum(sojourns > 0, axis=1),
+        )
 
     def simulate(
         self, n_transitions: int, initial_state: int, rng: np.random.Generator
     ) -> list[RenewalPoint]:
         """Simulate a renewal path; the final visit is censored, as in real data."""
-        if n_transitions < 1:
-            raise InputError("need at least one transition")
-        points: list[RenewalPoint] = []
-        state, time = initial_state, 0
-        for n in range(n_transitions):
-            x = self.sample_sojourn(state, rng)
-            nxt = self.sample_successor(state, x, rng)
-            points.append(RenewalPoint(index=n, state=state, time=time, sojourn=x))
-            state, time = nxt, time + x
-        points.append(RenewalPoint(index=n_transitions, state=state, time=time, sojourn=None))
+        chains = self.sample_chains(np.array([initial_state]), rng, n_transitions=n_transitions)
+        states, sojourns, times = (a[0].tolist() for a in (chains.states, chains.sojourns, chains.jump_times))
+        points = [
+            RenewalPoint(index=n, state=states[n], time=times[n], sojourn=sojourns[n])
+            for n in range(n_transitions)
+        ]
+        points.append(RenewalPoint(index=n_transitions, state=states[-1], time=times[-1], sojourn=None))
         return points
 
     # -- serialization ------------------------------------------------------

@@ -113,6 +113,68 @@ class TestPipeline:
             assert b["n_paths"] == 20
 
 
+    def test_first_paths_independent_of_path_count(self, pipeline_run, tmp_path, monkeypatch):
+        from windbridge import pipeline
+
+        real = pipeline.mc_moments
+        drawn: list[np.ndarray] = []
+
+        def capture(generate, n_paths, *args):
+            drawn.append(np.array([generate(n) for n in range(n_paths)]))
+            return real(generate, n_paths, *args)
+
+        monkeypatch.setattr(pipeline, "mc_moments", capture)
+        cfg, _ = pipeline_run
+        for n_paths in (100, 300):  # one partial block, then three blocks
+            more = small_config(tmp_path / str(n_paths), limits=(0.05,), n_paths=n_paths)
+            shutil.copytree(cfg.out_dir, more.out_dir)
+            run_stage(more, "simulate")
+            run_stage(more, "validate")
+        sim_100, val_100, sim_300, val_300 = drawn
+        assert sim_300.shape == val_300.shape == (300, cfg.horizon + 1)
+        np.testing.assert_array_equal(sim_100, sim_300[:100])
+        np.testing.assert_array_equal(val_100, val_300[:100])
+        assert not np.array_equal(sim_300[:100], sim_300[128:228])
+
+
+class TestValidateRestart:
+    def test_window_inside_the_censored_trailing_sojourn_restarts(self, tmp_path, caplog):
+        from windbridge.errors import SimulationError
+        from windbridge.power import generate_synthetic_wind, write_wind_csv
+        from windbridge.segmentation import extract_segments
+        from windbridge.simulate import simulate_penalty_path
+        from windbridge.validation import day_start_conditions
+
+        # a calm tail: one idle run far longer than any completed one, cut by
+        # the end of the series
+        speeds = generate_synthetic_wind(4000, 2.0, 8.0, 0.9, seed=5)
+        wind_file = tmp_path / "calm_tail.csv"
+        write_wind_csv(wind_file, np.concatenate([speeds, np.full(1000, 2.0)]))
+        cfg = small_config(tmp_path / "out", wind_csv=wind_file, limits=(0.05,), n_paths=300)
+        for stage in ("ingest", "correct", "segment", "fit", "simulate"):
+            run_stage(cfg, stage)
+
+        series = read_power_csv(cfg.out_dir / "corrected_0.05.csv")
+        kernel = SemiMarkovKernel.from_json(cfg.out_dir / "kernel_0.05.json")
+        points, _ = extract_segments(series)
+        z0, b0, _ = day_start_conditions(points, np.zeros(len(series)), len(series), cfg.horizon)
+        inside = np.flatnonzero(b0 >= [kernel.max_sojourn(int(z)) for z in z0])
+        assert inside.size and np.all(z0[inside] == 0)
+        assert inside[-1] == z0.size - 1  # the last window starts in the tail
+        with pytest.raises(SimulationError, match="longer than"):
+            simulate_penalty_path(
+                kernel, load_charge_model(cfg.out_dir / "model_0.05.json"), cfg.battery,
+                cfg.fees, horizon=cfg.horizon, initial_state=0,
+                initial_backward=int(b0[inside[-1]]), seed=0,
+            )
+
+        with caplog.at_level("INFO", logger="windbridge.pipeline"):
+            run_stage(cfg, "validate")
+        doc = json.loads((cfg.out_dir / "validation_0.05.json").read_text())
+        assert 0 < doc["sojourn_restarts"] < cfg.n_paths
+        assert f"{doc['sojourn_restarts']} of 300 paths" in caplog.text
+
+
 class TestRunConfig:
     def test_limits_sharing_an_artifact_tag_rejected(self, tmp_path):
         with pytest.raises(InputError, match="artifact tag"):
@@ -186,6 +248,28 @@ class TestCliFrontEnd:
         rc = main(["--config", str(cfg_file)])
         assert rc == 0
         assert (tmp_path / "from_ini" / "moments_0.05.csv").exists()
+
+    def test_fit_section_reaches_config(self, tmp_path):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text("[fit]\nmin_group_sample = 5\n[validation]\neligibility = 20\n")
+        cfg = load_config(cfg_file)
+        assert cfg.min_group_sample == 5 and cfg.eligibility == 20
+        assert config_hash(cfg) != config_hash(small_config(tmp_path, min_group_sample=10, eligibility=20))
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[simulation]\npath = 30\n", r"unknown key\(s\) in \[simulation\]: path"),
+            ("[simulations]\npaths = 30\n", r"unknown section \[simulations\]"),
+            ("[fit]\nmin_group = 5\n", r"unknown key\(s\) in \[fit\]: min_group"),
+            ("[DEFAULT]\nseed = 5\n", r"unknown key\(s\) in \[DEFAULT\]: seed"),
+        ],
+    )
+    def test_unknown_config_entries_rejected(self, tmp_path, text, match):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(text)
+        with pytest.raises(InputError, match=match):
+            load_config(cfg_file)
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "none.ini")])

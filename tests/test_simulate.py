@@ -13,6 +13,7 @@ from windbridge.bridge import (
 )
 from windbridge.errors import InputError, SimulationError
 from windbridge.estimation import (
+    REGRESSOR_NAMES,
     DegenerateSampler,
     SigmaModel,
     attainable_param_support,
@@ -27,6 +28,7 @@ from windbridge.simulate import (
     discounted_penalty,
     mc_moments,
     simulate_penalty_path,
+    simulate_penalty_paths,
 )
 
 LIMIT = 0.02
@@ -50,6 +52,42 @@ def cycle_kernel(x=3):
     """Deterministic cycle +1 -> 0 -> -1 -> +1 with fixed sojourn."""
     q = {1: {0: {x: 1.0}}, 0: {-1: {x: 1.0}}, -1: {1: {x: 1.0}}}
     return SemiMarkovKernel(q, {1: 1, 0: 1, -1: 1})
+
+
+CYCLE_ENTRIES = {(1, 0, 3): (1.9, 2, 0.5), (-1, 1, 3): (1.0, 2, 0.5)}
+
+
+def cycle_oracle(state, backward, soc0, n_steps, battery, fees):
+    """SOC, penalty and discounted sum of the x = 3 cycle under ``CYCLE_ENTRIES``,
+    step by step, started ``backward`` steps into a sojourn in ``state``."""
+    charge_for = {
+        1: np.minimum(triangle_path(BridgeParams(1.9, 2, 0.5), 3), 1.9 - np.arange(-1, 4) * LIMIT),
+        0: np.zeros(5),
+        -1: np.minimum(triangle_path(BridgeParams(1.0, 2, 0.5), 3), 1.0 - np.arange(-1, 4) * LIMIT),
+    }
+    order = {1: 0, 0: -1, -1: 1}
+    s_prev = soc0
+    soc = [s_prev]
+    pen = [0.0]
+    seg_start = -backward
+    for t in range(1, n_steps + 1):
+        if t - seg_start >= 3:
+            state = order[state]
+            seg_start = t
+        b = t - seg_start
+        c = float(charge_for[state][b + 1])
+        if state == 1:
+            m = fees.up_fee * max(c - (battery.soc_max - s_prev), 0.0)
+            s_prev = min(s_prev + c, battery.soc_max)
+        elif state == -1:
+            m = fees.down_fee * max(c - (s_prev - battery.soc_min), 0.0)
+            s_prev = max(s_prev - c, battery.soc_min)
+        else:
+            m = 0.0
+        soc.append(s_prev)
+        pen.append(m)
+    w = np.cumsum(np.asarray(pen) * np.exp(-fees.discount_rate * np.arange(n_steps + 1)))
+    return np.asarray(soc), np.asarray(pen), w
 
 
 def oracle_charge_path(model, i, j, x, rng):
@@ -97,6 +135,24 @@ class TestChargeSimulation:
         model = degenerate_model({(1, 0, 1): (2.0, 1, 0.8)}, sigma=0.3)
         c = model.charge_path(1, 0, 1, np.random.default_rng(0))
         np.testing.assert_array_equal(c, [0.0, 0.8, 0.0])
+
+    def test_one_step_batch_predicts_no_sigma(self):
+        # lambda = 1, prediction x - 2: outside the inverse transform domain at x = 1
+        def flooring():
+            return SigmaModel(
+                lam=1.0, coef=np.array([-2.0, 0, 0, 0, 1.0] + [0.0] * 6),
+                feature_names=REGRESSOR_NAMES, adj_r2=1.0, resid_std=0.0,
+                n_outliers_removed=0, n_obs=0,
+            )
+
+        probe = flooring()
+        assert predict_sigma(probe, 2.0, 1, 0.8, 1) == SIGMA_FLOOR
+        assert probe.floored_predictions == 1
+        model = degenerate_model({(1, 0, 1): (2.0, 1, 0.8)}, sigma=0.3)
+        model.sigma_models[(1, 0)] = flooring()
+        c = model.charge_paths(1, 0, 1, 50, np.random.default_rng(0))
+        np.testing.assert_array_equal(c, np.tile([0.0, 0.8, 0.0], (50, 1)))
+        assert model.sigma_models[(1, 0)].floored_predictions == 0
 
     def test_deterministic_given_seed(self):
         model = degenerate_model({(1, 0, 6): (1.9, 2, 0.6)}, sigma=0.08)
@@ -288,6 +344,24 @@ class TestPenaltyPath:
             emp = np.array([(xs == k).mean() for k in ks])
             assert np.abs(emp - probs).sum() < 0.05
 
+        # the same law from a block of 4,000 rows drawn round by round
+        z0 = np.resize(fitted_kernel.states, 4000)
+        chains = fitted_kernel.sample_chains(z0, np.random.default_rng(12), horizon=100)
+        row, rnd = np.nonzero(np.arange(chains.sojourns.shape[1]) < chains.counts[:, None])
+        i_, x_ = chains.states[row, rnd], chains.sojourns[row, rnd]
+        j_ = chains.states[row, rnd + 1]
+        for i in fitted_kernel.states:
+            ks, probs = fitted_kernel.sojourn_pmf(i)
+            xs = x_[i_ == i]
+            assert xs.size > 10_000
+            emp = np.array([(xs == k).mean() for k in ks])
+            assert np.abs(emp - probs).sum() < 0.05
+            for x in ks[:3]:
+                pmf = fitted_kernel.successor_pmf(i, int(x))
+                js = j_[(i_ == i) & (x_ == x)]
+                emp = np.array([(js == j).mean() for j in pmf])
+                assert np.abs(emp - np.array(list(pmf.values()))).sum() < 0.05
+
     def test_penalty_path_sojourns_follow_kernel(self, fitted_kernel, fitted_model):
         battery = BatterySpec(0.0, 0.36, 0.18)
         fees = PenaltySpec(21.52, 26.50)
@@ -302,52 +376,66 @@ class TestPenaltyPath:
 
 class TestDegenerateOracle:
     def test_bitwise_match_against_recursion(self):
-        kernel = cycle_kernel(x=3)
-        entries = {
-            (1, 0, 3): (1.9, 2, 0.5),
-            (-1, 1, 3): (1.0, 2, 0.5),
-        }
-        model = degenerate_model(entries)
+        model = degenerate_model(CYCLE_ENTRIES)
         battery = BatterySpec(0.0, 0.36, 0.18)
         fees = PenaltySpec(21.52, 26.50, discount_rate=0.01)
         n_steps = 1000
         path = simulate_penalty_path(
-            kernel, model, battery, fees, horizon=n_steps, initial_state=1, seed=0
+            cycle_kernel(x=3), model, battery, fees, horizon=n_steps, initial_state=1, seed=0
         )
-
-        # independent step-by-step recursion over the deterministic cycle
-        charge_for = {
-            1: np.minimum(triangle_path(BridgeParams(1.9, 2, 0.5), 3), 1.9 - np.arange(-1, 4) * LIMIT),
-            0: np.zeros(5),
-            -1: np.minimum(triangle_path(BridgeParams(1.0, 2, 0.5), 3), 1.0 - np.arange(-1, 4) * LIMIT),
-        }
-        order = {1: 0, 0: -1, -1: 1}
-        s_prev = battery.soc_init
-        soc = [s_prev]
-        pen = [0.0]
-        state, seg_start = 1, 0
-        for t in range(1, n_steps + 1):
-            if t - seg_start >= 3:
-                state = order[state]
-                seg_start = t
-            b = t - seg_start
-            c = float(charge_for[state][b + 1])
-            if state == 1:
-                m = fees.up_fee * max(c - (battery.soc_max - s_prev), 0.0)
-                s_prev = min(s_prev + c, battery.soc_max)
-            elif state == -1:
-                m = fees.down_fee * max(c - (s_prev - battery.soc_min), 0.0)
-                s_prev = max(s_prev - c, battery.soc_min)
-            else:
-                m = 0.0
-            soc.append(s_prev)
-            pen.append(m)
-        w = np.cumsum(np.asarray(pen) * np.exp(-fees.discount_rate * np.arange(n_steps + 1)))
-
+        soc, pen, w = cycle_oracle(1, 0, battery.soc_init, n_steps, battery, fees)
         n = n_steps + 1
-        np.testing.assert_array_equal(path.soc[:n], np.asarray(soc))
-        np.testing.assert_array_equal(path.penalty[:n], np.asarray(pen))
+        np.testing.assert_array_equal(path.soc[:n], soc)
+        np.testing.assert_array_equal(path.penalty[:n], pen)
         np.testing.assert_array_equal(path.discounted[:n], w)
+
+
+class TestPenaltyBlock:
+    def test_rows_match_one_row_paths_and_oracle(self):
+        kernel, model = cycle_kernel(x=3), degenerate_model(CYCLE_ENTRIES)
+        battery = BatterySpec(0.0, 0.36, 0.18)
+        fees = PenaltySpec(21.52, 26.50, discount_rate=0.002)
+        z0 = np.array([1, 0, -1, 1, 0, -1, 1, 0, -1])
+        b0 = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
+        s0 = np.array([0.18, 0.0, 0.36, 0.05, 0.3, 0.2, 0.36, 0.1, 0.0])
+        horizon = 200
+        block = simulate_penalty_paths(
+            kernel, model, battery, fees, z0, np.random.default_rng(0),
+            initial_socs=s0, initial_backwards=b0, horizon=horizon,
+        )
+        assert len(block) == z0.size
+        for n, row in enumerate(block):
+            one = simulate_penalty_path(
+                kernel, model, battery, fees, horizon=horizon, initial_state=int(z0[n]),
+                initial_soc=float(s0[n]), initial_backward=int(b0[n]), seed=n,
+            )
+            for name in ("states", "jump_times", "step_states", "soc", "penalty", "discounted", "backward"):
+                np.testing.assert_array_equal(getattr(row, name), getattr(one, name), err_msg=name)
+            soc, pen, w = cycle_oracle(int(z0[n]), int(b0[n]), float(s0[n]), horizon, battery, fees)
+            np.testing.assert_array_equal(row.soc, soc)
+            np.testing.assert_array_equal(row.penalty, pen)
+            np.testing.assert_array_equal(row.discounted, w)
+            assert row.step_states[0] == z0[n] and row.backward[0] == b0[n]
+
+    def test_conditioned_first_sojourns_exceed_backward(self, fitted_kernel):
+        rng = np.random.default_rng(12)
+        z0 = rng.choice(fitted_kernel.states, 3000)
+        longest = np.array([fitted_kernel.max_sojourn(int(z)) for z in z0])
+        b0 = (rng.random(3000) * longest).astype(int)
+        chains = fitted_kernel.sample_chains(z0, rng, b0, horizon=24)
+        assert np.all(chains.sojourns[:, 0] > b0)
+        np.testing.assert_array_equal(chains.jump_times[:, 1], chains.sojourns[:, 0] - b0)
+        assert b0.max() > 0
+
+    def test_short_blocks_and_transition_counts(self, fitted_kernel, fitted_model):
+        battery, fees = BatterySpec(0.0, 0.36, 0.18), PenaltySpec(21.52, 26.50)
+        paths = simulate_penalty_paths(
+            fitted_kernel, fitted_model, battery, fees, np.zeros(5, dtype=int),
+            np.random.default_rng(3), n_transitions=4,
+        )
+        for path in paths:
+            assert path.states.size == path.jump_times.size == 5
+            assert path.penalty.size == path.jump_times[-1]
 
 
 class TestBatteryRecursion:
