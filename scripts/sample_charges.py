@@ -34,28 +34,27 @@ def main() -> None:
         RampPolicy(limit=args.limit),
         capacity=DEFAULT_TURBINE.rated_capacity,
     )
-    _, segments = extract_segments(series)
-    doc = build_model_doc(segments, args.limit, DEFAULT_TURBINE.rated_capacity)
+    _, table = extract_segments(series)
+    doc = build_model_doc(table, args.limit, DEFAULT_TURBINE.rated_capacity, seed_key=(args.seed,))
     model = charge_model_from_doc(doc)
 
-    matches = [
-        s for s in segments
-        if not s.censored and s.i == args.state and s.x == args.sojourn
-    ]
-    if not matches:
+    matches = np.flatnonzero(~table.censored & (table.i == args.state) & (table.x == args.sojourn))
+    if not matches.size:
         raise SystemExit(f"no segments with i={args.state}, x={args.sojourn}; try another class")
     args.out.mkdir(parents=True, exist_ok=True)
-    count = min(args.count, len(matches))
+    count = min(args.count, matches.size)
     # simulate the class's most common successor, all paths in one draw
-    js = [s.j for s in matches]
-    j = max(sorted(set(js)), key=js.count)
+    js, counts = np.unique(table.j[matches], return_counts=True)
+    j = int(js[np.argmax(counts)])
     sims = model.charge_paths(args.state, j, args.sojourn, count, np.random.default_rng(args.seed))
+    real = table.charge_matrix(matches[:count], args.sojourn)
     for n in range(count):
-        write_bridge_csv(args.out / f"real_{n:03d}.csv", embed_bridge(matches[n]))
+        bridge = embed_bridge(args.state, int(table.j[matches[n]]), real[n])
+        write_bridge_csv(args.out / f"real_{n:03d}.csv", bridge)
         sim = ChargeBridge(values=sims[n], i=args.state, j=j, x=args.sojourn)
         write_bridge_csv(args.out / f"sim_{n:03d}.csv", sim)
     print(f"wrote {count} real/sim bridge pairs to {args.out}/ "
-          f"({len(matches)} real segments available for this class; simulated j={j})")
+          f"({matches.size} real segments available for this class; simulated j={j})")
 
 
 if __name__ == "__main__":

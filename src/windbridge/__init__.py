@@ -58,8 +58,7 @@ from .power import (
     wind_to_power,
 )
 from .segmentation import (
-    RenewalPoint,
-    Segment,
+    SegmentTable,
     SemiMarkovKernel,
     estimate_kernel,
     extract_segments,
@@ -78,6 +77,6 @@ from .simulate import (
     simulate_penalty_path,
     simulate_penalty_paths,
 )
-from .validation import ComparisonReport, compare_segments, mape, rel_l2_error
+from .validation import ComparisonReport, compare_segments, rel_l2_error
 
 __version__ = "0.1.0"

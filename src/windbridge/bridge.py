@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .segmentation import Segment
 
 __all__ = [
     "SIGMA_FLOOR",
@@ -91,13 +90,14 @@ class ErrorPath:
             raise InputError("error values and clip flags must have equal length")
 
 
-def embed_bridge(segment: Segment) -> ChargeBridge:
-    """Extend a segment's absolute charges with zero endpoints."""
-    if segment.i == 0:
+def embed_bridge(i: int, j: int | None, charges: np.ndarray) -> ChargeBridge:
+    """Extend the absolute charges of a run in state ``i`` with zero endpoints."""
+    if i == 0:
         raise InputError("idle-state segments carry no charge process")
-    values = np.zeros(segment.x + 2)
-    values[1 : segment.x + 1] = np.abs(segment.charges)
-    return ChargeBridge(values=values, i=segment.i, j=segment.j, x=segment.x)
+    x = len(charges)
+    values = np.zeros(x + 2)
+    values[1 : x + 1] = np.abs(charges)
+    return ChargeBridge(values=values, i=i, j=j, x=x)
 
 
 def extract_peak(bridge: ChargeBridge) -> tuple[int, float]:

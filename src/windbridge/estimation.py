@@ -224,10 +224,6 @@ class ParamSampler:
     def sample_n(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator) -> tuple[float, int, float]:
-        rho, tau, h = self.sample_n(1, rng)
-        return float(rho[0]), int(tau[0]), float(h[0])
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 

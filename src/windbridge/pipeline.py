@@ -49,7 +49,7 @@ from .power import (
     write_power_csv,
     write_wind_csv,
 )
-from .segmentation import Segment, SemiMarkovKernel, complete_classes, estimate_kernel, extract_segments, step_states
+from .segmentation import SegmentTable, SemiMarkovKernel, complete_classes, estimate_kernel, extract_segments
 from .simulate import (
     DEFAULT_BATTERY,
     DEFAULT_FEES,
@@ -331,8 +331,9 @@ def stage_segment(cfg: RunConfig) -> list[Path]:
     out = []
     for frac in cfg.limits:
         series = _load_corrected(cfg, frac, "segment")
-        points, _ = extract_segments(series)
-        kernel = estimate_kernel(points)
+        _, table = extract_segments(series)
+        done = ~table.censored
+        kernel = estimate_kernel(table.i[done], table.j[done], table.x[done])
         path = _artifact(cfg, f"kernel_{cfg.limit_tag(frac)}.json")
         with _atomic(path) as tmp:
             kernel.to_json(
@@ -345,41 +346,32 @@ def stage_segment(cfg: RunConfig) -> list[Path]:
     return out
 
 
-def _segment_params(seg: Segment, limit: float, capacity: float) -> tuple[float, int, float]:
-    bridge = embed_bridge(seg)
-    tau, h = extract_peak(bridge)
-    rho = compute_initial_power(seg.i, seg.entry_power, seg.x, limit, capacity)
-    return rho, tau, h
-
-
 def build_model_doc(
-    segments: list[Segment],
+    table: SegmentTable,
     limit: float,
     capacity: float,
     min_group_sample: int = 10,
-    group_rng=None,
+    seed_key: tuple[int, ...] = (),
 ) -> dict:
     """Fit every per-class sampler and per-pair volatility model.
 
-    ``group_rng(i, j, x)`` supplies the random stream used when a thin class
-    needs bootstrap augmentation; it defaults to fresh unseeded generators.
-    Returns the JSON-ready model document.
+    A thin class ``(i, j, x)`` that needs bootstrap augmentation draws from
+    ``default_rng(SeedSequence((*seed_key, i + 2, j + 2, x)))``, so a fit is
+    reproducible.  Returns the JSON-ready model document.
     """
-    if group_rng is None:
-        group_rng = lambda i, j, x: np.random.default_rng()  # noqa: E731
-
     samplers: dict[str, dict] = {}
     sigma_obs: dict[tuple[int, int], list[tuple[float, float, int, float, int]]] = {}
-    for (i, j, x), group in complete_classes(segments).items():
+    for (i, j, x), rows in complete_classes(table).items():
         support = attainable_param_support(i, x, limit, capacity)
         triplets = []
-        for seg in group:
-            rho, tau, h = _segment_params(seg, limit, capacity)
+        for charges, entry_power in zip(table.charge_matrix(rows, x), table.entry_power[rows].tolist()):
+            bridge = embed_bridge(i, j, charges)
+            tau, h = extract_peak(bridge)
+            rho = compute_initial_power(i, entry_power, x, limit, capacity)
             if h <= 0.0:
                 continue  # flat (all-zero) bridge carries no parameter information
             triplets.append((rho, tau, h))
             if x >= 2:
-                bridge = embed_bridge(seg)
                 err = decompose(bridge, BridgeParams(rho=rho, tau=tau, h=h), limit)
                 try:
                     s_hat = mle_sigma(err, tau, x)
@@ -388,9 +380,8 @@ def build_model_doc(
                 sigma_obs.setdefault((i, j), []).append((s_hat, rho, tau, h, x))
         if not triplets:
             continue
-        sampler = fit_joint_density(
-            triplets, support, min_sample=min_group_sample, rng=group_rng(i, j, x)
-        )
+        rng = np.random.default_rng(np.random.SeedSequence((*seed_key, i + 2, j + 2, x)))
+        sampler = fit_joint_density(triplets, support, min_sample=min_group_sample, rng=rng)
         samplers[f"{i},{j},{x}"] = sampler.to_dict()
 
     all_sigmas = [s for obs in sigma_obs.values() for (s, *_rest) in obs]
@@ -440,13 +431,13 @@ def charge_model_from_doc(doc: dict) -> ChargeModel:
 
 def _fit_limit(cfg: RunConfig, frac: float, limit_index: int) -> dict:
     series = _load_corrected(cfg, frac, "fit")
-    _, segments = extract_segments(series)
+    _, table = extract_segments(series)
     doc = build_model_doc(
-        segments,
+        table,
         limit=cfg.limit_mw(frac),
         capacity=cfg.turbine.rated_capacity,
         min_group_sample=cfg.min_group_sample,
-        group_rng=lambda i, j, x: _rng(cfg, "fit", limit_index, i + 2, j + 2, x),
+        seed_key=(cfg.seed, _STAGE_IDS["fit"], limit_index),
     )
     doc["config_hash"] = config_hash(cfg)
     doc["seed"] = cfg.seed
@@ -536,18 +527,14 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
         series = _load_corrected(cfg, frac, "validate")
         kernel = SemiMarkovKernel.from_json(_require(_artifact(cfg, f"kernel_{tag}.json"), "validate"))
         model = load_charge_model(_require(_artifact(cfg, f"model_{tag}.json"), "validate"))
-        points, segments = extract_segments(series)
+        states, table = extract_segments(series)
 
         report = compare_segments(
-            segments, model, rng=_rng(cfg, "validate", idx, 1), eligibility=cfg.eligibility
+            table, model, rng=_rng(cfg, "validate", idx, 1), eligibility=cfg.eligibility
         )
-        del segments  # one object per segment: freed, the penalty blocks peak lower
 
         # Empirical penalty statistics from the observed series.
-        n = len(series)
-        states = step_states(points, n)
-        charges = np.abs(series.generated - series.corrected)
-        soc, pen = empirical_penalty(states, charges, cfg.battery, cfg.fees)
+        soc, pen = empirical_penalty(states, table.charges, cfg.battery, cfg.fees)
         emp_first, emp_second, n_days = daily_penalty_moments(
             pen, cfg.horizon, cfg.fees.discount_rate
         )
@@ -556,7 +543,7 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
         # window-start conditions so both sides face the same initial law.
         # A window that starts inside a sojourn at least as long as any
         # completed one (the censored trailing run) restarts that sojourn.
-        z0, b0, s0 = day_start_conditions(points, soc, n, cfg.horizon)
+        z0, b0, s0 = day_start_conditions(states, table, soc, cfg.horizon)
         longest = {int(z): kernel.max_sojourn(int(z)) for z in np.unique(z0)}
         restart = b0 >= np.array([longest[int(z)] for z in z0])
         penalty, days = [], []

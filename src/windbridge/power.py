@@ -88,14 +88,14 @@ class PowerSeries:
         self.generated = np.asarray(self.generated, dtype=float)
         if self.generated.ndim != 1 or self.generated.size == 0:
             raise InputError("generated power must be a non-empty 1-d array")
-        if not np.all(np.isfinite(self.generated)):
-            raise InputError("generated power must be finite")
+        if not np.all(np.isfinite(self.generated) & (self.generated >= 0.0)):
+            raise InputError("generated power must be finite and nonnegative")
         if self.corrected is not None:
             self.corrected = np.asarray(self.corrected, dtype=float)
             if self.corrected.shape != self.generated.shape:
                 raise InputError("corrected series must match the generated series length")
-            if not np.all(np.isfinite(self.corrected)):
-                raise InputError("corrected power must be finite")
+            if not np.all(np.isfinite(self.corrected) & (self.corrected >= 0.0)):
+                raise InputError("corrected power must be finite and nonnegative")
         if self.timestamps is None:
             self.timestamps = np.arange(self.generated.size)
         else:

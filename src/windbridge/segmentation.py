@@ -2,14 +2,15 @@
 
 The battery state at hour ``k`` is the sign of ``e(k) - e_bar(k)``: +1 while
 storing surplus (up-ramping), -1 while supplying a shortfall (down-ramping),
-0 while idle.  Jump times, sojourns, and the empirical semi-Markov kernel
-``q[i][j][x]`` are extracted from a (generated, corrected) power pair.
+0 while idle.  The maximal runs of one state, their sojourns and successors,
+and the empirical semi-Markov kernel ``q[i][j][x]`` are extracted from a
+ramp-corrected power series.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,59 +20,50 @@ from .power import PowerSeries
 
 __all__ = [
     "SIGN_TOLERANCE",
-    "RenewalPoint",
-    "Segment",
+    "SegmentTable",
     "SemiMarkovKernel",
     "JumpChains",
     "extract_segments",
     "estimate_kernel",
     "complete_classes",
-    "step_states",
     "backward_times",
 ]
 
 #: Absolute charges below this many MW count as "battery idle".
 SIGN_TOLERANCE = 1e-9
 
-STATES = (-1, 0, 1)
-
-
-@dataclass(frozen=True)
-class RenewalPoint:
-    """One jump of the operation process: state entered, when, and for how long.
-
-    ``sojourn`` is ``None`` for the final, censored visit (its end was never
-    observed).
-    """
-
-    index: int
-    state: int
-    time: int
-    sojourn: int | None
-
 
 @dataclass
-class Segment:
-    """A maximal run in one battery state with its absolute charge path.
+class SegmentTable:
+    """The maximal runs of one battery state, one row per run, in time order.
 
-    ``charges[k-1] = |e - e_bar|`` at step ``start + k - 1`` for ``k = 1..x``.
-    The successor state ``j`` is ``None`` when the run is censored by the end
-    of the series.
+    Row ``n`` is a run in state ``i[n]`` that starts at step ``start[n]``,
+    lasts ``x[n]`` steps, is entered at corrected power ``entry_power[n]`` and
+    then jumps to ``j[n]``.  A ``censored`` run was cut by the end of the
+    series: its successor was never observed, and ``j[n] == i[n]``.
+    ``charges`` holds ``|e - e_bar|`` at every step, so row ``n``'s charges
+    are ``charges[start[n] : start[n] + x[n]]``.
     """
 
-    i: int
-    j: int | None
-    x: int
-    start: int
+    i: np.ndarray
+    j: np.ndarray
+    x: np.ndarray
+    start: np.ndarray
+    entry_power: np.ndarray
+    censored: np.ndarray
     charges: np.ndarray
-    entry_power: float
-    censored: bool = False
 
-    @property
-    def key(self) -> tuple[int, int, int]:
-        if self.censored or self.j is None:
-            raise InputError("censored segment has no (i, j, x) key")
-        return (self.i, self.j, self.x)
+    def __post_init__(self) -> None:
+        columns = (self.i, self.j, self.x, self.start, self.entry_power, self.censored)
+        if len({c.shape for c in columns}) > 1:
+            raise InputError("segment table columns must have equal length")
+
+    def __len__(self) -> int:
+        return int(self.x.size)
+
+    def charge_matrix(self, rows: np.ndarray, x: int) -> np.ndarray:
+        """The charges of ``rows``, runs of ``x`` steps each, one row per run."""
+        return self.charges[self.start[rows][:, None] + np.arange(x)]
 
 
 @dataclass
@@ -91,93 +83,60 @@ class JumpChains:
     counts: np.ndarray
 
 
-def _sign(diff: np.ndarray, tol: float) -> np.ndarray:
-    s = np.zeros(diff.shape, dtype=int)
-    s[diff > tol] = 1
-    s[diff < -tol] = -1
-    return s
+def extract_segments(series: PowerSeries) -> tuple[np.ndarray, SegmentTable]:
+    """Per-step states and the table of maximal runs of a ramp-corrected series.
 
-
-def extract_segments(
-    generated: PowerSeries,
-    corrected: PowerSeries | None = None,
-    sign_tolerance: float = SIGN_TOLERANCE,
-) -> tuple[list[RenewalPoint], list[Segment]]:
-    """Split an aligned (generated, corrected) pair into renewal points and segments.
-
-    ``corrected`` may be omitted when ``generated.corrected`` is already set.
-    Jump times are exactly the steps where the sign of ``e - e_bar`` changes;
-    the first jump is pinned at step 0.  The trailing run has no observed
-    successor and is returned with ``censored=True``.
+    The state at step ``k`` is the sign of ``e(k) - e_bar(k)``, with
+    ``|e - e_bar| <= SIGN_TOLERANCE`` counting as idle.  Runs start at step 0
+    and wherever the state changes; the trailing run has no observed
+    successor and is censored.
     """
-    if corrected is None:
-        if generated.corrected is None:
-            raise InputError("series has no corrected values; run apply_ramp_limit first")
-        e = generated.generated
-        eb = generated.corrected
-    else:
-        e = generated.generated
-        eb = corrected.corrected if corrected.corrected is not None else corrected.generated
-    if e.shape != eb.shape:
-        raise InputError("generated and corrected series are misaligned")
-    if e.size < 2:
+    if series.corrected is None:
+        raise InputError("series has no corrected values; run apply_ramp_limit first")
+    n = len(series)
+    if n < 2:
         raise InputError("need at least 2 points to segment")
+    diff = series.generated - series.corrected
+    states = np.zeros(n, dtype=int)
+    states[diff > SIGN_TOLERANCE] = 1
+    states[diff < -SIGN_TOLERANCE] = -1
 
-    signs = _sign(e - eb, sign_tolerance)
-    jumps = [0] + [int(k) for k in np.flatnonzero(signs[1:] != signs[:-1]) + 1]
-    n = int(e.size)
-
-    points: list[RenewalPoint] = []
-    segments: list[Segment] = []
-    abs_charge = np.abs(e - eb)
-    for idx, start in enumerate(jumps):
-        end = jumps[idx + 1] if idx + 1 < len(jumps) else n
-        censored = idx + 1 >= len(jumps)
-        sojourn = None if censored else end - start
-        points.append(RenewalPoint(index=idx, state=int(signs[start]), time=start, sojourn=sojourn))
-        segments.append(
-            Segment(
-                i=int(signs[start]),
-                j=None if censored else int(signs[end]),
-                x=end - start,
-                start=start,
-                charges=abs_charge[start:end].copy(),
-                entry_power=float(eb[start]),
-                censored=censored,
-            )
-        )
-    return points, segments
+    start = np.flatnonzero(np.r_[True, states[1:] != states[:-1]])
+    i = states[start]
+    censored = np.zeros(start.size, dtype=bool)
+    censored[-1] = True
+    table = SegmentTable(
+        i=i,
+        j=np.r_[i[1:], i[-1]],
+        x=np.diff(np.r_[start, n]),
+        start=start,
+        entry_power=series.corrected[start],
+        censored=censored,
+        charges=np.abs(diff),
+    )
+    return states, table
 
 
-def complete_classes(segments: list[Segment]) -> dict[tuple[int, int, int], list[Segment]]:
-    """Uncensored charging and discharging segments grouped by ``(i, j, x)``.
+def complete_classes(table: SegmentTable) -> dict[tuple[int, int, int], np.ndarray]:
+    """Rows of the uncensored charging and discharging runs, grouped by ``(i, j, x)``.
 
-    Keys come in sorted order; segments keep their order within a class.
+    Keys come in sorted order; each class's rows stay in time order.
     """
-    by_key: dict[tuple[int, int, int], list[Segment]] = {}
-    for seg in segments:
-        if seg.censored or seg.i == 0 or seg.j is None:
-            continue
-        by_key.setdefault(seg.key, []).append(seg)
-    return {key: by_key[key] for key in sorted(by_key)}
+    rows = np.flatnonzero(~table.censored & (table.i != 0))
+    if not rows.size:
+        return {}
+    rows = rows[np.lexsort((table.x[rows], table.j[rows], table.i[rows]))]
+    keys = np.column_stack((table.i[rows], table.j[rows], table.x[rows]))
+    firsts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    return {
+        tuple(keys[f].tolist()): group
+        for f, group in zip(firsts, np.split(rows, firsts[1:]))
+    }
 
 
-def step_states(points: list[RenewalPoint], n_steps: int) -> np.ndarray:
-    """Per-step state ``Z(k)`` implied by the renewal points, for ``k = 0..n_steps-1``."""
-    out = np.zeros(n_steps, dtype=int)
-    for idx, p in enumerate(points):
-        end = points[idx + 1].time if idx + 1 < len(points) else n_steps
-        out[p.time : end] = p.state
-    return out
-
-
-def backward_times(points: list[RenewalPoint], n_steps: int) -> np.ndarray:
-    """Backward recurrence time ``B(k) = k - (last jump time <= k)``."""
-    out = np.zeros(n_steps, dtype=int)
-    for idx, p in enumerate(points):
-        end = points[idx + 1].time if idx + 1 < len(points) else n_steps
-        out[p.time : end] = np.arange(end - p.time)
-    return out
+def backward_times(table: SegmentTable) -> np.ndarray:
+    """Backward recurrence time ``B(k) = k - (last jump time <= k)`` at every step."""
+    return np.arange(int(table.x.sum())) - np.repeat(table.start, table.x)
 
 
 class SemiMarkovKernel:
@@ -391,19 +350,6 @@ class SemiMarkovKernel:
             counts=np.sum(sojourns > 0, axis=1),
         )
 
-    def simulate(
-        self, n_transitions: int, initial_state: int, rng: np.random.Generator
-    ) -> list[RenewalPoint]:
-        """Simulate a renewal path; the final visit is censored, as in real data."""
-        chains = self.sample_chains(np.array([initial_state]), rng, n_transitions=n_transitions)
-        states, sojourns, times = (a[0].tolist() for a in (chains.states, chains.sojourns, chains.jump_times))
-        points = [
-            RenewalPoint(index=n, state=states[n], time=times[n], sojourn=sojourns[n])
-            for n in range(n_transitions)
-        ]
-        points.append(RenewalPoint(index=n_transitions, state=states[-1], time=times[-1], sojourn=None))
-        return points
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -444,28 +390,26 @@ class SemiMarkovKernel:
         return isinstance(other, SemiMarkovKernel) and self.q == other.q
 
 
-def estimate_kernel(points: list[RenewalPoint]) -> SemiMarkovKernel:
-    """Estimate ``q[i][j][x]`` by transition counting.
+def estimate_kernel(i, j, x) -> SemiMarkovKernel:
+    """Estimate ``q[i][j][x]`` by counting completed transitions.
 
-    Each completed visit (``sojourn`` set) contributes one count; the final,
-    censored visit is excluded.  Rows are normalized by the number of
-    completed visits to the source state, so ``sum_{j,x} q[i][j][x] = 1``.
+    Transition ``n`` leaves state ``i[n]`` after ``x[n]`` steps for state
+    ``j[n]``; a censored run has no successor and must be left out.  Rows are
+    normalized by the number of completed visits to the source state, so
+    ``sum_{j,x} q[i][j][x] = 1``.
     """
-    counts: dict[int, dict[int, dict[int, int]]] = {}
-    visits: dict[int, int] = {}
-    for idx, p in enumerate(points):
-        if p.sojourn is None:
-            continue
-        if idx + 1 >= len(points):
-            raise InputError("renewal point with a sojourn but no successor")
-        j = points[idx + 1].state
-        counts.setdefault(p.state, {}).setdefault(j, {})
-        counts[p.state][j][p.sojourn] = counts[p.state][j].get(p.sojourn, 0) + 1
-        visits[p.state] = visits.get(p.state, 0) + 1
-    if not counts:
+    columns = [np.asarray(a, dtype=int).ravel() for a in (i, j, x)]
+    if len({c.size for c in columns}) > 1:
+        raise InputError("transition sources, successors and sojourns must have equal length")
+    transitions = np.column_stack(columns)
+    if not transitions.size:
         raise EstimationError("no completed transitions to estimate a kernel from")
-    q = {
-        i: {j: {k: c / visits[i] for k, c in kk.items()} for j, kk in jj.items()}
-        for i, jj in counts.items()
-    }
+    if np.any(transitions[:, 2] < 1):
+        raise InputError("sojourns must be at least one step")
+    keys, counts = np.unique(transitions, axis=0, return_counts=True)
+    sources, totals = np.unique(transitions[:, 0], return_counts=True)
+    visits = dict(zip(sources.tolist(), totals.tolist()))
+    q: dict[int, dict[int, dict[int, float]]] = {}
+    for (a, b, k), c in zip(keys.tolist(), counts.tolist()):
+        q.setdefault(a, {}).setdefault(b, {})[k] = c / visits[a]
     return SemiMarkovKernel(q, visits)

@@ -10,12 +10,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .segmentation import RenewalPoint, Segment, backward_times, complete_classes, step_states
+from .segmentation import SegmentTable, backward_times, complete_classes
 from .simulate import BatterySpec, ChargeModel, PenaltySpec, battery_recursion, window_sums
 
 __all__ = [
     "rel_l2_error",
-    "mape",
     "mape_detail",
     "GroupComparison",
     "ComparisonReport",
@@ -53,10 +52,6 @@ def mape_detail(real, sim) -> tuple[float, int]:
         raise InputError("MAPE undefined: every baseline entry is zero")
     value = 100.0 * float(np.mean(np.abs(real[keep] - sim[keep]) / np.abs(real[keep])))
     return value, skipped
-
-
-def mape(real, sim) -> float:
-    return mape_detail(real, sim)[0]
 
 
 @dataclass
@@ -117,7 +112,7 @@ class ComparisonReport:
 
 
 def compare_segments(
-    segments: list[Segment],
+    table: SegmentTable,
     charge_model: ChargeModel,
     rng: np.random.Generator | int | None = None,
     eligibility: int = 30,
@@ -135,11 +130,11 @@ def compare_segments(
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     report = ComparisonReport(eligibility=eligibility)
-    for (i, j, x), group in complete_classes(segments).items():
-        n_real = len(group)
+    for (i, j, x), rows in complete_classes(table).items():
+        n_real = rows.size
         if n_real < eligibility:
             continue
-        real = np.vstack([np.abs(s.charges) for s in group])
+        real = table.charge_matrix(rows, x)
         n_sim = max(path_multiplier * n_real, min_paths)
         sim = charge_model.charge_paths(i, j, x, n_sim, rng)[:, 1 : x + 1]
         l2_mean = rel_l2_error(real.mean(axis=0), sim.mean(axis=0))
@@ -195,14 +190,14 @@ def daily_penalty_moments(
 
 
 def day_start_conditions(
-    points: list[RenewalPoint],
+    states: np.ndarray,
+    table: SegmentTable,
     soc: np.ndarray,
-    n_steps: int,
     horizon: int = 24,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """States, backward times, and SOC observed at each window boundary."""
-    z = step_states(points, n_steps)
-    b = backward_times(points, n_steps)
-    n_days = (n_steps - 1) // horizon
-    starts = np.arange(n_days) * horizon
-    return z[starts], b[starts], np.asarray(soc)[starts]
+    """States, backward times, and SOC observed at each window boundary.
+
+    ``states`` and ``table`` are what :func:`extract_segments` returns.
+    """
+    starts = np.arange((len(states) - 1) // horizon) * horizon
+    return states[starts], backward_times(table)[starts], np.asarray(soc)[starts]

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
@@ -26,21 +25,19 @@ def corrected_series():
 
 @pytest.fixture(scope="session")
 def renewal_data(corrected_series):
-    points, segments = extract_segments(corrected_series)
-    return points, segments
+    """Per-step states and the segment table of ``corrected_series``."""
+    return extract_segments(corrected_series)
 
 
 @pytest.fixture(scope="session")
 def fitted_kernel(renewal_data):
-    points, _ = renewal_data
-    return estimate_kernel(points)
+    _, table = renewal_data
+    done = ~table.censored
+    return estimate_kernel(table.i[done], table.j[done], table.x[done])
 
 
 @pytest.fixture(scope="session")
 def fitted_model(renewal_data):
-    _, segments = renewal_data
-    doc = build_model_doc(
-        segments, limit=LIMIT, capacity=CAPACITY,
-        group_rng=lambda i, j, x: np.random.default_rng((7, i + 2, j + 2, x)),
-    )
+    _, table = renewal_data
+    doc = build_model_doc(table, limit=LIMIT, capacity=CAPACITY, seed_key=(7,))
     return charge_model_from_doc(doc)

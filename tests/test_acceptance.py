@@ -29,7 +29,7 @@ from windbridge.estimation import (
 )
 from windbridge.pipeline import RunConfig, SyntheticWindSpec, run_pipeline
 from windbridge.power import PowerSeries, RampPolicy, apply_ramp_limit
-from windbridge.segmentation import SemiMarkovKernel, estimate_kernel
+from windbridge.segmentation import SemiMarkovKernel, complete_classes, estimate_kernel
 from windbridge.simulate import (
     BatterySpec,
     ChargeModel,
@@ -87,8 +87,8 @@ def test_criterion_02_kernel_identities_and_round_trip():
             -1: {0: {1: 0.45, 3: 0.15}, 1: {2: 0.3, 6: 0.1}},
         }
         kernel = SemiMarkovKernel(q, {1: 1, 0: 1, -1: 1})
-        points = kernel.simulate(100_000, initial_state=0, rng=np.random.default_rng(1002))
-        back = estimate_kernel(points)
+        chains = kernel.sample_chains(np.array([0]), np.random.default_rng(1002), n_transitions=100_000)
+        back = estimate_kernel(chains.states[0, :-1], chains.states[0, 1:], chains.sojourns[0])
         # defining identities hold to 1e-12 on the estimate
         for i in back.states:
             assert sum(v for jj in back.q[i].values() for v in jj.values()) == approx(1.0, abs=1e-12)
@@ -110,19 +110,18 @@ def test_criterion_02_kernel_identities_and_round_trip():
 
 def test_criterion_03_bridge_math(renewal_data):
     with timer() as t:
-        _, segments = renewal_data
+        _, table = renewal_data
         checked = 0
-        for seg in segments:
-            if seg.censored or seg.i == 0:
-                continue
-            bridge = embed_bridge(seg)
-            tau, h = extract_peak(bridge)
-            params = BridgeParams(rho=CAPACITY, tau=tau, h=h)
-            err = decompose(bridge, params)
-            g = triangle_path(params, seg.x)
-            recon = g[1 : seg.x + 1] + err.values
-            np.testing.assert_allclose(recon, bridge.values[1 : seg.x + 1], rtol=0, atol=1e-14)
-            checked += 1
+        for (i, j, x), rows in complete_classes(table).items():
+            for charges in table.charge_matrix(rows, x):
+                bridge = embed_bridge(i, j, charges)
+                tau, h = extract_peak(bridge)
+                params = BridgeParams(rho=CAPACITY, tau=tau, h=h)
+                err = decompose(bridge, params)
+                g = triangle_path(params, x)
+                recon = g[1 : x + 1] + err.values
+                np.testing.assert_allclose(recon, bridge.values[1 : x + 1], rtol=0, atol=1e-14)
+                checked += 1
         assert checked > 1000
 
         x, tau, sigma, n = 6, 3, 1.0, 100_000

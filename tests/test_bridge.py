@@ -19,50 +19,52 @@ from windbridge.bridge import (
     triangle_path,
 )
 from windbridge.errors import InputError
-from windbridge.segmentation import Segment
+from windbridge.segmentation import complete_classes
 
 LIMIT = 0.02
 CAPACITY = 2.0
 
 
-def make_segment(i, charges, j=0, entry=1.0):
-    charges = np.asarray(charges, float)
-    return Segment(i=i, j=j, x=len(charges), start=0, charges=charges, entry_power=entry)
+def complete_runs(table):
+    """``(i, j, entry_power, charges)`` of every uncensored charging or discharging run."""
+    for (i, j, x), rows in complete_classes(table).items():
+        for entry_power, charges in zip(table.entry_power[rows], table.charge_matrix(rows, x)):
+            yield i, j, entry_power, charges
 
 
 class TestEmbedAndPeak:
     def test_embedding(self):
-        bridge = embed_bridge(make_segment(1, [0.3, 0.5, 0.2]))
+        bridge = embed_bridge(1, 0, [0.3, 0.5, 0.2])
         np.testing.assert_allclose(bridge.values, [0, 0.3, 0.5, 0.2, 0])
 
     def test_single_step(self):
-        bridge = embed_bridge(make_segment(-1, [0.4]))
+        bridge = embed_bridge(-1, 0, [0.4])
         np.testing.assert_allclose(bridge.values, [0, 0.4, 0])
 
     def test_all_zero(self):
-        bridge = embed_bridge(make_segment(1, [0.0, 0.0]))
+        bridge = embed_bridge(1, 0, [0.0, 0.0])
         assert np.all(bridge.values == 0.0)
 
     def test_idle_state_rejected(self):
         with pytest.raises(InputError):
-            embed_bridge(make_segment(0, [0.0]))
+            embed_bridge(0, 0, [0.0])
 
     def test_peak(self):
-        bridge = embed_bridge(make_segment(1, [0.3, 0.5, 0.2]))
+        bridge = embed_bridge(1, 0, [0.3, 0.5, 0.2])
         assert extract_peak(bridge) == (2, 0.5)
 
     def test_peak_tie_breaks_to_smallest(self):
-        bridge = embed_bridge(make_segment(1, [0.4, 0.4]))
+        bridge = embed_bridge(1, 0, [0.4, 0.4])
         assert extract_peak(bridge) == (1, 0.4)
 
     def test_peak_single(self):
-        bridge = embed_bridge(make_segment(1, [0.7]))
+        bridge = embed_bridge(1, 0, [0.7])
         assert extract_peak(bridge) == (1, 0.7)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=30))
     def test_peak_matches_scan_oracle(self, charges):
-        bridge = embed_bridge(make_segment(1, charges))
+        bridge = embed_bridge(1, 0, charges)
         tau, h = extract_peak(bridge)
         best_k, best_v = 1, charges[0]
         for k, v in enumerate(charges, start=1):
@@ -117,7 +119,7 @@ class TestInitialPower:
 class TestDecomposeAndClip:
     def test_reconstruction_identity(self):
         charges = [0.31, 0.55, 0.41]
-        bridge = embed_bridge(make_segment(1, charges))
+        bridge = embed_bridge(1, 0, charges)
         tau, h = extract_peak(bridge)
         params = BridgeParams(rho=1.0, tau=tau, h=h)
         err = decompose(bridge, params)
@@ -125,7 +127,7 @@ class TestDecomposeAndClip:
         np.testing.assert_array_equal(g[1:4] + err.values, bridge.values[1:4])
 
     def test_error_zero_at_peak(self):
-        bridge = embed_bridge(make_segment(1, [0.2, 0.9, 0.1]))
+        bridge = embed_bridge(1, 0, [0.2, 0.9, 0.1])
         tau, h = extract_peak(bridge)
         err = decompose(bridge, BridgeParams(rho=2.0, tau=tau, h=h))
         assert err.values[tau - 1] == 0.0
@@ -208,44 +210,42 @@ class TestDecomposeAndClip:
 class TestRealDataBounds:
     def test_charging_side_bound_is_exact(self, renewal_data):
         """Charging charges never exceed rho - (k-1)*limit."""
-        _, segments = renewal_data
+        _, table = renewal_data
         checked = 0
-        for seg in segments:
-            if seg.censored or seg.i != 1:
+        for i, _, entry_power, charges in complete_runs(table):
+            if i != 1:
                 continue
-            rho = compute_initial_power(seg.i, seg.entry_power, seg.x, LIMIT, CAPACITY)
-            bound = rho - np.arange(seg.x) * LIMIT
-            assert np.all(seg.charges <= bound + 1e-9)
-            assert np.all(seg.charges >= -1e-12)
+            rho = compute_initial_power(i, entry_power, charges.size, LIMIT, CAPACITY)
+            bound = rho - np.arange(charges.size) * LIMIT
+            assert np.all(charges <= bound + 1e-9)
+            assert np.all(charges >= -1e-12)
             checked += 1
         assert checked > 100
 
     def test_discharging_side_bound_with_ramp_slack(self, renewal_data):
         """Discharging charges can exceed the band by at most one ramp step,
         which happens exactly when generated power drops below the limit."""
-        _, segments = renewal_data
+        _, table = renewal_data
         checked = 0
-        for seg in segments:
-            if seg.censored or seg.i != -1:
+        for i, _, entry_power, charges in complete_runs(table):
+            if i != -1:
                 continue
-            rho = compute_initial_power(seg.i, seg.entry_power, seg.x, LIMIT, CAPACITY)
-            bound = rho - np.arange(seg.x) * LIMIT
-            assert np.all(seg.charges <= bound + LIMIT + 1e-9)
+            rho = compute_initial_power(i, entry_power, charges.size, LIMIT, CAPACITY)
+            bound = rho - np.arange(charges.size) * LIMIT
+            assert np.all(charges <= bound + LIMIT + 1e-9)
             checked += 1
         assert checked > 100
 
     def test_reconstruction_on_extracted_segments(self, renewal_data):
-        _, segments = renewal_data
-        for seg in segments:
-            if seg.censored or seg.i == 0:
-                continue
-            bridge = embed_bridge(seg)
+        _, table = renewal_data
+        for i, j, _, charges in complete_runs(table):
+            bridge = embed_bridge(i, j, charges)
             tau, h = extract_peak(bridge)
             params = BridgeParams(rho=2.0, tau=tau, h=h)
             err = decompose(bridge, params)
-            g = triangle_path(params, seg.x)
-            recon = g[1 : seg.x + 1] + err.values
-            np.testing.assert_allclose(recon, bridge.values[1 : seg.x + 1], rtol=0, atol=1e-14)
+            g = triangle_path(params, bridge.x)
+            recon = g[1 : bridge.x + 1] + err.values
+            np.testing.assert_allclose(recon, bridge.values[1 : bridge.x + 1], rtol=0, atol=1e-14)
 
 
 class TestBridgeTransition:
@@ -313,7 +313,7 @@ class TestBridgeCsv:
     def test_layout(self, tmp_path):
         from windbridge.bridge import write_bridge_csv
 
-        bridge = embed_bridge(make_segment(1, [0.3, 0.5]))
+        bridge = embed_bridge(1, 0, [0.3, 0.5])
         path = tmp_path / "bridge.csv"
         write_bridge_csv(path, bridge, comment="stamp")
         lines = path.read_text().splitlines()

@@ -156,8 +156,8 @@ class TestValidateRestart:
 
         series = read_power_csv(cfg.out_dir / "corrected_0.05.csv")
         kernel = SemiMarkovKernel.from_json(cfg.out_dir / "kernel_0.05.json")
-        points, _ = extract_segments(series)
-        z0, b0, _ = day_start_conditions(points, np.zeros(len(series)), len(series), cfg.horizon)
+        states, table = extract_segments(series)
+        z0, b0, _ = day_start_conditions(states, table, np.zeros(len(series)), cfg.horizon)
         inside = np.flatnonzero(b0 >= [kernel.max_sojourn(int(z)) for z in z0])
         assert inside.size and np.all(z0[inside] == 0)
         assert inside[-1] == z0.size - 1  # the last window starts in the tail
@@ -320,6 +320,14 @@ class TestFileInput:
         cfg.out_dir.mkdir()
         (cfg.out_dir / "power.csv").write_text("k,e\n0,1.0\n1,1.2\n2,nan\n3,1.9\n")
         with pytest.raises(InputError, match=r"^\[correct\].*finite"):
+            run_stage(cfg, "correct")
+        assert not list(cfg.out_dir.glob("corrected_*"))
+
+    def test_negative_power_row_rejected_at_correct(self, tmp_path):
+        cfg = small_config(tmp_path / "out")
+        cfg.out_dir.mkdir()
+        (cfg.out_dir / "power.csv").write_text("k,e\n0,1.0\n1,-0.2\n2,1.9\n")
+        with pytest.raises(InputError, match=r"^\[correct\].*nonnegative"):
             run_stage(cfg, "correct")
         assert not list(cfg.out_dir.glob("corrected_*"))
 

@@ -197,7 +197,8 @@ class TestSampleParams:
     def test_tau_rounding(self):
         sup = attainable_param_support(1, 5, LIMIT, CAPACITY)
         s = DegenerateSampler(sup, rho=1.9, tau=2, h=0.5)
-        assert s.sample(np.random.default_rng(0)) == (1.9, 2, 0.5)
+        rho, tau, h = s.sample_n(1, np.random.default_rng(0))
+        assert (rho.tolist(), tau.tolist(), h.tolist()) == ([1.9], [2], [0.5])
         from windbridge.estimation import _nearest_tau
 
         assert _nearest_tau(2.4, 5) == 2
@@ -207,14 +208,16 @@ class TestSampleParams:
 
     def test_deterministic_given_seed(self, fitted_model):
         sampler = next(iter(fitted_model.samplers.values()))
-        draw = sampler.sample(np.random.default_rng(42))
-        assert draw == sampler.sample(np.random.default_rng(42))
+        draw = sampler.sample_n(1, np.random.default_rng(42))
+        np.testing.assert_array_equal(draw, sampler.sample_n(1, np.random.default_rng(42)))
 
     def test_serialization_round_trip(self, fitted_model):
         sampler = next(iter(fitted_model.samplers.values()))
         back = sampler_from_dict(sampler.to_dict())
         assert back.to_dict() == sampler.to_dict()
-        assert back.sample(np.random.default_rng(3)) == sampler.sample(np.random.default_rng(3))
+        np.testing.assert_array_equal(
+            back.sample_n(1, np.random.default_rng(3)), sampler.sample_n(1, np.random.default_rng(3))
+        )
 
 
 class TestMleSigma:

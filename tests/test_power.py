@@ -105,6 +105,12 @@ class TestRampLimit:
         with pytest.raises(InputError, match="corrected power must be finite"):
             PowerSeries(generated=np.ones(3), corrected=np.array([1.0, np.inf, 1.0]))
 
+    def test_negative_power_rejected(self):
+        with pytest.raises(InputError, match="generated power must be finite and nonnegative"):
+            PowerSeries(generated=np.array([1.0, -0.2]))
+        with pytest.raises(InputError, match="corrected power must be finite and nonnegative"):
+            PowerSeries(generated=np.ones(2), corrected=np.array([1.0, -0.2]))
+
     @settings(max_examples=100, deadline=None)
     @given(
         data=st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=60),

@@ -2,17 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from windbridge.errors import EstimationError, InputError, SimulationError
-from windbridge.power import PowerSeries
+from windbridge.power import PowerSeries, RampPolicy, apply_ramp_limit
 from windbridge.segmentation import (
-    RenewalPoint,
+    SIGN_TOLERANCE,
     SemiMarkovKernel,
     backward_times,
+    complete_classes,
     estimate_kernel,
     extract_segments,
-    step_states,
 )
 
 
@@ -20,85 +22,150 @@ def series_pair(e, eb):
     return PowerSeries(generated=np.asarray(e, float), corrected=np.asarray(eb, float))
 
 
-def make_points(transitions, final_state=0):
-    """Build renewal points from (state, sojourn) pairs plus a censored tail."""
-    points, t = [], 0
-    for n, (state, x) in enumerate(transitions):
-        points.append(RenewalPoint(index=n, state=state, time=t, sojourn=x))
-        t += x
-    points.append(RenewalPoint(index=len(transitions), state=final_state, time=t, sojourn=None))
-    return points
+def make_transitions(transitions, final_state=0):
+    """Sources, successors and sojourns of a chain of (state, sojourn) visits.
+
+    ``final_state`` is the state the last visit jumps to.
+    """
+    states = [state for state, _ in transitions] + [final_state]
+    return states[:-1], states[1:], [x for _, x in transitions]
+
+
+def completed(table):
+    """The columns ``estimate_kernel`` takes: every uncensored run."""
+    done = ~table.censored
+    return table.i[done], table.j[done], table.x[done]
 
 
 class TestExtractSegments:
     def test_equal_series_single_idle_segment(self):
         e = [0.5, 0.5, 0.5, 0.5]
-        points, segments = extract_segments(series_pair(e, e))
-        assert len(segments) == 1
-        seg = segments[0]
-        assert seg.i == 0 and seg.censored and seg.x == 4
-        assert points[0].time == 0 and points[0].sojourn is None
+        states, table = extract_segments(series_pair(e, e))
+        assert len(table) == 1
+        assert table.i[0] == 0 and table.censored[0] and table.x[0] == 4
+        assert table.start[0] == 0 and table.j[0] == table.i[0]
+        np.testing.assert_array_equal(states, [0, 0, 0, 0])
 
     def test_hand_built_sign_pattern(self):
         # signs over 5 steps: +, +, 0, 0, -
         e = [1.0, 1.1, 0.5, 0.6, 0.2]
         eb = [0.9, 1.0, 0.5, 0.6, 0.4]
-        points, segments = extract_segments(series_pair(e, eb))
-        assert [p.time for p in points] == [0, 2, 4]
-        assert [p.state for p in points] == [1, 0, -1]
-        assert [p.sojourn for p in points] == [2, 2, None]
-        assert [s.x for s in segments] == [2, 2, 1]
-        np.testing.assert_allclose(segments[0].charges, [0.1, 0.1])
-        assert segments[0].entry_power == 0.9
+        states, table = extract_segments(series_pair(e, eb))
+        np.testing.assert_array_equal(states, [1, 1, 0, 0, -1])
+        np.testing.assert_array_equal(table.start, [0, 2, 4])
+        np.testing.assert_array_equal(table.i, [1, 0, -1])
+        np.testing.assert_array_equal(table.j[:2], [0, -1])
+        np.testing.assert_array_equal(table.x, [2, 2, 1])
+        np.testing.assert_array_equal(table.censored, [False, False, True])
+        np.testing.assert_allclose(table.charge_matrix(np.array([0]), 2), [[0.1, 0.1]])
+        np.testing.assert_array_equal(table.entry_power, [0.9, 0.5, 0.4])
 
     def test_alternating_signs(self):
         e = [1.0, 0.0, 1.0, 0.0, 1.0]
         eb = [0.5, 0.5, 0.5, 0.5, 0.5]
-        points, segments = extract_segments(series_pair(e, eb))
-        assert all(s.x == 1 for s in segments)
-        assert [s.i for s in segments] == [1, -1, 1, -1, 1]
+        _, table = extract_segments(series_pair(e, eb))
+        assert np.all(table.x == 1)
+        np.testing.assert_array_equal(table.i, [1, -1, 1, -1, 1])
 
     def test_misaligned_rejected(self):
-        a = PowerSeries(generated=np.zeros(3))
-        b = PowerSeries(generated=np.zeros(4))
-        with pytest.raises(InputError, match="misaligned"):
-            extract_segments(a, b)
+        # a misaligned pair cannot be built, so it never reaches segmentation
+        with pytest.raises(InputError, match="length"):
+            extract_segments(PowerSeries(generated=np.zeros(3), corrected=np.zeros(4)))
 
     def test_too_short(self):
         with pytest.raises(InputError):
             extract_segments(series_pair([1.0], [1.0]))
+        with pytest.raises(InputError, match="corrected"):
+            extract_segments(PowerSeries(generated=np.zeros(3)))
 
     def test_sign_tolerance(self):
         e = [0.5, 0.5 + 1e-12, 0.8]
         eb = [0.5, 0.5, 0.5]
-        points, _ = extract_segments(series_pair(e, eb))
-        assert [p.state for p in points] == [0, 1]
-        assert [p.time for p in points] == [0, 2]
+        states, table = extract_segments(series_pair(e, eb))
+        np.testing.assert_array_equal(states, [0, 0, 1])
+        np.testing.assert_array_equal(table.start, [0, 2])
 
     def test_segments_partition_timeline(self, renewal_data):
-        _, segments = renewal_data
-        assert segments[0].start == 0
-        for prev, nxt in zip(segments, segments[1:]):
-            assert prev.start + prev.x == nxt.start
+        states, table = renewal_data
+        assert table.start[0] == 0
+        np.testing.assert_array_equal(table.start[1:], table.start[:-1] + table.x[:-1])
+        assert table.start[-1] + table.x[-1] == states.size == table.charges.size
 
     def test_sign_constant_within_segments(self, corrected_series, renewal_data):
         diff = corrected_series.generated - corrected_series.corrected
-        _, segments = renewal_data
-        for seg in segments:
-            window = diff[seg.start : seg.start + seg.x]
-            if seg.i == 0:
+        _, table = renewal_data
+        for i, start, x in zip(table.i, table.start, table.x):
+            window = diff[start : start + x]
+            if i == 0:
                 assert np.all(np.abs(window) <= 1e-9)
             else:
-                assert np.all(np.sign(window) == seg.i)
+                assert np.all(np.sign(window) == i)
+
+    def test_complete_classes_in_key_and_time_order(self, renewal_data):
+        _, table = renewal_data
+        classes = complete_classes(table)
+        assert list(classes) == sorted(classes)
+        seen = np.concatenate(list(classes.values()))
+        expected = np.flatnonzero(~table.censored & (table.i != 0))
+        np.testing.assert_array_equal(np.sort(seen), expected)
+        for (i, j, x), rows in classes.items():
+            assert np.all(np.diff(rows) > 0)
+            assert np.all((table.i[rows] == i) & (table.j[rows] == j) & (table.x[rows] == x))
+
+
+@st.composite
+def power_pairs(draw):
+    """A generated series in [0, 2] MW and its ramp correction."""
+    e = draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=2, max_size=60))
+    limit = draw(st.floats(min_value=0.005, max_value=0.5))
+    return apply_ramp_limit(PowerSeries(generated=np.asarray(e)), RampPolicy(limit=limit), capacity=2.0)
+
+
+class TestTableProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(power_pairs())
+    def test_table_describes_its_series(self, series):
+        e, eb = series.generated, series.corrected
+        n = e.size
+        states, table = extract_segments(series)
+        # the rows tile [0, n)
+        assert table.start[0] == 0 and table.start[-1] + table.x[-1] == n
+        np.testing.assert_array_equal(table.start[1:], table.start[:-1] + table.x[:-1])
+        np.testing.assert_array_equal(states, np.repeat(table.i, table.x))
+        np.testing.assert_array_equal(table.censored, np.arange(len(table)) == len(table) - 1)
+        assert np.all(table.i[:-1] != table.i[1:])
+        np.testing.assert_array_equal(table.j[:-1], table.i[1:])
+        diff = e - eb
+        np.testing.assert_array_equal(states[diff > SIGN_TOLERANCE], 1)
+        np.testing.assert_array_equal(states[diff < -SIGN_TOLERANCE], -1)
+        np.testing.assert_array_equal(states[np.abs(diff) <= SIGN_TOLERANCE], 0)
+        np.testing.assert_array_equal(table.charges, np.abs(diff))
+        for (i, j, x), rows in complete_classes(table).items():
+            runs = [np.abs(diff)[s : s + x] for s in table.start[rows]]
+            np.testing.assert_array_equal(table.charge_matrix(rows, x), np.vstack(runs))
+        # steps since the last state change, counted one step at a time
+        back = [0]
+        for k in range(1, n):
+            back.append(back[-1] + 1 if states[k] == states[k - 1] else 0)
+        np.testing.assert_array_equal(backward_times(table), back)
+
+        if len(table) == 1:
+            with pytest.raises(EstimationError):
+                estimate_kernel(*completed(table))
+            return
+        kernel = estimate_kernel(*completed(table))
+        for i in kernel.states:
+            assert sum(v for jj in kernel.q[i].values() for v in jj.values()) == approx(1.0, abs=1e-12)
+            assert kernel.visits[i] == int(np.sum(table.i[:-1] == i))
 
 
 class TestEstimateKernel:
     def test_counting_oracle(self):
         # transitions from +1: (j=0, x=2) three times and (j=-1, x=2) once
-        points = make_points(
+        transitions = make_transitions(
             [(1, 2), (0, 3), (1, 2), (0, 3), (1, 2), (0, 3), (1, 2)], final_state=-1
         )
-        kernel = estimate_kernel(points)
+        kernel = estimate_kernel(*transitions)
         assert kernel.q[1][0][2] == approx(0.75)
         assert kernel.q[1][-1][2] == approx(0.25)
         assert kernel.h[1][2] == approx(1.0)
@@ -121,27 +188,29 @@ class TestEstimateKernel:
                     assert c == approx(k.q[i][j].get(dur, 0.0) / k.h[i][dur], abs=1e-12)
 
     def test_censored_tail_excluded(self):
-        points = make_points([(1, 5)], final_state=0)
-        kernel = estimate_kernel(points)
+        # a 5-step charging run, then an idle tail cut by the end of the series
+        _, table = extract_segments(series_pair([1.0] * 5 + [0.5] * 3, [0.5] * 8))
+        kernel = estimate_kernel(*completed(table))
         assert kernel.visits == {1: 1}
-        assert 0 not in kernel.q  # the censored visit to 0 contributes nothing
+        assert kernel.q == {1: {0: {5: 1.0}}}  # the censored visit to 0 contributes nothing
 
     def test_unseen_state_errors_on_use(self):
-        points = make_points([(1, 2), (0, 1), (1, 3)], final_state=0)
-        kernel = estimate_kernel(points)
+        kernel = estimate_kernel(*make_transitions([(1, 2), (0, 1), (1, 3)], final_state=0))
         with pytest.raises(EstimationError, match="-1"):
             kernel.sojourn_pmf(-1)
         with pytest.raises(EstimationError, match="-1"):
             kernel.sample_sojourn(-1, np.random.default_rng(0))
 
     def test_no_transitions_at_all(self):
-        points = [RenewalPoint(index=0, state=0, time=0, sojourn=None)]
         with pytest.raises(EstimationError):
-            estimate_kernel(points)
+            estimate_kernel([], [], [])
+        with pytest.raises(InputError, match="equal length"):
+            estimate_kernel([1, 0], [0], [2])
+        with pytest.raises(InputError, match="at least one step"):
+            estimate_kernel([1], [0], [0])
 
     def test_conditioned_sojourn_sampling(self):
-        points = make_points([(0, 2), (1, 1), (0, 5), (1, 1), (0, 9), (1, 1)], 0)
-        kernel = estimate_kernel(points)
+        kernel = estimate_kernel(*make_transitions([(0, 2), (1, 1), (0, 5), (1, 1), (0, 9), (1, 1)], 0))
         rng = np.random.default_rng(3)
         draws = {kernel.sample_sojourn(0, rng, longer_than=2) for _ in range(200)}
         assert draws <= {5, 9}
@@ -156,8 +225,8 @@ class TestEstimateKernel:
         }
         kernel = SemiMarkovKernel(q, {1: 100, 0: 100, -1: 100})
         rng = np.random.default_rng(11)
-        points = kernel.simulate(20_000, initial_state=0, rng=rng)
-        back = estimate_kernel(points)
+        chains = kernel.sample_chains(np.array([0]), rng, n_transitions=20_000)
+        back = estimate_kernel(chains.states[0, :-1], chains.states[0, 1:], chains.sojourns[0])
         err = {
             i: sum(
                 abs(back.q.get(i, {}).get(j, {}).get(k, 0.0) - q[i][j][k])
@@ -182,8 +251,9 @@ class TestKernelJson:
 
 class TestStepHelpers:
     def test_step_states_and_backward(self):
-        points = make_points([(1, 2), (0, 3)], final_state=-1)
-        z = step_states(points, 7)
-        b = backward_times(points, 7)
+        # signs over 7 steps: +, +, 0, 0, 0, -, -
+        e = [1.0, 1.0, 0.5, 0.5, 0.5, 0.2, 0.2]
+        eb = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
+        z, table = extract_segments(series_pair(e, eb))
         np.testing.assert_array_equal(z, [1, 1, 0, 0, 0, -1, -1])
-        np.testing.assert_array_equal(b, [0, 1, 0, 1, 2, 0, 1])
+        np.testing.assert_array_equal(backward_times(table), [0, 1, 0, 1, 2, 0, 1])

@@ -335,9 +335,8 @@ class TestPenaltyPath:
             )
 
     def test_renewal_law_matches_kernel(self, fitted_kernel):
-        points = fitted_kernel.simulate(100_000, initial_state=0, rng=np.random.default_rng(11))
-        sojourns = np.array([p.sojourn for p in points[:-1]])
-        states = np.array([p.state for p in points[:-1]])
+        chains = fitted_kernel.sample_chains(np.array([0]), np.random.default_rng(11), n_transitions=100_000)
+        sojourns, states = chains.sojourns[0], chains.states[0, :-1]
         for i in fitted_kernel.states:
             ks, probs = fitted_kernel.sojourn_pmf(i)
             xs = sojourns[states == i]

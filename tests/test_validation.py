@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,20 +8,29 @@ from pytest import approx
 
 from windbridge.errors import InputError
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
-from windbridge.segmentation import Segment, complete_classes
+from windbridge.segmentation import SegmentTable, complete_classes
 from windbridge.simulate import BatterySpec, PenaltySpec, mc_moments
 from windbridge.validation import (
     compare_segments,
     daily_penalty_moments,
     day_start_conditions,
     empirical_penalty,
-    mape,
     mape_detail,
     rel_l2_error,
 )
 
 LIMIT = 0.02
 CAPACITY = 2.0
+
+
+def class_table(i, j, charges):
+    """Complete runs of one class ``(i, j, x)``, one per row of ``charges``, end to end."""
+    charges = np.asarray(charges, dtype=float)
+    n, x = charges.shape
+    return SegmentTable(
+        i=np.full(n, i), j=np.full(n, j), x=np.full(n, x), start=np.arange(n) * x,
+        entry_power=np.ones(n), censored=np.zeros(n, dtype=bool), charges=charges.ravel(),
+    )
 
 
 class TestRelL2:
@@ -58,10 +69,10 @@ class TestRelL2:
 
 class TestMape:
     def test_hand_example(self):
-        assert mape([1.0, 2.0, 4.0], [1.1, 1.8, 4.4]) == approx(10.0)
+        assert mape_detail([1.0, 2.0, 4.0], [1.1, 1.8, 4.4]) == (approx(10.0), 0)
 
     def test_identical_is_zero(self):
-        assert mape([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert mape_detail([1.0, 2.0], [1.0, 2.0]) == (0.0, 0)
 
     def test_zero_entries_skipped_and_counted(self):
         value, skipped = mape_detail([0.0, 2.0, 4.0], [5.0, 2.2, 4.4])
@@ -70,7 +81,7 @@ class TestMape:
 
     def test_all_zero_rejected(self):
         with pytest.raises(InputError):
-            mape([0.0, 0.0], [1.0, 2.0])
+            mape_detail([0.0, 0.0], [1.0, 2.0])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -82,8 +93,9 @@ class TestMape:
         real = rng.uniform(1.0, 5.0, 10)
         sim = real * rng.uniform(0.8, 1.2, 10)
         p = rng.permutation(10)
-        assert mape(real[p], sim[p]) == approx(mape(real, sim), rel=1e-9)
-        assert mape(real * scale, sim * scale) == approx(mape(real, sim), rel=1e-9)
+        value, _ = mape_detail(real, sim)
+        assert mape_detail(real[p], sim[p])[0] == approx(value, rel=1e-9)
+        assert mape_detail(real * scale, sim * scale)[0] == approx(value, rel=1e-9)
 
 
 class TestCompareSegments:
@@ -91,16 +103,12 @@ class TestCompareSegments:
         rng = np.random.default_rng(0)
 
         def group(i, j, x, n):
-            segs = []
-            for _ in range(n):
-                charges = rng.uniform(0.05, 0.4, x) if i == 1 else rng.uniform(0.05, 0.3, x)
-                segs.append(Segment(i=i, j=j, x=x, start=0, charges=charges, entry_power=1.0))
-            return segs
+            high = 0.4 if i == 1 else 0.3
+            return class_table(i, j, [rng.uniform(0.05, high, x) for _ in range(n)])
 
         key = next(iter(fitted_model.samplers))
         i, j, x = key
-        segments = group(i, j, x, 29) + group(i, j, x + 1 if (i, j, x + 1) in fitted_model.samplers else x, 0)
-        report = compare_segments(segments, fitted_model, rng=1)
+        report = compare_segments(group(i, j, x, 29), fitted_model, rng=1)
         assert report.groups == []  # 29 observations: excluded
 
         report40 = compare_segments(group(i, j, x, 40), fitted_model, rng=1)
@@ -114,45 +122,50 @@ class TestCompareSegments:
         rng = np.random.default_rng(5)
         key = max(fitted_model.samplers, key=lambda k: fitted_model.samplers[k].n_obs)
         i, j, x = key
-        sim_segments = []
-        for _ in range(1000):
-            c = fitted_model.charge_path(i, j, x, rng)
-            sim_segments.append(
-                Segment(i=i, j=j, x=x, start=0, charges=c[1 : x + 1], entry_power=1.0)
-            )
-        doc = build_model_doc(sim_segments, LIMIT, CAPACITY,
-                              group_rng=lambda *_: np.random.default_rng(0))
-        refit = charge_model_from_doc(doc)
-        report = compare_segments(sim_segments, refit, rng=7)
+        sims = class_table(i, j, [fitted_model.charge_path(i, j, x, rng)[1 : x + 1] for _ in range(1000)])
+        refit = charge_model_from_doc(build_model_doc(sims, LIMIT, CAPACITY))
+        report = compare_segments(sims, refit, rng=7)
         assert len(report.groups) == 1
         assert report.groups[0].l2_mean_pct < 10.0
 
     def test_deterministic_given_seed(self, renewal_data, fitted_model):
-        _, segments = renewal_data
-        a = compare_segments(segments, fitted_model, rng=3)
-        b = compare_segments(segments, fitted_model, rng=3)
+        _, table = renewal_data
+        a = compare_segments(table, fitted_model, rng=3)
+        b = compare_segments(table, fitted_model, rng=3)
         assert [g.__dict__ for g in a.groups] == [g.__dict__ for g in b.groups]
 
     def test_one_batch_per_class_from_rng(self, renewal_data, fitted_model):
-        _, segments = renewal_data
-        report = compare_segments(segments, fitted_model, rng=3)
+        _, table = renewal_data
+        report = compare_segments(table, fitted_model, rng=3)
         rng = np.random.default_rng(3)
         expected = []
-        for (i, j, x), group in complete_classes(segments).items():
-            if len(group) < report.eligibility:
+        for (i, j, x), rows in complete_classes(table).items():
+            if rows.size < report.eligibility:
                 continue
-            real = np.vstack([np.abs(s.charges) for s in group])
-            n_sim = max(3 * len(group), 100)
+            real = np.vstack([table.charges[s : s + x] for s in table.start[rows]])
+            n_sim = max(3 * rows.size, 100)
             sim = fitted_model.charge_paths(i, j, x, n_sim, rng)[:, 1 : x + 1]
             expected.append(rel_l2_error(real.mean(axis=0), sim.mean(axis=0)))
         assert len(expected) >= 2
         assert [g.l2_mean_pct for g in report.groups] == expected
 
     def test_real_data_errors_are_moderate(self, renewal_data, fitted_model):
-        _, segments = renewal_data
-        report = compare_segments(segments, fitted_model, rng=11)
+        _, table = renewal_data
+        report = compare_segments(table, fitted_model, rng=11)
         assert report.groups, "expected at least one eligible class"
         assert report.mean_l2_average_pct < 25.0
+
+
+class TestBuildModelDoc:
+    def test_default_fits_of_a_thin_class_are_equal(self):
+        # 4 runs, fewer than min_group_sample: the class is bootstrap-augmented
+        charges = np.random.default_rng(2).uniform(0.05, 0.4, (4, 3))
+        table = class_table(1, 0, charges)
+        def fit(**kwargs):  # as text, where NaN equals NaN
+            return json.dumps(build_model_doc(table, LIMIT, CAPACITY, **kwargs), sort_keys=True)
+
+        assert fit() == fit()
+        assert fit() != fit(seed_key=(1,))
 
 
 class TestEmpiricalPenalty:
@@ -214,16 +227,13 @@ class TestDailyFolding:
         np.testing.assert_array_equal(second, table.moments[1])
 
     def test_day_start_conditions(self, renewal_data, corrected_series):
-        points, _ = renewal_data
+        states, table = renewal_data
         n = len(corrected_series)
         charges = np.abs(corrected_series.generated - corrected_series.corrected)
-        from windbridge.segmentation import step_states
-
-        states = step_states(points, n)
         soc, _ = empirical_penalty(
             states, charges, BatterySpec(0, 0.36, 0.18), PenaltySpec(1, 1)
         )
-        z0, b0, s0 = day_start_conditions(points, soc, n, horizon=24)
+        z0, b0, s0 = day_start_conditions(states, table, soc, horizon=24)
         assert len(z0) == (n - 1) // 24
         assert set(np.unique(z0)) <= {-1, 0, 1}
         assert np.all(b0 >= 0)
