@@ -579,75 +579,61 @@ def _design_matrix(rho, tau, h, x) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _normality_score(resid: np.ndarray) -> float:
-    """Squared correlation of the residual normal quantile plot."""
-    n = resid.size
+def _normality_scores(resid: np.ndarray) -> np.ndarray:
+    """Squared correlation of each residual column's normal quantile plot; 0 if flat."""
+    n = resid.shape[0]
     osm = ndtri((np.arange(1, n + 1) - 0.5) / n)
-    osr = np.sort(resid)
-    if np.ptp(osr) == 0:
-        return 0.0
-    r = np.corrcoef(osm, osr)[0, 1]
-    return float(r * r)
-
-
-def _check_rank(X: np.ndarray, names: tuple[str, ...]) -> None:
-    _, r, piv = qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
-    bad = [names[piv[k]] for k in range(len(diag)) if diag[k] <= tol]
-    if bad:
-        raise EstimationError(f"rank-deficient design; collinear terms: {', '.join(sorted(bad))}")
-
-
-def _ols(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return beta, y - X @ beta
+    osm -= osm.mean()
+    osr = np.sort(resid, axis=0)
+    flat = osr[-1] == osr[0]
+    osr -= osr.mean(axis=0)  # in place: one (n, grid) copy of the residuals at a time
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (osm @ osr) / np.sqrt((osm @ osm) * np.einsum("ij,ij->j", osr, osr))
+    return np.where(flat, 0.0, r * r)
 
 
 LAMBDA_GRID = np.round(np.arange(-2.0, 2.0 + 1e-9, 0.05), 2)
 
 
-def fit_sigma_regression(
-    observations,
-    sigma_floor: float = SIGMA_FLOOR,
-    lambda_grid: np.ndarray = LAMBDA_GRID,
-) -> SigmaModel:
+def fit_sigma_regression(observations) -> SigmaModel:
     """Fit the Box-Cox-transformed linear model for the volatility.
 
     ``observations`` holds rows ``(sigma_hat, rho, tau, h, x)``.  The Box-Cox
-    exponent is picked from a grid to maximize residual normality, a first fit
-    drops observations whose Cook's distance exceeds ``median + 3 * IQR``, and
-    the final coefficients come from a second fit on the remainder.
+    exponent is picked from ``LAMBDA_GRID`` to maximize residual normality, a
+    first fit drops observations whose Cook's distance exceeds
+    ``median + 3 * IQR``, and the final coefficients come from a second fit
+    on the remainder.  One pivoted QR of the design gives the rank check, the
+    residuals of every grid exponent and the leverages.
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim != 2 or obs.shape[1] != 5:
         raise InputError("observations must be rows of (sigma_hat, rho, tau, h, x)")
-    sig = np.maximum(obs[:, 0], sigma_floor)
+    sig = np.maximum(obs[:, 0], SIGMA_FLOOR)
     X = _design_matrix(obs[:, 1], obs[:, 2], obs[:, 3], obs[:, 4])
-    p = X.shape[1]
-    if obs.shape[0] < 2 * p:
-        raise InsufficientDataError(
-            f"need at least {2 * p} observations for {p} coefficients, got {obs.shape[0]}"
-        )
-    _check_rank(X, REGRESSOR_NAMES)
+    n, p = X.shape
+    if n < 2 * p:
+        raise InsufficientDataError(f"need at least {2 * p} observations for {p} coefficients, got {n}")
 
-    best_lam, best_score = None, -np.inf
-    for lam in lambda_grid:
-        y = box_cox(sig, float(lam))
-        _, resid = _ols(X, y)
-        score = _normality_score(resid)
-        if score > best_score:
-            best_lam, best_score = float(lam), score
-    assert best_lam is not None
+    q, r, piv = qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = diag.max() * n * np.finfo(float).eps
+    bad = [REGRESSOR_NAMES[piv[k]] for k in np.flatnonzero(diag <= tol)]
+    if bad:
+        raise EstimationError(f"rank-deficient design; collinear terms: {', '.join(sorted(bad))}")
 
-    y = box_cox(sig, best_lam)
-    _, resid = _ols(X, y)
+    # one column per grid exponent, each transformed on its own: numpy's array
+    # power takes special paths for some exponents that differ in the last bit
+    grid_resid = np.empty((n, LAMBDA_GRID.size))
+    for c, lam in enumerate(LAMBDA_GRID):
+        grid_resid[:, c] = box_cox(sig, float(lam))
+    grid_resid -= q @ (q.T @ grid_resid)
+    best = int(np.argmax(_normality_scores(grid_resid)))  # first maximum, as a strict ``>`` scan
+    best_lam = float(LAMBDA_GRID[best])
+    y, resid = box_cox(sig, best_lam), grid_resid[:, best]
 
     # Cook's distances from the first fit; Tukey rule on their distribution.
-    q_thin = np.linalg.qr(X, mode="reduced")[0]
-    leverage = np.clip(np.sum(q_thin * q_thin, axis=1), 0.0, 1.0 - 1e-12)
-    dof = max(obs.shape[0] - p, 1)
-    s2 = float(resid @ resid) / dof
+    leverage = np.clip(np.sum(q * q, axis=1), 0.0, 1.0 - 1e-12)
+    s2 = float(resid @ resid) / (n - p)
     cooks = resid**2 * leverage / (p * max(s2, 1e-300) * (1.0 - leverage) ** 2)
     q1, med, q3 = np.percentile(cooks, [25, 50, 75])
     keep = cooks <= med + 3.0 * (q3 - q1)
@@ -657,7 +643,8 @@ def fit_sigma_regression(
         n_out = 0
 
     X2, y2 = X[keep], y[keep]
-    beta, resid2 = _ols(X2, y2)
+    beta, *_ = np.linalg.lstsq(X2, y2, rcond=None)
+    resid2 = y2 - X2 @ beta
     n2 = X2.shape[0]
     ss_res = float(resid2 @ resid2)
     ss_tot = float(np.sum((y2 - y2.mean()) ** 2))
@@ -672,7 +659,6 @@ def fit_sigma_regression(
         resid_std=resid_std,
         n_outliers_removed=n_out,
         n_obs=int(n2),
-        sigma_floor=sigma_floor,
     )
 
 

@@ -346,6 +346,11 @@ def stage_segment(cfg: RunConfig) -> list[Path]:
     return out
 
 
+def _pooled_sigma(sigmas) -> float:
+    """Geometric mean of volatility estimates, each floored at ``SIGMA_FLOOR``."""
+    return float(np.exp(np.mean(np.log(np.maximum(sigmas, SIGMA_FLOOR)))))
+
+
 def build_model_doc(
     table: SegmentTable,
     limit: float,
@@ -385,7 +390,7 @@ def build_model_doc(
         samplers[f"{i},{j},{x}"] = sampler.to_dict()
 
     all_sigmas = [s for obs in sigma_obs.values() for (s, *_rest) in obs]
-    sigma_default = float(np.exp(np.mean(np.log(np.maximum(all_sigmas, SIGMA_FLOOR))))) if all_sigmas else SIGMA_FLOOR
+    sigma_default = _pooled_sigma(all_sigmas) if all_sigmas else SIGMA_FLOOR
 
     sigma_models: dict[str, dict] = {}
     for pair in sorted(sigma_obs):
@@ -393,11 +398,10 @@ def build_model_doc(
         try:
             model = fit_sigma_regression(obs)
         except (InsufficientDataError, EstimationError) as exc:
-            pooled = float(np.exp(np.mean(np.log(np.maximum(obs[:, 0], SIGMA_FLOOR)))))
             logger.info(
                 "sigma regression for pair %s fell back to a constant (%s)", pair, exc
             )
-            model = SigmaModel.constant(pooled)
+            model = SigmaModel.constant(_pooled_sigma(obs[:, 0]))
         sigma_models[f"{pair[0]},{pair[1]}"] = model.to_dict()
 
     return {

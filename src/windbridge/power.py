@@ -2,7 +2,7 @@
 
 The generated power ``e(k)`` is what the turbine produces at hour ``k``; the
 corrected power ``e_bar(k)`` is what is actually injected into the grid once
-the ramp-rate policy caps hour-to-hour variations at ``limit * delta`` MW.
+the ramp-rate policy caps hour-to-hour variations at ``limit`` MW.
 The battery absorbs (or supplies) the difference ``|e - e_bar|``.
 """
 
@@ -59,21 +59,13 @@ DEFAULT_TURBINE = TurbineSpec(
 
 @dataclass(frozen=True)
 class RampPolicy:
-    """Ramp-rate limitation: at most ``limit`` MW of change per ``delta``-hour step."""
+    """Ramp-rate limitation: at most ``limit`` MW of change per hourly step."""
 
     limit: float
-    delta: float = 1.0
 
     def __post_init__(self) -> None:
         if self.limit <= 0.0:
             raise InputError(f"ramp limit must be positive, got {self.limit}")
-        if self.delta <= 0.0:
-            raise InputError(f"step length must be positive, got {self.delta}")
-
-    @property
-    def step_limit(self) -> float:
-        """Maximum allowed power change over one step, in MW."""
-        return self.limit * self.delta
 
 
 @dataclass
@@ -140,7 +132,7 @@ def apply_ramp_limit(
     """Apply the ramp-rate correction and return a new series with ``corrected`` set.
 
     Each step the injected power follows the generated power except that it may
-    not move by more than ``policy.step_limit`` from its previous value:
+    not move by more than ``policy.limit`` from its previous value:
     up-ramping events are capped at ``e_bar(k-1) + limit`` and down-ramping
     events at ``e_bar(k-1) - limit``.  The first value defaults to the first
     generated value when ``initial_corrected`` is not given.
@@ -154,7 +146,7 @@ def apply_ramp_limit(
     first = float(e[0]) if initial_corrected is None else float(initial_corrected)
     if capacity is not None and not (0.0 <= first <= capacity):
         raise InputError(f"initial corrected power {first} outside [0, {capacity}]")
-    step = policy.step_limit
+    step = policy.limit
     out = np.empty_like(e)
     prev = first
     out[0] = prev
@@ -220,11 +212,17 @@ POWER_HEADER = ["k", "e", "e_bar"]
 
 
 def _open_rows(path: Path):
+    """Yield ``(line number, fields)`` for each row that is neither blank nor a comment."""
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            yield row
+            yield reader.line_num, row
+
+
+def _malformed(path: Path, line: int, row: list[str], header: list[str]) -> InputError:
+    return InputError(f"{path}:{line}: malformed row {','.join(row)!r}, want {','.join(header)}")
 
 
 def read_wind_csv(path: str | Path) -> np.ndarray:
@@ -234,12 +232,17 @@ def read_wind_csv(path: str | Path) -> np.ndarray:
         raise InputError(f"wind input file not found: {path}")
     rows = _open_rows(path)
     try:
-        header = next(rows)
+        _, header = next(rows)
     except StopIteration:
         raise InputError(f"empty wind file: {path}") from None
     if [c.strip() for c in header] != WIND_HEADER:
         raise InputError(f"unexpected wind header {header!r} in {path}, want {WIND_HEADER}")
-    speeds = [float(row[1]) for row in rows]
+    speeds = []
+    for line, row in rows:
+        try:
+            speeds.append(float(row[1]))
+        except (IndexError, ValueError):
+            raise _malformed(path, line, row, WIND_HEADER) from None
     if not speeds:
         raise InputError(f"no wind rows in {path}")
     return np.asarray(speeds)
@@ -277,17 +280,20 @@ def read_power_csv(path: str | Path) -> PowerSeries:
         raise InputError(f"power file not found: {path}")
     rows = _open_rows(path)
     try:
-        header = [c.strip() for c in next(rows)]
+        header = [c.strip() for c in next(rows)[1]]
     except StopIteration:
         raise InputError(f"empty power file: {path}") from None
     if header not in (POWER_HEADER, POWER_HEADER[:2]):
         raise InputError(f"unexpected power header {header!r} in {path}")
     ks, es, ebs = [], [], []
-    for row in rows:
-        ks.append(int(row[0]))
-        es.append(float(row[1]))
-        if len(header) == 3:
-            ebs.append(float(row[2]))
+    for line, row in rows:
+        try:
+            ks.append(int(row[0]))
+            es.append(float(row[1]))
+            if len(header) == 3:
+                ebs.append(float(row[2]))
+        except (IndexError, ValueError):
+            raise _malformed(path, line, row, header) from None
     if not ks:
         raise InputError(f"no power rows in {path}")
     corrected = np.asarray(ebs) if ebs else None

@@ -24,6 +24,10 @@ __all__ = [
     "day_start_conditions",
 ]
 
+#: Simulated paths per compared class: this many times the real count, at least ``MIN_SIM_PATHS``.
+SIM_PATH_MULTIPLIER = 3
+MIN_SIM_PATHS = 100
+
 
 def rel_l2_error(real, sim) -> float:
     """``100 * ||real - sim|| / ||real||`` (Frobenius norm for matrices)."""
@@ -116,13 +120,11 @@ def compare_segments(
     charge_model: ChargeModel,
     rng: np.random.Generator | int | None = None,
     eligibility: int = 30,
-    min_paths: int = 100,
-    path_multiplier: int = 3,
 ) -> ComparisonReport:
     """Compare per-class sample means and covariances, real versus simulated.
 
     Only classes with at least ``eligibility`` complete observations are
-    compared; each gets ``max(path_multiplier * n_real, min_paths)`` simulated
+    compared; each gets ``max(SIM_PATH_MULTIPLIER * n_real, MIN_SIM_PATHS)`` simulated
     paths, drawn in one :meth:`ChargeModel.charge_paths` call per class, class
     after class from ``rng``.  Covariance entries use the n-1 convention on
     both sides; classes whose real covariance is identically zero report no
@@ -135,7 +137,7 @@ def compare_segments(
         if n_real < eligibility:
             continue
         real = table.charge_matrix(rows, x)
-        n_sim = max(path_multiplier * n_real, min_paths)
+        n_sim = max(SIM_PATH_MULTIPLIER * n_real, MIN_SIM_PATHS)
         sim = charge_model.charge_paths(i, j, x, n_sim, rng)[:, 1 : x + 1]
         l2_mean = rel_l2_error(real.mean(axis=0), sim.mean(axis=0))
         cov_real = np.atleast_2d(np.cov(real, rowvar=False, ddof=1))

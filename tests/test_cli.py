@@ -315,6 +315,17 @@ class TestFileInput:
             run_stage(cfg, "ingest")
         assert not (cfg.out_dir / "power.csv").exists()
 
+    def test_malformed_wind_row_exits_with_error_line(self, tmp_path, capsys):
+        wind_file = tmp_path / "measured.csv"
+        wind_file.write_text("timestamp,speed_ms\n2010-01-01T00:00:00,8.5\n2010-01-01T01:00:00\n")
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(f"[input]\nwind_csv = {wind_file}\n")
+        rc = main(["--config", str(cfg_file), "--out", str(tmp_path / "out"), "--stage", "ingest"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: [ingest]" in err and "measured.csv:3: malformed row" in err
+        assert "Traceback" not in err
+
     def test_nan_power_row_rejected_at_correct(self, tmp_path):
         cfg = small_config(tmp_path / "out")
         cfg.out_dir.mkdir()

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
+from scipy.special import ndtri
 from scipy.stats import spearmanr
 
 from windbridge.bridge import SIGMA_FLOOR, ErrorPath, sample_latent_bridge
 from windbridge.errors import EstimationError, InputError, InsufficientDataError
 from windbridge.estimation import (
+    LAMBDA_GRID,
+    REGRESSOR_NAMES,
     DegenerateSampler,
     EmpiricalCopulaSampler,
     SigmaModel,
@@ -22,6 +25,7 @@ from windbridge.estimation import (
     predict_sigma,
     predict_sigma_batch,
     sampler_from_dict,
+    _design_matrix,
 )
 
 LIMIT = 0.02
@@ -380,6 +384,89 @@ class TestSigmaRegression:
         back = SigmaModel.from_dict(model.to_dict())
         assert back.to_dict() == model.to_dict()
         assert predict_sigma(back, 1, 2, 0.3, 8) == predict_sigma(model, 1, 2, 0.3, 8)
+
+
+def oracle_sigma_regression(observations):
+    """The fit with one least-squares solve per grid exponent and a separate
+    QR for the leverages: the reference the one-factorisation fit must match."""
+    obs = np.asarray(observations, dtype=float)
+    sig = np.maximum(obs[:, 0], SIGMA_FLOOR)
+    X = _design_matrix(obs[:, 1], obs[:, 2], obs[:, 3], obs[:, 4])
+    n, p = X.shape
+
+    def ols_resid(y):
+        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+        return y - X @ beta
+
+    def normality_score(resid):
+        osm = ndtri((np.arange(1, n + 1) - 0.5) / n)
+        osr = np.sort(resid)
+        if np.ptp(osr) == 0:
+            return 0.0
+        return float(np.corrcoef(osm, osr)[0, 1] ** 2)
+
+    best_lam, best_score = None, -np.inf
+    for lam in LAMBDA_GRID:
+        score = normality_score(ols_resid(box_cox(sig, float(lam))))
+        if score > best_score:
+            best_lam, best_score = float(lam), score
+    y = box_cox(sig, best_lam)
+    resid = ols_resid(y)
+    q_thin = np.linalg.qr(X, mode="reduced")[0]
+    leverage = np.clip(np.sum(q_thin * q_thin, axis=1), 0.0, 1.0 - 1e-12)
+    s2 = float(resid @ resid) / (n - p)
+    cooks = resid**2 * leverage / (p * max(s2, 1e-300) * (1.0 - leverage) ** 2)
+    q1, med, q3 = np.percentile(cooks, [25, 50, 75])
+    keep = cooks <= med + 3.0 * (q3 - q1)
+    if keep.sum() < p + 1:
+        keep[:] = True
+    X2, y2 = X[keep], y[keep]
+    beta, *_ = np.linalg.lstsq(X2, y2, rcond=None)
+    resid2 = y2 - X2 @ beta
+    n2 = X2.shape[0]
+    ss_res = float(resid2 @ resid2)
+    ss_tot = float(np.sum((y2 - y2.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return SigmaModel(
+        lam=best_lam,
+        coef=beta,
+        feature_names=REGRESSOR_NAMES,
+        adj_r2=float(1.0 - (1.0 - r2) * (n2 - 1) / max(n2 - p, 1)),
+        resid_std=float(np.sqrt(ss_res / max(n2 - p, 1))),
+        n_outliers_removed=int(n - n2),
+        n_obs=int(n2),
+    )
+
+
+def assert_same_fit(obs):
+    got, want = fit_sigma_regression(obs), oracle_sigma_regression(obs)
+    assert got.lam == want.lam
+    assert got.n_outliers_removed == want.n_outliers_removed
+    assert got.n_obs == want.n_obs
+    assert np.array_equal(got.coef, want.coef)
+    assert np.array_equal(got.adj_r2, want.adj_r2)
+    assert np.array_equal(got.resid_std, want.resid_std)
+
+
+class TestSigmaRegressionOracle:
+    def test_criterion_5_observations(self):
+        # the same generator, seed and size as acceptance criterion 5
+        assert_same_fit(synthetic_sigma_observations(500, np.random.default_rng(1005)))
+
+    def test_every_pair_of_a_fitted_series(self, renewal_data, monkeypatch):
+        import windbridge.pipeline as pipeline
+
+        seen = []
+
+        def recording_fit(obs):
+            seen.append(np.array(obs))
+            return fit_sigma_regression(obs)
+
+        monkeypatch.setattr(pipeline, "fit_sigma_regression", recording_fit)
+        pipeline.build_model_doc(renewal_data[1], limit=LIMIT, capacity=CAPACITY, seed_key=(7,))
+        assert len(seen) == 4  # one per (i, j) pair with i, j in {-1, 1}
+        for obs in seen:
+            assert_same_fit(obs)
 
 
 @settings(max_examples=30, deadline=None)

@@ -189,6 +189,23 @@ class TestCsvRoundTrips:
         with pytest.raises(InputError, match="header"):
             read_wind_csv(path)
 
+    @pytest.mark.parametrize("row", ["1", "1,abc"])
+    def test_malformed_wind_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "wind.csv"
+        path.write_text(f"timestamp,speed_ms\n0,5.2\n{row}\n2,6.0\n")
+        with pytest.raises(InputError, match=r"wind\.csv:3: malformed row"):
+            read_wind_csv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["k,e\n0,1.0\n1\n", "k,e\n0,1.0\n1,abc\n", "k,e,e_bar\n0,1.0,1.0\n1,1.2\n"],
+    )
+    def test_malformed_power_row_names_file_and_line(self, tmp_path, text):
+        path = tmp_path / "power.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=r"power\.csv:3: malformed row"):
+            read_power_csv(path)
+
     def test_iso_timestamps_accepted(self, tmp_path):
         path = tmp_path / "wind.csv"
         path.write_text(
