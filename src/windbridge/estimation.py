@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import qr
@@ -517,8 +518,9 @@ class SigmaModel:
     resid_std: float
     n_outliers_removed: int
     n_obs: int
-    sigma_floor: float = SIGMA_FLOOR
     floored_predictions: int = 0  # diagnostic counter, not serialized
+    #: Least predicted volatility; the same for every model and not serialized.
+    sigma_floor: ClassVar[float] = SIGMA_FLOOR
 
     def __post_init__(self) -> None:
         self.coef = np.asarray(self.coef, dtype=float)
@@ -527,9 +529,9 @@ class SigmaModel:
             raise InputError("one coefficient per feature required")
 
     @classmethod
-    def constant(cls, sigma: float, sigma_floor: float = SIGMA_FLOOR) -> "SigmaModel":
+    def constant(cls, sigma: float) -> "SigmaModel":
         """Intercept-only fallback returning a fixed volatility."""
-        sigma = max(float(sigma), sigma_floor)
+        sigma = max(float(sigma), SIGMA_FLOOR)
         return cls(
             lam=0.0,
             coef=np.array([np.log(sigma)]),
@@ -538,7 +540,6 @@ class SigmaModel:
             resid_std=0.0,
             n_outliers_removed=0,
             n_obs=0,
-            sigma_floor=sigma_floor,
         )
 
     def to_dict(self) -> dict:
@@ -550,7 +551,6 @@ class SigmaModel:
             "resid_std": self.resid_std,
             "n_outliers_removed": self.n_outliers_removed,
             "n_obs": self.n_obs,
-            "sigma_floor": self.sigma_floor,
         }
 
     @classmethod
@@ -563,7 +563,6 @@ class SigmaModel:
             resid_std=float(data["resid_std"]),
             n_outliers_removed=int(data["n_outliers_removed"]),
             n_obs=int(data["n_obs"]),
-            sigma_floor=float(data["sigma_floor"]),
         )
 
 
@@ -693,4 +692,4 @@ def predict_sigma_batch(model: SigmaModel, rho, tau, h, x: float) -> np.ndarray:
             n_outside, model.lam, pred[outside][0], model.floored_predictions,
         )
     # fmax also floors the NaN entries
-    return np.fmax(sigma, model.sigma_floor)
+    return np.fmax(sigma, SIGMA_FLOOR)

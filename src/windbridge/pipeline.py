@@ -16,7 +16,7 @@ import json
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +115,6 @@ class RunConfig:
     fees: PenaltySpec = DEFAULT_FEES
     horizon: int = 24
     n_paths: int = 2000
-    moment_order: int = 2
     seed: int = 12345
     eligibility: int = 30
     min_group_sample: int = 10
@@ -146,20 +145,14 @@ class RunConfig:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Short digest of everything that affects the outputs (the out dir does not)."""
+    """Short digest of every field that affects the outputs.
+
+    Where the artifacts go and whether a sample path is dumped do not.
+    """
     parts = [
-        f"wind_csv={cfg.wind_csv}",
-        f"synthetic={cfg.synthetic}",
-        f"turbine={cfg.turbine}",
-        f"limits={cfg.limits}",
-        f"battery={cfg.battery}",
-        f"fees={cfg.fees}",
-        f"horizon={cfg.horizon}",
-        f"n_paths={cfg.n_paths}",
-        f"moment_order={cfg.moment_order}",
-        f"seed={cfg.seed}",
-        f"eligibility={cfg.eligibility}",
-        f"min_group_sample={cfg.min_group_sample}",
+        f"{f.name}={getattr(cfg, f.name)}"
+        for f in fields(RunConfig)
+        if f.name not in ("out_dir", "dump_paths")
     ]
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
@@ -172,15 +165,34 @@ _CONFIG_KEYS = {
     "policy": {"limits"},
     "battery": {"soc_min", "soc_max", "soc_init"},
     "fees": {"up", "down", "discount_rate"},
-    "simulation": {"horizon", "paths", "moment_order", "seed"},
+    "simulation": {"horizon", "paths", "seed"},
     "validation": {"eligibility"},
     "fit": {"min_group_sample"},
     "output": {"dir"},
 }
+#: Keys named other than the field they set; every other key names its field.
+_FIELD_OF = {"up": "up_fee", "down": "down_fee", "paths": "n_paths"}
+
+
+def _typed_values(parser: configparser.ConfigParser, path: Path, section: str, target) -> dict:
+    """The keys set in ``section``, as ``{field: value}`` typed like ``target``'s fields."""
+    out = {}
+    for key, raw in parser.items(section):
+        name = _FIELD_OF.get(key, key)
+        kind = type(getattr(target, name))
+        try:
+            out[name] = kind(raw)
+        except ValueError:
+            raise InputError(f"{path}: [{section}] {key} = {raw!r} is not {kind.__name__}") from None
+    return out
 
 
 def load_config(path: str | Path, out_dir: str | Path | None = None) -> RunConfig:
-    """Parse the INI-style run configuration; unknown sections and keys are errors."""
+    """Parse the INI-style run configuration; unknown sections and keys are errors.
+
+    A key left out keeps the default of the field it sets, except that
+    ``[battery] soc_init`` defaults to the midpoint of the configured band.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"config file not found: {path}")
@@ -196,56 +208,30 @@ def load_config(path: str | Path, out_dir: str | Path | None = None) -> RunConfi
         if unknown:
             raise InputError(f"{path}: unknown key(s) in [{section}]: {', '.join(unknown)}")
 
-    kwargs: dict = {}
-    if parser.has_option("input", "wind_csv"):
-        kwargs["wind_csv"] = Path(parser.get("input", "wind_csv"))
-    if parser.has_section("synthetic"):
-        s = parser["synthetic"]
-        kwargs["synthetic"] = SyntheticWindSpec(
-            n_steps=s.getint("n_steps", 50_000),
-            shape=s.getfloat("shape", 2.0),
-            scale=s.getfloat("scale", 8.0),
-            autocorrelation=s.getfloat("autocorrelation", 0.9),
-        )
-    if parser.has_section("turbine"):
-        t = parser["turbine"]
-        kwargs["turbine"] = TurbineSpec(
-            cut_in_speed=t.getfloat("cut_in_speed", 4.0),
-            rated_speed=t.getfloat("rated_speed", 13.0),
-            cut_out_speed=t.getfloat("cut_out_speed", 25.0),
-            rated_capacity=t.getfloat("rated_capacity", 2.0),
-        )
-    if parser.has_option("policy", "limits"):
-        raw = parser.get("policy", "limits").replace(",", " ").split()
-        kwargs["limits"] = tuple(float(v) for v in raw)
-    if parser.has_section("battery"):
-        b = parser["battery"]
-        soc_max = b.getfloat("soc_max", 0.36)
-        kwargs["battery"] = BatterySpec(
-            soc_min=b.getfloat("soc_min", 0.0),
-            soc_max=soc_max,
-            soc_init=b.getfloat("soc_init", soc_max / 2.0),
-        )
-    if parser.has_section("fees"):
-        f = parser["fees"]
-        kwargs["fees"] = PenaltySpec(
-            up_fee=f.getfloat("up", 21.52),
-            down_fee=f.getfloat("down", 26.50),
-            discount_rate=f.getfloat("discount_rate", 0.0),
-        )
-    if parser.has_section("simulation"):
-        s = parser["simulation"]
-        kwargs["horizon"] = s.getint("horizon", 24)
-        kwargs["n_paths"] = s.getint("paths", 2000)
-        kwargs["moment_order"] = s.getint("moment_order", 2)
-        kwargs["seed"] = s.getint("seed", 12345)
-    if parser.has_option("validation", "eligibility"):
-        kwargs["eligibility"] = parser.getint("validation", "eligibility")
-    if parser.has_option("fit", "min_group_sample"):
-        kwargs["min_group_sample"] = parser.getint("fit", "min_group_sample")
     if out_dir is None:
         out_dir = parser.get("output", "dir", fallback="windbridge_out")
-    return RunConfig(out_dir=Path(out_dir), **kwargs)
+    cfg = RunConfig(out_dir=Path(out_dir))
+    changes: dict = {}
+    if parser.has_option("input", "wind_csv"):
+        changes["wind_csv"] = Path(parser.get("input", "wind_csv"))
+    if parser.has_option("policy", "limits"):
+        raw = parser.get("policy", "limits")
+        try:
+            changes["limits"] = tuple(float(v) for v in raw.replace(",", " ").split())
+        except ValueError:
+            raise InputError(f"{path}: [policy] limits = {raw!r} is not a list of floats") from None
+    for section in ("simulation", "validation", "fit"):
+        if parser.has_section(section):
+            changes.update(_typed_values(parser, path, section, cfg))
+    for section in ("synthetic", "turbine", "battery", "fees"):
+        if parser.has_section(section):
+            spec = getattr(cfg, section)
+            values = _typed_values(parser, path, section, spec)
+            if section == "battery" and "soc_init" not in values:
+                band = values.get("soc_min", spec.soc_min), values.get("soc_max", spec.soc_max)
+                values["soc_init"] = (band[0] + band[1]) / 2.0
+            changes[section] = replace(spec, **values)
+    return replace(cfg, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +393,6 @@ def build_model_doc(
     return {
         "limit_mw": limit,
         "capacity_mw": capacity,
-        "sigma_floor": SIGMA_FLOOR,
         "sigma_default": sigma_default,
         "samplers": samplers,
         "sigma_models": sigma_models,
@@ -429,7 +414,6 @@ def charge_model_from_doc(doc: dict) -> ChargeModel:
         limit=doc["limit_mw"],
         capacity=doc["capacity_mw"],
         sigma_default=doc["sigma_default"],
-        sigma_floor=doc["sigma_floor"],
     )
 
 
@@ -502,7 +486,7 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
             if b == 0:
                 sample = block[0]
             penalty += [path.penalty for path in block]
-        table = mc_moments(lambda n: penalty[n], cfg.n_paths, cfg.horizon, cfg.moment_order, cfg.fees)
+        table = mc_moments(np.stack(penalty[: cfg.n_paths])[:, 1:], cfg.fees.discount_rate)
         rows = [["t", "mean", "std", "se_mean"]] + [
             [int(t), repr(float(m)), repr(float(s)), repr(float(se))]
             for t, m, s, se in zip(table.steps, table.mean, table.std, table.se_mean)
@@ -568,15 +552,14 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
             "limit %s: %d of %d paths start inside a sojourn at least as long as "
             "any completed one and restart it", tag, restarts, cfg.n_paths,
         )
-        table = mc_moments(lambda n: penalty[n], cfg.n_paths, cfg.horizon, 2, cfg.fees)
-        sim_second = table.moments[1]
+        table = mc_moments(np.stack(penalty[: cfg.n_paths])[:, 1:], cfg.fees.discount_rate)
         try:
             mape_first, skipped = mape_detail(emp_first, table.mean)
         except InputError:
             logger.info("limit %s: no nonzero empirical penalties; MAPE undefined", tag)
             mape_first, skipped = None, int(emp_first.size)
         try:
-            mape_second, _ = mape_detail(emp_second, sim_second)
+            mape_second, _ = mape_detail(emp_second, table.second)
         except InputError:
             mape_second = None
         report.mape_first_moment_pct = mape_first

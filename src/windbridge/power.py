@@ -240,8 +240,9 @@ def read_wind_csv(path: str | Path) -> np.ndarray:
     speeds = []
     for line, row in rows:
         try:
-            speeds.append(float(row[1]))
-        except (IndexError, ValueError):
+            _, speed = row
+            speeds.append(float(speed))
+        except ValueError:
             raise _malformed(path, line, row, WIND_HEADER) from None
     if not speeds:
         raise InputError(f"no wind rows in {path}")
@@ -287,12 +288,14 @@ def read_power_csv(path: str | Path) -> PowerSeries:
         raise InputError(f"unexpected power header {header!r} in {path}")
     ks, es, ebs = [], [], []
     for line, row in rows:
+        if len(row) != len(header):
+            raise _malformed(path, line, row, header)
         try:
             ks.append(int(row[0]))
             es.append(float(row[1]))
             if len(header) == 3:
                 ebs.append(float(row[2]))
-        except (IndexError, ValueError):
+        except ValueError:
             raise _malformed(path, line, row, header) from None
     if not ks:
         raise InputError(f"no power rows in {path}")

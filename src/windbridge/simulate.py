@@ -5,7 +5,7 @@ and Monte Carlo estimation of the discounted cumulative penalty moments.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "simulate_penalty_paths",
     "simulate_penalty_path",
     "discounted_penalty",
-    "window_sums",
     "MomentTable",
     "mc_moments",
 ]
@@ -95,14 +94,12 @@ class ChargeModel:
         limit: float,
         capacity: float,
         sigma_default: float = SIGMA_FLOOR,
-        sigma_floor: float = SIGMA_FLOOR,
     ):
         self.samplers = dict(samplers)
         self.sigma_models = dict(sigma_models)
         self.limit = float(limit)
         self.capacity = float(capacity)
         self.sigma_default = float(sigma_default)
-        self.sigma_floor = float(sigma_floor)
         xs: dict[tuple[int, int], list[int]] = {}
         for (i, j, x) in self.samplers:
             xs.setdefault((i, j), []).append(x)
@@ -123,7 +120,7 @@ class ChargeModel:
     def sigma_model_for(self, i: int, j: int) -> SigmaModel:
         model = self.sigma_models.get((i, j))
         if model is None:
-            return SigmaModel.constant(self.sigma_default, self.sigma_floor)
+            return SigmaModel.constant(self.sigma_default)
         return model
 
     def charge_path(self, i: int, j: int, x: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,7 +158,7 @@ class ChargeModel:
         # rows by peak time; volatilities within rounding of the floor count
         # as "no noise" and draw no bridge
         groups: dict[int, list[int]] = {}
-        noise_floor = self.sigma_floor * (1.0 + 1e-9)
+        noise_floor = SIGMA_FLOOR * (1.0 + 1e-9)
         for r, (t, s) in enumerate(zip(tau.tolist(), sigma.tolist())):
             if s > noise_floor:
                 groups.setdefault(t, []).append(r)
@@ -222,19 +219,6 @@ def discounted_penalty(penalty: np.ndarray, rate: float) -> np.ndarray:
     m = np.asarray(penalty, dtype=float)
     weights = np.exp(-rate * np.arange(m.shape[-1]))
     return np.cumsum(m * weights, axis=-1)
-
-
-def window_sums(windows: np.ndarray, rate: float) -> np.ndarray:
-    """``W(t) = sum_{1<=k<=t} M(k) exp(-rate k)`` for each row of ``windows``.
-
-    ``windows`` has shape ``(n, T)`` and holds ``M(1..T)``; the result has the
-    same shape.  Step 0 enters as ``-0.0``, the exact additive identity, so
-    every sum starts at step 1 bit for bit.
-    """
-    n, steps = windows.shape
-    padded = np.full((n, steps + 1), -0.0)
-    padded[:, 1:] = windows
-    return discounted_penalty(padded, rate)[:, 1:]
 
 
 def battery_recursion(
@@ -414,54 +398,36 @@ class MomentTable:
     """Per-step sampling moments of the discounted cumulative penalty."""
 
     steps: np.ndarray
-    moments: list[np.ndarray] = field(default_factory=list)
-    mean: np.ndarray = field(default=None)  # type: ignore[assignment]
-    std: np.ndarray = field(default=None)  # type: ignore[assignment]
-    se_mean: np.ndarray = field(default=None)  # type: ignore[assignment]
-    n_paths: int = 0
+    mean: np.ndarray
+    second: np.ndarray
+    std: np.ndarray
+    se_mean: np.ndarray
+    n_paths: int
 
 
-def mc_moments(
-    path_generator,
-    n_paths: int,
-    horizon: int,
-    order: int = 2,
-    fees: PenaltySpec = DEFAULT_FEES,
-) -> MomentTable:
-    """Monte Carlo sampling moments of ``W(t) = sum_{k<=t} M(k) exp(-r k)``.
+def mc_moments(windows: np.ndarray, discount_rate: float = 0.0) -> MomentTable:
+    """Sampling moments of ``W(t) = sum_{1<=k<=t} M(k) exp(-r k)``, ``t = 1..T``.
 
-    ``path_generator(n)`` must return the penalty array ``M(0..>=horizon)`` of
-    the ``n``-th path.  Returns the first ``order`` raw moments per step plus
-    the sample standard deviation (n-1 denominator) and the Monte Carlo
-    standard error of the mean.
+    ``windows`` has shape ``(n, T)``: row ``n`` holds ``M(1..T)`` of the
+    ``n``-th path or observed window, each discounted from its own step 0.
+    Returns the per-step mean, raw second moment, sample standard deviation
+    (n-1 denominator) and Monte Carlo standard error of the mean.
     """
-    if n_paths < 2:
-        raise InputError("need at least 2 paths for moment estimates")
-    if order < 1:
-        raise InputError("moment order must be >= 1")
-    if horizon < 1:
-        raise InputError("horizon must be >= 1")
-    m_paths = np.empty((n_paths, horizon))
-    for n in range(n_paths):
-        try:
-            m = np.asarray(path_generator(n), dtype=float)
-        except Exception as exc:  # noqa: BLE001 - annotate the failing path
-            raise SimulationError(f"path {n} failed: {exc}") from exc
-        if m.size < horizon + 1:
-            raise SimulationError(
-                f"path {n} covers {m.size - 1} steps, needs at least {horizon}"
-            )
-        m_paths[n] = m[1 : horizon + 1]
-    w = window_sums(m_paths, fees.discount_rate)
-    moments = [w.mean(axis=0)]
-    for a in range(2, order + 1):
-        moments.append((w**a).mean(axis=0))
+    m = np.asarray(windows, dtype=float)
+    if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] < 1:
+        raise InputError(f"need (n, T) windows with n >= 2 and T >= 1, got shape {m.shape}")
+    n, steps = m.shape
+    # step 0 enters as -0.0, the exact additive identity, so every sum starts
+    # at step 1 bit for bit
+    padded = np.full((n, steps + 1), -0.0)
+    padded[:, 1:] = m
+    w = discounted_penalty(padded, discount_rate)[:, 1:]
     std = w.std(axis=0, ddof=1)
     return MomentTable(
-        steps=np.arange(1, horizon + 1),
-        moments=moments,
-        mean=moments[0],
+        steps=np.arange(1, steps + 1),
+        mean=w.mean(axis=0),
+        second=(w**2).mean(axis=0),
         std=std,
-        se_mean=std / np.sqrt(n_paths),
-        n_paths=n_paths,
+        se_mean=std / np.sqrt(n),
+        n_paths=n,
     )

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InputError
 from .segmentation import SegmentTable, backward_times, complete_classes
-from .simulate import BatterySpec, ChargeModel, PenaltySpec, battery_recursion, window_sums
+from .simulate import BatterySpec, ChargeModel, PenaltySpec, battery_recursion, mc_moments
 
 __all__ = [
     "rel_l2_error",
@@ -180,15 +180,16 @@ def daily_penalty_moments(
     """Fold a long penalty series into windows and average the discounted sums.
 
     Window ``d`` covers steps ``d*horizon + 1 .. (d+1)*horizon`` with
-    window-relative discounting.  Returns per-step first and second moments of
-    the cumulative discounted penalty plus the number of complete windows.
+    window-relative discounting; :func:`mc_moments` averages them as it does
+    simulated paths.  Returns per-step first and second moments of the
+    cumulative discounted penalty plus the number of complete windows.
     """
     m = np.asarray(penalty, dtype=float)
     n_days = (m.size - 1) // horizon
-    if n_days < 1:
-        raise InputError(f"series too short for one {horizon}-step window")
-    w = window_sums(m[1 : n_days * horizon + 1].reshape(n_days, horizon), discount_rate)
-    return w.mean(axis=0), (w**2).mean(axis=0), n_days
+    if n_days < 2:
+        raise InputError(f"series too short for two {horizon}-step windows")
+    table = mc_moments(m[1 : n_days * horizon + 1].reshape(n_days, horizon), discount_rate)
+    return table.mean, table.second, n_days
 
 
 def day_start_conditions(

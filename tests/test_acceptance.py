@@ -277,12 +277,11 @@ def test_criterion_07_soc_penalty_oracle(fitted_kernel, fitted_model):
 def test_criterion_08_mc_moment_estimator(fitted_kernel, fitted_model):
     with timer() as t:
         fees0 = PenaltySpec(1.0, 1.0, discount_rate=0.0)
-        table = mc_moments(lambda n: np.ones(30), 50, 24, order=2, fees=fees0)
+        table = mc_moments(np.ones((50, 24)), fees0.discount_rate)
         np.testing.assert_array_equal(table.mean, np.arange(1.0, 25.0))
         np.testing.assert_array_equal(table.std, np.zeros(24))
 
-        paths = {0: np.zeros(4), 1: np.array([0.0, 2.0, 0.0, 0.0])}
-        toy = mc_moments(lambda n: paths[n], 2, 1, order=1, fees=fees0)
+        toy = mc_moments(np.array([[0.0], [2.0]]), fees0.discount_rate)
         assert toy.mean[0] == 1.0 and toy.std[0] == approx(np.sqrt(2.0))
 
         battery = BatterySpec(0.0, 0.36, 0.18)
@@ -290,14 +289,14 @@ def test_criterion_08_mc_moment_estimator(fitted_kernel, fitted_model):
         horizon = 24
         ses = {}
         for n_paths in (100, 1000, 10_000):
-            def gen(p, _n=n_paths):
-                seed = np.random.SeedSequence((1008, _n, p))
-                return simulate_penalty_path(
-                    fitted_kernel, fitted_model, battery, fees,
-                    horizon=horizon, seed=np.random.default_rng(seed),
+            penalty = np.stack([
+                simulate_penalty_path(
+                    fitted_kernel, fitted_model, battery, fees, horizon=horizon,
+                    seed=np.random.default_rng(np.random.SeedSequence((1008, n_paths, p))),
                 ).penalty
-
-            ses[n_paths] = float(mc_moments(gen, n_paths, horizon, fees=fees).se_mean[-1])
+                for p in range(n_paths)
+            ])
+            ses[n_paths] = float(mc_moments(penalty[:, 1:], fees.discount_rate).se_mean[-1])
         for a, b in ((100, 1000), (1000, 10_000), (100, 10_000)):
             ratio = ses[a] / ses[b]
             theory = np.sqrt(b / a)

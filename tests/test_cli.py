@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,9 @@ from windbridge.pipeline import (
     run_pipeline,
     run_stage,
 )
-from windbridge.power import read_power_csv
+from windbridge.power import DEFAULT_TURBINE, read_power_csv
 from windbridge.segmentation import SemiMarkovKernel
+from windbridge.simulate import DEFAULT_BATTERY, DEFAULT_FEES, BatterySpec, PenaltySpec
 
 
 def small_config(out_dir, **kw):
@@ -119,9 +121,9 @@ class TestPipeline:
         real = pipeline.mc_moments
         drawn: list[np.ndarray] = []
 
-        def capture(generate, n_paths, *args):
-            drawn.append(np.array([generate(n) for n in range(n_paths)]))
-            return real(generate, n_paths, *args)
+        def capture(windows, *args):
+            drawn.append(np.array(windows))
+            return real(windows, *args)
 
         monkeypatch.setattr(pipeline, "mc_moments", capture)
         cfg, _ = pipeline_run
@@ -131,7 +133,7 @@ class TestPipeline:
             run_stage(more, "simulate")
             run_stage(more, "validate")
         sim_100, val_100, sim_300, val_300 = drawn
-        assert sim_300.shape == val_300.shape == (300, cfg.horizon + 1)
+        assert sim_300.shape == val_300.shape == (300, cfg.horizon)
         np.testing.assert_array_equal(sim_100, sim_300[:100])
         np.testing.assert_array_equal(val_100, val_300[:100])
         assert not np.array_equal(sim_300[:100], sim_300[128:228])
@@ -182,6 +184,57 @@ class TestRunConfig:
         with pytest.raises(InputError, match="artifact tag"):
             small_config(tmp_path, limits=(0.01, 0.05, 0.05000001))
         assert small_config(tmp_path, limits=(0.05, 0.051)).limits == (0.05, 0.051)
+
+    def test_config_hash_covers_every_output_field(self, tmp_path):
+        cfg = small_config(tmp_path)
+        changed = {
+            "wind_csv": tmp_path / "wind.csv",
+            "synthetic": SyntheticWindSpec(n_steps=6001),
+            "turbine": replace(DEFAULT_TURBINE, rated_capacity=3.0),
+            "limits": (0.02,),
+            "battery": BatterySpec(0.0, 1.0, 0.5),
+            "fees": PenaltySpec(1.0, 1.0),
+            "horizon": 12,
+            "n_paths": 61,
+            "seed": 2025,
+            "eligibility": 31,
+            "min_group_sample": 11,
+        }
+        assert set(changed) == {f.name for f in fields(RunConfig)} - {"out_dir", "dump_paths"}
+        for name, value in changed.items():
+            assert config_hash(replace(cfg, **{name: value})) != config_hash(cfg), name
+        same = replace(cfg, out_dir=tmp_path / "elsewhere", dump_paths=True)
+        assert config_hash(same) == config_hash(cfg)
+
+
+class TestLoadConfig:
+    def test_battery_band_without_soc_init_starts_at_its_midpoint(self, tmp_path):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text("[battery]\nsoc_min = 0.2\nsoc_max = 0.3\n")
+        assert load_config(cfg_file).battery == BatterySpec(0.2, 0.3, 0.25)
+
+    @pytest.mark.parametrize(
+        "text, attr, expected",
+        [
+            ("[synthetic]\nscale = 7.5\n", "synthetic", SyntheticWindSpec(scale=7.5)),
+            ("[turbine]\nrated_speed = 12\n", "turbine", replace(DEFAULT_TURBINE, rated_speed=12.0)),
+            ("[battery]\nsoc_init = 0.1\n", "battery", replace(DEFAULT_BATTERY, soc_init=0.1)),
+            ("[battery]\nsoc_max = 0.5\n", "battery", BatterySpec(0.0, 0.5, 0.25)),
+            ("[fees]\ndown = 30\n", "fees", replace(DEFAULT_FEES, down_fee=30.0)),
+            ("[fees]\ndiscount_rate = 0.01\n", "fees", replace(DEFAULT_FEES, discount_rate=0.01)),
+        ],
+    )
+    def test_partial_section_keeps_the_other_defaults(self, tmp_path, text, attr, expected):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(text)
+        cfg = load_config(cfg_file, out_dir=tmp_path)
+        assert getattr(cfg, attr) == expected
+        assert replace(cfg, **{attr: getattr(RunConfig(out_dir=tmp_path), attr)}) == RunConfig(out_dir=tmp_path)
+
+    def test_partial_simulation_section_keeps_the_other_defaults(self, tmp_path):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text("[simulation]\npaths = 30\n")
+        assert load_config(cfg_file, out_dir=tmp_path) == RunConfig(out_dir=tmp_path, n_paths=30)
 
 
 class TestStageErrors:
@@ -263,6 +316,9 @@ class TestCliFrontEnd:
             ("[simulations]\npaths = 30\n", r"unknown section \[simulations\]"),
             ("[fit]\nmin_group = 5\n", r"unknown key\(s\) in \[fit\]: min_group"),
             ("[DEFAULT]\nseed = 5\n", r"unknown key\(s\) in \[DEFAULT\]: seed"),
+            ("[simulation]\nmoment_order = 2\n", r"unknown key\(s\) in \[simulation\]: moment_order"),
+            ("[simulation]\npaths = 3.5\n", r"\[simulation\] paths = '3.5' is not int"),
+            ("[policy]\nlimits = 0.01 five\n", r"\[policy\] limits = '0.01 five' is not a list of floats"),
         ],
     )
     def test_unknown_config_entries_rejected(self, tmp_path, text, match):
@@ -325,6 +381,17 @@ class TestFileInput:
         assert rc == 1
         assert "error: [ingest]" in err and "measured.csv:3: malformed row" in err
         assert "Traceback" not in err
+
+    def test_wind_row_with_an_extra_field_exits_with_error_line(self, tmp_path, capsys):
+        wind_file = tmp_path / "measured.csv"
+        wind_file.write_text("timestamp,speed_ms\n2010-01-01T00:00:00,8.5,7\n2010-01-01T01:00:00,9.0\n")
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(f"[input]\nwind_csv = {wind_file}\n")
+        rc = main(["--config", str(cfg_file), "--out", str(tmp_path / "out"), "--stage", "ingest"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: [ingest]" in err and "measured.csv:2: malformed row" in err
+        assert not (tmp_path / "out" / "power.csv").exists()
 
     def test_nan_power_row_rejected_at_correct(self, tmp_path):
         cfg = small_config(tmp_path / "out")

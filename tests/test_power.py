@@ -189,7 +189,7 @@ class TestCsvRoundTrips:
         with pytest.raises(InputError, match="header"):
             read_wind_csv(path)
 
-    @pytest.mark.parametrize("row", ["1", "1,abc"])
+    @pytest.mark.parametrize("row", ["1", "1,abc", "1,6.0,7", "1,6.0,"])
     def test_malformed_wind_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "wind.csv"
         path.write_text(f"timestamp,speed_ms\n0,5.2\n{row}\n2,6.0\n")
@@ -198,7 +198,13 @@ class TestCsvRoundTrips:
 
     @pytest.mark.parametrize(
         "text",
-        ["k,e\n0,1.0\n1\n", "k,e\n0,1.0\n1,abc\n", "k,e,e_bar\n0,1.0,1.0\n1,1.2\n"],
+        [
+            "k,e\n0,1.0\n1\n",
+            "k,e\n0,1.0\n1,abc\n",
+            "k,e,e_bar\n0,1.0,1.0\n1,1.2\n",
+            "k,e\n0,1.0\n1,1.2,7\n",
+            "k,e,e_bar\n0,1.0,1.0\n1,1.2,1.2,\n",
+        ],
     )
     def test_malformed_power_row_names_file_and_line(self, tmp_path, text):
         path = tmp_path / "power.csv"

@@ -105,7 +105,7 @@ def oracle_charge_path(model, i, j, x, rng):
         return np.array([0.0, min(max(h, 0.0), rho), 0.0])
     params = BridgeParams(rho=rho, tau=tau, h=h, sigma=sigma)
     latent = np.zeros(x)
-    if sigma > model.sigma_floor * (1.0 + 1e-9):
+    if sigma > SIGMA_FLOOR * (1.0 + 1e-9):
         latent = sample_latent_bridge(x, tau, sigma, rng)[0]
     c = triangle_path(params, x)
     c[1 : x + 1] += clip_error(latent, params, x, model.limit).values
@@ -492,33 +492,20 @@ class TestDiscountedPenalty:
 
 class TestMcMoments:
     def test_all_zero_paths(self):
-        table = mc_moments(lambda n: np.zeros(30), 10, 24, order=2)
+        table = mc_moments(np.zeros((10, 24)))
         assert np.all(table.mean == 0.0) and np.all(table.std == 0.0)
 
     def test_deterministic_unit_penalty(self):
-        table = mc_moments(lambda n: np.ones(30), 10, 24, order=2)
+        table = mc_moments(np.ones((10, 24)))
         np.testing.assert_allclose(table.mean, np.arange(1, 25))
         np.testing.assert_allclose(table.std, 0.0)
 
     def test_two_path_toy(self):
-        paths = {0: np.zeros(5), 1: np.array([0.0, 2.0, 0.0, 0.0, 0.0])}
-        table = mc_moments(lambda n: paths[n], 2, 1, order=2)
+        table = mc_moments(np.array([[0.0], [2.0]]))
         assert table.mean[0] == approx(1.0)
         assert table.std[0] == approx(np.sqrt(2.0))
 
-    def test_short_path_rejected_with_index(self):
-        with pytest.raises(SimulationError, match="path 3"):
-            mc_moments(lambda n: np.zeros(30 if n != 3 else 5), 5, 24)
-
-    def test_generator_failure_annotated(self):
-        def gen(n):
-            if n == 2:
-                raise ValueError("boom")
-            return np.zeros(30)
-
-        with pytest.raises(SimulationError, match="path 2"):
-            mc_moments(gen, 5, 24)
-
     def test_minimum_paths(self):
-        with pytest.raises(InputError):
-            mc_moments(lambda n: np.zeros(30), 1, 24)
+        for shape in [(1, 24), (10, 0), (24,), (2, 3, 4)]:
+            with pytest.raises(InputError, match="n >= 2 and T >= 1"):
+                mc_moments(np.zeros(shape))

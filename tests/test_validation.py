@@ -220,11 +220,11 @@ class TestDailyFolding:
         pen = np.random.default_rng(3).uniform(0.0, 2.0, n_days * horizon + 1 + 3)
         first, second, got_days = daily_penalty_moments(pen, horizon, r)
         # window d as a path: its step 0 is step d*horizon of the series
-        windows = [pen[d * horizon : (d + 1) * horizon + 1] for d in range(n_days)]
-        table = mc_moments(lambda d: windows[d], n_days, horizon, 2, PenaltySpec(1, 1, r))
+        windows = np.stack([pen[d * horizon : (d + 1) * horizon + 1] for d in range(n_days)])
+        table = mc_moments(windows[:, 1:], r)
         assert got_days == n_days
         np.testing.assert_array_equal(first, table.mean)
-        np.testing.assert_array_equal(second, table.moments[1])
+        np.testing.assert_array_equal(second, table.second)
 
     def test_day_start_conditions(self, renewal_data, corrected_series):
         states, table = renewal_data
