@@ -27,7 +27,6 @@ from .errors import (
 from .estimation import (
     DegenerateSampler,
     EmpiricalCopulaSampler,
-    ParamSampler,
     SigmaModel,
     SupportSpec,
     attainable_param_support,

@@ -4,7 +4,7 @@ Three pieces:
 
 * the constrained support of ``(rho, tau, h)`` per segment class,
 * a rank-based Gaussian-copula sampler with empirical-quantile marginals
-  (bootstrap-augmented for thin classes), behind a small pluggable interface,
+  (bootstrap-augmented for thin classes),
 * the per-path volatility MLE and the per-(i, j) Box-Cox regression that
   predicts volatility from ``(rho, tau, h, x)`` and their pairwise products.
 """
@@ -26,11 +26,9 @@ __all__ = [
     "SupportSpec",
     "nominal_param_support",
     "attainable_param_support",
-    "ParamSampler",
     "EmpiricalCopulaSampler",
     "DegenerateSampler",
     "fit_joint_density",
-    "sampler_from_dict",
     "mle_sigma",
     "SigmaModel",
     "fit_sigma_regression",
@@ -78,7 +76,6 @@ class SupportSpec:
     side: int
     x: int
     limit: float
-    capacity: float
     rho_min: float
     rho_max: float
     h_rho_coef: float
@@ -126,33 +123,6 @@ class SupportSpec:
         h = np.maximum(h, 1e-15)
         return rho, tau, h
 
-    def to_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "x": self.x,
-            "limit": self.limit,
-            "capacity": self.capacity,
-            "rho_min": self.rho_min,
-            "rho_max": self.rho_max,
-            "h_rho_coef": self.h_rho_coef,
-            "h_offset": self.h_offset,
-            "h_open": self.h_open,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SupportSpec":
-        return cls(
-            side=int(data["side"]),
-            x=int(data["x"]),
-            limit=float(data["limit"]),
-            capacity=float(data["capacity"]),
-            rho_min=float(data["rho_min"]),
-            rho_max=float(data["rho_max"]),
-            h_rho_coef=float(data["h_rho_coef"]),
-            h_offset=float(data["h_offset"]),
-            h_open=bool(data.get("h_open", True)),
-        )
-
 
 def nominal_param_support(side: int, x: int, limit: float, capacity: float) -> SupportSpec:
     """The tight design box for the parameter law.
@@ -163,13 +133,13 @@ def nominal_param_support(side: int, x: int, limit: float, capacity: float) -> S
     """
     if side == 1:
         return SupportSpec(
-            side=1, x=x, limit=limit, capacity=capacity,
+            side=1, x=x, limit=limit,
             rho_min=0.0, rho_max=(x + 1) * limit,
             h_rho_coef=1.0, h_offset=0.0,
         )
     if side == -1:
         return SupportSpec(
-            side=-1, x=x, limit=limit, capacity=capacity,
+            side=-1, x=x, limit=limit,
             rho_min=capacity - (x + 1) * limit, rho_max=capacity,
             h_rho_coef=-1.0, h_offset=capacity,
         )
@@ -193,13 +163,13 @@ def attainable_param_support(side: int, x: int, limit: float, capacity: float) -
     pad = 1e-12
     if side == 1:
         return SupportSpec(
-            side=1, x=x, limit=limit, capacity=capacity,
+            side=1, x=x, limit=limit,
             rho_min=max(capacity - (x + 1) * limit, 0.0), rho_max=capacity + limit,
             h_rho_coef=1.0, h_offset=pad, h_open=False,
         )
     if side == -1:
         return SupportSpec(
-            side=-1, x=x, limit=limit, capacity=capacity,
+            side=-1, x=x, limit=limit,
             rho_min=min((x + 1) * limit, capacity), rho_max=capacity,
             h_rho_coef=1.0, h_offset=2.0 * limit + pad, h_open=False,
         )
@@ -217,19 +187,7 @@ def _nearest_tau(tau_cont, x: int) -> np.ndarray:
     return np.minimum(np.maximum(nearest, 1), x).astype(int)
 
 
-class ParamSampler:
-    """Interface for per-class ``(rho, tau, h)`` samplers."""
-
-    support: SupportSpec
-
-    def sample_n(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-
-class EmpiricalCopulaSampler(ParamSampler):
+class EmpiricalCopulaSampler:
     """Gaussian copula over normal scores with empirical-quantile marginals.
 
     The dependence is the correlation matrix of the normal scores of the
@@ -292,9 +250,8 @@ class EmpiricalCopulaSampler(ParamSampler):
         return rho_out, tau_out, h_out
 
     def to_dict(self) -> dict:
+        """The fitted values; the support is not stored, since the class fixes it."""
         return {
-            "type": "copula",
-            "support": self.support.to_dict(),
             "corr": self.corr.tolist(),
             "marginals": {
                 "rho": self.marginals[0].tolist(),
@@ -306,9 +263,10 @@ class EmpiricalCopulaSampler(ParamSampler):
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "EmpiricalCopulaSampler":
+    def from_dict(cls, data: dict, support: SupportSpec) -> "EmpiricalCopulaSampler":
+        """Rebuild a sampler on ``support`` from :meth:`to_dict`; other keys are ignored."""
         return cls(
-            support=SupportSpec.from_dict(data["support"]),
+            support=support,
             corr=np.asarray(data["corr"]),
             marginals=(
                 np.asarray(data["marginals"]["rho"]),
@@ -320,16 +278,14 @@ class EmpiricalCopulaSampler(ParamSampler):
         )
 
 
-class DegenerateSampler(ParamSampler):
-    """Always returns one fixed triplet; handy for tests and zero-noise runs."""
+class DegenerateSampler:
+    """Always returns one fixed triplet: a stand-in for a fitted sampler in tests."""
 
     def __init__(self, support: SupportSpec, rho: float, tau: int, h: float):
         self.support = support
         self.rho = float(rho)
         self.tau = int(tau)
         self.h = float(h)
-        self.n_obs = 1
-        self.bootstrap_augmented = False
 
     def sample_n(self, n: int, rng: np.random.Generator):
         return (
@@ -337,33 +293,6 @@ class DegenerateSampler(ParamSampler):
             np.full(n, self.tau, dtype=int),
             np.full(n, self.h),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "degenerate",
-            "support": self.support.to_dict(),
-            "rho": self.rho,
-            "tau": self.tau,
-            "h": self.h,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DegenerateSampler":
-        return cls(
-            support=SupportSpec.from_dict(data["support"]),
-            rho=data["rho"],
-            tau=data["tau"],
-            h=data["h"],
-        )
-
-
-def sampler_from_dict(data: dict) -> ParamSampler:
-    kind = data.get("type")
-    if kind == "copula":
-        return EmpiricalCopulaSampler.from_dict(data)
-    if kind == "degenerate":
-        return DegenerateSampler.from_dict(data)
-    raise InputError(f"unknown sampler type {kind!r}")
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -29,12 +29,12 @@ from .errors import (
     WindBridgeError,
 )
 from .estimation import (
+    EmpiricalCopulaSampler,
     SigmaModel,
     attainable_param_support,
     fit_joint_density,
     fit_sigma_regression,
     mle_sigma,
-    sampler_from_dict,
 )
 from .power import (
     DEFAULT_TURBINE,
@@ -132,8 +132,11 @@ class RunConfig:
             raise InputError(f"limits {self.limits} repeat an artifact tag: {tags}")
         if self.horizon < 1:
             raise InputError("horizon must be >= 1")
-        if self.n_paths < 1:
-            raise InputError("path count must be >= 1")
+        # moments and class covariances need two rows: one has no spread
+        if self.n_paths < 2:
+            raise InputError(f"n_paths must be >= 2, got {self.n_paths}")
+        if self.eligibility < 2:
+            raise InputError(f"eligibility must be >= 2, got {self.eligibility}")
         if self.seed < 0:
             raise InputError("seed must be nonnegative")
 
@@ -196,7 +199,8 @@ def load_config(path: str | Path, out_dir: str | Path | None = None) -> RunConfi
     path = Path(path)
     if not path.exists():
         raise InputError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no key refers to another, so a ``%`` in a value (a file name, say) is literal
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     parser.read(path)
     for section in parser.sections():
         if section not in _CONFIG_KEYS:
@@ -400,10 +404,13 @@ def build_model_doc(
 
 
 def charge_model_from_doc(doc: dict) -> ChargeModel:
+    """Rebuild a ChargeModel; each sampler's support comes from its class, as in the fit."""
+    limit, capacity = doc["limit_mw"], doc["capacity_mw"]
     samplers = {}
     for key, data in doc["samplers"].items():
         i, j, x = (int(v) for v in key.split(","))
-        samplers[(i, j, x)] = sampler_from_dict(data)
+        support = attainable_param_support(i, x, limit, capacity)
+        samplers[(i, j, x)] = EmpiricalCopulaSampler.from_dict(data, support)
     sigma_models = {}
     for key, data in doc["sigma_models"].items():
         i, j = (int(v) for v in key.split(","))
@@ -411,8 +418,8 @@ def charge_model_from_doc(doc: dict) -> ChargeModel:
     return ChargeModel(
         samplers=samplers,
         sigma_models=sigma_models,
-        limit=doc["limit_mw"],
-        capacity=doc["capacity_mw"],
+        limit=limit,
+        capacity=capacity,
         sigma_default=doc["sigma_default"],
     )
 

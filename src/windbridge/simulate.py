@@ -17,7 +17,7 @@ from .bridge import (
 )
 from .errors import InputError, SimulationError
 from .estimation import (
-    ParamSampler,
+    EmpiricalCopulaSampler,
     SigmaModel,
     attainable_param_support,
     predict_sigma_batch,
@@ -89,7 +89,7 @@ class ChargeModel:
 
     def __init__(
         self,
-        samplers: dict[tuple[int, int, int], ParamSampler],
+        samplers: dict[tuple[int, int, int], EmpiricalCopulaSampler],
         sigma_models: dict[tuple[int, int], SigmaModel],
         limit: float,
         capacity: float,
@@ -105,7 +105,7 @@ class ChargeModel:
             xs.setdefault((i, j), []).append(x)
         self._x_by_pair = {pair: np.sort(np.asarray(v)) for pair, v in xs.items()}
 
-    def sampler_for(self, i: int, j: int, x: int) -> tuple[ParamSampler, bool]:
+    def sampler_for(self, i: int, j: int, x: int) -> tuple[EmpiricalCopulaSampler, bool]:
         """Exact sampler if fitted, else the nearest-sojourn fallback."""
         key = (i, j, x)
         if key in self.samplers:

@@ -1,6 +1,7 @@
+import copy
 import json
 import shutil
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 from windbridge.cli import main
 from windbridge.errors import InputError
+from windbridge.estimation import attainable_param_support
 from windbridge.pipeline import (
     RunConfig,
     SyntheticWindSpec,
+    charge_model_from_doc,
     config_hash,
     load_charge_model,
     load_config,
@@ -83,6 +86,23 @@ class TestPipeline:
             (f"{i},{j},{x}", smp) for (i, j, x), smp in model.samplers.items()
         )}
         assert rebuilt == doc["samplers"]
+        assert all(not {"type", "support"} & set(entry) for entry in doc["samplers"].values())
+        for (i, j, x), sampler in model.samplers.items():
+            assert sampler.support == attainable_param_support(i, x, doc["limit_mw"], doc["capacity_mw"])
+
+        # a document that still stores the type and support of each sampler loads alike
+        old = copy.deepcopy(doc)
+        for (i, j, x), sampler in model.samplers.items():
+            entry = old["samplers"][f"{i},{j},{x}"]
+            entry["type"] = "copula"
+            entry["support"] = {**asdict(sampler.support), "capacity": doc["capacity_mw"]}
+        reloaded = charge_model_from_doc(old)
+        assert reloaded.samplers.keys() == model.samplers.keys()
+        for key, sampler in model.samplers.items():
+            np.testing.assert_array_equal(
+                reloaded.samplers[key].sample_n(50, np.random.default_rng(9)),
+                sampler.sample_n(50, np.random.default_rng(9)),
+            )
 
     def test_kernel_json_round_trip(self, pipeline_run):
         cfg, _ = pipeline_run
@@ -185,6 +205,12 @@ class TestRunConfig:
             small_config(tmp_path, limits=(0.01, 0.05, 0.05000001))
         assert small_config(tmp_path, limits=(0.05, 0.051)).limits == (0.05, 0.051)
 
+    @pytest.mark.parametrize("name", ["n_paths", "eligibility"])
+    def test_fewer_than_two_rows_rejected(self, tmp_path, name):
+        with pytest.raises(InputError, match=f"{name} must be >= 2, got 1"):
+            small_config(tmp_path, **{name: 1})
+        assert getattr(small_config(tmp_path, **{name: 2}), name) == 2
+
     def test_config_hash_covers_every_output_field(self, tmp_path):
         cfg = small_config(tmp_path)
         changed = {
@@ -235,6 +261,11 @@ class TestLoadConfig:
         cfg_file = tmp_path / "run.ini"
         cfg_file.write_text("[simulation]\npaths = 30\n")
         assert load_config(cfg_file, out_dir=tmp_path) == RunConfig(out_dir=tmp_path, n_paths=30)
+
+    def test_percent_sign_in_a_value_is_literal(self, tmp_path):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text("[input]\nwind_csv = wind_100%.csv\n")
+        assert load_config(cfg_file, out_dir=tmp_path).wind_csv == Path("wind_100%.csv")
 
 
 class TestStageErrors:
@@ -319,6 +350,7 @@ class TestCliFrontEnd:
             ("[simulation]\nmoment_order = 2\n", r"unknown key\(s\) in \[simulation\]: moment_order"),
             ("[simulation]\npaths = 3.5\n", r"\[simulation\] paths = '3.5' is not int"),
             ("[policy]\nlimits = 0.01 five\n", r"\[policy\] limits = '0.01 five' is not a list of floats"),
+            ("[validation]\neligibility = 1\n", r"eligibility must be >= 2, got 1"),
         ],
     )
     def test_unknown_config_entries_rejected(self, tmp_path, text, match):
@@ -326,6 +358,22 @@ class TestCliFrontEnd:
         cfg_file.write_text(text)
         with pytest.raises(InputError, match=match):
             load_config(cfg_file)
+
+    def test_one_path_exits_before_any_artifact(self, tmp_path, capsys):
+        out = tmp_path / "one"
+        rc = main(["--out", str(out), "--paths", "1", "--limit", "0.05"])
+        assert rc == 1
+        assert "error: n_paths must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_percent_sign_in_wind_path_exits_with_error_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(f"[input]\nwind_csv = {tmp_path / 'wind_100%.csv'}\n")
+        rc = main(["--config", str(cfg_file), "--out", str(tmp_path / "out"), "--stage", "ingest"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: [ingest] wind input file not found" in err and "wind_100%.csv" in err
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "none.ini")])

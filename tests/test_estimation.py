@@ -24,7 +24,6 @@ from windbridge.estimation import (
     nominal_param_support,
     predict_sigma,
     predict_sigma_batch,
-    sampler_from_dict,
     _design_matrix,
 )
 
@@ -69,10 +68,6 @@ class TestSupports:
         s = attainable_param_support(1, 5, LIMIT, CAPACITY)
         rho = 1.9
         assert s.contains(rho, 2, float(s.h_max(rho, 2)))
-
-    def test_round_trip(self):
-        s = attainable_param_support(-1, 7, LIMIT, CAPACITY)
-        assert SupportSpec.from_dict(s.to_dict()) == s
 
     def test_invalid_side(self):
         with pytest.raises(InputError):
@@ -132,7 +127,7 @@ class TestJointDensity:
         pts = [(1.0, 1, 0.9), (1.1, 1, 0.95), (1.2, 1, 0.99)] * 5
         sampler = fit_joint_density(pts, good, rng=np.random.default_rng(7))
         impossible = SupportSpec(
-            side=-1, x=4, limit=LIMIT, capacity=CAPACITY,
+            side=-1, x=4, limit=LIMIT,
             rho_min=0.9, rho_max=1.3, h_rho_coef=0.0, h_offset=1e-6,
         )
         bad = EmpiricalCopulaSampler(
@@ -217,7 +212,7 @@ class TestSampleParams:
 
     def test_serialization_round_trip(self, fitted_model):
         sampler = next(iter(fitted_model.samplers.values()))
-        back = sampler_from_dict(sampler.to_dict())
+        back = EmpiricalCopulaSampler.from_dict(sampler.to_dict(), sampler.support)
         assert back.to_dict() == sampler.to_dict()
         np.testing.assert_array_equal(
             back.sample_n(1, np.random.default_rng(3)), sampler.sample_n(1, np.random.default_rng(3))
