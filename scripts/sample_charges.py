@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from windbridge.bridge import ChargeBridge, embed_bridge, write_bridge_csv
+from windbridge.bridge import write_bridge_csv
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
 from windbridge.power import DEFAULT_TURBINE, PowerSeries, RampPolicy, apply_ramp_limit, generate_synthetic_wind, wind_to_power
 from windbridge.segmentation import extract_segments
@@ -49,10 +49,8 @@ def main() -> None:
     sims = model.charge_paths(args.state, j, args.sojourn, count, np.random.default_rng(args.seed))
     real = table.charge_matrix(matches[:count], args.sojourn)
     for n in range(count):
-        bridge = embed_bridge(args.state, int(table.j[matches[n]]), real[n])
-        write_bridge_csv(args.out / f"real_{n:03d}.csv", bridge)
-        sim = ChargeBridge(values=sims[n], i=args.state, j=j, x=args.sojourn)
-        write_bridge_csv(args.out / f"sim_{n:03d}.csv", sim)
+        write_bridge_csv(args.out / f"real_{n:03d}.csv", real[n])
+        write_bridge_csv(args.out / f"sim_{n:03d}.csv", sims[n])
     print(f"wrote {count} real/sim bridge pairs to {args.out}/ "
           f"({matches.size} real segments available for this class; simulated j={j})")
 

@@ -6,13 +6,11 @@ penalty estimation.
 from .bridge import (
     SIGMA_FLOOR,
     BridgeParams,
-    ChargeBridge,
     ErrorPath,
     bb_transition,
     clip_error,
     compute_initial_power,
     decompose,
-    embed_bridge,
     extract_peak,
     sample_latent_bridge,
     triangle_path,

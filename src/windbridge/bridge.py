@@ -1,12 +1,13 @@
-"""Charge-bridge mathematics: embedding, triangle baseline, clipping, and the
-two-piece pinned Brownian bridge that drives the stochastic part of a segment.
+"""Charge-bridge mathematics: peak extraction, triangle baseline, clipping, and
+the two-piece pinned Brownian bridge that drives the stochastic part of a run.
 
-A segment's absolute charges ``C(1..x)`` are extended with zeros at 0 and
-``x+1`` so every charging (or discharging) episode becomes a bridge.  The
-bridge splits into a deterministic triangle ``g`` rising to the peak ``(tau,
-h)`` plus an error process, itself a Brownian bridge pinned to zero at 0,
-``tau`` and ``x+1`` and clipped so the reconstructed charge stays inside
-``[0, rho - (k-1)*limit]``.
+A charging (or discharging) run of class ``(i, j, x)`` is a row of absolute
+charges ``c(1..x)``; a whole class is an ``(n, x)`` matrix, one row per run,
+and every function here takes either.  The path is pinned to zero at ``k = 0``
+and ``k = x+1``, which no row stores.  It splits into a deterministic triangle
+``g`` rising to the peak ``(tau, h)`` plus an error process, itself a Brownian
+bridge pinned to zero at 0, ``tau`` and ``x+1`` and clipped so the
+reconstructed charge stays inside ``[0, rho - (k-1)*limit]``.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from .errors import InputError
 __all__ = [
     "SIGMA_FLOOR",
     "CLIP_TOLERANCE",
-    "ChargeBridge",
     "BridgeParams",
     "ErrorPath",
-    "embed_bridge",
     "extract_peak",
     "triangle_path",
     "compute_initial_power",
@@ -41,19 +40,6 @@ SIGMA_FLOOR = 1e-6
 
 #: Error values within this distance of a clip bound are flagged as clipped.
 CLIP_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class ChargeBridge:
-    """Charge path pinned to zero at both extended endpoints.
-
-    ``values`` has length ``x + 2`` with ``values[0] == values[x+1] == 0``.
-    """
-
-    values: np.ndarray
-    i: int
-    j: int | None
-    x: int
 
 
 @dataclass(frozen=True)
@@ -75,6 +61,9 @@ class BridgeParams:
 class ErrorPath:
     """Signed deviation from the triangle at ``k = 1..x`` with clip flags.
 
+    ``values`` and ``clipped`` have the shape of the charges they came from:
+    ``(x,)`` for one run, ``(n, x)`` for a class.
+
     :func:`clip_error` also keeps the triangle ``g(1..x)`` it clipped against
     in ``triangle``, so that ``triangle + values`` is the charge path.
     """
@@ -90,21 +79,13 @@ class ErrorPath:
             raise InputError("error values and clip flags must have equal length")
 
 
-def embed_bridge(i: int, j: int | None, charges: np.ndarray) -> ChargeBridge:
-    """Extend the absolute charges of a run in state ``i`` with zero endpoints."""
-    if i == 0:
-        raise InputError("idle-state segments carry no charge process")
-    x = len(charges)
-    values = np.zeros(x + 2)
-    values[1 : x + 1] = np.abs(charges)
-    return ChargeBridge(values=values, i=i, j=j, x=x)
+def extract_peak(charges) -> tuple:
+    """Peak time ``tau`` and height ``h`` of a charge row, or of each row of a matrix.
 
-
-def extract_peak(bridge: ChargeBridge) -> tuple[int, float]:
-    """Peak time and height over the interior ``k = 1..x``; ties go to the smallest k."""
-    interior = bridge.values[1 : bridge.x + 1]
-    tau = int(np.argmax(interior)) + 1
-    return tau, float(interior[tau - 1])
+    ``tau`` counts from ``k = 1``; ties go to the smallest ``k``.
+    """
+    c = np.asarray(charges, dtype=float)
+    return np.argmax(c, axis=-1) + 1, c.max(axis=-1)
 
 
 def _per_path(value):
@@ -133,37 +114,31 @@ def triangle_path(params: BridgeParams, x: int) -> np.ndarray:
     return np.where(k <= tau, up, down)
 
 
-def compute_initial_power(
-    i: int, entry_power: float, x: int, limit: float, capacity: float
-) -> float:
-    """Charge-ceiling proxy ``rho`` for a segment entered at ``entry_power``.
+def compute_initial_power(i: int, entry_power, x: int, limit: float, capacity: float):
+    """Charge-ceiling proxy ``rho`` for runs of ``x`` steps entered at ``entry_power``.
 
-    Discharging segments use the entry power itself (shifted one ramp step back
-    and floored so a ``x+1``-step discharge stays feasible); charging segments
-    use the headroom to rated capacity, mirrored the same way.
+    Discharging runs use the entry power itself (shifted one ramp step back
+    and floored so a ``x+1``-step discharge stays feasible); charging runs
+    use the headroom to rated capacity, mirrored the same way.  One ``rho``
+    per entry power.
     """
+    p = np.asarray(entry_power, dtype=float)
     if i == -1:
-        return min(max(entry_power - limit, limit * (x + 1)), capacity)
+        return np.minimum(np.maximum(p - limit, limit * (x + 1)), capacity)
     if i == 1:
-        return max(capacity - (entry_power - limit), capacity - limit * (x + 1), 0.0)
+        return np.maximum(np.maximum(capacity - (p - limit), capacity - limit * (x + 1)), 0.0)
     raise InputError("initial power is defined only for charging or discharging segments")
 
 
-def decompose(
-    bridge: ChargeBridge, params: BridgeParams, limit: float | None = None
-) -> ErrorPath:
-    """Error process ``E(k) = C(k) - g(k)`` for ``k = 1..x``.
+def decompose(charges, params: BridgeParams, limit: float) -> ErrorPath:
+    """Error process ``E(k) = c(k) - g(k)``, ``k = 1..x``, of a charge row or matrix.
 
-    When ``limit`` is given, values within ``CLIP_TOLERANCE`` of (or beyond)
-    the clip bounds are flagged; those points carry no information about the
-    latent bridge.
+    Values within ``CLIP_TOLERANCE`` of (or beyond) the clip bounds are
+    flagged; those points carry no information about the latent bridge.
     """
-    x = bridge.x
-    if limit is None:
-        values = bridge.values[1 : x + 1] - triangle_path(params, x)[1 : x + 1]
-        return ErrorPath(values=values, clipped=np.zeros(x, dtype=bool))
-    lower, upper = error_bounds(params, x, limit)
-    values = bridge.values[1 : x + 1] + lower  # lower == -g(1..x)
+    c = np.asarray(charges, dtype=float)
+    lower, upper = error_bounds(params, c.shape[-1], limit)
+    values = c + lower  # lower == -g(1..x)
     clipped = (values <= lower + CLIP_TOLERANCE) | (values >= upper - CLIP_TOLERANCE)
     return ErrorPath(values=values, clipped=clipped)
 
@@ -218,14 +193,18 @@ def bb_transition(
     return mean, var
 
 
-def write_bridge_csv(path, bridge: ChargeBridge, comment: str | None = None) -> None:
-    """Dump one bridge as ``k,value`` rows over ``k = 0..x+1``."""
+def write_bridge_csv(path, charges, comment: str | None = None) -> None:
+    """Dump one charge row ``c(1..x)`` as ``k,value`` rows over ``k = 0..x+1``.
+
+    The pinned endpoints ``k = 0`` and ``k = x+1`` are written as zeros.
+    """
+    values = [0.0, *np.asarray(charges, dtype=float).tolist(), 0.0]
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write("k,value\n")
-        for k, v in enumerate(bridge.values):
-            fh.write(f"{k},{float(v)!r}\n")
+        for k, v in enumerate(values):
+            fh.write(f"{k},{v!r}\n")
 
 
 def sample_latent_bridge(

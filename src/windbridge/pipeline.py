@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bridge import SIGMA_FLOOR, BridgeParams, compute_initial_power, decompose, embed_bridge, extract_peak
+from .bridge import SIGMA_FLOOR, BridgeParams, ErrorPath, compute_initial_power, decompose, extract_peak
 from .errors import (
     EstimationError,
     InputError,
@@ -45,6 +45,7 @@ from .power import (
     generate_synthetic_wind,
     read_power_csv,
     read_wind_csv,
+    require_finite,
     wind_to_power,
     write_power_csv,
     write_wind_csv,
@@ -98,6 +99,7 @@ class SyntheticWindSpec:
     autocorrelation: float = 0.9
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.n_steps < 2:
             raise InputError("synthetic wind needs at least 2 steps")
 
@@ -355,36 +357,40 @@ def build_model_doc(
     reproducible.  Returns the JSON-ready model document.
     """
     samplers: dict[str, dict] = {}
-    sigma_obs: dict[tuple[int, int], list[tuple[float, float, int, float, int]]] = {}
+    sigma_obs: dict[tuple[int, int], list[np.ndarray]] = {}
     for (i, j, x), rows in complete_classes(table).items():
-        support = attainable_param_support(i, x, limit, capacity)
-        triplets = []
-        for charges, entry_power in zip(table.charge_matrix(rows, x), table.entry_power[rows].tolist()):
-            bridge = embed_bridge(i, j, charges)
-            tau, h = extract_peak(bridge)
-            rho = compute_initial_power(i, entry_power, x, limit, capacity)
-            if h <= 0.0:
-                continue  # flat (all-zero) bridge carries no parameter information
-            triplets.append((rho, tau, h))
-            if x >= 2:
-                err = decompose(bridge, BridgeParams(rho=rho, tau=tau, h=h), limit)
+        charges = table.charge_matrix(rows, x)
+        tau, h = extract_peak(charges)
+        # a flat (all-zero) run carries no parameter information
+        keep = h > 0.0
+        if not keep.any():
+            continue
+        charges, tau, h = charges[keep], tau[keep], h[keep]
+        rho = compute_initial_power(i, table.entry_power[rows[keep]], x, limit, capacity)
+        if x >= 2:
+            err = decompose(charges, BridgeParams(rho=rho, tau=tau, h=h), limit)
+            obs = []
+            for r, t in enumerate(tau.tolist()):
                 try:
-                    s_hat = mle_sigma(err, tau, x)
+                    s_hat = mle_sigma(ErrorPath(err.values[r], err.clipped[r]), t, x)
                 except InsufficientDataError:
                     continue
-                sigma_obs.setdefault((i, j), []).append((s_hat, rho, tau, h, x))
-        if not triplets:
-            continue
+                obs.append((s_hat, rho[r], t, h[r], x))
+            if obs:
+                sigma_obs.setdefault((i, j), []).append(np.asarray(obs, dtype=float))
         rng = np.random.default_rng(np.random.SeedSequence((*seed_key, i + 2, j + 2, x)))
-        sampler = fit_joint_density(triplets, support, min_sample=min_group_sample, rng=rng)
+        support = attainable_param_support(i, x, limit, capacity)
+        sampler = fit_joint_density(
+            np.column_stack((rho, tau, h)), support, min_sample=min_group_sample, rng=rng
+        )
         samplers[f"{i},{j},{x}"] = sampler.to_dict()
 
-    all_sigmas = [s for obs in sigma_obs.values() for (s, *_rest) in obs]
-    sigma_default = _pooled_sigma(all_sigmas) if all_sigmas else SIGMA_FLOOR
+    all_sigmas = [obs[:, 0] for blocks in sigma_obs.values() for obs in blocks]
+    sigma_default = _pooled_sigma(np.concatenate(all_sigmas)) if all_sigmas else SIGMA_FLOOR
 
     sigma_models: dict[str, dict] = {}
     for pair in sorted(sigma_obs):
-        obs = np.asarray(sigma_obs[pair], dtype=float)
+        obs = np.concatenate(sigma_obs[pair])
         try:
             model = fit_sigma_regression(obs)
         except (InsufficientDataError, EstimationError) as exc:

@@ -9,7 +9,7 @@ The battery absorbs (or supplies) the difference ``|e - e_bar|``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,14 @@ __all__ = [
 ]
 
 
+def require_finite(spec) -> None:
+    """Raise :class:`InputError` naming the first field of ``spec`` that is NaN or infinite."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if not np.isfinite(value):
+            raise InputError(f"{type(spec).__name__}.{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TurbineSpec:
     """Static turbine parameters: operating wind band and rated capacity (MW)."""
@@ -42,6 +50,7 @@ class TurbineSpec:
     rated_capacity: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not (0.0 < self.cut_in_speed < self.rated_speed < self.cut_out_speed):
             raise InputError(
                 "turbine speeds must satisfy 0 < cut_in < rated < cut_out, got "
@@ -74,7 +83,6 @@ class PowerSeries:
 
     generated: np.ndarray
     corrected: np.ndarray | None = None
-    timestamps: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self.generated = np.asarray(self.generated, dtype=float)
@@ -88,12 +96,6 @@ class PowerSeries:
                 raise InputError("corrected series must match the generated series length")
             if not np.all(np.isfinite(self.corrected) & (self.corrected >= 0.0)):
                 raise InputError("corrected power must be finite and nonnegative")
-        if self.timestamps is None:
-            self.timestamps = np.arange(self.generated.size)
-        else:
-            self.timestamps = np.asarray(self.timestamps, dtype=int)
-            if self.timestamps.shape != self.generated.shape:
-                raise InputError("timestamps must match the generated series length")
 
     def __len__(self) -> int:
         return int(self.generated.size)
@@ -166,7 +168,7 @@ def apply_ramp_limit(
         elif capacity is not None and prev > capacity:
             prev = capacity
         out[k] = prev
-    return PowerSeries(generated=e, corrected=out, timestamps=series.timestamps)
+    return PowerSeries(generated=e, corrected=out)
 
 
 def generate_synthetic_wind(
@@ -267,12 +269,12 @@ def write_power_csv(path: str | Path, series: PowerSeries, comment: str | None =
         writer = csv.writer(fh)
         if series.corrected is None:
             writer.writerow(POWER_HEADER[:2])
-            for k, e in zip(series.timestamps, series.generated):
-                writer.writerow([int(k), repr(float(e))])
+            for k, e in enumerate(series.generated.tolist()):
+                writer.writerow([k, repr(e)])
         else:
             writer.writerow(POWER_HEADER)
-            for k, e, eb in zip(series.timestamps, series.generated, series.corrected):
-                writer.writerow([int(k), repr(float(e)), repr(float(eb))])
+            for k, (e, eb) in enumerate(zip(series.generated.tolist(), series.corrected.tolist())):
+                writer.writerow([k, repr(e), repr(eb)])
 
 
 def read_power_csv(path: str | Path) -> PowerSeries:
@@ -286,18 +288,18 @@ def read_power_csv(path: str | Path) -> PowerSeries:
         raise InputError(f"empty power file: {path}") from None
     if header not in (POWER_HEADER, POWER_HEADER[:2]):
         raise InputError(f"unexpected power header {header!r} in {path}")
-    ks, es, ebs = [], [], []
+    es, ebs = [], []
     for line, row in rows:
         if len(row) != len(header):
             raise _malformed(path, line, row, header)
         try:
-            ks.append(int(row[0]))
+            int(row[0])  # k must be an integer; the series keeps only the row order
             es.append(float(row[1]))
             if len(header) == 3:
                 ebs.append(float(row[2]))
         except ValueError:
             raise _malformed(path, line, row, header) from None
-    if not ks:
+    if not es:
         raise InputError(f"no power rows in {path}")
     corrected = np.asarray(ebs) if ebs else None
-    return PowerSeries(generated=np.asarray(es), corrected=corrected, timestamps=np.asarray(ks))
+    return PowerSeries(generated=np.asarray(es), corrected=corrected)

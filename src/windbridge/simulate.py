@@ -22,6 +22,7 @@ from .estimation import (
     attainable_param_support,
     predict_sigma_batch,
 )
+from .power import require_finite
 from .segmentation import SemiMarkovKernel
 
 __all__ = [
@@ -51,6 +52,7 @@ class BatterySpec:
     soc_init: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.soc_min <= self.soc_max:
             raise InputError(f"need soc_min <= soc_max, got {self.soc_min} > {self.soc_max}")
         if not self.soc_min <= self.soc_init <= self.soc_max:
@@ -66,6 +68,7 @@ class PenaltySpec:
     discount_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.up_fee < 0 or self.down_fee < 0:
             raise InputError("fees must be nonnegative")
         if self.discount_rate < 0:
@@ -124,35 +127,34 @@ class ChargeModel:
         return model
 
     def charge_path(self, i: int, j: int, x: int, rng: np.random.Generator) -> np.ndarray:
-        """Charge path ``c(0..x+1)``; identically zero in the idle state."""
+        """Charge path ``c(1..x)``; identically zero in the idle state."""
         return self.charge_paths(i, j, x, 1, rng)[0]
 
     def charge_paths(
         self, i: int, j: int, x: int, n: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """``n`` charge paths ``c(0..x+1)`` of class ``(i, j, x)``, shape ``(n, x+2)``.
+        """``n`` charge paths ``c(1..x)`` of class ``(i, j, x)``, shape ``(n, x)``.
 
         One ``sample_n(n)`` draws the ``(rho, tau, h)`` rows, each volatility
         is predicted from its row, and the latent bridges are sampled one
         group of equal ``tau`` at a time, in increasing ``tau``; volatilities
         at the floor draw no bridge and give the clipped triangle.  Every
-        value lies in ``[0, rho - (k-1)*limit]`` and the endpoints are exactly
-        zero.  For ``n = 1`` the draws are those of one sampler draw followed
-        by one latent bridge.  A one-step path is ``min(max(h, 0), rho)`` and
-        predicts no volatility.  Identically zero in the idle state.
+        value lies in ``[0, rho - (k-1)*limit]``; the pinned zeros at ``k = 0``
+        and ``k = x+1`` are not stored.  For ``n = 1`` the draws are those of
+        one sampler draw followed by one latent bridge.  A one-step path is
+        ``min(max(h, 0), rho)`` and predicts no volatility.  Identically zero
+        in the idle state.
         """
         if x < 1:
             raise InputError(f"sojourn must be >= 1, got {x}")
-        out = np.zeros((n, x + 2))
         if i == 0:
-            return out
+            return np.zeros((n, x))
         sampler, fell_back = self.sampler_for(i, j, x)
         rho, tau, h = sampler.sample_n(n, rng)
         if fell_back:
             rho, tau, h = self._clamp_to_sojourn(i, j, x, rho, tau, h)
         if x == 1:
-            out[:, 1] = np.minimum(np.maximum(h, 0.0), rho)
-            return out
+            return np.minimum(np.maximum(h, 0.0), rho)[:, None]
         sigma = predict_sigma_batch(self.sigma_model_for(i, j), rho, tau, h, x)
         params = BridgeParams(rho=rho, tau=tau, h=h, sigma=sigma)
         # rows by peak time; volatilities within rounding of the floor count
@@ -167,8 +169,7 @@ class ChargeModel:
             rows = groups[t]
             latent[rows] = sample_latent_bridge(x, t, sigma[rows], rng, n_paths=len(rows))
         err = clip_error(latent, params, x, self.limit)
-        out[:, 1 : x + 1] = err.triangle + err.values
-        return out
+        return err.triangle + err.values
 
     def _clamp_to_sojourn(
         self, i: int, j: int, x: int, rho: np.ndarray, tau: np.ndarray, h: np.ndarray
@@ -358,8 +359,7 @@ def _step_grids(kernel, charge_model, z0, b0, rng, horizon, n_transitions):
         states[r, t] = ci
         backward[r, t] = np.broadcast_to(k, keep.shape)[keep]
         if ci != 0:
-            drawn = charge_model.charge_paths(ci, cj, cx, hi - lo, rng)
-            charges[r, t] = drawn[:, 1 : cx + 1][keep]
+            charges[r, t] = charge_model.charge_paths(ci, cj, cx, hi - lo, rng)[keep]
     return chains, length, states, backward, charges
 
 

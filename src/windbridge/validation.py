@@ -138,7 +138,7 @@ def compare_segments(
             continue
         real = table.charge_matrix(rows, x)
         n_sim = max(SIM_PATH_MULTIPLIER * n_real, MIN_SIM_PATHS)
-        sim = charge_model.charge_paths(i, j, x, n_sim, rng)[:, 1 : x + 1]
+        sim = charge_model.charge_paths(i, j, x, n_sim, rng)
         l2_mean = rel_l2_error(real.mean(axis=0), sim.mean(axis=0))
         cov_real = np.atleast_2d(np.cov(real, rowvar=False, ddof=1))
         cov_sim = np.atleast_2d(np.cov(sim, rowvar=False, ddof=1))

@@ -13,7 +13,6 @@ from windbridge.bridge import (
     BridgeParams,
     ErrorPath,
     decompose,
-    embed_bridge,
     extract_peak,
     sample_latent_bridge,
     triangle_path,
@@ -36,6 +35,7 @@ from windbridge.simulate import (
     PenaltySpec,
     mc_moments,
     simulate_penalty_path,
+    simulate_penalty_paths,
 )
 
 LIMIT = 0.02
@@ -113,15 +113,13 @@ def test_criterion_03_bridge_math(renewal_data):
         _, table = renewal_data
         checked = 0
         for (i, j, x), rows in complete_classes(table).items():
-            for charges in table.charge_matrix(rows, x):
-                bridge = embed_bridge(i, j, charges)
-                tau, h = extract_peak(bridge)
-                params = BridgeParams(rho=CAPACITY, tau=tau, h=h)
-                err = decompose(bridge, params)
-                g = triangle_path(params, x)
-                recon = g[1 : x + 1] + err.values
-                np.testing.assert_allclose(recon, bridge.values[1 : x + 1], rtol=0, atol=1e-14)
-                checked += 1
+            charges = table.charge_matrix(rows, x)
+            tau, h = extract_peak(charges)
+            params = BridgeParams(rho=np.full(rows.size, CAPACITY), tau=tau, h=h)
+            err = decompose(charges, params, LIMIT)
+            recon = triangle_path(params, x)[:, 1 : x + 1] + err.values
+            np.testing.assert_allclose(recon, charges, rtol=0, atol=1e-14)
+            checked += rows.size
         assert checked > 1000
 
         x, tau, sigma, n = 6, 3, 1.0, 100_000
@@ -288,14 +286,18 @@ def test_criterion_08_mc_moment_estimator(fitted_kernel, fitted_model):
         fees = PenaltySpec(21.52, 26.50)
         horizon = 24
         ses = {}
+        block = 128
         for n_paths in (100, 1000, 10_000):
+            # whole idle-start blocks, one stream per block, truncated to n_paths
             penalty = np.stack([
-                simulate_penalty_path(
-                    fitted_kernel, fitted_model, battery, fees, horizon=horizon,
-                    seed=np.random.default_rng(np.random.SeedSequence((1008, n_paths, p))),
-                ).penalty
-                for p in range(n_paths)
-            ])
+                path.penalty
+                for b in range(-(-n_paths // block))
+                for path in simulate_penalty_paths(
+                    fitted_kernel, fitted_model, battery, fees, np.zeros(block, dtype=int),
+                    np.random.default_rng(np.random.SeedSequence((1008, n_paths, b))),
+                    horizon=horizon,
+                )
+            ][:n_paths])
             ses[n_paths] = float(mc_moments(penalty[:, 1:], fees.discount_rate).se_mean[-1])
         for a, b in ((100, 1000), (1000, 10_000), (100, 10_000)):
             ratio = ses[a] / ses[b]

@@ -6,17 +6,16 @@ from pytest import approx
 
 from windbridge.bridge import (
     BridgeParams,
-    ChargeBridge,
     ErrorPath,
     bb_transition,
     clip_error,
     compute_initial_power,
     decompose,
-    embed_bridge,
     error_bounds,
     extract_peak,
     sample_latent_bridge,
     triangle_path,
+    write_bridge_csv,
 )
 from windbridge.errors import InputError
 from windbridge.segmentation import complete_classes
@@ -26,51 +25,47 @@ CAPACITY = 2.0
 
 
 def complete_runs(table):
-    """``(i, j, entry_power, charges)`` of every uncensored charging or discharging run."""
+    """``(i, j, x, entry_powers, charges)`` of every class of uncensored charging or
+    discharging runs, charges as an ``(n, x)`` matrix."""
     for (i, j, x), rows in complete_classes(table).items():
-        for entry_power, charges in zip(table.entry_power[rows], table.charge_matrix(rows, x)):
-            yield i, j, entry_power, charges
+        yield i, j, x, table.entry_power[rows], table.charge_matrix(rows, x)
 
 
 class TestEmbedAndPeak:
-    def test_embedding(self):
-        bridge = embed_bridge(1, 0, [0.3, 0.5, 0.2])
-        np.testing.assert_allclose(bridge.values, [0, 0.3, 0.5, 0.2, 0])
-
-    def test_single_step(self):
-        bridge = embed_bridge(-1, 0, [0.4])
-        np.testing.assert_allclose(bridge.values, [0, 0.4, 0])
-
     def test_all_zero(self):
-        bridge = embed_bridge(1, 0, [0.0, 0.0])
-        assert np.all(bridge.values == 0.0)
+        # a flat run: height 0, which the fit skips
+        assert extract_peak([0.0, 0.0]) == (1, 0.0)
 
     def test_idle_state_rejected(self):
         with pytest.raises(InputError):
-            embed_bridge(0, 0, [0.0])
+            compute_initial_power(0, np.array([1.0, 0.5]), 3, LIMIT, CAPACITY)
 
     def test_peak(self):
-        bridge = embed_bridge(1, 0, [0.3, 0.5, 0.2])
-        assert extract_peak(bridge) == (2, 0.5)
+        assert extract_peak([0.3, 0.5, 0.2]) == (2, 0.5)
 
     def test_peak_tie_breaks_to_smallest(self):
-        bridge = embed_bridge(1, 0, [0.4, 0.4])
-        assert extract_peak(bridge) == (1, 0.4)
+        assert extract_peak([0.4, 0.4]) == (1, 0.4)
 
     def test_peak_single(self):
-        bridge = embed_bridge(1, 0, [0.7])
-        assert extract_peak(bridge) == (1, 0.7)
+        assert extract_peak([0.7]) == (1, 0.7)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=30))
     def test_peak_matches_scan_oracle(self, charges):
-        bridge = embed_bridge(1, 0, charges)
-        tau, h = extract_peak(bridge)
+        tau, h = extract_peak(charges)
         best_k, best_v = 1, charges[0]
         for k, v in enumerate(charges, start=1):
             if v > best_v:
                 best_k, best_v = k, v
         assert (tau, h) == (best_k, best_v)
+
+    def test_matrix_rows_match_row_peaks(self):
+        charges = np.array([[0.3, 0.5, 0.2], [0.4, 0.4, 0.1], [0.0, 0.0, 0.0], [0.1, 0.2, 0.9]])
+        tau, h = extract_peak(charges)
+        assert tau.tolist() == [2, 1, 1, 3]
+        assert h.tolist() == [0.5, 0.4, 0.0, 0.9]
+        for row, t, v in zip(charges, tau, h):
+            assert extract_peak(row) == (t, v)
 
 
 class TestTriangle:
@@ -115,29 +110,54 @@ class TestInitialPower:
         with pytest.raises(InputError):
             compute_initial_power(0, 1.0, 3, 0.02, 2.0)
 
+    @pytest.mark.parametrize("i", [-1, 1])
+    def test_array_matches_scalars(self, i):
+        entry = np.array([0.0, 0.01, 0.5, 1.5, 1.99, 2.0])
+        rho = compute_initial_power(i, entry, 4, 0.02, 2.0)
+        assert rho.shape == entry.shape
+        for e, r in zip(entry.tolist(), rho.tolist()):
+            assert compute_initial_power(i, e, 4, 0.02, 2.0) == r
+
 
 class TestDecomposeAndClip:
     def test_reconstruction_identity(self):
         charges = [0.31, 0.55, 0.41]
-        bridge = embed_bridge(1, 0, charges)
-        tau, h = extract_peak(bridge)
+        tau, h = extract_peak(charges)
         params = BridgeParams(rho=1.0, tau=tau, h=h)
-        err = decompose(bridge, params)
+        err = decompose(charges, params, LIMIT)
         g = triangle_path(params, 3)
-        np.testing.assert_array_equal(g[1:4] + err.values, bridge.values[1:4])
+        np.testing.assert_array_equal(g[1:4] + err.values, charges)
 
     def test_error_zero_at_peak(self):
-        bridge = embed_bridge(1, 0, [0.2, 0.9, 0.1])
-        tau, h = extract_peak(bridge)
-        err = decompose(bridge, BridgeParams(rho=2.0, tau=tau, h=h))
+        charges = [0.2, 0.9, 0.1]
+        tau, h = extract_peak(charges)
+        err = decompose(charges, BridgeParams(rho=2.0, tau=tau, h=h), LIMIT)
         assert err.values[tau - 1] == 0.0
 
     def test_triangle_shaped_bridge_has_zero_error(self):
         params = BridgeParams(rho=5.0, tau=2, h=0.6)
         g = triangle_path(params, 4)
-        bridge = ChargeBridge(values=g, i=1, j=0, x=4)
-        err = decompose(bridge, params)
+        err = decompose(g[1:5], params, LIMIT)
         np.testing.assert_array_equal(err.values, np.zeros(4))
+
+    def test_decompose_flags_clip_bounds(self):
+        # the peak sits on its own triangle, the last step on the ceiling
+        params = BridgeParams(rho=0.5, tau=1, h=0.5)
+        err = decompose([0.5, 0.3, 0.46], params, LIMIT)
+        assert err.clipped.tolist() == [True, False, True]
+
+    def test_decompose_batch_matches_rows(self):
+        rng = np.random.default_rng(13)
+        x = 6
+        charges = rng.uniform(0.0, 0.5, size=(40, x))
+        tau, h = extract_peak(charges)
+        rho = rng.uniform(0.5, 2.0, size=40)
+        batch = decompose(charges, BridgeParams(rho=rho, tau=tau, h=h), LIMIT)
+        assert batch.values.shape == batch.clipped.shape == (40, x)
+        for r in range(40):
+            one = decompose(charges[r], BridgeParams(rho=float(rho[r]), tau=int(tau[r]), h=float(h[r])), LIMIT)
+            np.testing.assert_array_equal(batch.values[r], one.values)
+            np.testing.assert_array_equal(batch.clipped[r], one.clipped)
 
     def test_clip_passthrough(self):
         params = BridgeParams(rho=1.0, tau=2, h=0.3)
@@ -212,14 +232,14 @@ class TestRealDataBounds:
         """Charging charges never exceed rho - (k-1)*limit."""
         _, table = renewal_data
         checked = 0
-        for i, _, entry_power, charges in complete_runs(table):
+        for i, _, x, entry_powers, charges in complete_runs(table):
             if i != 1:
                 continue
-            rho = compute_initial_power(i, entry_power, charges.size, LIMIT, CAPACITY)
-            bound = rho - np.arange(charges.size) * LIMIT
+            rho = compute_initial_power(i, entry_powers, x, LIMIT, CAPACITY)
+            bound = rho[:, None] - np.arange(x) * LIMIT
             assert np.all(charges <= bound + 1e-9)
             assert np.all(charges >= -1e-12)
-            checked += 1
+            checked += len(charges)
         assert checked > 100
 
     def test_discharging_side_bound_with_ramp_slack(self, renewal_data):
@@ -227,25 +247,23 @@ class TestRealDataBounds:
         which happens exactly when generated power drops below the limit."""
         _, table = renewal_data
         checked = 0
-        for i, _, entry_power, charges in complete_runs(table):
+        for i, _, x, entry_powers, charges in complete_runs(table):
             if i != -1:
                 continue
-            rho = compute_initial_power(i, entry_power, charges.size, LIMIT, CAPACITY)
-            bound = rho - np.arange(charges.size) * LIMIT
+            rho = compute_initial_power(i, entry_powers, x, LIMIT, CAPACITY)
+            bound = rho[:, None] - np.arange(x) * LIMIT
             assert np.all(charges <= bound + LIMIT + 1e-9)
-            checked += 1
+            checked += len(charges)
         assert checked > 100
 
     def test_reconstruction_on_extracted_segments(self, renewal_data):
         _, table = renewal_data
-        for i, j, _, charges in complete_runs(table):
-            bridge = embed_bridge(i, j, charges)
-            tau, h = extract_peak(bridge)
-            params = BridgeParams(rho=2.0, tau=tau, h=h)
-            err = decompose(bridge, params)
-            g = triangle_path(params, bridge.x)
-            recon = g[1 : bridge.x + 1] + err.values
-            np.testing.assert_allclose(recon, bridge.values[1 : bridge.x + 1], rtol=0, atol=1e-14)
+        for _, _, x, _, charges in complete_runs(table):
+            tau, h = extract_peak(charges)
+            params = BridgeParams(rho=np.full(len(charges), 2.0), tau=tau, h=h)
+            err = decompose(charges, params, LIMIT)
+            recon = triangle_path(params, x)[:, 1 : x + 1] + err.values
+            np.testing.assert_allclose(recon, charges, rtol=0, atol=1e-14)
 
 
 class TestBridgeTransition:
@@ -311,14 +329,16 @@ class TestLatentBridge:
 
 class TestBridgeCsv:
     def test_layout(self, tmp_path):
-        from windbridge.bridge import write_bridge_csv
-
-        bridge = embed_bridge(1, 0, [0.3, 0.5])
         path = tmp_path / "bridge.csv"
-        write_bridge_csv(path, bridge, comment="stamp")
+        write_bridge_csv(path, np.array([0.3, 0.5]), comment="stamp")
         lines = path.read_text().splitlines()
         assert lines[0] == "# stamp"
         assert lines[1] == "k,value"
         assert lines[2] == "0,0.0"
         assert lines[3] == "1,0.3"
         assert lines[-1] == "3,0.0"
+
+    def test_single_step_pinned_at_both_ends(self, tmp_path):
+        path = tmp_path / "bridge.csv"
+        write_bridge_csv(path, [0.4])
+        assert path.read_text().splitlines() == ["k,value", "0,0.0", "1,0.4", "2,0.0"]

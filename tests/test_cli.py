@@ -211,6 +211,11 @@ class TestRunConfig:
             small_config(tmp_path, **{name: 1})
         assert getattr(small_config(tmp_path, **{name: 2}), name) == 2
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_synthetic_spec_rejected(self, value):
+        with pytest.raises(InputError, match="SyntheticWindSpec.scale must be finite"):
+            SyntheticWindSpec(scale=value)
+
     def test_config_hash_covers_every_output_field(self, tmp_path):
         cfg = small_config(tmp_path)
         changed = {
@@ -374,6 +379,17 @@ class TestCliFrontEnd:
         assert rc == 1
         assert "error: [ingest] wind input file not found" in err and "wind_100%.csv" in err
         assert "Traceback" not in err
+
+    def test_nan_fee_exits_with_error_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text("[fees]\ndiscount_rate = nan\n")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg_file), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: PenaltySpec.discount_rate must be finite, got nan" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "none.ini")])

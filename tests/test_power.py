@@ -72,6 +72,13 @@ class TestWindToPower:
         with pytest.raises(InputError):
             TurbineSpec(cut_in_speed=4.0, rated_speed=13.0, cut_out_speed=25.0, rated_capacity=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["cut_in_speed", "rated_speed", "cut_out_speed", "rated_capacity"])
+    def test_non_finite_spec_rejected(self, name, value):
+        values = dict(cut_in_speed=4.0, rated_speed=13.0, cut_out_speed=25.0, rated_capacity=2.0)
+        with pytest.raises(InputError, match=f"TurbineSpec.{name} must be finite"):
+            TurbineSpec(**{**values, name: value})
+
 
 class TestRampLimit:
     def test_hand_computed_example(self):
@@ -204,6 +211,8 @@ class TestCsvRoundTrips:
             "k,e,e_bar\n0,1.0,1.0\n1,1.2\n",
             "k,e\n0,1.0\n1,1.2,7\n",
             "k,e,e_bar\n0,1.0,1.0\n1,1.2,1.2,\n",
+            "k,e\n0,1.0\n1.5,1.2\n",
+            "k,e\n0,1.0\nx,1.2\n",
         ],
     )
     def test_malformed_power_row_names_file_and_line(self, tmp_path, text):
@@ -211,6 +220,11 @@ class TestCsvRoundTrips:
         path.write_text(text)
         with pytest.raises(InputError, match=r"power\.csv:3: malformed row"):
             read_power_csv(path)
+
+    def test_power_csv_k_is_the_row_index(self, tmp_path):
+        path = tmp_path / "power.csv"
+        write_power_csv(path, PowerSeries(generated=np.array([0.5, 0.25]), corrected=np.array([0.5, 0.3])))
+        assert path.read_text().splitlines() == ["k,e,e_bar", "0,0.5,0.5", "1,0.25,0.3"]
 
     def test_iso_timestamps_accepted(self, tmp_path):
         path = tmp_path / "wind.csv"

@@ -102,39 +102,37 @@ def oracle_charge_path(model, i, j, x, rng):
         h = min(max(h, 1e-15), max(float(sup.h_max(rho, tau)), 1e-15))
     sigma = predict_sigma(model.sigma_model_for(i, j), rho, tau, h, x)
     if x == 1:
-        return np.array([0.0, min(max(h, 0.0), rho), 0.0])
+        return np.array([min(max(h, 0.0), rho)])
     params = BridgeParams(rho=rho, tau=tau, h=h, sigma=sigma)
     latent = np.zeros(x)
     if sigma > SIGMA_FLOOR * (1.0 + 1e-9):
         latent = sample_latent_bridge(x, tau, sigma, rng)[0]
-    c = triangle_path(params, x)
-    c[1 : x + 1] += clip_error(latent, params, x, model.limit).values
-    return c
+    return triangle_path(params, x)[1 : x + 1] + clip_error(latent, params, x, model.limit).values
 
 
 class TestChargeSimulation:
     def test_floor_sigma_gives_clipped_triangle(self):
         model = degenerate_model({(1, 0, 5): (0.5, 2, 0.3)}, sigma=SIGMA_FLOOR)
         c = model.charge_paths(1, 0, 5, 3, np.random.default_rng(0))
-        g = triangle_path(BridgeParams(rho=0.5, tau=2, h=0.3), 5)
-        expected = np.minimum(g, np.concatenate([[np.inf], 0.5 - np.arange(5) * LIMIT, [np.inf]]))
+        g = triangle_path(BridgeParams(rho=0.5, tau=2, h=0.3), 5)[1:6]
+        expected = np.minimum(g, 0.5 - np.arange(5) * LIMIT)
         for row in c:
             np.testing.assert_array_equal(row, np.maximum(expected, 0.0))
 
-    def test_endpoints_zero_and_band_respected(self):
+    def test_band_respected(self):
         model = degenerate_model({(-1, 0, 8): (1.0, 3, 0.4)}, sigma=0.05)
         rng = np.random.default_rng(1)
         for _ in range(200):
             c = model.charge_path(-1, 0, 8, rng)
-            assert c[0] == 0.0 and c[-1] == 0.0
+            assert c.shape == (8,)
             k = np.arange(8)
-            assert np.all(c[1:9] >= -1e-12)
-            assert np.all(c[1:9] <= 1.0 - k * LIMIT + 1e-12)
+            assert np.all(c >= -1e-12)
+            assert np.all(c <= 1.0 - k * LIMIT + 1e-12)
 
     def test_single_step_segment(self):
         model = degenerate_model({(1, 0, 1): (2.0, 1, 0.8)}, sigma=0.3)
         c = model.charge_path(1, 0, 1, np.random.default_rng(0))
-        np.testing.assert_array_equal(c, [0.0, 0.8, 0.0])
+        np.testing.assert_array_equal(c, [0.8])
 
     def test_one_step_batch_predicts_no_sigma(self):
         # lambda = 1, prediction x - 2: outside the inverse transform domain at x = 1
@@ -151,7 +149,7 @@ class TestChargeSimulation:
         model = degenerate_model({(1, 0, 1): (2.0, 1, 0.8)}, sigma=0.3)
         model.sigma_models[(1, 0)] = flooring()
         c = model.charge_paths(1, 0, 1, 50, np.random.default_rng(0))
-        np.testing.assert_array_equal(c, np.tile([0.0, 0.8, 0.0], (50, 1)))
+        np.testing.assert_array_equal(c, np.full((50, 1), 0.8))
         assert model.sigma_models[(1, 0)].floored_predictions == 0
 
     def test_deterministic_given_seed(self):
@@ -164,10 +162,9 @@ class TestChargeSimulation:
         model = degenerate_model({(1, 0, 4): (1.9, 2, 0.6)})
         rng = np.random.default_rng(2)
         c = model.charge_path(1, 0, 9, rng)  # no sampler for x=9
-        assert c.shape == (11,)
-        assert c[0] == 0.0 and c[-1] == 0.0
+        assert c.shape == (9,)
         k = np.arange(9)
-        assert np.all(c[1:10] <= 1.9 - k * LIMIT + 1e-12)
+        assert np.all(c <= 1.9 - k * LIMIT + 1e-12)
 
     def test_missing_pair_errors(self):
         model = degenerate_model({(1, 0, 4): (1.9, 2, 0.6)})
@@ -184,11 +181,11 @@ class TestChargeSimulation:
         )
         for i, j, x in [(1, 0, 60), (-1, 1, 95)]:
             c = model.charge_paths(i, j, x, 50, np.random.default_rng(4))
-            assert np.all(c[:, 0] == 0.0) and np.all(c[:, -1] == 0.0)
-            assert np.all(c[:, 1 : x + 1] >= 0.0)
+            assert c.shape == (50, x)
+            assert np.all(c >= 0.0)
             # nothing is left to charge at the last step of the floored ceiling
             if i == 1:
-                np.testing.assert_allclose(c[:, x], 0.0, atol=1e-12)
+                np.testing.assert_allclose(c[:, -1], 0.0, atol=1e-12)
 
     def test_fallback_without_attainable_rho_names_class(self):
         model = degenerate_model({(1, 0, 4): (1.9, 2, 0.6), (-1, 1, 4): (1.0, 2, 0.5)})
@@ -206,7 +203,7 @@ class TestChargePaths:
                 seed = (d, i + 2, j + 2, x)
                 got = model.charge_paths(i, j, x, 1, np.random.default_rng(seed))
                 want = oracle_charge_path(model, i, j, x, np.random.default_rng(seed))
-                assert got.shape == (1, x + 2)
+                assert got.shape == (1, x)
                 np.testing.assert_array_equal(got[0], want)
 
     def test_one_row_matches_oracle_on_fitted_model(self, fitted_model):
@@ -236,18 +233,17 @@ class TestChargePaths:
         x = 60 if key == (1, 0, 4) else key[2]
         self.check_against_oracle(model, [(key[0], key[1], x)])
 
-    def test_large_batch_in_band_with_zero_endpoints(self, fitted_model):
+    def test_large_batch_in_band(self, fitted_model):
         for (i, j, x), sampler in sorted(fitted_model.samplers.items())[:6]:
             c = fitted_model.charge_paths(i, j, x, 500, np.random.default_rng(x))
-            assert c.shape == (500, x + 2)
-            assert np.all(c[:, 0] == 0.0) and np.all(c[:, -1] == 0.0)
+            assert c.shape == (500, x)
             k = np.arange(x)
-            assert np.all(c[:, 1 : x + 1] >= -1e-12)
-            assert np.all(c[:, 1 : x + 1] <= sampler.support.rho_max - k * LIMIT + 1e-12)
+            assert np.all(c >= -1e-12)
+            assert np.all(c <= sampler.support.rho_max - k * LIMIT + 1e-12)
 
     def test_idle_state_is_zero(self):
         c = degenerate_model({}).charge_paths(0, 1, 4, 7, np.random.default_rng(0))
-        np.testing.assert_array_equal(c, np.zeros((7, 6)))
+        np.testing.assert_array_equal(c, np.zeros((7, 4)))
 
 
 class TestPenaltyPath:
@@ -281,7 +277,7 @@ class TestPenaltyPath:
             else:
                 seg_charges = model.charge_path(st, 0 if st == 1 else 1, 3, np.random.default_rng())
                 fee = fees.up_fee if st == 1 else fees.down_fee
-                assert path.penalty[t] == approx(fee * seg_charges[b + 1])
+                assert path.penalty[t] == approx(fee * seg_charges[b])
 
     def test_soc_confinement_and_complementarity(self, fitted_kernel, fitted_model):
         battery = BatterySpec(0.0, 0.36, 0.18)
@@ -322,8 +318,8 @@ class TestPenaltyPath:
         # sojourn 4 with 2 steps already elapsed: 2 remaining, jump at time 2
         assert path.jump_times[1] == 2
         charges = model.charge_path(1, 0, 4, np.random.default_rng())
-        # steps 1 consumes in-segment index b+d+1 with d=1 (d=0 lands on step 0)
-        assert path.soc[1] == approx(50.0 + charges[4])
+        # step 1 has backward time b + 1 = 3 and takes c(4), row index 3
+        assert path.soc[1] == approx(50.0 + charges[3])
 
     def test_backward_longer_than_any_sojourn(self):
         kernel = cycle_kernel(x=4)
@@ -435,6 +431,21 @@ class TestPenaltyBlock:
         for path in paths:
             assert path.states.size == path.jump_times.size == 5
             assert path.penalty.size == path.jump_times[-1]
+
+
+class TestSpecs:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "spec, values",
+        [
+            (BatterySpec, dict(soc_min=0.0, soc_max=0.36, soc_init=0.18)),
+            (PenaltySpec, dict(up_fee=21.52, down_fee=26.50, discount_rate=0.0)),
+        ],
+    )
+    def test_non_finite_field_rejected(self, spec, values, value):
+        for name in values:
+            with pytest.raises(InputError, match=f"{spec.__name__}.{name} must be finite"):
+                spec(**{**values, name: value})
 
 
 class TestBatteryRecursion:

@@ -6,9 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from windbridge.errors import InputError
+from windbridge.bridge import SIGMA_FLOOR, BridgeParams, decompose
+from windbridge.errors import EstimationError, InputError, InsufficientDataError
+from windbridge.estimation import (
+    SigmaModel,
+    attainable_param_support,
+    fit_joint_density,
+    fit_sigma_regression,
+    mle_sigma,
+)
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
-from windbridge.segmentation import SegmentTable, complete_classes
+from windbridge.power import RampPolicy, apply_ramp_limit
+from windbridge.segmentation import SegmentTable, complete_classes, extract_segments
 from windbridge.simulate import BatterySpec, PenaltySpec, mc_moments
 from windbridge.validation import (
     compare_segments,
@@ -31,6 +40,63 @@ def class_table(i, j, charges):
         i=np.full(n, i), j=np.full(n, j), x=np.full(n, x), start=np.arange(n) * x,
         entry_power=np.ones(n), censored=np.zeros(n, dtype=bool), charges=charges.ravel(),
     )
+
+
+def per_run_model_doc(table, limit, capacity, min_group_sample=10, seed_key=()):
+    """The fitted model document, one run at a time: each run's charges padded
+    with zeros at ``k = 0`` and ``k = x+1``, its peak scanned over the interior,
+    ``rho`` from Python floats and one one-row ``decompose`` per run."""
+
+    def pooled(sigmas):
+        return float(np.exp(np.mean(np.log(np.maximum(sigmas, SIGMA_FLOOR)))))
+
+    samplers, sigma_obs = {}, {}
+    for (i, j, x), rows in complete_classes(table).items():
+        triplets = []
+        for r in rows.tolist():
+            start = int(table.start[r])
+            padded = np.zeros(x + 2)
+            padded[1 : x + 1] = table.charges[start : start + x]
+            tau = int(np.argmax(padded[1 : x + 1])) + 1
+            h = float(padded[tau])
+            entry = float(table.entry_power[r])
+            if i == -1:
+                rho = min(max(entry - limit, limit * (x + 1)), capacity)
+            else:
+                rho = max(capacity - (entry - limit), capacity - limit * (x + 1), 0.0)
+            if h <= 0.0:
+                continue
+            triplets.append((rho, tau, h))
+            if x >= 2:
+                err = decompose(padded[1 : x + 1], BridgeParams(rho=rho, tau=tau, h=h), limit)
+                try:
+                    s_hat = mle_sigma(err, tau, x)
+                except InsufficientDataError:
+                    continue
+                sigma_obs.setdefault((i, j), []).append((s_hat, rho, tau, h, x))
+        if not triplets:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence((*seed_key, i + 2, j + 2, x)))
+        support = attainable_param_support(i, x, limit, capacity)
+        sampler = fit_joint_density(triplets, support, min_sample=min_group_sample, rng=rng)
+        samplers[f"{i},{j},{x}"] = sampler.to_dict()
+
+    all_sigmas = [obs[0] for pair in sigma_obs.values() for obs in pair]
+    sigma_models = {}
+    for pair in sorted(sigma_obs):
+        obs = np.asarray(sigma_obs[pair], dtype=float)
+        try:
+            model = fit_sigma_regression(obs)
+        except (InsufficientDataError, EstimationError):
+            model = SigmaModel.constant(pooled(obs[:, 0]))
+        sigma_models[f"{pair[0]},{pair[1]}"] = model.to_dict()
+    return {
+        "limit_mw": limit,
+        "capacity_mw": capacity,
+        "sigma_default": pooled(all_sigmas) if all_sigmas else SIGMA_FLOOR,
+        "samplers": samplers,
+        "sigma_models": sigma_models,
+    }
 
 
 class TestRelL2:
@@ -122,7 +188,7 @@ class TestCompareSegments:
         rng = np.random.default_rng(5)
         key = max(fitted_model.samplers, key=lambda k: fitted_model.samplers[k].n_obs)
         i, j, x = key
-        sims = class_table(i, j, [fitted_model.charge_path(i, j, x, rng)[1 : x + 1] for _ in range(1000)])
+        sims = class_table(i, j, [fitted_model.charge_path(i, j, x, rng) for _ in range(1000)])
         refit = charge_model_from_doc(build_model_doc(sims, LIMIT, CAPACITY))
         report = compare_segments(sims, refit, rng=7)
         assert len(report.groups) == 1
@@ -144,7 +210,7 @@ class TestCompareSegments:
                 continue
             real = np.vstack([table.charges[s : s + x] for s in table.start[rows]])
             n_sim = max(3 * rows.size, 100)
-            sim = fitted_model.charge_paths(i, j, x, n_sim, rng)[:, 1 : x + 1]
+            sim = fitted_model.charge_paths(i, j, x, n_sim, rng)
             expected.append(rel_l2_error(real.mean(axis=0), sim.mean(axis=0)))
         assert len(expected) >= 2
         assert [g.l2_mean_pct for g in report.groups] == expected
@@ -166,6 +232,13 @@ class TestBuildModelDoc:
 
         assert fit() == fit()
         assert fit() != fit(seed_key=(1,))
+
+    @pytest.mark.parametrize("limit", [LIMIT, 0.1])
+    def test_class_fit_matches_per_run_loop(self, corrected_series, limit):
+        series = apply_ramp_limit(corrected_series, RampPolicy(limit=limit), capacity=CAPACITY)
+        _, table = extract_segments(series)
+        doc = build_model_doc(table, limit, CAPACITY, seed_key=(7,))
+        assert json.dumps(doc) == json.dumps(per_run_model_doc(table, limit, CAPACITY, seed_key=(7,)))
 
 
 class TestEmpiricalPenalty:
