@@ -23,7 +23,6 @@ from .errors import (
     WindBridgeError,
 )
 from .estimation import (
-    DegenerateSampler,
     EmpiricalCopulaSampler,
     SigmaModel,
     SupportSpec,
@@ -31,7 +30,6 @@ from .estimation import (
     fit_joint_density,
     fit_sigma_regression,
     mle_sigma,
-    nominal_param_support,
     predict_sigma,
 )
 from .pipeline import (

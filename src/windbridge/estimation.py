@@ -24,10 +24,8 @@ from .errors import EstimationError, InputError, InsufficientDataError
 
 __all__ = [
     "SupportSpec",
-    "nominal_param_support",
     "attainable_param_support",
     "EmpiricalCopulaSampler",
-    "DegenerateSampler",
     "fit_joint_density",
     "mle_sigma",
     "SigmaModel",
@@ -69,7 +67,7 @@ class SupportSpec:
     """Constraint region for ``(rho, tau, h)`` on one segment class.
 
     ``rho`` ranges over ``[rho_min, rho_max]``, ``tau`` over ``{1..x}``, and
-    ``h`` over ``(0, h_max(rho, tau))`` with
+    ``h`` over ``(0, h_max(rho, tau)]`` with
     ``h_max = h_rho_coef * rho + h_offset - tau * limit``.
     """
 
@@ -80,7 +78,6 @@ class SupportSpec:
     rho_max: float
     h_rho_coef: float
     h_offset: float
-    h_open: bool = True
 
     def __post_init__(self) -> None:
         if self.side not in (-1, 1):
@@ -95,16 +92,13 @@ class SupportSpec:
             tau, dtype=float
         ) * self.limit
 
-    def contains(self, rho, tau, h, require_integer_tau: bool = True) -> np.ndarray | bool:
+    def contains(self, rho, tau, h) -> np.ndarray | bool:
         rho = np.asarray(rho, dtype=float)
         tau = np.asarray(tau, dtype=float)
         h = np.asarray(h, dtype=float)
         ok = (rho >= self.rho_min) & (rho <= self.rho_max)
-        ok &= (tau >= 1.0) & (tau <= self.x)
-        if require_integer_tau:
-            ok &= tau == np.round(tau)
-        hmax = self.h_max(rho, tau)
-        ok &= (h > 0.0) & ((h < hmax) if self.h_open else (h <= hmax))
+        ok &= (tau >= 1.0) & (tau <= self.x) & (tau == np.round(tau))
+        ok &= (h > 0.0) & (h <= self.h_max(rho, tau))
         if ok.ndim == 0:
             return bool(ok)
         return ok
@@ -113,37 +107,13 @@ class SupportSpec:
         """Move ``(rho, tau, h)`` to the nearest point of the support.
 
         ``tau`` comes back as a float in ``[1, x]``; ``h`` is kept at least
-        1e-15 and, for an open bound, just below ``h_max``.
+        1e-15.
         """
         rho = np.clip(rho, self.rho_min, self.rho_max)
         tau = np.clip(tau, 1.0, float(self.x))
-        hmax = self.h_max(rho, tau)
-        ceiling = hmax if not self.h_open else hmax * (1.0 - 1e-9)
-        h = np.minimum(h, np.maximum(ceiling, 1e-15))
+        h = np.minimum(h, np.maximum(self.h_max(rho, tau), 1e-15))
         h = np.maximum(h, 1e-15)
         return rho, tau, h
-
-
-def nominal_param_support(side: int, x: int, limit: float, capacity: float) -> SupportSpec:
-    """The tight design box for the parameter law.
-
-    Charging side: ``rho in [0, (x+1)*limit]`` with ``h < rho - tau*limit``.
-    Discharging side: ``rho in [capacity - (x+1)*limit, capacity]`` with
-    ``h < capacity - rho - tau*limit``.
-    """
-    if side == 1:
-        return SupportSpec(
-            side=1, x=x, limit=limit,
-            rho_min=0.0, rho_max=(x + 1) * limit,
-            h_rho_coef=1.0, h_offset=0.0,
-        )
-    if side == -1:
-        return SupportSpec(
-            side=-1, x=x, limit=limit,
-            rho_min=capacity - (x + 1) * limit, rho_max=capacity,
-            h_rho_coef=-1.0, h_offset=capacity,
-        )
-    raise InputError("support is defined only for side -1 or +1")
 
 
 def attainable_param_support(side: int, x: int, limit: float, capacity: float) -> SupportSpec:
@@ -165,13 +135,13 @@ def attainable_param_support(side: int, x: int, limit: float, capacity: float) -
         return SupportSpec(
             side=1, x=x, limit=limit,
             rho_min=max(capacity - (x + 1) * limit, 0.0), rho_max=capacity + limit,
-            h_rho_coef=1.0, h_offset=pad, h_open=False,
+            h_rho_coef=1.0, h_offset=pad,
         )
     if side == -1:
         return SupportSpec(
             side=-1, x=x, limit=limit,
             rho_min=min((x + 1) * limit, capacity), rho_max=capacity,
-            h_rho_coef=1.0, h_offset=2.0 * limit + pad, h_open=False,
+            h_rho_coef=1.0, h_offset=2.0 * limit + pad,
         )
     raise InputError("support is defined only for side -1 or +1")
 
@@ -275,23 +245,6 @@ class EmpiricalCopulaSampler:
             ),
             n_obs=data["n_obs"],
             bootstrap_augmented=data["bootstrap_augmented"],
-        )
-
-
-class DegenerateSampler:
-    """Always returns one fixed triplet: a stand-in for a fitted sampler in tests."""
-
-    def __init__(self, support: SupportSpec, rho: float, tau: int, h: float):
-        self.support = support
-        self.rho = float(rho)
-        self.tau = int(tau)
-        self.h = float(h)
-
-    def sample_n(self, n: int, rng: np.random.Generator):
-        return (
-            np.full(n, self.rho),
-            np.full(n, self.tau, dtype=int),
-            np.full(n, self.h),
         )
 
 

@@ -32,6 +32,9 @@ __all__ = [
 #: Absolute charges below this many MW count as "battery idle".
 SIGN_TOLERANCE = 1e-9
 
+#: Battery states, in the order of the kernel array's first two axes.
+STATES = (-1, 0, 1)
+
 
 @dataclass
 class SegmentTable:
@@ -143,10 +146,12 @@ class SemiMarkovKernel:
     """Empirical kernel ``q[i][j][x]`` of the battery operation renewal process.
 
     ``q[i][j][x]`` estimates the probability that, from state ``i``, the next
-    jump happens after a sojourn of ``x`` steps and lands in ``j``.  The
-    sojourn marginal ``h``, embedded transition matrix ``p`` and conditional
-    transitions are materialized from ``q`` at construction so the defining
-    identities hold exactly.
+    jump happens after a sojourn of ``x`` steps and lands in ``j``.  Draws
+    read the same law as the array ``Q[i + 1, j + 1, x]`` over the states
+    ``(-1, 0, 1)`` and ``x = 0..max``, through sums of it computed once: the
+    sojourn law ``h_i(x) = sum_j q[i][j][x]`` and its CDF, and the successor
+    CDFs ``cumsum_j q[i][j][x] / h_i(x)``.  A zero entry repeats the CDF
+    value before it, so it is never drawn.
     """
 
     def __init__(self, q: dict[int, dict[int, dict[int, float]]], visits: dict[int, int]):
@@ -154,58 +159,23 @@ class SemiMarkovKernel:
                            for j, kk in jj.items()}
                   for i, jj in q.items()}
         self.visits = {int(i): int(c) for i, c in visits.items()}
-        self._materialize()
-
-    def _materialize(self) -> None:
-        self.h: dict[int, dict[int, float]] = {}
-        self.p: dict[int, dict[int, float]] = {}
-        self.p_cond: dict[int, dict[int, dict[int, float]]] = {}
-        self._sojourn_values: dict[int, np.ndarray] = {}
-        self._sojourn_probs: dict[int, np.ndarray] = {}
-        for i, jj in self.q.items():
-            hi: dict[int, float] = {}
-            pi: dict[int, float] = {}
-            for j, kk in jj.items():
-                for k, v in kk.items():
-                    hi[k] = hi.get(k, 0.0) + v
-                pi[j] = sum(kk.values())
-            self.h[i] = hi
-            self.p[i] = pi
-            self.p_cond[i] = {
-                k: {j: jj[j].get(k, 0.0) / hk for j in sorted(jj)}
-                for k, hk in hi.items()
-                if hk > 0.0
-            }
-            ks = np.array(sorted(hi), dtype=int)
-            self._sojourn_values[i] = ks
-            self._sojourn_probs[i] = np.array([hi[int(k)] for k in ks])
-
-        # Inverse-CDF tables for batched draws, one row per source state.
-        # Sojourns: the sorted values, padded with values that no condition
-        # reaches, and the CDF at 0 and after each value, padded with inf.
-        # Successors: cumulative weights over every state ever entered, for
-        # each (i, x), and the index of the last positive weight.
-        sources = [i for i in sorted(self.q) if self._sojourn_values[i].size]
-        self._sources = np.array(sources, dtype=int)
-        self._targets = np.array(sorted({j for jj in self.q.values() for j in jj}), dtype=int)
-        width = max((self._sojourn_values[i].size for i in sources), default=0)
-        max_x = max((int(self._sojourn_values[i][-1]) for i in sources), default=0)
-        self._sojourn_table = np.full((len(sources), width), np.iinfo(int).max)
-        self._sojourn_cdf = np.full((len(sources), width + 1), np.inf)
-        self._sojourn_count = np.zeros(len(sources), dtype=int)
-        self._successor_cum = np.zeros((len(sources), max_x + 1, self._targets.size))
-        self._successor_last = np.full((len(sources), max_x + 1), -1)
-        for r, i in enumerate(sources):
-            ks = self._sojourn_values[i]
-            self._sojourn_table[r, : ks.size] = ks
-            self._sojourn_cdf[r, 0] = 0.0
-            self._sojourn_cdf[r, 1 : ks.size + 1] = np.cumsum(self._sojourn_probs[i])
-            self._sojourn_count[r] = ks.size
-            for k, cond in self.p_cond[i].items():
-                weights = np.zeros(self._targets.size)
-                weights[np.searchsorted(self._targets, list(cond))] = list(cond.values())
-                self._successor_cum[r, k] = np.cumsum(weights)
-                self._successor_last[r, k] = int(np.flatnonzero(weights > 0.0)[-1])
+        keys = [(i, j, k) for i, jj in self.q.items() for j, kk in jj.items() for k in kk]
+        outside = sorted({s for i, j, _ in keys for s in (i, j)} - set(STATES))
+        if outside:
+            raise InputError(f"kernel state {outside[0]} is not one of {STATES}")
+        if any(k < 1 for *_, k in keys):
+            raise InputError("sojourns must be at least one step")
+        self._Q = np.zeros((3, 3, max((k for *_, k in keys), default=0) + 1))
+        for i, j, k in keys:
+            self._Q[i + 1, j + 1, k] = self.q[i][j][k]
+        h = self._h = self._Q.sum(axis=1)
+        self._H = np.cumsum(h, axis=1)
+        self._longest = np.where(h > 0.0, np.arange(h.shape[1]), 0).max(axis=1)
+        self._live = self._longest > 0
+        self._successor_cdf = np.cumsum(
+            np.divide(self._Q, h[:, None], out=np.zeros_like(self._Q), where=h[:, None] > 0.0), axis=1
+        )
+        self._last_successor = np.where(h > 0.0, 2 - np.argmax(self._Q[:, ::-1] > 0.0, axis=1), -1)
 
     # -- queries ------------------------------------------------------------
 
@@ -213,36 +183,32 @@ class SemiMarkovKernel:
     def states(self) -> tuple[int, ...]:
         return tuple(sorted(self.q))
 
+    def _rows(self, states) -> np.ndarray:
+        """Row of ``Q`` for each entry of ``states``; a state never left raises."""
+        rows = np.asarray(states, dtype=int) + 1
+        if rows.size and (rows.min() < 0 or rows.max() > 2 or not self._live[rows].all()):
+            n = next(n for n, r in enumerate(rows.tolist()) if not (0 <= r <= 2 and self._live[r]))
+            raise EstimationError(f"no transitions observed from state {rows[n] - 1}")
+        return rows
+
     def max_sojourn(self, i: int) -> int:
-        self._require_state(i)
-        return int(self._sojourn_values[i][-1])
+        return int(self._longest[self._rows([i])[0]])
 
     def sojourn_pmf(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        self._require_state(i)
-        return self._sojourn_values[i], self._sojourn_probs[i]
+        """The sojourns of ``i`` with positive probability, and their probabilities."""
+        h = self._h[self._rows([i])[0]]
+        xs = np.flatnonzero(h)
+        return xs, h[xs]
 
     def successor_pmf(self, i: int, x: int) -> dict[int, float]:
-        self._require_state(i)
-        cond = self.p_cond[i].get(int(x))
-        if cond is None:
+        """``q[i][j][x] / h_i(x)`` for every successor ``j`` with positive probability."""
+        a = self._rows([i])[0]
+        if not 0 <= x < self._h.shape[1] or self._h[a, x] == 0.0:
             raise SimulationError(f"state {i} has no observed sojourn of length {x}")
-        return cond
-
-    def _require_state(self, i: int) -> None:
-        if i not in self.q or not self._sojourn_values.get(i, np.empty(0)).size:
-            raise EstimationError(f"no transitions observed from state {i}")
+        pmf = self._Q[a, :, x] / self._h[a, x]
+        return {j: float(p) for j, p in zip(STATES, pmf) if p > 0.0}
 
     # -- sampling -----------------------------------------------------------
-
-    def _source_rows(self, states: np.ndarray) -> np.ndarray:
-        """Table row of each source state; an unseen state raises as in :meth:`sojourn_pmf`."""
-        if not self._sources.size:
-            self._require_state(int(states[0]))
-        rows = np.minimum(np.searchsorted(self._sources, states), self._sources.size - 1)
-        unseen = states[self._sources[rows] != states]
-        if unseen.size:
-            self._require_state(int(unseen[0]))
-        return rows
 
     def sample_sojourns(
         self, states: np.ndarray, rng: np.random.Generator, longer_than: np.ndarray | None = None
@@ -253,43 +219,42 @@ class SemiMarkovKernel:
         exceeding ``longer_than[n]``: its uniform is mapped onto the part of
         the CDF above that length.
         """
-        states = np.asarray(states, dtype=int)
-        rows = self._source_rows(states)
-        cdf = self._sojourn_cdf[rows]
-        count = self._sojourn_count[rows]
-        total = cdf[np.arange(rows.size), count]
+        rows = self._rows(states)
+        longest = self._longest[rows]
+        cdf = self._H[rows]
+        total = cdf[:, -1]
         if longer_than is None:
             v = rng.random(rows.size) * total
         else:
-            n_short = (self._sojourn_table[rows] <= np.asarray(longer_than)[:, None]).sum(axis=1)
-            if np.any(n_short == count):
-                n = int(np.flatnonzero(n_short == count)[0])
+            b = np.asarray(longer_than, dtype=int)
+            if np.any(b < 0):
+                raise InputError("sojourn conditions must be nonnegative")
+            if np.any(b >= longest):
+                n = int(np.flatnonzero(b >= longest)[0])
                 raise SimulationError(
-                    f"state {states[n]} has no observed sojourn longer than {longer_than[n]}"
+                    f"state {rows[n] - 1} has no observed sojourn longer than {b[n]}"
                 )
-            lower = cdf[np.arange(rows.size), n_short]
+            lower = cdf[np.arange(rows.size), b]
             v = lower + rng.random(rows.size) * (total - lower)
-        idx = (cdf[:, 1:] <= v[:, None]).sum(axis=1)
-        return self._sojourn_table[rows, np.minimum(idx, count - 1)]
+        return np.minimum((cdf[:, 1:] <= v[:, None]).sum(axis=1) + 1, longest)
 
     def sample_successors(
         self, states: np.ndarray, sojourns: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """One successor per ``(state, sojourn)`` pair from ``p_cond``, by inverse CDF."""
-        states = np.asarray(states, dtype=int)
+        """One successor per ``(state, sojourn)`` pair from ``q[i][j][x] / h_i(x)``, by inverse CDF."""
+        rows = self._rows(states)
         sojourns = np.asarray(sojourns, dtype=int)
-        rows = self._source_rows(states)
-        inside = np.clip(sojourns, 0, self._successor_last.shape[1] - 1)
-        last = self._successor_last[rows, inside]
+        inside = np.clip(sojourns, 0, self._h.shape[1] - 1)
+        last = self._last_successor[rows, inside]
         bad = (last < 0) | (inside != sojourns)
         if bad.any():
             n = int(np.flatnonzero(bad)[0])
             raise SimulationError(
-                f"state {states[n]} has no observed sojourn of length {sojourns[n]}"
+                f"state {rows[n] - 1} has no observed sojourn of length {sojourns[n]}"
             )
-        cum = self._successor_cum[rows, sojourns]
-        idx = (cum <= (rng.random(rows.size) * cum[:, -1])[:, None]).sum(axis=1)
-        return self._targets[np.minimum(idx, last)]
+        cdf = self._successor_cdf[rows, :, sojourns]
+        idx = (cdf <= (rng.random(rows.size) * cdf[:, -1])[:, None]).sum(axis=1)
+        return np.minimum(idx, last) - 1
 
     def sample_sojourn(self, i: int, rng: np.random.Generator, longer_than: int = 0) -> int:
         """Draw a sojourn from ``h_i``, optionally conditioned on exceeding ``longer_than``."""

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
@@ -13,6 +14,19 @@ from windbridge.segmentation import estimate_kernel, extract_segments
 
 LIMIT = 0.02
 CAPACITY = DEFAULT_TURBINE.rated_capacity
+
+
+class DegenerateSampler:
+    """Always returns one fixed triplet: a stand-in for a fitted sampler."""
+
+    def __init__(self, support, rho: float, tau: int, h: float):
+        self.support = support
+        self.rho = float(rho)
+        self.tau = int(tau)
+        self.h = float(h)
+
+    def sample_n(self, n: int, rng: np.random.Generator):
+        return np.full(n, self.rho), np.full(n, self.tau, dtype=int), np.full(n, self.h)
 
 
 @pytest.fixture(scope="session")

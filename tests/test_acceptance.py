@@ -18,13 +18,11 @@ from windbridge.bridge import (
     triangle_path,
 )
 from windbridge.estimation import (
-    DegenerateSampler,
     SigmaModel,
     attainable_param_support,
     fit_joint_density,
     fit_sigma_regression,
     mle_sigma,
-    nominal_param_support,
 )
 from windbridge.pipeline import RunConfig, SyntheticWindSpec, run_pipeline
 from windbridge.power import PowerSeries, RampPolicy, apply_ramp_limit
@@ -37,6 +35,8 @@ from windbridge.simulate import (
     simulate_penalty_path,
     simulate_penalty_paths,
 )
+
+from conftest import DegenerateSampler
 
 LIMIT = 0.02
 CAPACITY = 2.0
@@ -87,17 +87,20 @@ def test_criterion_02_kernel_identities_and_round_trip():
             -1: {0: {1: 0.45, 3: 0.15}, 1: {2: 0.3, 6: 0.1}},
         }
         kernel = SemiMarkovKernel(q, {1: 1, 0: 1, -1: 1})
-        chains = kernel.sample_chains(np.array([0]), np.random.default_rng(1002), n_transitions=100_000)
-        back = estimate_kernel(chains.states[0, :-1], chains.states[0, 1:], chains.sojourns[0])
+        # one block of 1,000 rows of 100 jumps each
+        chains = kernel.sample_chains(np.zeros(1000), np.random.default_rng(1002), n_transitions=100)
+        assert np.all(chains.counts == 100)
+        back = estimate_kernel(chains.states[:, :-1], chains.states[:, 1:], chains.sojourns)
         # defining identities hold to 1e-12 on the estimate
         for i in back.states:
             assert sum(v for jj in back.q[i].values() for v in jj.values()) == approx(1.0, abs=1e-12)
-            for k, hv in back.h[i].items():
+            xs, probs = back.sojourn_pmf(i)
+            for k, hv in zip(xs.tolist(), probs):
                 assert hv == approx(sum(back.q[i][j].get(k, 0.0) for j in back.q[i]), abs=1e-12)
-            for j, pv in back.p[i].items():
-                assert pv == approx(sum(back.q[i][j].values()), abs=1e-12)
-            for k, cond in back.p_cond[i].items():
+                cond = back.successor_pmf(i, k)
                 assert sum(cond.values()) == approx(1.0, abs=1e-12)
+                for j, c in cond.items():
+                    assert c == approx(back.q[i][j][k] / hv, abs=1e-12)
         # L1 recovery of the generating kernel, per source state
         for i in q:
             err = sum(
@@ -189,7 +192,7 @@ def test_criterion_06_sampler_support():
             side = int(rng.choice([-1, 1]))
             x = int(rng.integers(1, 25))
             limit = float(rng.uniform(0.01, 0.2))
-            support = nominal_param_support(side, x, limit, CAPACITY)
+            support = attainable_param_support(side, x, limit, CAPACITY)
             pts = []
             while len(pts) < 50:
                 rho = rng.uniform(support.rho_min, support.rho_max)

@@ -11,7 +11,6 @@ from windbridge.errors import EstimationError, InputError, InsufficientDataError
 from windbridge.estimation import (
     LAMBDA_GRID,
     REGRESSOR_NAMES,
-    DegenerateSampler,
     EmpiricalCopulaSampler,
     SigmaModel,
     SupportSpec,
@@ -21,11 +20,12 @@ from windbridge.estimation import (
     fit_sigma_regression,
     inv_box_cox,
     mle_sigma,
-    nominal_param_support,
     predict_sigma,
     predict_sigma_batch,
     _design_matrix,
 )
+
+from conftest import DegenerateSampler
 
 LIMIT = 0.02
 CAPACITY = 2.0
@@ -45,24 +45,11 @@ def uniform_triplets(support, n, rng):
 
 
 class TestSupports:
-    def test_nominal_charging_box(self):
-        s = nominal_param_support(1, 5, LIMIT, CAPACITY)
-        assert s.rho_min == 0.0
-        assert s.rho_max == approx(6 * LIMIT)
-        assert s.h_max(0.1, 2) == approx(0.1 - 2 * LIMIT)
-
-    def test_nominal_discharging_box(self):
-        s = nominal_param_support(-1, 5, LIMIT, CAPACITY)
-        assert s.rho_min == approx(CAPACITY - 6 * LIMIT)
-        assert s.rho_max == CAPACITY
-        assert s.h_max(1.9, 3) == approx(CAPACITY - (1.9 + 3 * LIMIT))
-
     def test_contains_strictness(self):
-        s = nominal_param_support(1, 5, LIMIT, CAPACITY)
-        assert s.contains(0.1, 2, 0.02)
-        assert not s.contains(0.1, 2, 0.1 - 2 * LIMIT)  # h at the open bound
-        assert not s.contains(0.1, 2.5, 0.02)  # non-integer tau
-        assert not s.contains(0.2, 2, 0.02)  # rho above the box
+        s = attainable_param_support(1, 5, LIMIT, CAPACITY)
+        assert s.contains(1.9, 2, 0.02)
+        assert not s.contains(1.9, 2.5, 0.02)  # non-integer tau
+        assert not s.contains(2.1, 2, 0.02)  # rho above the box
 
     def test_attainable_contains_boundary_h(self):
         s = attainable_param_support(1, 5, LIMIT, CAPACITY)
@@ -71,7 +58,7 @@ class TestSupports:
 
     def test_invalid_side(self):
         with pytest.raises(InputError):
-            nominal_param_support(0, 5, LIMIT, CAPACITY)
+            attainable_param_support(0, 5, LIMIT, CAPACITY)
 
 
 class TestJointDensity:
@@ -94,9 +81,8 @@ class TestJointDensity:
         assert sampler.bootstrap_augmented
         assert sampler.n_obs == 3
         assert all(len(m) == 10 for m in sampler.marginals)
-        rho, tau, h = (sampler.marginals[0], sampler.marginals[1], sampler.marginals[2])
-        ok = support.contains(rho, tau, h, require_integer_tau=False)
-        assert np.all(ok)
+        for moved, marginal in zip(support.clamp(*sampler.marginals), sampler.marginals):
+            np.testing.assert_array_equal(moved, marginal)
 
     def test_comonotone_dependence_preserved(self):
         support = attainable_param_support(-1, 6, LIMIT, CAPACITY)

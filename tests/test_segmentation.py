@@ -168,24 +168,76 @@ class TestEstimateKernel:
         kernel = estimate_kernel(*transitions)
         assert kernel.q[1][0][2] == approx(0.75)
         assert kernel.q[1][-1][2] == approx(0.25)
-        assert kernel.h[1][2] == approx(1.0)
-        assert kernel.p[1][0] == approx(0.75)
+        xs, probs = kernel.sojourn_pmf(1)
+        assert xs.tolist() == [2] and probs.tolist() == approx([1.0])
+        assert kernel.successor_pmf(1, 2) == approx({-1: 0.25, 0: 0.75})
+        assert kernel.max_sojourn(0) == 3
 
     def test_identities(self, fitted_kernel):
         k = fitted_kernel
         for i in k.states:
             total = sum(v for jj in k.q[i].values() for v in jj.values())
             assert total == approx(1.0, abs=1e-12)
-            for dur, hval in k.h[i].items():
-                assert hval == approx(
-                    sum(k.q[i][j].get(dur, 0.0) for j in k.q[i]), abs=1e-12
-                )
-            for j, pval in k.p[i].items():
-                assert pval == approx(sum(k.q[i][j].values()), abs=1e-12)
-            for dur, cond in k.p_cond[i].items():
-                assert sum(cond.values()) == approx(1.0, abs=1e-12)
-                for j, c in cond.items():
-                    assert c == approx(k.q[i][j].get(dur, 0.0) / k.h[i][dur], abs=1e-12)
+            xs, probs = k.sojourn_pmf(i)
+            assert xs.tolist() == sorted({x for jj in k.q[i].values() for x in jj})
+            assert k.max_sojourn(i) == xs[-1]
+            for x, hval in zip(xs.tolist(), probs):
+                assert hval == approx(sum(k.q[i][j].get(x, 0.0) for j in k.q[i]), abs=1e-12)
+                pmf = k.successor_pmf(i, x)
+                assert list(pmf) == sorted(j for j in k.q[i] if x in k.q[i][j])
+                assert sum(pmf.values()) == approx(1.0, abs=1e-12)
+                for j, c in pmf.items():
+                    assert c == approx(k.q[i][j][x] / hval, abs=1e-12)
+
+    def test_draws_match_scalar_inverse_cdf(self):
+        # sojourn gaps of zero probability, and state 0 never jumps to -1
+        q = {
+            1: {0: {1: 0.2, 4: 0.1, 9: 0.05}, -1: {4: 0.3, 6: 0.35}},
+            0: {1: {2: 0.5, 3: 0.1, 12: 0.4}},
+            -1: {1: {1: 0.45, 7: 0.15}, 0: {2: 0.3, 7: 0.1}},
+        }
+        kernel = SemiMarkovKernel(q, {1: 1, 0: 1, -1: 1})
+        rng = np.random.default_rng(21)
+        states = rng.choice([-1, 0, 1], 5000)
+        longest = np.array([max(x for kk in q[i].values() for x in kk) for i in states])
+        backward = (rng.random(states.size) * longest).astype(int)
+        assert set(backward.tolist()) >= set(range(12))
+
+        def sojourn_oracle(i, u, b=None):
+            xs = sorted({x for kk in q[i].values() for x in kk})
+            cdf = np.cumsum([sum(q[i][j].get(x, 0.0) for j in sorted(q[i])) for x in xs])
+            lower = 0.0 if b is None or b < xs[0] else cdf[np.searchsorted(xs, b, side="right") - 1]
+            v = lower + u * (cdf[-1] - lower)
+            return xs[min(int(np.sum(cdf <= v)), len(xs) - 1)]
+
+        def successor_oracle(i, x, u):
+            targets = [j for j in sorted(q[i]) if x in q[i][j]]
+            h = sum(q[i][j].get(x, 0.0) for j in sorted(q[i]))
+            cum = np.cumsum([q[i][j][x] / h for j in targets])
+            return targets[min(int(np.sum(cum <= u * cum[-1])), len(targets) - 1)]
+
+        for condition in (None, backward):
+            clone = np.random.Generator(np.random.PCG64())
+            clone.bit_generator.state = rng.bit_generator.state
+            sojourns = kernel.sample_sojourns(states, rng, condition)
+            u = clone.random(states.size)
+            expected = [
+                sojourn_oracle(i, un, None if condition is None else bn)
+                for i, un, bn in zip(states.tolist(), u, backward.tolist())
+            ]
+            np.testing.assert_array_equal(sojourns, expected)
+            if condition is not None:
+                assert np.all(sojourns > backward)
+            clone.bit_generator.state = rng.bit_generator.state
+            successors = kernel.sample_successors(states, sojourns, rng)
+            u = clone.random(states.size)
+            expected = [
+                successor_oracle(i, x, un) for i, x, un in zip(states.tolist(), sojourns.tolist(), u)
+            ]
+            np.testing.assert_array_equal(successors, expected)
+            assert not np.any((states == 0) & (successors == -1))
+        observed = {(i, x) for i in q for kk in q[i].values() for x in kk}
+        assert set(zip(states.tolist(), sojourns.tolist())) == observed
 
     def test_censored_tail_excluded(self):
         # a 5-step charging run, then an idle tail cut by the end of the series
@@ -200,6 +252,30 @@ class TestEstimateKernel:
             kernel.sojourn_pmf(-1)
         with pytest.raises(EstimationError, match="-1"):
             kernel.sample_sojourn(-1, np.random.default_rng(0))
+        with pytest.raises(EstimationError, match="state 2"):
+            kernel.sample_sojourns(np.array([1, 2]), np.random.default_rng(0))
+        with pytest.raises(EstimationError, match="state -3"):
+            kernel.sample_successors(np.array([-3]), np.array([1]), np.random.default_rng(0))
+        with pytest.raises(SimulationError, match="length 2"):
+            kernel.successor_pmf(0, 2)
+
+    @pytest.mark.parametrize(
+        "q, match",
+        [
+            ({2: {0: {1: 1.0}}}, "state 2"),
+            ({1: {-2: {1: 1.0}}}, "state -2"),
+            ({1: {0: {0: 1.0}}}, "at least one step"),
+        ],
+    )
+    def test_bad_kernel_rejected_at_construction(self, q, match, tmp_path):
+        with pytest.raises(InputError, match=match):
+            SemiMarkovKernel(q, {})
+        path = tmp_path / "kernel.json"
+        doc = {"q": {str(i): {str(j): {str(k): v for k, v in kk.items()} for j, kk in jj.items()}
+                     for i, jj in q.items()}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=match):
+            SemiMarkovKernel.from_json(path)
 
     def test_no_transitions_at_all(self):
         with pytest.raises(EstimationError):
@@ -216,6 +292,8 @@ class TestEstimateKernel:
         assert draws <= {5, 9}
         with pytest.raises(SimulationError):
             kernel.sample_sojourn(0, rng, longer_than=9)
+        with pytest.raises(InputError, match="nonnegative"):
+            kernel.sample_sojourns(np.array([0]), rng, np.array([-1]))
 
     def test_round_trip_recovery(self):
         q = {

@@ -14,7 +14,6 @@ from windbridge.bridge import (
 from windbridge.errors import InputError, SimulationError
 from windbridge.estimation import (
     REGRESSOR_NAMES,
-    DegenerateSampler,
     SigmaModel,
     attainable_param_support,
     predict_sigma,
@@ -30,6 +29,8 @@ from windbridge.simulate import (
     simulate_penalty_path,
     simulate_penalty_paths,
 )
+
+from conftest import DegenerateSampler
 
 LIMIT = 0.02
 CAPACITY = 2.0
@@ -331,8 +332,10 @@ class TestPenaltyPath:
             )
 
     def test_renewal_law_matches_kernel(self, fitted_kernel):
-        chains = fitted_kernel.sample_chains(np.array([0]), np.random.default_rng(11), n_transitions=100_000)
-        sojourns, states = chains.sojourns[0], chains.states[0, :-1]
+        # one block of 1,000 rows of 100 jumps each
+        chains = fitted_kernel.sample_chains(np.zeros(1000), np.random.default_rng(11), n_transitions=100)
+        sojourns, states = chains.sojourns.ravel(), chains.states[:, :-1].ravel()
+        assert sojourns.size == 100_000 and np.all(sojourns > 0)
         for i in fitted_kernel.states:
             ks, probs = fitted_kernel.sojourn_pmf(i)
             xs = sojourns[states == i]
