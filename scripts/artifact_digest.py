@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run two fixed-seed pipelines and print the sha256 of every artifact.
+"""Run three fixed-seed pipelines and print the sha256 of every artifact.
 
 Each output line reads ``config name sha256``.  Two checkouts whose outputs
 are equal produce byte-identical artifacts, which is how a refactor shows
@@ -10,16 +10,25 @@ that it changed no result:
 
 ``short`` runs 10,000 synthetic hours at limits 1/5/7% with 200 paths and
 seed 7; ``monthly`` runs 20,000 synthetic hours at a 5% limit, horizon 720,
-discount rate 0.001, 40 paths and seed 3.  Both dump a sample path, so every
+discount rate 0.001, 40 paths and seed 3.  ``csv`` writes 5,000 hours of
+synthetic wind as an ISO-timestamped ``timestamp,speed_ms`` file and reads it
+back through ``wind_csv``, at a 5% limit with 100 paths and seed 5, so the
+wind-file reader is covered too.  All three dump a sample path, so every
 artifact the pipeline can write is covered.
 """
 
+import datetime
 import hashlib
+import os
 import tempfile
 from pathlib import Path
 
 from windbridge.pipeline import RunConfig, SyntheticWindSpec, run_pipeline
+from windbridge.power import generate_synthetic_wind
 from windbridge.simulate import DEFAULT_FEES, PenaltySpec
+
+#: Hours of wind the ``csv`` config reads from a file.
+CSV_HOURS = 5_000
 
 CONFIGS = {
     "short": dict(
@@ -38,12 +47,31 @@ CONFIGS = {
         n_paths=40,
         seed=3,
     ),
+    "csv": dict(limits=(0.05,), n_paths=100, seed=5),
 }
+
+
+def write_wind_file(path: Path) -> Path:
+    """Write ``CSV_HOURS`` hours of synthetic wind, one ISO timestamp an hour apart."""
+    spec = SyntheticWindSpec(n_steps=CSV_HOURS)
+    speeds = generate_synthetic_wind(
+        spec.n_steps, spec.shape, spec.scale, spec.autocorrelation, seed=5
+    )
+    start = datetime.datetime(2015, 1, 1)
+    hour = datetime.timedelta(hours=1)
+    with open(path, "w") as fh:
+        fh.write("# hourly mean wind speed at hub height\ntimestamp,speed_ms\n")
+        for k, v in enumerate(speeds.tolist()):
+            fh.write(f"{(start + k * hour).isoformat()},{v!r}\n")
+    return path
 
 
 def digests(name: str, root: Path) -> list[str]:
     out_dir = root / name
-    run_pipeline(RunConfig(out_dir=out_dir, dump_paths=True, **CONFIGS[name]))
+    config = dict(CONFIGS[name])
+    if name == "csv":
+        config["wind_csv"] = write_wind_file(root / "wind_input.csv")
+    run_pipeline(RunConfig(out_dir=out_dir, dump_paths=True, **config))
     return [
         f"{name} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
         for path in sorted(out_dir.iterdir())
@@ -51,10 +79,18 @@ def digests(name: str, root: Path) -> list[str]:
 
 
 def main() -> None:
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CONFIGS:
-            for line in digests(name, Path(tmp)):
-                print(line, flush=True)
+        # Run from inside the scratch directory, so that the csv config names
+        # its wind file by a relative path: the path enters the config hash
+        # stamped on every artifact.
+        os.chdir(tmp)
+        try:
+            for name in CONFIGS:
+                for line in digests(name, Path(".")):
+                    print(line, flush=True)
+        finally:
+            os.chdir(cwd)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ The battery absorbs (or supplies) the difference ``|e - e_bar|``.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -227,79 +228,129 @@ def _malformed(path: Path, line: int, row: list[str], header: list[str]) -> Inpu
     return InputError(f"{path}:{line}: malformed row {','.join(row)!r}, want {','.join(header)}")
 
 
+def _scan_columns(path: Path, header: list[str], key: type) -> list[np.ndarray]:
+    """The float columns of every data row, read one row at a time by the csv module.
+
+    Each row must have one field per ``header`` name, its first field must
+    parse as ``key`` and the others as floats; the first bad row raises an
+    :class:`InputError` naming its file and line.
+    """
+    rows = _open_rows(path)
+    next(rows)
+    columns = [[] for _ in header[1:]]
+    for line, row in rows:
+        if len(row) != len(header):
+            raise _malformed(path, line, row, header)
+        try:
+            key(row[0])
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            raise _malformed(path, line, row, header) from None
+        for column, v in zip(columns, values):
+            column.append(v)
+    return [np.asarray(column, dtype=float) for column in columns]
+
+
+def _read_columns(path: Path, kind: str, check_header, key: type) -> list[np.ndarray]:
+    """The float columns after the ``key`` column of a ``kind`` CSV file.
+
+    Leading blank and ``#`` rows are skipped, and ``check_header`` receives
+    the header row and returns its stripped names.  The data rows are parsed
+    in one ``np.loadtxt`` call.  That parse accepts no row the csv module
+    rejects, but it refuses some that the csv module reads (quoted fields,
+    ``1_0``, ``#`` rows after the header, integers beyond int64), and it
+    takes a ``"`` or ``#`` opening a free-form first field as data, where the
+    csv module starts a quoted field or skips a comment row.  Such files,
+    files without data rows and any parse that warns are read again by
+    :func:`_scan_columns`, which returns what the csv module reads or raises
+    the ``path:line`` error.
+    """
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        header = next((row for row in rows if row and not row[0].startswith("#")), None)
+        if header is None:
+            raise InputError(f"empty {kind} file: {path}")
+        header = check_header(header)
+        # The first field is only checked: an int64 k, or one byte of a free-form timestamp.
+        dtype = [(header[0], np.int64 if key is int else "S1")] + [(n, float) for n in header[1:]]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+        except (ValueError, Warning):
+            table = None
+    if table is None or (key is str and np.isin(table[header[0]], [b'"', b"#"]).any()):
+        columns = _scan_columns(path, header, key)
+    else:
+        columns = [np.ascontiguousarray(table[name]) for name in header[1:]]
+    if columns[0].size == 0:
+        raise InputError(f"no {kind} rows in {path}")
+    return columns
+
+
+#: Rows formatted per write, which bounds the strings alive at once.
+_WRITE_CHUNK = 4096
+
+
+def _write_columns(
+    path: str | Path, header: list[str], columns: list[np.ndarray], comment: str | None
+) -> None:
+    r"""Write the row index ``k`` and one ``repr`` per float column, as ``csv.writer`` would.
+
+    The comment line ends in ``\n`` and every other row in ``\r\n``, the
+    csv module's excel line terminator; no field a float's ``repr`` or an
+    int gives needs quoting.
+    """
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\r\n")
+        n = len(columns[0])
+        for lo in range(0, n, _WRITE_CHUNK):
+            hi = min(lo + _WRITE_CHUNK, n)
+            # A list's repr joins each float's own repr with ", ", which no float repr contains.
+            cells = [map(str, range(lo, hi))]
+            cells += [repr(column[lo:hi].tolist())[1:-1].split(", ") for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
 def read_wind_csv(path: str | Path) -> np.ndarray:
     """Read an hourly wind series (header ``timestamp,speed_ms``) into m/s values."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"wind input file not found: {path}")
-    rows = _open_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise InputError(f"empty wind file: {path}") from None
-    if [c.strip() for c in header] != WIND_HEADER:
-        raise InputError(f"unexpected wind header {header!r} in {path}, want {WIND_HEADER}")
-    speeds = []
-    for line, row in rows:
-        try:
-            _, speed = row
-            speeds.append(float(speed))
-        except ValueError:
-            raise _malformed(path, line, row, WIND_HEADER) from None
-    if not speeds:
-        raise InputError(f"no wind rows in {path}")
-    return np.asarray(speeds)
+
+    def check_header(header: list[str]) -> list[str]:
+        if [c.strip() for c in header] != WIND_HEADER:
+            raise InputError(f"unexpected wind header {header!r} in {path}, want {WIND_HEADER}")
+        return WIND_HEADER
+
+    (speeds,) = _read_columns(path, "wind", check_header, str)
+    return speeds
 
 
 def write_wind_csv(path: str | Path, speeds: np.ndarray, comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(WIND_HEADER)
-        for k, v in enumerate(np.asarray(speeds, dtype=float)):
-            writer.writerow([k, repr(float(v))])
+    _write_columns(path, WIND_HEADER, [np.asarray(speeds, dtype=float)], comment)
 
 
 def write_power_csv(path: str | Path, series: PowerSeries, comment: str | None = None) -> None:
     """Write ``k,e`` or, when the series is corrected, ``k,e,e_bar`` rows."""
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        if series.corrected is None:
-            writer.writerow(POWER_HEADER[:2])
-            for k, e in enumerate(series.generated.tolist()):
-                writer.writerow([k, repr(e)])
-        else:
-            writer.writerow(POWER_HEADER)
-            for k, (e, eb) in enumerate(zip(series.generated.tolist(), series.corrected.tolist())):
-                writer.writerow([k, repr(e), repr(eb)])
+    if series.corrected is None:
+        _write_columns(path, POWER_HEADER[:2], [series.generated], comment)
+    else:
+        _write_columns(path, POWER_HEADER, [series.generated, series.corrected], comment)
 
 
 def read_power_csv(path: str | Path) -> PowerSeries:
     path = Path(path)
     if not path.exists():
         raise InputError(f"power file not found: {path}")
-    rows = _open_rows(path)
-    try:
-        header = [c.strip() for c in next(rows)[1]]
-    except StopIteration:
-        raise InputError(f"empty power file: {path}") from None
-    if header not in (POWER_HEADER, POWER_HEADER[:2]):
-        raise InputError(f"unexpected power header {header!r} in {path}")
-    es, ebs = [], []
-    for line, row in rows:
-        if len(row) != len(header):
-            raise _malformed(path, line, row, header)
-        try:
-            int(row[0])  # k must be an integer; the series keeps only the row order
-            es.append(float(row[1]))
-            if len(header) == 3:
-                ebs.append(float(row[2]))
-        except ValueError:
-            raise _malformed(path, line, row, header) from None
-    if not es:
-        raise InputError(f"no power rows in {path}")
-    corrected = np.asarray(ebs) if ebs else None
-    return PowerSeries(generated=np.asarray(es), corrected=corrected)
+
+    def check_header(header: list[str]) -> list[str]:
+        header = [c.strip() for c in header]
+        if header not in (POWER_HEADER, POWER_HEADER[:2]):
+            raise InputError(f"unexpected power header {header!r} in {path}")
+        return header
+
+    columns = _read_columns(path, "power", check_header, int)
+    return PowerSeries(*columns)

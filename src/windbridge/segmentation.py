@@ -167,7 +167,10 @@ class SemiMarkovKernel:
             raise InputError("sojourns must be at least one step")
         self._Q = np.zeros((3, 3, max((k for *_, k in keys), default=0) + 1))
         for i, j, k in keys:
-            self._Q[i + 1, j + 1, k] = self.q[i][j][k]
+            v = self.q[i][j][k]
+            if not (np.isfinite(v) and v >= 0.0):
+                raise InputError(f"kernel entry q[{i}][{j}][{k}] = {v} must be finite and nonnegative")
+            self._Q[i + 1, j + 1, k] = v
         h = self._h = self._Q.sum(axis=1)
         self._H = np.cumsum(h, axis=1)
         self._longest = np.where(h > 0.0, np.arange(h.shape[1]), 0).max(axis=1)

@@ -1,3 +1,8 @@
+import csv
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,7 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy.special import gamma
 
+from windbridge import power
 from windbridge.errors import InputError
 from windbridge.power import (
     DEFAULT_TURBINE,
@@ -235,3 +241,244 @@ class TestCsvRoundTrips:
             "2015-01-01T02:00:00,7.4\n"
         )
         np.testing.assert_allclose(read_wind_csv(path), [5.2, 6.1, 7.4])
+
+    @pytest.mark.parametrize("text", ["timestamp,speed_ms\n", "# c\ntimestamp,speed_ms\n\n# x\n\n"])
+    def test_wind_file_without_rows(self, tmp_path, text):
+        path = tmp_path / "wind.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InputError, match=r"no wind rows in .*wind\.csv"):
+                read_wind_csv(path)
+        assert caught == []
+
+    @pytest.mark.parametrize("text", ["k,e,e_bar\n", "# c\nk,e\n\n# x\n\n"])
+    def test_power_file_without_rows(self, tmp_path, text):
+        path = tmp_path / "power.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InputError, match=r"no power rows in .*power\.csv"):
+                read_power_csv(path)
+        assert caught == []
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row oracles: the csv-module readers and writers the column code
+# replaced.  The column code must return bit-equal arrays, raise the same
+# errors and write the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_rows(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            yield reader.line_num, row
+
+
+def _oracle_malformed(path, line, row, header):
+    return InputError(f"{path}:{line}: malformed row {','.join(row)!r}, want {','.join(header)}")
+
+
+def oracle_read_wind_csv(path):
+    path = Path(path)
+    rows = _oracle_rows(path)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise InputError(f"empty wind file: {path}") from None
+    if [c.strip() for c in header] != power.WIND_HEADER:
+        raise InputError(f"unexpected wind header {header!r} in {path}, want {power.WIND_HEADER}")
+    speeds = []
+    for line, row in rows:
+        try:
+            _, speed = row
+            speeds.append(float(speed))
+        except ValueError:
+            raise _oracle_malformed(path, line, row, power.WIND_HEADER) from None
+    if not speeds:
+        raise InputError(f"no wind rows in {path}")
+    return np.asarray(speeds)
+
+
+def oracle_read_power_csv(path):
+    path = Path(path)
+    rows = _oracle_rows(path)
+    try:
+        header = [c.strip() for c in next(rows)[1]]
+    except StopIteration:
+        raise InputError(f"empty power file: {path}") from None
+    if header not in (power.POWER_HEADER, power.POWER_HEADER[:2]):
+        raise InputError(f"unexpected power header {header!r} in {path}")
+    es, ebs = [], []
+    for line, row in rows:
+        if len(row) != len(header):
+            raise _oracle_malformed(path, line, row, header)
+        try:
+            int(row[0])
+            es.append(float(row[1]))
+            if len(header) == 3:
+                ebs.append(float(row[2]))
+        except ValueError:
+            raise _oracle_malformed(path, line, row, header) from None
+    if not es:
+        raise InputError(f"no power rows in {path}")
+    corrected = np.asarray(ebs) if ebs else None
+    return PowerSeries(generated=np.asarray(es), corrected=corrected)
+
+
+def oracle_write_wind_csv(path, speeds, comment=None):
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(power.WIND_HEADER)
+        for k, v in enumerate(np.asarray(speeds, dtype=float)):
+            writer.writerow([k, repr(float(v))])
+
+
+def oracle_write_power_csv(path, series, comment=None):
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        if series.corrected is None:
+            writer.writerow(power.POWER_HEADER[:2])
+            for k, e in enumerate(series.generated.tolist()):
+                writer.writerow([k, repr(e)])
+        else:
+            writer.writerow(power.POWER_HEADER)
+            for k, (e, eb) in enumerate(zip(series.generated.tolist(), series.corrected.tolist())):
+                writer.writerow([k, repr(e), repr(eb)])
+
+
+def _outcome(read, path):
+    """What a reader returns, bit for bit, or the error it raises."""
+    try:
+        result = read(path)
+    except (InputError, csv.Error) as exc:
+        return type(exc), str(exc)
+    columns = (result,) if isinstance(result, np.ndarray) else (result.generated, result.corrected)
+    return [
+        None if c is None else (c.dtype.str, c.shape, c.flags.c_contiguous, c.tobytes())
+        for c in columns
+    ]
+
+
+def _replace_field(index, value):
+    def mutate(line):
+        cells = line.split(",")
+        cells[index % len(cells)] = value
+        return [",".join(cells)]
+
+    return mutate
+
+
+#: Each mutation maps one line of a valid file to the lines that replace it.
+LINE_MUTATIONS = [
+    lambda line: ['"' + line.replace(",", '","') + '"'],  # every field quoted
+    lambda line: ['"' + line.replace(",", '",', 1)],  # first field quoted
+    lambda line: ['"' + line],  # a quote opened and not closed on the line
+    _replace_field(0, "1_0"),
+    _replace_field(-1, "1_0"),
+    lambda line: [line, ""],
+    lambda line: [line, "# note"],
+    lambda line: [line, "#x,5.0"],
+    lambda line: [line, "#,1,2"],
+    lambda line: [line, "   "],
+    lambda line: [line.rsplit(",", 1)[0]],  # a field missing
+    lambda line: [line + ",7"],  # an extra field
+    lambda line: [line + ","],  # a trailing empty field
+    _replace_field(0, "1.5"),
+    _replace_field(0, "x"),
+    _replace_field(0, "1e3"),
+    _replace_field(0, "99999999999999999999"),
+    _replace_field(0, "+3"),
+    _replace_field(0, ""),
+    lambda line: [" " + line.replace(",", " , ") + " "],  # surrounding spaces
+    lambda line: ["\t" + line.replace(",", "\t,") + "\t"],
+    _replace_field(-1, "inf"),
+    _replace_field(-1, "-inf"),
+    _replace_field(-1, "nan"),
+    _replace_field(-1, "-nan"),
+    _replace_field(-1, "Infinity"),
+    _replace_field(-1, "1e500"),
+    _replace_field(-1, "-0.0"),
+]
+
+
+@st.composite
+def csv_files(draw, kind):
+    """A valid wind or power file as lines, then mutated line by line."""
+    values = st.floats(min_value=0.0, max_value=40.0)
+    n = draw(st.integers(1, 6))
+    lines = draw(st.lists(st.sampled_from(["# stamp", "", "#a,b"]), max_size=2))
+    if kind == "wind":
+        lines.append(draw(st.sampled_from(["timestamp,speed_ms", " timestamp , speed_ms"])))
+        stamps = draw(st.sampled_from([range(n), [f"2015-01-01T{h:02d}:00:00" for h in range(n)]]))
+        lines += [f"{t},{draw(values)!r}" for t in stamps]
+    else:
+        width = draw(st.sampled_from([2, 3]))
+        lines.append(",".join(power.POWER_HEADER[:width]))
+        lines += [",".join([str(k)] + [repr(draw(values)) for _ in range(width - 1)]) for k in range(n)]
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at:at + 1] = draw(st.sampled_from(LINE_MUTATIONS))(lines[at])
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestCsvOracles:
+    @pytest.mark.parametrize(
+        "kind, read, oracle",
+        [("wind", read_wind_csv, oracle_read_wind_csv), ("power", read_power_csv, oracle_read_power_csv)],
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_readers_match_row_oracle(self, kind, read, oracle, data):
+        text = data.draw(csv_files(kind))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{kind}.csv"
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            assert _outcome(read, path) == _outcome(oracle, path)
+
+    @pytest.mark.parametrize(
+        "read, oracle, text",
+        [
+            (read_wind_csv, oracle_read_wind_csv, 'timestamp,speed_ms\n"2015-01-01",5.0\n0,1_0\n'),
+            (read_wind_csv, oracle_read_wind_csv, "timestamp,speed_ms\n0,5.0\n#c,9.0\n1,6.0\n"),
+            (read_wind_csv, oracle_read_wind_csv, 'timestamp,speed_ms\n"x,5\n6",7\n'),
+            (read_wind_csv, oracle_read_wind_csv, "timestamp,speed_ms\n0,\u0665\n"),
+            (read_power_csv, oracle_read_power_csv, 'k,e\n0,1.0\n"1",2.0\n'),
+            (read_power_csv, oracle_read_power_csv, "k,e\n0,1.0\n# note\n1,2.0\n"),
+            (read_power_csv, oracle_read_power_csv, "k,e\n99999999999999999999,1.0\n"),
+            (read_power_csv, oracle_read_power_csv, "k,e,e_bar\n1_0,1.0,1.0\n"),
+        ],
+    )
+    def test_rows_only_the_csv_module_reads(self, tmp_path, read, oracle, text):
+        """Files the one-call parse refuses or misreads, read as the csv module reads them."""
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        outcome = _outcome(read, path)
+        assert outcome == _outcome(oracle, path)
+        assert not isinstance(outcome, tuple), outcome
+
+    @pytest.mark.parametrize("comment", [None, "config_hash=abc seed=1"])
+    @pytest.mark.parametrize("n", [0, 1, power._WRITE_CHUNK - 1, power._WRITE_CHUNK, power._WRITE_CHUNK + 1])
+    def test_writers_match_row_oracle(self, tmp_path, n, comment):
+        special = np.array([5e-324, 1e-300, 1e16, 0.1 + 0.2, -0.0, 0.0, 1.0, 123456.789, 2.0 / 3.0])
+        e, e_bar = np.resize(special, n), np.resize(special[::-1], n)
+        cases = [(write_wind_csv, oracle_write_wind_csv, e)]
+        if n:
+            cases += [
+                (write_power_csv, oracle_write_power_csv, PowerSeries(e)),
+                (write_power_csv, oracle_write_power_csv, PowerSeries(e, e_bar)),
+            ]
+        for write, oracle, data in cases:
+            write(tmp_path / "new.csv", data, comment)
+            oracle(tmp_path / "old.csv", data, comment)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -265,6 +265,9 @@ class TestEstimateKernel:
             ({2: {0: {1: 1.0}}}, "state 2"),
             ({1: {-2: {1: 1.0}}}, "state -2"),
             ({1: {0: {0: 1.0}}}, "at least one step"),
+            ({0: {1: {1: float("nan"), 4: 0.5}}, 1: {0: {2: 1.0}}}, r"q\[0\]\[1\]\[1\] = nan"),
+            ({0: {1: {1: -0.5, 4: 1.5}}, 1: {0: {2: 1.0}}}, r"q\[0\]\[1\]\[1\] = -0.5"),
+            ({0: {1: {1: float("inf")}}, 1: {0: {2: 1.0}}}, r"q\[0\]\[1\]\[1\] = inf"),
         ],
     )
     def test_bad_kernel_rejected_at_construction(self, q, match, tmp_path):
