@@ -29,9 +29,11 @@ __all__ = [
     "decompose",
     "error_bounds",
     "clip_error",
+    "clip_to_band",
     "bb_transition",
     "write_bridge_csv",
     "sample_latent_bridge",
+    "latent_bridges",
 ]
 
 #: Volatilities at or below this are treated as "no noise": the charge path is
@@ -40,6 +42,11 @@ SIGMA_FLOOR = 1e-6
 
 #: Error values within this distance of a clip bound are flagged as clipped.
 CLIP_TOLERANCE = 1e-9
+
+#: Points that the block routines work through at a time: whole classes (or
+#: segments) of about this many candidates or charge values, which bounds
+#: their temporaries in long blocks.
+CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -100,18 +107,32 @@ def _all(condition) -> bool:
     return bool(condition)
 
 
+def _triangle(h, tau, x, k):
+    """``g(k)`` of the triangle through ``(0, 0)``, ``(tau, h)`` and ``(x+1, 0)``.
+
+    The arguments broadcast against each other: scalars, ``(n, 1)`` columns
+    of a batch, or one entry per point of a flat block.
+    """
+    up = h * k / tau
+    down = h * (x + 1 - k) / (x + 1 - tau)
+    return np.where(k <= tau, up, down)
+
+
+def _peak_columns(params: BridgeParams, x: int):
+    """``(rho, tau, h)`` of ``params`` as scalars or ``(n, 1)`` columns, with ``tau`` checked."""
+    tau = _per_path(params.tau)
+    if not _all((1 <= tau) & (tau <= x)):
+        raise InputError(f"peak time {params.tau} outside {{1..{x}}}")
+    return _per_path(params.rho), tau, _per_path(params.h)
+
+
 def triangle_path(params: BridgeParams, x: int) -> np.ndarray:
     """Triangle baseline ``g(k)``, ``k = 0..x+1``: up to ``(tau, h)``, down to 0 at ``x+1``.
 
     Shape ``(x+2,)``, or ``(n, x+2)`` for a batch of ``n`` parameter sets.
     """
-    tau, h = _per_path(params.tau), _per_path(params.h)
-    if not _all((1 <= tau) & (tau <= x)):
-        raise InputError(f"peak time {params.tau} outside {{1..{x}}}")
-    k = np.arange(x + 2, dtype=float)
-    up = h * k / tau
-    down = h * (x + 1 - k) / (x + 1 - tau)
-    return np.where(k <= tau, up, down)
+    _, tau, h = _peak_columns(params, x)
+    return _triangle(h, tau, x, np.arange(x + 2, dtype=float))
 
 
 def compute_initial_power(i: int, entry_power, x: int, limit: float, capacity: float):
@@ -143,13 +164,37 @@ def decompose(charges, params: BridgeParams, limit: float) -> ErrorPath:
     return ErrorPath(values=values, clipped=clipped)
 
 
+def _band(rho, tau, h, x, k, limit):
+    """Clip band ``(-g(k), rho - (k-1)*limit - g(k))``; the arguments broadcast."""
+    g = _triangle(h, tau, x, k)
+    return -g, rho - (k - 1.0) * limit - g
+
+
 def error_bounds(params: BridgeParams, x: int, limit: float) -> tuple[np.ndarray, np.ndarray]:
     """Clip band for the error process: ``-g(k) <= E(k) <= rho - (k-1)*limit - g(k)``."""
-    g = triangle_path(params, x)[..., 1 : x + 1]
-    k = np.arange(1, x + 1, dtype=float)
-    lower = -g
-    upper = _per_path(params.rho) - (k - 1.0) * limit - g
-    return lower, upper
+    rho, tau, h = _peak_columns(params, x)
+    return _band(rho, tau, h, x, np.arange(1, x + 1, dtype=float), limit)
+
+
+def clip_to_band(latent, rho, tau, h, x, k, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp latent values at steps ``k`` into the clip band of their run.
+
+    Every argument broadcasts to the shape of ``latent``: one run's row, a
+    class's ``(n, x)`` matrix with ``(n, 1)`` parameter columns, or a flat
+    block with one entry per point.  Returns the clamped values and the
+    lower bound ``-g(k)``.  An empty band raises :class:`InputError` naming
+    the first offending point.
+    """
+    lower, upper = _band(rho, tau, h, x, k, limit)
+    empty = upper < lower
+    if empty.any():
+        at = np.unravel_index(np.argmax(empty), empty.shape)
+        r, t, p, n, s = (np.broadcast_to(v, empty.shape)[at] for v in (rho, tau, h, x, k))
+        raise InputError(
+            f"inconsistent bridge parameters: clip band empty at k={int(s)} "
+            f"(rho={float(r)}, tau={int(t)}, h={float(p)}, x={int(n)})"
+        )
+    return np.minimum(np.maximum(latent, lower), upper), lower
 
 
 def clip_error(latent: np.ndarray, params: BridgeParams, x: int, limit: float) -> ErrorPath:
@@ -159,17 +204,12 @@ def clip_error(latent: np.ndarray, params: BridgeParams, x: int, limit: float) -
     sets.
     """
     y = np.asarray(latent, dtype=float)
-    lower, upper = error_bounds(params, x, limit)
-    if y.shape != lower.shape:
-        raise InputError(f"latent path must have shape {lower.shape}")
-    if np.any(upper < lower):
-        *row, k = np.argwhere(upper < lower)[0]
-        rho, tau, h = (np.asarray(v)[tuple(row)] for v in (params.rho, params.tau, params.h))
-        raise InputError(
-            f"inconsistent bridge parameters: clip band empty at k={k + 1} "
-            f"(rho={float(rho)}, tau={int(tau)}, h={float(h)}, x={x})"
-        )
-    values = np.minimum(np.maximum(y, lower), upper)
+    rho, tau, h = _peak_columns(params, x)
+    k = np.arange(1, x + 1, dtype=float)
+    shape = np.broadcast_shapes(np.shape(tau), k.shape)
+    if y.shape != shape:
+        raise InputError(f"latent path must have shape {shape}")
+    values, lower = clip_to_band(y, rho, tau, h, x, k, limit)
     return ErrorPath(values=values, clipped=values != y, triangle=-lower)
 
 
@@ -218,23 +258,89 @@ def sample_latent_bridge(
     or an array of ``n_paths``, one per path.  The normals are drawn as an
     ``(n_paths, tau)`` block, then an ``(n_paths, x+1-tau)`` block if
     ``tau < x``: ``x`` normals per path when ``tau == x``, else ``x+1``.
+    The one-group case of :func:`latent_bridges`.
     """
     if not 1 <= tau <= x:
         raise InputError(f"peak time {tau} outside {{1..{x}}}")
-    sigma = _per_path(sigma)
-    if not _all(sigma > 0):
-        raise InputError(f"sigma must be positive, got {sigma}")
-    out = np.empty((n_paths, x))
+    if not _all(_per_path(sigma) > 0):
+        raise InputError(f"sigma must be positive, got {_per_path(sigma)}")
+    rows = np.zeros(n_paths, dtype=int)
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (n_paths,))
+    z = rng.standard_normal(n_paths * (x + (tau < x)))
+    return latent_bridges(rows, rows + x, rows + tau, sigma, z).reshape(n_paths, x)
 
-    w1 = np.cumsum(rng.standard_normal((n_paths, tau)), axis=1)
-    k1 = np.arange(1, tau + 1, dtype=float)
-    piece1 = sigma * (w1 - (k1 / float(tau)) * w1[:, -1:])
-    out[:, :tau] = piece1
 
-    if x > tau:
-        span = x + 1 - tau
-        w2 = np.cumsum(rng.standard_normal((n_paths, span)), axis=1)
-        k2 = np.arange(1, span, dtype=float)
-        piece2 = sigma * (w2[:, :-1] - (k2 / float(span)) * w2[:, -1:])
-        out[:, tau:] = piece2
+def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment and position within it of each entry of segments of ``lengths``, laid end to end."""
+    seg = np.repeat(np.arange(lengths.size), lengths)
+    return seg, np.arange(seg.size) - (np.cumsum(lengths) - lengths)[seg]
+
+
+def _chunks(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """Runs ``[a, b)`` of consecutive items of ``sizes``, about ``CHUNK_POINTS`` in total each.
+
+    A run starts at every item that begins past a further multiple of
+    ``CHUNK_POINTS`` of the running total, so one large item makes a run
+    alone.
+    """
+    before = np.cumsum(sizes) - sizes
+    edges = np.flatnonzero(np.r_[True, np.diff(before // CHUNK_POINTS) > 0])
+    return list(zip(edges.tolist(), np.r_[edges[1:], sizes.size].tolist()))
+
+
+def latent_bridges(labels, x, tau, sigma, z: np.ndarray) -> np.ndarray:
+    """Latent two-piece bridges of many runs from one array of normals, flat.
+
+    Run ``r`` has sojourn ``x[r]``, peak time ``tau[r]``, volatility
+    ``sigma[r]`` and a class label ``labels[r]``; it takes ``x[r] + 1``
+    normals of ``z``, or ``x[r]`` when ``tau[r] == x[r]``.  Returns the
+    values at ``k = 1..x[r]`` of every run, laid end to end in the given run
+    order.
+
+    Layout of ``z``: by label, then ``tau`` ascending, then the given order.
+    Each ``(label, tau)`` group of ``L`` runs takes an ``(L, tau)`` block of
+    it and then, if ``tau < x``, an ``(L, x+1-tau)`` block, as
+    :func:`sample_latent_bridge` lays out the one ``standard_normal`` draw
+    of one group.  Each piece adds its normals in the order a cumsum along
+    its row does, so one group gives :func:`sample_latent_bridge` bit for
+    bit.
+    """
+    labels, x, tau = (np.asarray(v, dtype=np.int64) for v in (labels, x, tau))
+    offset = np.cumsum(x) - x  # where each run's values go
+    order = np.lexsort((tau, labels))
+    labels, x, tau, offset = labels[order], x[order], tau[order], offset[order]
+    sigma = np.asarray(sigma, dtype=float)[order]
+    n = order.size
+    new = np.ones(n, dtype=bool)
+    new[1:] = (labels[1:] != labels[:-1]) | (tau[1:] != tau[:-1])
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.r_[starts, n])
+    group, rank = _ragged(sizes)
+    size = sizes[group]
+    span = np.where(tau < x, x + 1 - tau, 0)
+    group_normals = (size * (tau + span))[starts]
+    base = (np.cumsum(group_normals) - group_normals)[group]
+
+    # one piece per run on [0, tau], then one per run on [tau, x+1] if tau < x;
+    # a piece of m normals is pinned at m, and the second drops its last value,
+    # the pin at x+1
+    second = span > 0
+    run = np.r_[np.arange(n), np.flatnonzero(second)]
+    length = np.r_[tau, span[second]]
+    begin = np.r_[base + rank * tau, (base + size * tau + rank * span)[second]]
+    dest = np.r_[offset, (offset + tau)[second]]
+    kept = length - np.r_[np.zeros(n, dtype=np.int64), np.ones(int(second.sum()), dtype=np.int64)]
+
+    if z.size != length.sum():
+        raise InputError(f"need {length.sum()} normals, got {z.size}")
+    # prefix sums along the rows of a zero-padded matrix of pieces: each adds
+    # its normals in order, as a cumsum along its own row does
+    piece, col = _ragged(length)
+    w = np.zeros((length.size, int(length.max(initial=0))))
+    w[piece, col] = z[begin[piece] + col]
+    np.cumsum(w, axis=1, out=w)
+    piece, col = _ragged(kept)
+    m = length[piece]
+    out = np.empty(int(x.sum()))
+    out[dest[piece] + col] = sigma[run[piece]] * (w[piece, col] - ((col + 1.0) / m) * w[piece, m - 1])
     return out

@@ -19,13 +19,14 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.special import ndtr, ndtri
 
-from .bridge import SIGMA_FLOOR, ErrorPath, bb_transition
+from .bridge import SIGMA_FLOOR, ErrorPath, _chunks, bb_transition
 from .errors import EstimationError, InputError, InsufficientDataError
 
 __all__ = [
     "SupportSpec",
     "attainable_param_support",
     "EmpiricalCopulaSampler",
+    "sample_classes",
     "fit_joint_density",
     "mle_sigma",
     "SigmaModel",
@@ -110,10 +111,39 @@ class SupportSpec:
         1e-15.
         """
         rho = np.clip(rho, self.rho_min, self.rho_max)
-        tau = np.clip(tau, 1.0, float(self.x))
+        tau = np.clip(tau, 1.0, self.x)
         h = np.minimum(h, np.maximum(self.h_max(rho, tau), 1e-15))
         h = np.maximum(h, 1e-15)
         return rho, tau, h
+
+
+@dataclass(frozen=True)
+class _SupportRows:
+    """The bounds of :class:`SupportSpec` as arrays, one entry per row.
+
+    Lets :class:`SupportSpec`'s own ``contains`` and ``clamp`` test or move
+    rows that belong to different supports in one call.
+    """
+
+    x: np.ndarray
+    limit: np.ndarray
+    rho_min: np.ndarray
+    rho_max: np.ndarray
+    h_rho_coef: np.ndarray
+    h_offset: np.ndarray
+
+    h_max = SupportSpec.h_max
+    contains = SupportSpec.contains
+    clamp = SupportSpec.clamp
+
+    @classmethod
+    def of(cls, supports) -> "_SupportRows":
+        """One row per support."""
+        return cls(*np.array([[getattr(s, f) for f in cls.__dataclass_fields__] for s in supports]).T)
+
+    def take(self, which) -> "_SupportRows":
+        """Row ``r`` holds row ``which[r]`` of these bounds."""
+        return type(self)(*(getattr(self, f)[which] for f in self.__dataclass_fields__))
 
 
 def attainable_param_support(side: int, x: int, limit: float, capacity: float) -> SupportSpec:
@@ -184,40 +214,14 @@ class EmpiricalCopulaSampler:
         # plotting positions of each sorted marginal, for the quantile lookup
         self._pp = tuple((np.arange(m.size) + 0.5) / m.size for m in self.marginals)
 
-    def _invert_marginal(self, dim: int, u: np.ndarray) -> np.ndarray:
-        return np.interp(u, self._pp[dim], self.marginals[dim])
+    def _quantiles(self, z: np.ndarray) -> np.ndarray:
+        """Candidate ``(rho, tau, h)`` columns, ``tau`` unrounded, from ``(m, 3)`` normals."""
+        u = ndtr(z @ self._chol.T)
+        return np.array([np.interp(u[:, d], self._pp[d], self.marginals[d]) for d in range(3)])
 
     def sample_n(self, n: int, rng: np.random.Generator):
-        rho_out = np.empty(n)
-        tau_out = np.empty(n, dtype=int)
-        h_out = np.empty(n)
-        filled = 0
-        consecutive_rejects = 0
-        while filled < n:
-            m = max(n - filled, 64)
-            z = rng.standard_normal((m, 3)) @ self._chol.T
-            u = ndtr(z)
-            rho = self._invert_marginal(0, u[:, 0])
-            tau = _nearest_tau(self._invert_marginal(1, u[:, 1]), self.support.x)
-            h = self._invert_marginal(2, u[:, 2])
-            idx = np.flatnonzero(self.support.contains(rho, tau, h))
-            # edges: the accepted draws, led by a virtual one just before the
-            # previous batch's trailing run of rejects; the rejects between
-            # two edges form one run
-            edges = np.concatenate(([-1 - consecutive_rejects], idx, [m]))
-            if (edges[1:] - edges[:-1]).max() > MAX_REJECTIONS:
-                raise EstimationError(
-                    f"{MAX_REJECTIONS} consecutive rejections: fitted density is "
-                    f"inconsistent with its support (side={self.support.side}, "
-                    f"x={self.support.x})"
-                )
-            consecutive_rejects = m - 1 - int(edges[-2])
-            take = idx[: n - filled]
-            rho_out[filled : filled + take.size] = rho[take]
-            tau_out[filled : filled + take.size] = tau[take]
-            h_out[filled : filled + take.size] = h[take]
-            filled += take.size
-        return rho_out, tau_out, h_out
+        """``n`` draws inside the support: the one-class case of :func:`sample_classes`."""
+        return sample_classes([self], [n], rng)
 
     def to_dict(self) -> dict:
         """The fitted values; the support is not stored, since the class fixes it."""
@@ -246,6 +250,77 @@ class EmpiricalCopulaSampler:
             n_obs=data["n_obs"],
             bootstrap_augmented=data["bootstrap_augmented"],
         )
+
+
+def sample_classes(samplers, counts, rng: np.random.Generator, names=None):
+    """Draws of several classes from shared rounds, laid out class after class.
+
+    ``counts[c]`` rows come from ``samplers[c]``.  Stream rule: each round
+    draws one ``(S, 3)`` standard normal array; in the given order, every
+    class still short of rows takes the next ``max(short, 64)`` rows of it as
+    candidates and keeps its first accepted ones, in order.  With one class
+    this is :meth:`EmpiricalCopulaSampler.sample_n`.  A class that meets more
+    than ``MAX_REJECTIONS`` consecutive rejections raises
+    :class:`EstimationError`, which names ``names[c]`` when given.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    start = np.cumsum(counts) - counts
+    rho_out = np.empty(int(counts.sum()))
+    tau_out = np.empty(rho_out.size, dtype=int)
+    h_out = np.empty(rho_out.size)
+    filled = np.zeros(counts.size, dtype=np.int64)
+    rejects = np.zeros(counts.size, dtype=np.int64)  # each class's trailing run of rejects
+    supports = [s.support for s in samplers]
+    bounds = _SupportRows.of(supports)
+    while True:
+        active = np.flatnonzero(filled < counts)
+        if active.size == 0:
+            return rho_out, tau_out, h_out
+        m = np.maximum(counts - filled, 64)[active]
+        # whole classes at a time, about CHUNK_POINTS candidates a chunk: the
+        # chunks' normals, drawn one after another, are the round's array
+        for a, b in _chunks(m):
+            cls, size = active[a:b], m[a:b]
+            zc = rng.standard_normal((int(size.sum()), 3))
+            short = (counts - filled)[cls]
+            first = np.cumsum(size) - size
+            cand = np.empty((3, zc.shape[0]))
+            for c, lo, hi in zip(cls.tolist(), first.tolist(), (first + size).tolist()):
+                cand[:, lo:hi] = samplers[c]._quantiles(zc[lo:hi])
+            owner = np.repeat(np.arange(cls.size), size)
+            rows = bounds.take(cls[owner])
+            tau = _nearest_tau(cand[1], rows.x)
+            idx = np.flatnonzero(rows.contains(cand[0], tau, cand[2]))
+            owner, here = owner[idx], idx - first[owner[idx]]
+            n_acc = np.bincount(owner, minlength=cls.size)
+            rank = np.arange(idx.size) - (np.cumsum(n_acc) - n_acc)[owner]
+            # edges: the accepted draws, led by a virtual one just before the
+            # previous round's trailing run of rejects; the rejects between
+            # two edges form one run
+            prev = np.empty_like(here)
+            prev[1:] = here[:-1]
+            lead = rank == 0
+            prev[lead] = -1 - rejects[cls][owner[lead]]
+            last = -1 - rejects[cls]
+            has = n_acc > 0
+            last[has] = here[np.cumsum(n_acc)[has] - 1]
+            worst = size - last
+            np.maximum.at(worst, owner, here - prev)
+            if (worst > MAX_REJECTIONS).any():
+                c = int(cls[np.argmax(worst > MAX_REJECTIONS)])
+                support = supports[c]
+                where = "" if names is None else f" in class {names[c]}"
+                raise EstimationError(
+                    f"{MAX_REJECTIONS} consecutive rejections: fitted density is "
+                    f"inconsistent with its support (side={support.side}, "
+                    f"x={support.x}){where}"
+                )
+            rejects[cls] = size - 1 - last
+            take = rank < short[owner]
+            dest = (start + filled)[cls][owner[take]] + rank[take]
+            src = idx[take]
+            rho_out[dest], tau_out[dest], h_out[dest] = cand[0, src], tau[src], cand[2, src]
+            filled[cls] += np.minimum(n_acc, short)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -548,8 +623,8 @@ def predict_sigma(model: SigmaModel, rho: float, tau: float, h: float, x: float)
     return float(predict_sigma_batch(model, [rho], [tau], [h], x)[0])
 
 
-def predict_sigma_batch(model: SigmaModel, rho, tau, h, x: float) -> np.ndarray:
-    """:func:`predict_sigma` for arrays of ``(rho, tau, h)`` at one sojourn ``x``.
+def predict_sigma_batch(model: SigmaModel, rho, tau, h, x) -> np.ndarray:
+    """:func:`predict_sigma` for arrays of ``(rho, tau, h)``, at one sojourn ``x`` or one per row.
 
     A one-row batch equals :func:`predict_sigma` bit for bit; rows of a
     larger batch may differ from it in the last bit, since the matrix-vector

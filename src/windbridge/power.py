@@ -9,6 +9,7 @@ The battery absorbs (or supplies) the difference ``|e - e_bar|``.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -315,7 +316,11 @@ def _write_columns(
 
 
 def read_wind_csv(path: str | Path) -> np.ndarray:
-    """Read an hourly wind series (header ``timestamp,speed_ms``) into m/s values."""
+    """Read an hourly wind series (header ``timestamp,speed_ms``) into m/s values.
+
+    Once every row has parsed, the first speed that is not finite and
+    nonnegative raises an :class:`InputError` naming its file and line.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"wind input file not found: {path}")
@@ -326,6 +331,11 @@ def read_wind_csv(path: str | Path) -> np.ndarray:
         return WIND_HEADER
 
     (speeds,) = _read_columns(path, "wind", check_header, str)
+    bad = np.flatnonzero(~(np.isfinite(speeds) & (speeds >= 0.0)))
+    if bad.size:
+        # the header is the first row that is neither blank nor a comment
+        line, row = next(itertools.islice(_open_rows(path), int(bad[0]) + 1, None))
+        raise InputError(f"{path}:{line}: wind speed must be finite and nonnegative, got {row[1]!r}")
     return speeds
 
 

@@ -9,18 +9,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bridge import (
-    SIGMA_FLOOR,
-    BridgeParams,
-    clip_error,
-    sample_latent_bridge,
-)
+from .bridge import SIGMA_FLOOR, _chunks, _ragged, clip_to_band, latent_bridges
 from .errors import InputError, SimulationError
 from .estimation import (
     EmpiricalCopulaSampler,
     SigmaModel,
+    SupportSpec,
+    _SupportRows,
     attainable_param_support,
     predict_sigma_batch,
+    sample_classes,
 )
 from .power import require_finite
 from .segmentation import SemiMarkovKernel
@@ -115,7 +113,9 @@ class ChargeModel:
             return self.samplers[key], False
         xs = self._x_by_pair.get((i, j))
         if xs is None or xs.size == 0:
-            raise SimulationError(f"no fitted sampler for pair (i={i}, j={j})")
+            raise SimulationError(
+                f"no fitted sampler for pair (i={i}, j={j}) of class (i={i}, j={j}, x={x})"
+            )
         nearest = int(xs[np.argmin(np.abs(xs - x))])
         logger.debug("no sampler for (%d, %d, x=%d); falling back to x=%d", i, j, x, nearest)
         return self.samplers[(i, j, nearest)], True
@@ -135,49 +135,108 @@ class ChargeModel:
     ) -> np.ndarray:
         """``n`` charge paths ``c(1..x)`` of class ``(i, j, x)``, shape ``(n, x)``.
 
-        One ``sample_n(n)`` draws the ``(rho, tau, h)`` rows, each volatility
-        is predicted from its row, and the latent bridges are sampled one
-        group of equal ``tau`` at a time, in increasing ``tau``; volatilities
-        at the floor draw no bridge and give the clipped triangle.  Every
-        value lies in ``[0, rho - (k-1)*limit]``; the pinned zeros at ``k = 0``
-        and ``k = x+1`` are not stored.  For ``n = 1`` the draws are those of
-        one sampler draw followed by one latent bridge.  A one-step path is
-        ``min(max(h, 0), rho)`` and predicts no volatility.  Identically zero
-        in the idle state.
+        The one-class case of :meth:`charge_block`: one ``sample_n(n)`` draws
+        the ``(rho, tau, h)`` rows, then the latent bridges are sampled one
+        group of equal ``tau`` at a time, in increasing ``tau``.  For ``n = 1``
+        the draws are those of one sampler draw followed by one latent bridge.
+        Identically zero in the idle state.
         """
-        if x < 1:
-            raise InputError(f"sojourn must be >= 1, got {x}")
-        if i == 0:
-            return np.zeros((n, x))
-        sampler, fell_back = self.sampler_for(i, j, x)
-        rho, tau, h = sampler.sample_n(n, rng)
-        if fell_back:
-            rho, tau, h = self._clamp_to_sojourn(i, j, x, rho, tau, h)
-        if x == 1:
-            return np.minimum(np.maximum(h, 0.0), rho)[:, None]
-        sigma = predict_sigma_batch(self.sigma_model_for(i, j), rho, tau, h, x)
-        params = BridgeParams(rho=rho, tau=tau, h=h, sigma=sigma)
-        # rows by peak time; volatilities within rounding of the floor count
-        # as "no noise" and draw no bridge
-        groups: dict[int, list[int]] = {}
-        noise_floor = SIGMA_FLOOR * (1.0 + 1e-9)
-        for r, (t, s) in enumerate(zip(tau.tolist(), sigma.tolist())):
-            if s > noise_floor:
-                groups.setdefault(t, []).append(r)
-        latent = np.zeros((n, x))
-        for t in sorted(groups):
-            rows = groups[t]
-            latent[rows] = sample_latent_bridge(x, t, sigma[rows], rng, n_paths=len(rows))
-        err = clip_error(latent, params, x, self.limit)
-        return err.triangle + err.values
+        keys = np.broadcast_to(np.array([[i], [j], [x]]), (3, n))
+        return self.charge_block(*keys, rng).reshape(n, x)
 
-    def _clamp_to_sojourn(
-        self, i: int, j: int, x: int, rho: np.ndarray, tau: np.ndarray, h: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Move nearest-sojourn draws into the attainable support of length ``x``.
+    def charge_block(self, i, j, x, rng: np.random.Generator) -> np.ndarray:
+        """Charges ``c(1..x)`` of many runs from one vectorised pass, laid end to end.
 
-        ``rho`` is also floored at ``(x-1)*limit``, the least ceiling under
-        which a charge path of ``x`` steps stays nonnegative.
+        ``i``, ``j`` and ``x`` hold each run's class, sorted by class as
+        :func:`simulate_penalty_paths` sorts them; equal neighbouring keys make
+        one class.  Returns the ``x[r]`` charges of every run in the given
+        order.  Idle runs are zeros and draw nothing.  Each volatility is
+        predicted from its row, one :func:`predict_sigma_batch` per ``(i, j)``
+        pair; volatilities at the floor draw no bridge and give the clipped
+        triangle.  Every value lies in ``[0, rho - (k-1)*limit]``; the pinned
+        zeros at ``k = 0`` and ``k = x+1`` are not stored.  A one-step run is
+        ``min(max(h, 0), rho)`` and predicts no volatility.
+
+        Stream rule, all from ``rng``:
+
+        1. the ``(rho, tau, h)`` rows of every non-idle class, by
+           :func:`sample_classes`: each copula round draws one ``(S, 3)``
+           normal array, of which every class still short of rows takes
+           ``max(short, 64)`` candidates in sorted class order, keeping its
+           first accepted ones in order;
+        2. every bridge with volatility above the floor, by
+           :func:`latent_bridges`: one ``standard_normal(total)`` laid out
+           by class, then ``tau`` ascending, then row; each ``(class, tau)``
+           group takes its ``(L, tau)`` block and then its ``(L, x+1-tau)``
+           block.
+
+        With one class this is one :meth:`EmpiricalCopulaSampler.sample_n`
+        followed by one :func:`sample_latent_bridge` per group of equal
+        ``tau``, in increasing ``tau``.  Classes are worked through about
+        ``CHUNK_POINTS`` candidates or points at a time, each chunk drawing
+        its own slice of the normals in turn; that bounds the temporaries of
+        long blocks and changes no draw.
+        """
+        i, j, x = (np.asarray(v, dtype=np.int64) for v in (i, j, x))
+        if x.size and x.min() < 1:
+            raise InputError(f"sojourn must be >= 1, got {x.min()}")
+        out = np.zeros(int(x.sum()))
+        live = np.flatnonzero(i != 0)
+        offset = (np.cumsum(x) - x)[live]
+        i, j, x = i[live], j[live], x[live]
+        if live.size == 0:
+            return out
+        starts = np.flatnonzero(np.r_[True, (np.diff(i) != 0) | (np.diff(j) != 0) | (np.diff(x) != 0)])
+        counts = np.diff(np.r_[starts, live.size])
+        keys = list(zip(i[starts].tolist(), j[starts].tolist(), x[starts].tolist()))
+        found = [self.sampler_for(*key) for key in keys]
+        fallback = [c for c, (_, fell_back) in enumerate(found) if fell_back]
+        clamp_to = [self._sojourn_support(*keys[c]) for c in fallback]
+        rho, tau, h = sample_classes(
+            [s for s, _ in found], counts, rng, names=[f"(i={a}, j={b}, x={c})" for a, b, c in keys]
+        )
+        cls = np.repeat(np.arange(len(keys)), counts)
+        if fallback:
+            rows = np.flatnonzero(np.isin(cls, fallback))
+            bounds = _SupportRows.of(clamp_to).take(np.searchsorted(fallback, cls[rows]))
+            rho[rows], tau[rows], h[rows] = bounds.clamp(rho[rows], tau[rows], h[rows])
+
+        one = x == 1
+        out[offset[one]] = np.minimum(np.maximum(h[one], 0.0), rho[one])
+        sigma = np.zeros(live.size)
+        pair = np.flatnonzero(np.r_[True, (np.diff(i) != 0) | (np.diff(j) != 0)])
+        for lo, hi in zip(pair.tolist(), np.r_[pair[1:], live.size].tolist()):
+            rows = np.arange(lo, hi)[~one[lo:hi]]
+            if rows.size:
+                model = self.sigma_model_for(int(i[lo]), int(j[lo]))
+                sigma[rows] = predict_sigma_batch(model, rho[rows], tau[rows], h[rows], x[rows])
+        # volatilities within rounding of the floor count as "no noise"
+        noisy = sigma > SIGMA_FLOOR * (1.0 + 1e-9)
+        normals = np.where(noisy, x + (tau < x), 0)
+        points = np.where(one, 0, x)
+        class_end = np.r_[starts[1:], live.size]
+        for a, b in _chunks(np.add.reduceat(points, starts)):
+            lo, hi = starts[a], class_end[b - 1]
+            run, col = _ragged(points[lo:hi])
+            run += lo
+            bridged = lo + np.flatnonzero(noisy[lo:hi])
+            latent = np.zeros(run.size)
+            latent[noisy[run]] = latent_bridges(
+                cls[bridged], x[bridged], tau[bridged], sigma[bridged],
+                rng.standard_normal(int(normals[lo:hi].sum())),
+            )
+            values, lower = clip_to_band(
+                latent, rho[run], tau[run], h[run], x[run], col + 1.0, self.limit
+            )
+            out[offset[run] + col] = -lower + values
+        return out
+
+    def _sojourn_support(self, i: int, j: int, x: int) -> SupportSpec:
+        """Where nearest-sojourn draws for class ``(i, j, x)`` are clamped to.
+
+        The attainable support of length ``x``, with ``rho`` also floored at
+        ``(x-1)*limit``, the least ceiling under which a charge path of ``x``
+        steps stays nonnegative.
         """
         support = attainable_param_support(i, x, self.limit, self.capacity)
         rho_needed = (x - 1) * self.limit
@@ -186,9 +245,7 @@ class ChargeModel:
                 f"no attainable rho covers a sojourn of {x} steps for "
                 f"(i={i}, j={j}, x={x}): needs {rho_needed}, support ends at {support.rho_max}"
             )
-        support = replace(support, rho_min=max(support.rho_min, rho_needed))
-        rho, tau, h = support.clamp(rho, tau, h)
-        return rho, tau.astype(int), h
+        return replace(support, rho_min=max(support.rho_min, rho_needed))
 
 
 @dataclass
@@ -279,10 +336,13 @@ def simulate_penalty_paths(
 
     1. the jump chains of every row, round by round
        (:meth:`SemiMarkovKernel.sample_chains`);
-    2. the charges: one :meth:`ChargeModel.charge_paths` call per distinct
-       ``(i, j, x)`` over the block, in sorted class order, scattered into a
-       grid of per-step states and charges; a segment entered with backward
-       time ``b`` skips its first ``b`` charge values;
+    2. the charges of every segment of the block, sorted by class ``(i, j,
+       x)``, from one :meth:`ChargeModel.charge_block` pass: first the copula
+       rounds of all classes, then one normal array for all their bridges
+       (the stream rule is in its docstring).  They are scattered into grids
+       of per-step states (``int8``), backward times (``int32``) and charges;
+       a segment entered with backward time ``b`` skips its first ``b``
+       charge values;
     3. :func:`battery_recursion` row by row, then :func:`discounted_penalty`
        on the block.
 
@@ -342,24 +402,26 @@ def _step_grids(kernel, charge_model, z0, b0, rng, horizon, n_transitions):
     entry = chains.jump_times[row, rnd] - np.where(rnd == 0, b0[row], 0)
     order = np.lexsort((x, j, i))
     row, i, j, x, entry = row[order], i[order], j[order], x[order], entry[order]
-    bounds = np.flatnonzero(np.diff(i) | np.diff(j) | np.diff(x)) + 1
+    charge = charge_model.charge_block(i, j, x, rng)
+    first = np.cumsum(x) - x  # where each segment's charges start in ``charge``
 
     # Step t of a segment entered at time e has backward time t - e and
     # charge c(t - e + 1); steps before 0 were spent before the path began.
-    # Step 0's charge is never used.
-    states = np.zeros((z0.size, width), dtype=int)
-    backward = np.zeros((z0.size, width), dtype=int)
+    # Step 0's charge is never used.  Whole segments are scattered about
+    # CHUNK_POINTS steps at a time.
+    states = np.zeros((z0.size, width), dtype=np.int8)
+    backward = np.zeros((z0.size, width), dtype=np.int32)
     charges = np.zeros((z0.size, width))
-    for lo, hi in zip(np.r_[0, bounds].tolist(), np.r_[bounds, row.size].tolist()):
-        ci, cj, cx = int(i[lo]), int(j[lo]), int(x[lo])
-        k = np.arange(cx)
-        t = entry[lo:hi, None] + k
+    for a, b in _chunks(x):
+        seg, k = _ragged(x[a:b])
+        seg += a
+        t = entry[seg] + k
         keep = (t >= 0) & (t < width)
-        r, t = np.broadcast_to(row[lo:hi, None], t.shape)[keep], t[keep]
-        states[r, t] = ci
-        backward[r, t] = np.broadcast_to(k, keep.shape)[keep]
-        if ci != 0:
-            charges[r, t] = charge_model.charge_paths(ci, cj, cx, hi - lo, rng)[keep]
+        seg, k, t = seg[keep], k[keep], t[keep]
+        r = row[seg]
+        states[r, t] = i[seg]
+        backward[r, t] = k
+        charges[r, t] = charge[first[seg] + k]
     return chains, length, states, backward, charges
 
 

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from windbridge.estimation import EmpiricalCopulaSampler
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
 from windbridge.power import (
     DEFAULT_TURBINE,
@@ -16,17 +19,20 @@ LIMIT = 0.02
 CAPACITY = DEFAULT_TURBINE.rated_capacity
 
 
-class DegenerateSampler:
-    """Always returns one fixed triplet: a stand-in for a fitted sampler."""
+class DegenerateSampler(EmpiricalCopulaSampler):
+    """Always returns one fixed triplet: a stand-in for a fitted sampler.
+
+    A copula over one-point marginals, so it draws as a fitted sampler does
+    (one round of at least 64 candidates).  Its support is narrowed to a box
+    around the point, which need not lie in the attainable support it is
+    given.
+    """
 
     def __init__(self, support, rho: float, tau: int, h: float):
-        self.support = support
-        self.rho = float(rho)
-        self.tau = int(tau)
-        self.h = float(h)
-
-    def sample_n(self, n: int, rng: np.random.Generator):
-        return np.full(n, self.rho), np.full(n, self.tau, dtype=int), np.full(n, self.h)
+        box = replace(
+            support, rho_min=rho, rho_max=rho, h_rho_coef=0.0, h_offset=h + (tau + 1) * support.limit
+        )
+        super().__init__(box, np.eye(3), ([rho], [tau], [h]), n_obs=1)
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from windbridge.bridge import (
     decompose,
     error_bounds,
     extract_peak,
+    latent_bridges,
     sample_latent_bridge,
     triangle_path,
     write_bridge_csv,
@@ -325,6 +326,33 @@ class TestLatentBridge:
         np.testing.assert_array_equal(paths, sigma[:, None] * unit)
         with pytest.raises(InputError, match="positive"):
             sample_latent_bridge(6, 2, np.array([0.1, 0.0]), np.random.default_rng(4), n_paths=2)
+
+
+class TestLatentBridgeBlock:
+    def test_layout_is_one_group_draw_after_another(self):
+        rng = np.random.default_rng(21)
+        sojourn = {0: 6, 1: 2, 2: 9, 3: 4}
+        labels = np.repeat([0, 1, 2, 3, 0], [7, 3, 12, 5, 4])  # label 0 twice: groups join
+        x = np.array([sojourn[lab] for lab in labels.tolist()])
+        tau = np.array([int(rng.integers(1, n + 1)) for n in x.tolist()])
+        sigma = rng.uniform(0.05, 2.0, labels.size)
+        total = int(np.sum(x + (tau < x)))
+        got = latent_bridges(labels, x, tau, sigma, np.random.default_rng(5).standard_normal(total))
+
+        # by label, then tau ascending, then row; one sample_latent_bridge per group
+        want = np.empty(labels.size, dtype=object)
+        oracle = np.random.default_rng(5)
+        for lab in sorted(set(labels.tolist())):
+            for t in sorted(set(tau[labels == lab].tolist())):
+                rows = np.flatnonzero((labels == lab) & (tau == t))
+                paths = sample_latent_bridge(sojourn[lab], t, sigma[rows], oracle, n_paths=rows.size)
+                for r, path in zip(rows, paths):
+                    want[r] = path
+        np.testing.assert_array_equal(got, np.concatenate(want.tolist()))
+
+    def test_wrong_number_of_normals(self):
+        with pytest.raises(InputError, match="need 7 normals"):
+            latent_bridges([0], [6], [2], [1.0], np.zeros(6))
 
 
 class TestBridgeCsv:

@@ -22,7 +22,9 @@ from windbridge.estimation import (
     mle_sigma,
     predict_sigma,
     predict_sigma_batch,
+    sample_classes,
     _design_matrix,
+    _nearest_tau,
 )
 
 from conftest import DegenerateSampler
@@ -143,16 +145,15 @@ class TestJointDensity:
         monkeypatch.setattr(est, "MAX_REJECTIONS", 100)
         batches = iter(accepted)
 
-        class ScriptedSupport:
-            side, x = 1, 3
+        def scripted_contains(rows, rho, tau, h):
+            ok = np.zeros(np.size(rho), dtype=bool)
+            ok[next(batches)] = True
+            return ok
 
-            def contains(self, rho, tau, h):
-                ok = np.zeros(np.size(rho), dtype=bool)
-                ok[next(batches)] = True
-                return ok
-
+        # the candidates of every class are tested against per-row bounds at once
+        monkeypatch.setattr(est._SupportRows, "contains", scripted_contains)
         sampler = EmpiricalCopulaSampler(
-            support=ScriptedSupport(), corr=np.eye(3),
+            support=attainable_param_support(1, 3, LIMIT, CAPACITY), corr=np.eye(3),
             marginals=(np.ones(3), np.ones(3), np.ones(3)), n_obs=3,
         )
         if raises:
@@ -160,6 +161,33 @@ class TestJointDensity:
                 sampler.sample_n(n, np.random.default_rng(0))
         else:
             assert sampler.sample_n(n, np.random.default_rng(0))[0].size == n
+
+    @pytest.mark.parametrize("chunk", [10**9, 100, 1])
+    def test_classes_share_rounds(self, fitted_model, monkeypatch, chunk):
+        """Round by round, each short class takes max(short, 64) candidates of
+        one normal array, in order, and keeps its first accepted ones."""
+        import windbridge.bridge as bridge
+
+        monkeypatch.setattr(bridge, "CHUNK_POINTS", chunk)
+        samplers = [fitted_model.samplers[key] for key in sorted(fitted_model.samplers)[:40:4]]
+        counts = [0, 1, 5, 63, 64, 65, 150, 2, 300, 7][: len(samplers)]
+        got = sample_classes(samplers, counts, np.random.default_rng(17))
+
+        rng = np.random.default_rng(17)
+        kept = [[] for _ in samplers]
+        while any(len(k) < n for k, n in zip(kept, counts)):
+            active = [c for c, n in enumerate(counts) if len(kept[c]) < n]
+            m = [max(counts[c] - len(kept[c]), 64) for c in active]
+            z = rng.standard_normal((sum(m), 3))
+            for c, lo, size in zip(active, np.cumsum(m) - m, m):
+                s = samplers[c]
+                rho, tau, h = s._quantiles(z[lo : lo + size])
+                tau = _nearest_tau(tau, s.support.x)
+                ok = np.flatnonzero(s.support.contains(rho, tau, h))
+                kept[c] += [(rho[r], tau[r], h[r]) for r in ok[: counts[c] - len(kept[c])]]
+        want = np.array([row for k in kept for row in k]).T
+        np.testing.assert_array_equal(np.array(got), want)
+        assert got[1].dtype == int
 
     def test_average_ranks_match_scipy(self):
         from scipy.stats import rankdata

@@ -1,4 +1,5 @@
 import csv
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -202,6 +203,19 @@ class TestCsvRoundTrips:
         with pytest.raises(InputError, match="header"):
             read_wind_csv(path)
 
+    def test_bad_wind_speed_names_file_and_line(self, tmp_path):
+        path = tmp_path / "wind.csv"
+        path.write_text("timestamp,speed_ms\n0,5.0\n1,nan\n2,-3\n")
+        with pytest.raises(InputError, match=r"wind\.csv:3: wind speed must be finite and nonnegative, got 'nan'"):
+            read_wind_csv(path)
+        path.write_text("# stamp\ntimestamp,speed_ms\n\n0,5.0\n# note\n1,6.0\n2,-3\n")
+        with pytest.raises(InputError, match=r"wind\.csv:7: .* got '-3'"):
+            read_wind_csv(path)
+        # a malformed row anywhere is reported before a bad speed
+        path.write_text("timestamp,speed_ms\n0,nan\n1,abc\n")
+        with pytest.raises(InputError, match=r"wind\.csv:3: malformed row"):
+            read_wind_csv(path)
+
     @pytest.mark.parametrize("row", ["1", "1,abc", "1,6.0,7", "1,6.0,"])
     def test_malformed_wind_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "wind.csv"
@@ -292,15 +306,19 @@ def oracle_read_wind_csv(path):
         raise InputError(f"empty wind file: {path}") from None
     if [c.strip() for c in header] != power.WIND_HEADER:
         raise InputError(f"unexpected wind header {header!r} in {path}, want {power.WIND_HEADER}")
-    speeds = []
+    speeds, fields = [], []
     for line, row in rows:
         try:
             _, speed = row
             speeds.append(float(speed))
         except ValueError:
             raise _oracle_malformed(path, line, row, power.WIND_HEADER) from None
+        fields.append((line, speed))
     if not speeds:
         raise InputError(f"no wind rows in {path}")
+    for v, (line, speed) in zip(speeds, fields):
+        if not (math.isfinite(v) and v >= 0.0):
+            raise InputError(f"{path}:{line}: wind speed must be finite and nonnegative, got {speed!r}")
     return np.asarray(speeds)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,14 @@ from windbridge.bridge import (
     sample_latent_bridge,
     triangle_path,
 )
-from windbridge.errors import InputError, SimulationError
+from windbridge.errors import EstimationError, InputError, SimulationError
 from windbridge.estimation import (
     REGRESSOR_NAMES,
+    EmpiricalCopulaSampler,
     SigmaModel,
     attainable_param_support,
     predict_sigma,
+    predict_sigma_batch,
 )
 from windbridge.segmentation import SemiMarkovKernel
 from windbridge.simulate import (
@@ -245,6 +249,153 @@ class TestChargePaths:
     def test_idle_state_is_zero(self):
         c = degenerate_model({}).charge_paths(0, 1, 4, 7, np.random.default_rng(0))
         np.testing.assert_array_equal(c, np.zeros((7, 4)))
+
+
+def oracle_charge_paths(model, i, j, x, n, rng):
+    """``n`` charge paths of one class from the primitives: one ``sample_n``,
+    the nearest-sojourn clamp, one volatility batch, one latent bridge per
+    group of equal ``tau`` in increasing ``tau``, and one clip."""
+    if i == 0:
+        return np.zeros((n, x))
+    sampler, fell_back = model.sampler_for(i, j, x)
+    rho, tau, h = sampler.sample_n(n, rng)
+    if fell_back:
+        sup = attainable_param_support(i, x, model.limit, model.capacity)
+        sup = replace(sup, rho_min=max(sup.rho_min, (x - 1) * model.limit))
+        rho, tau, h = sup.clamp(rho, tau, h)
+        tau = tau.astype(int)
+    if x == 1:
+        return np.minimum(np.maximum(h, 0.0), rho)[:, None]
+    sigma = predict_sigma_batch(model.sigma_model_for(i, j), rho, tau, h, x)
+    latent = np.zeros((n, x))
+    noisy = sigma > SIGMA_FLOOR * (1.0 + 1e-9)
+    for t in np.unique(tau[noisy]).tolist():
+        rows = np.flatnonzero(noisy & (tau == t))
+        latent[rows] = sample_latent_bridge(x, t, sigma[rows], rng, n_paths=rows.size)
+    params = BridgeParams(rho=rho, tau=tau, h=h, sigma=sigma)
+    err = clip_error(latent, params, x, model.limit)
+    return err.triangle + err.values
+
+
+def block_keys(counts):
+    """Per-row class keys of a block, sorted by class as the penalty engine sorts them."""
+    keys = sorted(counts)
+    return tuple(np.repeat([key[d] for key in keys], [counts[key] for key in keys]) for d in range(3))
+
+
+def split_block(charges, counts):
+    """The ``(n, x)`` charge matrix of each class of a block drawn from :func:`block_keys`."""
+    keys = sorted(counts)
+    sizes = [counts[key] * key[2] for key in keys]
+    parts = np.split(charges, np.cumsum(sizes)[:-1])
+    return {key: part.reshape(counts[key], key[2]) for key, part in zip(keys, parts)}
+
+
+def standard_error(v):
+    """Monte Carlo standard error of each column mean of ``v``."""
+    return v.std(axis=0, ddof=1) / np.sqrt(v.shape[0])
+
+
+class TestChargeBlock:
+    def fallback_keys(self, model):
+        xmax = {}
+        for i, j, x in model.samplers:
+            xmax[(i, j)] = max(xmax.get((i, j), 0), x)
+        return [(i, j, x + 3) for (i, j), x in sorted(xmax.items())]
+
+    def test_one_class_is_the_per_class_oracle(self, fitted_model):
+        keys = sorted(fitted_model.samplers)[::4] + self.fallback_keys(fitted_model) + [(0, 1, 3)]
+        for n in (1, 37, 300):
+            for key in keys:
+                seed = (n, key[0] + 2, key[1] + 2, key[2])
+                got = fitted_model.charge_block(*block_keys({key: n}), np.random.default_rng(seed))
+                want = oracle_charge_paths(fitted_model, *key, n, np.random.default_rng(seed))
+                np.testing.assert_array_equal(got.reshape(n, key[2]), want)
+                np.testing.assert_array_equal(
+                    fitted_model.charge_paths(*key, n, np.random.default_rng(seed)), want
+                )
+
+    def test_multi_class_blocks_match_per_class_draws(self, fitted_model):
+        # three classes drawn in 25 mixed blocks of 100 rows each, against one
+        # charge_paths call of 2,500 rows per class: the same law
+        fitted = sorted(k for k in fitted_model.samplers if k[2] in (3, 4))
+        compared = [fitted[0], fitted[-1], self.fallback_keys(fitted_model)[0]]
+        counts = {key: 100 for key in compared}
+        counts[(0, 1, 2)] = 30
+        counts[sorted(fitted_model.samplers)[0]] = 40
+        rng = np.random.default_rng(2024)
+        blocks = [split_block(fitted_model.charge_block(*block_keys(counts), rng), counts) for _ in range(25)]
+        for key in compared:
+            a = np.concatenate([block[key] for block in blocks])
+            b = fitted_model.charge_paths(*key, a.shape[0], np.random.default_rng(7))
+            assert a.shape == b.shape and a.shape[0] >= 2000
+            mean_gap = np.abs(a.mean(axis=0) - b.mean(axis=0))
+            assert np.all(mean_gap <= 4.0 * np.hypot(standard_error(a), standard_error(b))), key
+            da, db = a - a.mean(axis=0), b - b.mean(axis=0)
+            pa = (da[:, :, None] * da[:, None, :]).reshape(a.shape[0], -1)
+            pb = (db[:, :, None] * db[:, None, :]).reshape(b.shape[0], -1)
+            cov_gap = np.abs(pa.mean(axis=0) - pb.mean(axis=0))
+            assert np.all(cov_gap <= 4.0 * np.hypot(standard_error(pa), standard_error(pb)) + 1e-15), key
+
+    def test_rows_stay_in_band(self):
+        entries = {
+            (1, 0, 5): (1.9, 2, 0.5),
+            (1, -1, 7): (1.95, 6, 1.2),
+            (-1, 0, 6): (1.0, 1, 0.4),
+            (-1, 1, 3): (0.3, 3, 0.25),
+            (-1, 1, 1): (0.5, 1, 0.2),
+        }
+        model = degenerate_model(entries, sigma=0.3)
+        counts = {key: 200 for key in entries}
+        c = model.charge_block(*block_keys(counts), np.random.default_rng(3))
+        on_ceiling = 0
+        for key, rows in split_block(c, counts).items():
+            ceiling = entries[key][0] - np.arange(key[2]) * LIMIT
+            assert np.all(rows >= 0.0), key
+            assert np.all(rows <= ceiling + 1e-12), key
+            on_ceiling += int(np.sum(np.abs(rows - ceiling) <= 1e-12))
+        assert on_ceiling > 0 and np.count_nonzero(c == 0.0) > 0
+
+    def test_block_errors_name_the_class(self):
+        model = degenerate_model({(1, 0, 4): (1.9, 2, 0.6), (-1, 1, 4): (1.0, 2, 0.5)})
+        with pytest.raises(SimulationError, match=r"pair \(i=-1, j=0\) of class \(i=-1, j=0, x=3\)"):
+            model.charge_block([-1, -1, 1], [0, 1, 0], [3, 4, 4], np.random.default_rng(0))
+        with pytest.raises(SimulationError, match=r"\(i=1, j=0, x=110\)"):
+            model.charge_block([-1, 1, 1], [1, 0, 0], [4, 4, 110], np.random.default_rng(0))
+        # a sampler whose support lies above every value it can draw
+        model.samplers[(1, 0, 5)] = EmpiricalCopulaSampler(
+            replace(attainable_param_support(1, 5, LIMIT, CAPACITY), h_rho_coef=0.0, h_offset=1e-6),
+            np.eye(3), ([1.95, 1.96], [2.0, 3.0], [0.5, 0.6]), n_obs=2,
+        )
+        with pytest.raises(EstimationError, match=r"10000 consecutive rejections.* in class \(i=1, j=0, x=5\)"):
+            model.charge_block([-1, 1, 1], [1, 0, 0], [4, 4, 5], np.random.default_rng(0))
+
+    def test_chunks_change_no_draw(self, fitted_model, fitted_kernel, monkeypatch):
+        import windbridge.bridge as bridge
+
+        counts = {key: 30 for key in sorted(fitted_model.samplers)[::3]}
+        battery, fees = BatterySpec(0.0, 0.36, 0.18), PenaltySpec(21.52, 26.50, 0.001)
+        z0 = np.resize(fitted_kernel.states, 40)
+        runs = []
+        for chunk in (10**9, 50, 1):
+            monkeypatch.setattr(bridge, "CHUNK_POINTS", chunk)
+            c = fitted_model.charge_block(*block_keys(counts), np.random.default_rng(9))
+            paths = simulate_penalty_paths(
+                fitted_kernel, fitted_model, battery, fees, z0, np.random.default_rng(9), horizon=300
+            )
+            runs.append((c, paths))
+        for c, paths in runs[1:]:
+            np.testing.assert_array_equal(c, runs[0][0])
+            for got, want in zip(paths, runs[0][1]):
+                for name in ("step_states", "backward", "soc", "penalty", "discounted"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_grids_are_narrow(self, fitted_kernel, fitted_model):
+        (path,) = simulate_penalty_paths(
+            fitted_kernel, fitted_model, BatterySpec(0.0, 0.36, 0.18), PenaltySpec(1.0, 1.0),
+            [1], np.random.default_rng(0), horizon=50,
+        )
+        assert path.step_states.dtype == np.int8 and path.backward.dtype == np.int32
 
 
 class TestPenaltyPath:
