@@ -19,7 +19,6 @@ artifact the pipeline can write is covered.
 
 import datetime
 import hashlib
-import os
 import tempfile
 from pathlib import Path
 
@@ -79,18 +78,12 @@ def digests(name: str, root: Path) -> list[str]:
 
 
 def main() -> None:
-    cwd = os.getcwd()
+    # the csv config's stamp hashes its wind file's bytes, not the file's
+    # path, so the temporary directory's name leaves every digest unchanged
     with tempfile.TemporaryDirectory() as tmp:
-        # Run from inside the scratch directory, so that the csv config names
-        # its wind file by a relative path: the path enters the config hash
-        # stamped on every artifact.
-        os.chdir(tmp)
-        try:
-            for name in CONFIGS:
-                for line in digests(name, Path(".")):
-                    print(line, flush=True)
-        finally:
-            os.chdir(cwd)
+        for name in CONFIGS:
+            for line in digests(name, Path(tmp)):
+                print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ from .simulate import (
     BatterySpec,
     ChargeModel,
     MomentTable,
-    PenaltyPath,
+    PenaltyBlock,
     PenaltySpec,
     battery_recursion,
     discounted_penalty,

@@ -70,14 +70,10 @@ class ErrorPath:
 
     ``values`` and ``clipped`` have the shape of the charges they came from:
     ``(x,)`` for one run, ``(n, x)`` for a class.
-
-    :func:`clip_error` also keeps the triangle ``g(1..x)`` it clipped against
-    in ``triangle``, so that ``triangle + values`` is the charge path.
     """
 
     values: np.ndarray
     clipped: np.ndarray
-    triangle: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -209,8 +205,8 @@ def clip_error(latent: np.ndarray, params: BridgeParams, x: int, limit: float) -
     shape = np.broadcast_shapes(np.shape(tau), k.shape)
     if y.shape != shape:
         raise InputError(f"latent path must have shape {shape}")
-    values, lower = clip_to_band(y, rho, tau, h, x, k, limit)
-    return ErrorPath(values=values, clipped=values != y, triangle=-lower)
+    values, _ = clip_to_band(y, rho, tau, h, x, k, limit)
+    return ErrorPath(values=values, clipped=values != y)
 
 
 def bb_transition(

@@ -152,13 +152,22 @@ class RunConfig:
 def config_hash(cfg: RunConfig) -> str:
     """Short digest of every field that affects the outputs.
 
-    Where the artifacts go and whether a sample path is dumped do not.
+    Where the artifacts go and whether a sample path is dumped do not.  A wind
+    file enters by the sha256 of its bytes, not by its path.
     """
-    parts = [
-        f"{f.name}={getattr(cfg, f.name)}"
-        for f in fields(RunConfig)
-        if f.name not in ("out_dir", "dump_paths")
-    ]
+    parts = []
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if f.name == "wind_csv" and value is not None:
+            if not Path(value).is_file():
+                raise InputError(f"wind input file not found: {value}")
+            digest = hashlib.sha256()
+            with open(value, "rb") as fh:  # in pieces: a decade of wind is 3 MB
+                while piece := fh.read(1 << 16):
+                    digest.update(piece)
+            value = digest.hexdigest()
+        if f.name not in ("out_dir", "dump_paths"):
+            parts.append(f"{f.name}={value}")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
 
@@ -497,9 +506,9 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
                 _rng(cfg, "simulate", idx, b), horizon=cfg.horizon,
             )
             if b == 0:
-                sample = block[0]
-            penalty += [path.penalty for path in block]
-        table = mc_moments(np.stack(penalty[: cfg.n_paths])[:, 1:], cfg.fees.discount_rate)
+                sample = block
+            penalty.append(block.penalty)
+        table = mc_moments(np.concatenate(penalty)[: cfg.n_paths, 1:], cfg.fees.discount_rate)
         rows = [["t", "mean", "std", "se_mean"]] + [
             [int(t), repr(float(m)), repr(float(s)), repr(float(se))]
             for t, m, s, se in zip(table.steps, table.mean, table.std, table.se_mean)
@@ -512,7 +521,7 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
             rows = [["k", "state", "S", "M", "W"]] + [
                 [int(k), int(st), repr(float(s)), repr(float(m)), repr(float(w))]
                 for k, (st, s, m, w) in enumerate(
-                    zip(sample.step_states, sample.soc, sample.penalty, sample.discounted)
+                    zip(sample.states[0], sample.soc[0], sample.penalty[0], sample.discounted[0])
                 )
             ]
             dump = _artifact(cfg, f"paths_{tag}.csv")
@@ -552,20 +561,18 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
             rng = _rng(cfg, "validate", idx, 2, b)
             d = rng.integers(n_days, size=BLOCK_PATHS)
             days.append(d)
-            penalty += [
-                path.penalty
-                for path in simulate_penalty_paths(
-                    kernel, model, cfg.battery, cfg.fees, z0[d], rng,
+            penalty.append(
+                simulate_penalty_paths(
+                    kernel, model, cfg.battery, cfg.fees, z0[d], rng, horizon=cfg.horizon,
                     initial_socs=s0[d], initial_backwards=np.where(restart[d], 0, b0[d]),
-                    horizon=cfg.horizon,
-                )
-            ]
+                ).penalty
+            )
         restarts = int(restart[np.concatenate(days)[: cfg.n_paths]].sum())
         logger.info(
             "limit %s: %d of %d paths start inside a sojourn at least as long as "
             "any completed one and restart it", tag, restarts, cfg.n_paths,
         )
-        table = mc_moments(np.stack(penalty[: cfg.n_paths])[:, 1:], cfg.fees.discount_rate)
+        table = mc_moments(np.concatenate(penalty)[: cfg.n_paths, 1:], cfg.fees.discount_rate)
         try:
             mape_first, skipped = mape_detail(emp_first, table.mean)
         except InputError:

@@ -21,12 +21,12 @@ from .estimation import (
     sample_classes,
 )
 from .power import require_finite
-from .segmentation import SemiMarkovKernel
+from .segmentation import JumpChains, SemiMarkovKernel
 
 __all__ = [
     "BatterySpec",
     "PenaltySpec",
-    "PenaltyPath",
+    "PenaltyBlock",
     "ChargeModel",
     "DEFAULT_BATTERY",
     "DEFAULT_FEES",
@@ -121,10 +121,7 @@ class ChargeModel:
         return self.samplers[(i, j, nearest)], True
 
     def sigma_model_for(self, i: int, j: int) -> SigmaModel:
-        model = self.sigma_models.get((i, j))
-        if model is None:
-            return SigmaModel.constant(self.sigma_default)
-        return model
+        return self.sigma_models.get((i, j)) or SigmaModel.constant(self.sigma_default)
 
     def charge_path(self, i: int, j: int, x: int, rng: np.random.Generator) -> np.ndarray:
         """Charge path ``c(1..x)``; identically zero in the idle state."""
@@ -249,21 +246,20 @@ class ChargeModel:
 
 
 @dataclass
-class PenaltyPath:
-    """One simulated trajectory of the battery and its penalties.
+class PenaltyBlock:
+    """``P`` simulated trajectories of the battery and its penalties, and their jump chains.
 
-    Step arrays run over ``k = 0..T``; ``soc[0]`` is the initial state of
-    charge and ``penalty[0] == 0``.  ``discounted`` is the running
-    discount-weighted sum of ``penalty``.
+    The step arrays have shape ``(P, horizon+1)``, over ``k = 0..horizon``.
+    ``soc[:, 0]`` is each row's initial SOC and ``penalty[:, 0] == 0``;
+    ``discounted`` is the running discount-weighted sum of ``penalty``.
     """
 
+    chains: JumpChains
     states: np.ndarray
-    jump_times: np.ndarray
-    step_states: np.ndarray
+    backward: np.ndarray
     soc: np.ndarray
     penalty: np.ndarray
     discounted: np.ndarray
-    backward: np.ndarray
 
 
 def discounted_penalty(penalty: np.ndarray, rate: float) -> np.ndarray:
@@ -324,9 +320,9 @@ def simulate_penalty_paths(
     rng: np.random.Generator,
     initial_socs=None,
     initial_backwards=None,
-    horizon: int | None = None,
-    n_transitions: int | None = None,
-) -> list[PenaltyPath]:
+    *,
+    horizon: int,
+) -> PenaltyBlock:
     """Simulate a block of penalty paths, one per entry of ``initial_states``.
 
     Row ``n`` starts in state ``initial_states[n]`` with SOC
@@ -334,67 +330,48 @@ def simulate_penalty_paths(
     steps (default 0) into its first sojourn, whose total length is drawn
     conditional on exceeding that.  Three phases, all from ``rng``:
 
-    1. the jump chains of every row, round by round
-       (:meth:`SemiMarkovKernel.sample_chains`);
+    1. the jump chains of every row, round by round, until its time passes
+       ``horizon`` (:meth:`SemiMarkovKernel.sample_chains`);
     2. the charges of every segment of the block, sorted by class ``(i, j,
        x)``, from one :meth:`ChargeModel.charge_block` pass: first the copula
        rounds of all classes, then one normal array for all their bridges
-       (the stream rule is in its docstring).  They are scattered into grids
-       of per-step states (``int8``), backward times (``int32``) and charges;
-       a segment entered with backward time ``b`` skips its first ``b``
-       charge values;
+       (the stream rule is in its docstring), then scattered into ``int8``
+       state, ``int32`` backward-time and charge grids; a segment entered
+       with backward time ``b`` skips its first ``b`` charge values;
     3. :func:`battery_recursion` row by row, then :func:`discounted_penalty`
        on the block.
-
-    Each row runs ``n_transitions`` jumps or until ``horizon`` steps are
-    covered, whichever comes first (at least one of the two must be given).
     """
     z0 = np.asarray(initial_states, dtype=int)
     n_rows = z0.size
+    for name, given in (("initial_socs", initial_socs), ("initial_backwards", initial_backwards)):
+        if given is not None and np.size(given) != n_rows:
+            raise InputError(f"{name} has {np.size(given)} entries for {n_rows} initial states")
     b0 = np.zeros(n_rows, dtype=int) if initial_backwards is None else np.asarray(initial_backwards, dtype=int)
     soc0 = np.full(n_rows, battery.soc_init) if initial_socs is None else np.asarray(initial_socs, dtype=float)
     outside = (soc0 < battery.soc_min) | (soc0 > battery.soc_max)
     if outside.any():
         raise InputError(f"initial SOC {soc0[outside][0]} outside the battery band")
 
-    chains, length, states, backward, charges = _step_grids(
-        kernel, charge_model, z0, b0, rng, horizon, n_transitions
-    )
+    chains, states, backward, charges = _step_grids(kernel, charge_model, z0, b0, rng, horizon)
     soc = np.zeros(charges.shape)
     penalty = np.zeros(charges.shape)
-    for n, steps in enumerate(length.tolist()):
-        soc[n, :steps], penalty[n, :steps] = battery_recursion(
-            states[n, :steps], charges[n, :steps], battery, fees, soc0[n]
-        )
+    for n in range(n_rows):
+        soc[n], penalty[n] = battery_recursion(states[n], charges[n], battery, fees, soc0[n])
     # a 2-d cumsum adds along each row in the order a 1-d one does, so every
     # row equals its one-row result bit for bit
     discounted = discounted_penalty(penalty, fees.discount_rate)
-    return [
-        PenaltyPath(
-            states=chains.states[n, : jumps + 1],
-            jump_times=chains.jump_times[n, : jumps + 1],
-            step_states=states[n, :steps],
-            soc=soc[n, :steps],
-            penalty=penalty[n, :steps],
-            discounted=discounted[n, :steps],
-            backward=backward[n, :steps],
-        )
-        for n, (steps, jumps) in enumerate(zip(length.tolist(), chains.counts.tolist()))
-    ]
+    return PenaltyBlock(chains, states, backward, soc, penalty, discounted)
 
 
-def _step_grids(kernel, charge_model, z0, b0, rng, horizon, n_transitions):
+def _step_grids(kernel, charge_model, z0, b0, rng, horizon):
     """Phases 1 and 2 of :func:`simulate_penalty_paths`.
 
-    Returns the jump chains, each row's step count, and ``(P, width)`` grids
-    of per-step states, backward times and charges.  A function of its own so
-    that the per-segment arrays are freed before phase 3 allocates its grids:
-    at horizon 720 that lowers the peak resident memory by about 2 MB.
+    Returns the jump chains, which all end past ``horizon``, and ``(P,
+    horizon+1)`` grids of per-step states, backward times and charges.  A
+    function of its own so that the per-segment arrays are freed before phase
+    3 allocates its grids: at horizon 720 that lowers the peak RSS by 2 MB.
     """
-    chains = kernel.sample_chains(z0, rng, b0, horizon=horizon, n_transitions=n_transitions)
-    end = chains.jump_times[np.arange(z0.size), chains.counts]
-    length = end if horizon is None else np.minimum(end, horizon + 1)
-    width = int(length.max())
+    chains = kernel.sample_chains(z0, rng, b0, horizon=horizon)
 
     # One entry per segment, row-major; then grouped by class, in sorted order.
     row, rnd = np.nonzero(np.arange(chains.sojourns.shape[1]) < chains.counts[:, None])
@@ -409,20 +386,20 @@ def _step_grids(kernel, charge_model, z0, b0, rng, horizon, n_transitions):
     # charge c(t - e + 1); steps before 0 were spent before the path began.
     # Step 0's charge is never used.  Whole segments are scattered about
     # CHUNK_POINTS steps at a time.
-    states = np.zeros((z0.size, width), dtype=np.int8)
-    backward = np.zeros((z0.size, width), dtype=np.int32)
-    charges = np.zeros((z0.size, width))
+    states = np.zeros((z0.size, horizon + 1), dtype=np.int8)
+    backward = np.zeros((z0.size, horizon + 1), dtype=np.int32)
+    charges = np.zeros((z0.size, horizon + 1))
     for a, b in _chunks(x):
         seg, k = _ragged(x[a:b])
         seg += a
         t = entry[seg] + k
-        keep = (t >= 0) & (t < width)
+        keep = (t >= 0) & (t <= horizon)
         seg, k, t = seg[keep], k[keep], t[keep]
         r = row[seg]
         states[r, t] = i[seg]
         backward[r, t] = k
         charges[r, t] = charge[first[seg] + k]
-    return chains, length, states, backward, charges
+    return chains, states, backward, charges
 
 
 def simulate_penalty_path(
@@ -430,29 +407,24 @@ def simulate_penalty_path(
     charge_model: ChargeModel,
     battery: BatterySpec,
     fees: PenaltySpec,
-    n_transitions: int | None = None,
+    *,
+    horizon: int,
     initial_state: int = 0,
     initial_soc: float | None = None,
     initial_backward: int = 0,
     seed=None,
-    horizon: int | None = None,
-) -> PenaltyPath:
-    """Simulate the renewal chain with its SOC and penalty processes.
+) -> PenaltyBlock:
+    """The one-row block of :func:`simulate_penalty_paths`; ``seed`` may be a generator.
 
-    The one-row case of :func:`simulate_penalty_paths`.  A positive
-    ``initial_backward`` resumes ``b`` steps into the first sojourn: its total
-    length is drawn conditional on exceeding ``b`` and the first ``b`` charge
-    values are skipped.  Runs ``n_transitions`` jumps or until ``horizon``
-    steps are covered, whichever comes first (at least one of the two must be
-    given).
+    A positive ``initial_backward`` resumes ``b`` steps into the first
+    sojourn: its total length is drawn conditional on exceeding ``b`` and the
+    first ``b`` charge values are skipped.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    soc0 = battery.soc_init if initial_soc is None else float(initial_soc)
     return simulate_penalty_paths(
-        kernel, charge_model, battery, fees, [initial_state], rng,
-        initial_socs=[soc0], initial_backwards=[initial_backward],
-        horizon=horizon, n_transitions=n_transitions,
-    )[0]
+        kernel, charge_model, battery, fees, [initial_state], np.random.default_rng(seed),
+        initial_socs=None if initial_soc is None else [initial_soc],
+        initial_backwards=[initial_backward], horizon=horizon,
+    )
 
 
 @dataclass

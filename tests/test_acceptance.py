@@ -254,16 +254,15 @@ def test_criterion_07_soc_penalty_oracle(fitted_kernel, fitted_model):
                 pen.append(0.0)
             soc.append(s_prev)
         w = np.cumsum(np.asarray(pen) * np.exp(-fees.discount_rate * np.arange(n_steps + 1)))
-        n = n_steps + 1
-        np.testing.assert_array_equal(path.soc[:n], soc)
-        np.testing.assert_array_equal(path.penalty[:n], pen)
-        np.testing.assert_array_equal(path.discounted[:n], w)
+        np.testing.assert_array_equal(path.soc[0], soc)
+        np.testing.assert_array_equal(path.penalty[0], pen)
+        np.testing.assert_array_equal(path.discounted[0], w)
 
         # confinement + complementarity over 1e5 randomized steps
         long_path = simulate_penalty_path(
             fitted_kernel, fitted_model, battery, fees, horizon=100_000, seed=1007
         )
-        s, m, st = long_path.soc, long_path.penalty, long_path.step_states
+        s, m, st = long_path.soc[0], long_path.penalty[0], long_path.states[0]
         assert s.size > 100_000
         assert np.all((s >= battery.soc_min - 1e-12) & (s <= battery.soc_max + 1e-12))
         charging = (m > 0) & (st == 1)
@@ -292,15 +291,14 @@ def test_criterion_08_mc_moment_estimator(fitted_kernel, fitted_model):
         block = 128
         for n_paths in (100, 1000, 10_000):
             # whole idle-start blocks, one stream per block, truncated to n_paths
-            penalty = np.stack([
-                path.penalty
-                for b in range(-(-n_paths // block))
-                for path in simulate_penalty_paths(
+            penalty = np.concatenate([
+                simulate_penalty_paths(
                     fitted_kernel, fitted_model, battery, fees, np.zeros(block, dtype=int),
                     np.random.default_rng(np.random.SeedSequence((1008, n_paths, b))),
                     horizon=horizon,
-                )
-            ][:n_paths])
+                ).penalty
+                for b in range(-(-n_paths // block))
+            ])[:n_paths]
             ses[n_paths] = float(mc_moments(penalty[:, 1:], fees.discount_rate).se_mean[-1])
         for a, b in ((100, 1000), (1000, 10_000), (100, 10_000)):
             ratio = ses[a] / ses[b]

@@ -220,7 +220,9 @@ class TestDecomposeAndClip:
             one = clip_error(y[r], row, x, LIMIT)
             np.testing.assert_array_equal(err.values[r], one.values)
             np.testing.assert_array_equal(err.clipped[r], one.clipped)
-            np.testing.assert_array_equal(err.triangle[r], g[r, 1 : x + 1])
+            np.testing.assert_array_equal(
+                g[r, 1 : x + 1] + err.values[r], triangle_path(row, x)[1 : x + 1] + one.values
+            )
 
     def test_batch_names_inconsistent_row(self):
         batch = BridgeParams(rho=np.array([1.0, 0.01]), tau=np.array([2, 1]), h=np.array([0.3, 0.005]))

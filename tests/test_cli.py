@@ -218,8 +218,10 @@ class TestRunConfig:
 
     def test_config_hash_covers_every_output_field(self, tmp_path):
         cfg = small_config(tmp_path)
+        wind = tmp_path / "wind.csv"
+        wind.write_text("timestamp,speed_ms\n0,5.0\n")
         changed = {
-            "wind_csv": tmp_path / "wind.csv",
+            "wind_csv": wind,
             "synthetic": SyntheticWindSpec(n_steps=6001),
             "turbine": replace(DEFAULT_TURBINE, rated_capacity=3.0),
             "limits": (0.02,),
@@ -236,6 +238,21 @@ class TestRunConfig:
             assert config_hash(replace(cfg, **{name: value})) != config_hash(cfg), name
         same = replace(cfg, out_dir=tmp_path / "elsewhere", dump_paths=True)
         assert config_hash(same) == config_hash(cfg)
+
+    def test_config_hash_reads_the_wind_file_not_its_name(self, tmp_path):
+        wind = tmp_path / "wind.csv"
+        wind.write_text("timestamp,speed_ms\n0,5.0\n1,6.0\n")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(wind)
+        cfg = small_config(tmp_path, wind_csv=wind)
+        before = config_hash(cfg)
+        for name in (tmp_path / "sub" / ".." / "wind.csv", tmp_path / "link.csv"):
+            assert config_hash(replace(cfg, wind_csv=name)) == before, name
+        wind.write_text("timestamp,speed_ms\n0,5.0\n1,6.5\n")
+        assert config_hash(cfg) != before
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(InputError, match=f"wind input file not found: {missing}"):
+            config_hash(replace(cfg, wind_csv=missing))
 
 
 class TestLoadConfig:

@@ -273,8 +273,7 @@ def oracle_charge_paths(model, i, j, x, n, rng):
         rows = np.flatnonzero(noisy & (tau == t))
         latent[rows] = sample_latent_bridge(x, t, sigma[rows], rng, n_paths=rows.size)
     params = BridgeParams(rho=rho, tau=tau, h=h, sigma=sigma)
-    err = clip_error(latent, params, x, model.limit)
-    return err.triangle + err.values
+    return triangle_path(params, x)[:, 1 : x + 1] + clip_error(latent, params, x, model.limit).values
 
 
 def block_keys(counts):
@@ -380,22 +379,21 @@ class TestChargeBlock:
         for chunk in (10**9, 50, 1):
             monkeypatch.setattr(bridge, "CHUNK_POINTS", chunk)
             c = fitted_model.charge_block(*block_keys(counts), np.random.default_rng(9))
-            paths = simulate_penalty_paths(
+            block = simulate_penalty_paths(
                 fitted_kernel, fitted_model, battery, fees, z0, np.random.default_rng(9), horizon=300
             )
-            runs.append((c, paths))
-        for c, paths in runs[1:]:
+            runs.append((c, block))
+        for c, block in runs[1:]:
             np.testing.assert_array_equal(c, runs[0][0])
-            for got, want in zip(paths, runs[0][1]):
-                for name in ("step_states", "backward", "soc", "penalty", "discounted"):
-                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            for name in ("states", "backward", "soc", "penalty", "discounted"):
+                np.testing.assert_array_equal(getattr(block, name), getattr(runs[0][1], name))
 
     def test_grids_are_narrow(self, fitted_kernel, fitted_model):
-        (path,) = simulate_penalty_paths(
+        block = simulate_penalty_paths(
             fitted_kernel, fitted_model, BatterySpec(0.0, 0.36, 0.18), PenaltySpec(1.0, 1.0),
             [1], np.random.default_rng(0), horizon=50,
         )
-        assert path.step_states.dtype == np.int8 and path.backward.dtype == np.int32
+        assert block.states.dtype == np.int8 and block.backward.dtype == np.int32
 
 
 class TestPenaltyPath:
@@ -406,9 +404,9 @@ class TestPenaltyPath:
         battery = BatterySpec(0.0, 0.36, 0.18)
         fees = PenaltySpec(21.52, 26.50)
         path = simulate_penalty_path(kernel, model, battery, fees, horizon=50, seed=0)
-        assert np.all(path.penalty == 0.0)
-        assert np.all(path.soc == 0.18)
-        assert np.all(path.discounted == 0.0)
+        assert np.all(path.penalty[0] == 0.0)
+        assert np.all(path.soc[0] == 0.18)
+        assert np.all(path.discounted[0] == 0.0)
 
     def test_zero_capacity_battery_pays_full_fee(self):
         kernel = cycle_kernel(x=3)
@@ -418,18 +416,18 @@ class TestPenaltyPath:
         })
         battery = BatterySpec(0.0, 0.0, 0.0)
         fees = PenaltySpec(10.0, 20.0)
-        path = simulate_penalty_path(
-            kernel, model, battery, fees, n_transitions=6, initial_state=1, seed=1
-        )
-        for t in range(1, len(path.penalty)):
-            st = path.step_states[t]
-            b = path.backward[t]
+        # six sojourns of 3 steps: the sixth jump is the first past step 17
+        block = simulate_penalty_path(kernel, model, battery, fees, horizon=17, initial_state=1, seed=1)
+        path = block.penalty[0]
+        for t in range(1, len(path)):
+            st = block.states[0, t]
+            b = block.backward[0, t]
             if st == 0:
-                assert path.penalty[t] == 0.0
+                assert path[t] == 0.0
             else:
                 seg_charges = model.charge_path(st, 0 if st == 1 else 1, 3, np.random.default_rng())
                 fee = fees.up_fee if st == 1 else fees.down_fee
-                assert path.penalty[t] == approx(fee * seg_charges[b])
+                assert path[t] == approx(fee * seg_charges[b])
 
     def test_soc_confinement_and_complementarity(self, fitted_kernel, fitted_model):
         battery = BatterySpec(0.0, 0.36, 0.18)
@@ -437,7 +435,7 @@ class TestPenaltyPath:
         path = simulate_penalty_path(
             fitted_kernel, fitted_model, battery, fees, horizon=20_000, seed=5
         )
-        s, m, st = path.soc, path.penalty, path.step_states
+        s, m, st = path.soc[0], path.penalty[0], path.states[0]
         assert np.all((s >= battery.soc_min - 1e-12) & (s <= battery.soc_max + 1e-12))
         hot = m > 0
         assert np.all(st[hot] != 0)
@@ -451,9 +449,9 @@ class TestPenaltyPath:
         fees = PenaltySpec(21.52, 26.50)
         a = simulate_penalty_path(fitted_kernel, fitted_model, battery, fees, horizon=200, seed=7)
         b = simulate_penalty_path(fitted_kernel, fitted_model, battery, fees, horizon=200, seed=7)
-        np.testing.assert_array_equal(a.penalty, b.penalty)
-        np.testing.assert_array_equal(a.soc, b.soc)
-        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.penalty[0], b.penalty[0])
+        np.testing.assert_array_equal(a.soc[0], b.soc[0])
+        np.testing.assert_array_equal(a.chains.states[0], b.chains.states[0])
 
     def test_backward_resume_skips_charges(self):
         kernel = cycle_kernel(x=4)
@@ -464,14 +462,13 @@ class TestPenaltyPath:
         battery = BatterySpec(0.0, 100.0, 50.0)
         fees = PenaltySpec(1.0, 1.0)
         path = simulate_penalty_path(
-            kernel, model, battery, fees, n_transitions=1,
-            initial_state=1, initial_backward=2, seed=0,
+            kernel, model, battery, fees, horizon=1, initial_state=1, initial_backward=2, seed=0,
         )
         # sojourn 4 with 2 steps already elapsed: 2 remaining, jump at time 2
-        assert path.jump_times[1] == 2
+        assert path.chains.jump_times[0, 1] == 2
         charges = model.charge_path(1, 0, 4, np.random.default_rng())
         # step 1 has backward time b + 1 = 3 and takes c(4), row index 3
-        assert path.soc[1] == approx(50.0 + charges[3])
+        assert path.soc[0, 1] == approx(50.0 + charges[3])
 
     def test_backward_longer_than_any_sojourn(self):
         kernel = cycle_kernel(x=4)
@@ -479,7 +476,7 @@ class TestPenaltyPath:
         with pytest.raises(SimulationError):
             simulate_penalty_path(
                 kernel, model, BatterySpec(0, 1, 0.5), PenaltySpec(1, 1),
-                n_transitions=1, initial_state=1, initial_backward=4, seed=0,
+                horizon=1, initial_state=1, initial_backward=4, seed=0,
             )
 
     def test_renewal_law_matches_kernel(self, fitted_kernel):
@@ -514,11 +511,13 @@ class TestPenaltyPath:
     def test_penalty_path_sojourns_follow_kernel(self, fitted_kernel, fitted_model):
         battery = BatterySpec(0.0, 0.36, 0.18)
         fees = PenaltySpec(21.52, 26.50)
-        path = simulate_penalty_path(
-            fitted_kernel, fitted_model, battery, fees, n_transitions=500, seed=11
-        )
-        sojourns = np.diff(path.jump_times)
-        for i, x in zip(path.states[:-1], sojourns):
+        # the first 500 jumps of this stream, the last of them past step 1985
+        chains = simulate_penalty_path(
+            fitted_kernel, fitted_model, battery, fees, horizon=1985, seed=11
+        ).chains
+        jumps = int(chains.counts[0])
+        assert jumps == 500
+        for i, x in zip(chains.states[0, :jumps], chains.sojourns[0, :jumps]):
             ks, _ = fitted_kernel.sojourn_pmf(int(i))
             assert int(x) in set(int(k) for k in ks)
 
@@ -533,10 +532,9 @@ class TestDegenerateOracle:
             cycle_kernel(x=3), model, battery, fees, horizon=n_steps, initial_state=1, seed=0
         )
         soc, pen, w = cycle_oracle(1, 0, battery.soc_init, n_steps, battery, fees)
-        n = n_steps + 1
-        np.testing.assert_array_equal(path.soc[:n], soc)
-        np.testing.assert_array_equal(path.penalty[:n], pen)
-        np.testing.assert_array_equal(path.discounted[:n], w)
+        np.testing.assert_array_equal(path.soc[0], soc)
+        np.testing.assert_array_equal(path.penalty[0], pen)
+        np.testing.assert_array_equal(path.discounted[0], w)
 
 
 class TestPenaltyBlock:
@@ -552,19 +550,24 @@ class TestPenaltyBlock:
             kernel, model, battery, fees, z0, np.random.default_rng(0),
             initial_socs=s0, initial_backwards=b0, horizon=horizon,
         )
-        assert len(block) == z0.size
-        for n, row in enumerate(block):
+        assert block.penalty.shape == (z0.size, horizon + 1)
+        for n in range(z0.size):
             one = simulate_penalty_path(
                 kernel, model, battery, fees, horizon=horizon, initial_state=int(z0[n]),
                 initial_soc=float(s0[n]), initial_backward=int(b0[n]), seed=n,
             )
-            for name in ("states", "jump_times", "step_states", "soc", "penalty", "discounted", "backward"):
-                np.testing.assert_array_equal(getattr(row, name), getattr(one, name), err_msg=name)
+            jumps = int(block.chains.counts[n])
+            assert one.chains.counts[0] == jumps
+            for name in ("states", "jump_times"):
+                got, want = getattr(block.chains, name), getattr(one.chains, name)
+                np.testing.assert_array_equal(got[n, : jumps + 1], want[0, : jumps + 1], err_msg=name)
+            for name in ("states", "soc", "penalty", "discounted", "backward"):
+                np.testing.assert_array_equal(getattr(block, name)[n], getattr(one, name)[0], err_msg=name)
             soc, pen, w = cycle_oracle(int(z0[n]), int(b0[n]), float(s0[n]), horizon, battery, fees)
-            np.testing.assert_array_equal(row.soc, soc)
-            np.testing.assert_array_equal(row.penalty, pen)
-            np.testing.assert_array_equal(row.discounted, w)
-            assert row.step_states[0] == z0[n] and row.backward[0] == b0[n]
+            np.testing.assert_array_equal(block.soc[n], soc)
+            np.testing.assert_array_equal(block.penalty[n], pen)
+            np.testing.assert_array_equal(block.discounted[n], w)
+            assert block.states[n, 0] == z0[n] and block.backward[n, 0] == b0[n]
 
     def test_conditioned_first_sojourns_exceed_backward(self, fitted_kernel):
         rng = np.random.default_rng(12)
@@ -578,13 +581,31 @@ class TestPenaltyBlock:
 
     def test_short_blocks_and_transition_counts(self, fitted_kernel, fitted_model):
         battery, fees = BatterySpec(0.0, 0.36, 0.18), PenaltySpec(21.52, 26.50)
-        paths = simulate_penalty_paths(
+        horizon = 4
+        block = simulate_penalty_paths(
             fitted_kernel, fitted_model, battery, fees, np.zeros(5, dtype=int),
-            np.random.default_rng(3), n_transitions=4,
+            np.random.default_rng(3), horizon=horizon,
         )
-        for path in paths:
-            assert path.states.size == path.jump_times.size == 5
-            assert path.penalty.size == path.jump_times[-1]
+        chains = block.chains
+        assert chains.states.shape == chains.jump_times.shape == (5, chains.counts.max() + 1)
+        for n, jumps in enumerate(chains.counts.tolist()):
+            # a row stops at its first jump past the horizon
+            assert chains.jump_times[n, jumps - 1] <= horizon < chains.jump_times[n, jumps]
+        for grid in (block.states, block.backward, block.soc, block.penalty, block.discounted):
+            assert grid.shape == (5, horizon + 1)
+
+    @pytest.mark.parametrize(
+        "name, size",
+        [("initial_socs", 2), ("initial_socs", 4), ("initial_backwards", 2), ("initial_backwards", 4)],
+    )
+    def test_start_arrays_must_match_the_states(self, name, size):
+        given = {"initial_socs": np.full(size, 0.18), "initial_backwards": np.zeros(size, dtype=int)}
+        with pytest.raises(InputError, match=f"{name} has {size} entries for 3 initial states"):
+            simulate_penalty_paths(
+                cycle_kernel(x=3), degenerate_model(CYCLE_ENTRIES), BatterySpec(0.0, 0.36, 0.18),
+                PenaltySpec(1.0, 1.0), [1, 0, -1], np.random.default_rng(0), horizon=5,
+                **{name: given[name]},
+            )
 
 
 class TestSpecs:
