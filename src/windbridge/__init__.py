@@ -5,7 +5,6 @@ penalty estimation.
 
 from .bridge import (
     SIGMA_FLOOR,
-    BridgeParams,
     ErrorPath,
     bb_transition,
     clip_error,
@@ -13,7 +12,7 @@ from .bridge import (
     decompose,
     extract_peak,
     sample_latent_bridge,
-    triangle_path,
+    triangle,
 )
 from .errors import (
     EstimationError,

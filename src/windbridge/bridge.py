@@ -2,12 +2,17 @@
 the two-piece pinned Brownian bridge that drives the stochastic part of a run.
 
 A charging (or discharging) run of class ``(i, j, x)`` is a row of absolute
-charges ``c(1..x)``; a whole class is an ``(n, x)`` matrix, one row per run,
-and every function here takes either.  The path is pinned to zero at ``k = 0``
-and ``k = x+1``, which no row stores.  It splits into a deterministic triangle
-``g`` rising to the peak ``(tau, h)`` plus an error process, itself a Brownian
-bridge pinned to zero at 0, ``tau`` and ``x+1`` and clipped so the
-reconstructed charge stays inside ``[0, rho - (k-1)*limit]``.
+charges ``c(1..x)``; a whole class is an ``(n, x)`` matrix, one row per run.
+The path is pinned to zero at ``k = 0`` and ``k = x+1``, which no row stores.
+It splits into a deterministic triangle ``g`` rising to the peak ``(tau, h)``
+plus an error process, itself a Brownian bridge pinned to zero at 0, ``tau``
+and ``x+1`` and clipped so the reconstructed charge stays inside
+``[0, rho - (k-1)*limit]``.
+
+The band's ``(rho, tau, h)`` are values or arrays that broadcast: scalars
+or one per row for :func:`decompose` and :func:`clip_error`, which read ``x``
+from the last axis, and any broadcasting arrays, such as one entry per point
+of runs laid end to end, for :func:`triangle` and :func:`clip_to_band`.
 """
 
 from __future__ import annotations
@@ -21,13 +26,11 @@ from .errors import InputError
 __all__ = [
     "SIGMA_FLOOR",
     "CLIP_TOLERANCE",
-    "BridgeParams",
     "ErrorPath",
     "extract_peak",
-    "triangle_path",
+    "triangle",
     "compute_initial_power",
     "decompose",
-    "error_bounds",
     "clip_error",
     "clip_to_band",
     "bb_transition",
@@ -49,27 +52,12 @@ CLIP_TOLERANCE = 1e-9
 CHUNK_POINTS = 4096
 
 
-@dataclass(frozen=True)
-class BridgeParams:
-    """Per-segment bridge parameters: ceiling proxy, peak location/height, volatility.
-
-    The fields may also be equal-length 1-d arrays, one entry per path of a
-    batch; :func:`triangle_path`, :func:`error_bounds` and :func:`clip_error`
-    then return one row per path.
-    """
-
-    rho: float
-    tau: int
-    h: float
-    sigma: float = SIGMA_FLOOR
-
-
 @dataclass
 class ErrorPath:
     """Signed deviation from the triangle at ``k = 1..x`` with clip flags.
 
-    ``values`` and ``clipped`` have the shape of the charges they came from:
-    ``(x,)`` for one run, ``(n, x)`` for a class.
+    Both have the shape of the charges or latent values they came from:
+    ``(x,)`` for one run, ``(n, x)`` for a class with ``(rho, tau, h)`` per row.
     """
 
     values: np.ndarray
@@ -91,44 +79,24 @@ def extract_peak(charges) -> tuple:
     return np.argmax(c, axis=-1) + 1, c.max(axis=-1)
 
 
-def _per_path(value):
-    """A batch's array of one value per path as an ``(n, 1)`` column; a scalar as is."""
-    return value[:, None] if isinstance(value, np.ndarray) else value
+def _first(mask: np.ndarray, *values):
+    """The entries of ``values``, broadcast to the shape of ``mask``, at its first true point."""
+    at = np.unravel_index(np.argmax(mask), mask.shape)
+    return (np.broadcast_to(v, mask.shape)[at] for v in values)
 
 
-def _all(condition) -> bool:
-    """Whether a scalar condition, or every entry of a batch's, holds."""
-    if isinstance(condition, np.ndarray):
-        return bool(np.logical_and.reduce(condition, axis=None))
-    return bool(condition)
-
-
-def _triangle(h, tau, x, k):
+def triangle(tau, h, x, k):
     """``g(k)`` of the triangle through ``(0, 0)``, ``(tau, h)`` and ``(x+1, 0)``.
 
-    The arguments broadcast against each other: scalars, ``(n, 1)`` columns
-    of a batch, or one entry per point of a flat block.
+    The arguments broadcast; a peak time outside ``{1..x}`` raises.
     """
+    outside = np.asarray((tau < 1) | (tau > x))
+    if outside.any():
+        t, n = _first(outside, tau, x)
+        raise InputError(f"peak time {int(t)} outside {{1..{int(n)}}}")
     up = h * k / tau
     down = h * (x + 1 - k) / (x + 1 - tau)
     return np.where(k <= tau, up, down)
-
-
-def _peak_columns(params: BridgeParams, x: int):
-    """``(rho, tau, h)`` of ``params`` as scalars or ``(n, 1)`` columns, with ``tau`` checked."""
-    tau = _per_path(params.tau)
-    if not _all((1 <= tau) & (tau <= x)):
-        raise InputError(f"peak time {params.tau} outside {{1..{x}}}")
-    return _per_path(params.rho), tau, _per_path(params.h)
-
-
-def triangle_path(params: BridgeParams, x: int) -> np.ndarray:
-    """Triangle baseline ``g(k)``, ``k = 0..x+1``: up to ``(tau, h)``, down to 0 at ``x+1``.
-
-    Shape ``(x+2,)``, or ``(n, x+2)`` for a batch of ``n`` parameter sets.
-    """
-    _, tau, h = _peak_columns(params, x)
-    return _triangle(h, tau, x, np.arange(x + 2, dtype=float))
 
 
 def compute_initial_power(i: int, entry_power, x: int, limit: float, capacity: float):
@@ -147,45 +115,44 @@ def compute_initial_power(i: int, entry_power, x: int, limit: float, capacity: f
     raise InputError("initial power is defined only for charging or discharging segments")
 
 
-def decompose(charges, params: BridgeParams, limit: float) -> ErrorPath:
+def _per_row(rho, tau, h, shape: tuple) -> tuple:
+    """``(rho, tau, h, x, k)`` at steps ``k = 1..x`` of rows of ``shape``, per-row values as columns."""
+    if any(np.shape(v) not in ((), shape[:-1]) for v in (rho, tau, h)):
+        raise InputError(f"need one (rho, tau, h) for all rows of shape {shape} or one per row")
+    rho, tau, h = (np.expand_dims(v, -1) for v in (rho, tau, h))
+    return rho, tau, h, shape[-1], np.arange(1, shape[-1] + 1, dtype=float)
+
+
+def _band(rho, tau, h, x, k, limit):
+    """Clip band ``(-g(k), rho - (k-1)*limit - g(k))``; the arguments broadcast."""
+    g = triangle(tau, h, x, k)
+    return -g, rho - (k - 1.0) * limit - g
+
+
+def decompose(charges, rho, tau, h, limit: float) -> ErrorPath:
     """Error process ``E(k) = c(k) - g(k)``, ``k = 1..x``, of a charge row or matrix.
 
-    Values within ``CLIP_TOLERANCE`` of (or beyond) the clip bounds are
+    Values within ``CLIP_TOLERANCE`` of (or beyond) the clip band are
     flagged; those points carry no information about the latent bridge.
     """
     c = np.asarray(charges, dtype=float)
-    lower, upper = error_bounds(params, c.shape[-1], limit)
+    lower, upper = _band(*_per_row(rho, tau, h, c.shape), limit)
     values = c + lower  # lower == -g(1..x)
     clipped = (values <= lower + CLIP_TOLERANCE) | (values >= upper - CLIP_TOLERANCE)
     return ErrorPath(values=values, clipped=clipped)
 
 
-def _band(rho, tau, h, x, k, limit):
-    """Clip band ``(-g(k), rho - (k-1)*limit - g(k))``; the arguments broadcast."""
-    g = _triangle(h, tau, x, k)
-    return -g, rho - (k - 1.0) * limit - g
-
-
-def error_bounds(params: BridgeParams, x: int, limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """Clip band for the error process: ``-g(k) <= E(k) <= rho - (k-1)*limit - g(k)``."""
-    rho, tau, h = _peak_columns(params, x)
-    return _band(rho, tau, h, x, np.arange(1, x + 1, dtype=float), limit)
-
-
 def clip_to_band(latent, rho, tau, h, x, k, limit: float) -> tuple[np.ndarray, np.ndarray]:
     """Clamp latent values at steps ``k`` into the clip band of their run.
 
-    Every argument broadcasts to the shape of ``latent``: one run's row, a
-    class's ``(n, x)`` matrix with ``(n, 1)`` parameter columns, or a flat
-    block with one entry per point.  Returns the clamped values and the
-    lower bound ``-g(k)``.  An empty band raises :class:`InputError` naming
-    the first offending point.
+    Every argument broadcasts to the shape of ``latent``.  Returns the
+    clamped values and the lower bound ``-g(k)``.  An empty band raises
+    :class:`InputError` naming the first offending point.
     """
     lower, upper = _band(rho, tau, h, x, k, limit)
     empty = upper < lower
     if empty.any():
-        at = np.unravel_index(np.argmax(empty), empty.shape)
-        r, t, p, n, s = (np.broadcast_to(v, empty.shape)[at] for v in (rho, tau, h, x, k))
+        r, t, p, n, s = _first(empty, rho, tau, h, x, k)
         raise InputError(
             f"inconsistent bridge parameters: clip band empty at k={int(s)} "
             f"(rho={float(r)}, tau={int(t)}, h={float(p)}, x={int(n)})"
@@ -193,19 +160,10 @@ def clip_to_band(latent, rho, tau, h, x, k, limit: float) -> tuple[np.ndarray, n
     return np.minimum(np.maximum(latent, lower), upper), lower
 
 
-def clip_error(latent: np.ndarray, params: BridgeParams, x: int, limit: float) -> ErrorPath:
-    """Clamp a latent path into the feasible band, flagging where it was moved.
-
-    ``latent`` has shape ``(x,)``, or ``(n, x)`` for a batch of ``n`` parameter
-    sets.
-    """
+def clip_error(latent, rho, tau, h, limit: float) -> ErrorPath:
+    """Clamp a latent row or ``(n, x)`` matrix into its band, flagging where it was moved."""
     y = np.asarray(latent, dtype=float)
-    rho, tau, h = _peak_columns(params, x)
-    k = np.arange(1, x + 1, dtype=float)
-    shape = np.broadcast_shapes(np.shape(tau), k.shape)
-    if y.shape != shape:
-        raise InputError(f"latent path must have shape {shape}")
-    values, _ = clip_to_band(y, rho, tau, h, x, k, limit)
+    values, _ = clip_to_band(y, *_per_row(rho, tau, h, y.shape), limit)
     return ErrorPath(values=values, clipped=values != y)
 
 
@@ -258,8 +216,8 @@ def sample_latent_bridge(
     """
     if not 1 <= tau <= x:
         raise InputError(f"peak time {tau} outside {{1..{x}}}")
-    if not _all(_per_path(sigma) > 0):
-        raise InputError(f"sigma must be positive, got {_per_path(sigma)}")
+    if not np.all(np.asarray(sigma) > 0):
+        raise InputError(f"sigma must be positive, got {sigma}")
     rows = np.zeros(n_paths, dtype=int)
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (n_paths,))
     z = rng.standard_normal(n_paths * (x + (tau < x)))

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bridge import SIGMA_FLOOR, BridgeParams, ErrorPath, compute_initial_power, decompose, extract_peak
+from .bridge import SIGMA_FLOOR, ErrorPath, compute_initial_power, decompose, extract_peak
 from .errors import (
     EstimationError,
     InputError,
@@ -57,6 +57,7 @@ from .simulate import (
     BatterySpec,
     ChargeModel,
     PenaltySpec,
+    _check_horizon,
     mc_moments,
     simulate_penalty_paths,
 )
@@ -132,8 +133,7 @@ class RunConfig:
         tags = [self.limit_tag(l) for l in self.limits]
         if len(set(tags)) < len(tags):
             raise InputError(f"limits {self.limits} repeat an artifact tag: {tags}")
-        if self.horizon < 1:
-            raise InputError("horizon must be >= 1")
+        _check_horizon(self.horizon)
         # moments and class covariances need two rows: one has no spread
         if self.n_paths < 2:
             raise InputError(f"n_paths must be >= 2, got {self.n_paths}")
@@ -377,7 +377,7 @@ def build_model_doc(
         charges, tau, h = charges[keep], tau[keep], h[keep]
         rho = compute_initial_power(i, table.entry_power[rows[keep]], x, limit, capacity)
         if x >= 2:
-            err = decompose(charges, BridgeParams(rho=rho, tau=tau, h=h), limit)
+            err = decompose(charges, rho, tau, h, limit)
             obs = []
             for r, t in enumerate(tau.tolist()):
                 try:

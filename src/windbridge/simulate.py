@@ -311,6 +311,12 @@ def battery_recursion(
     return np.asarray(soc), np.asarray(penalty)
 
 
+def _check_horizon(horizon: int) -> None:
+    """Reject a penalty window of fewer than one step."""
+    if horizon < 1:
+        raise InputError(f"horizon must be >= 1, got {horizon}")
+
+
 def simulate_penalty_paths(
     kernel: SemiMarkovKernel,
     charge_model: ChargeModel,
@@ -341,6 +347,7 @@ def simulate_penalty_paths(
     3. :func:`battery_recursion` row by row, then :func:`discounted_penalty`
        on the block.
     """
+    _check_horizon(horizon)
     z0 = np.asarray(initial_states, dtype=int)
     n_rows = z0.size
     for name, given in (("initial_socs", initial_socs), ("initial_backwards", initial_backwards)):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InputError
 from .segmentation import SegmentTable, backward_times, complete_classes
-from .simulate import BatterySpec, ChargeModel, PenaltySpec, battery_recursion, mc_moments
+from .simulate import BatterySpec, ChargeModel, PenaltySpec, _check_horizon, battery_recursion, mc_moments
 
 __all__ = [
     "rel_l2_error",
@@ -184,6 +184,7 @@ def daily_penalty_moments(
     simulated paths.  Returns per-step first and second moments of the
     cumulative discounted penalty plus the number of complete windows.
     """
+    _check_horizon(horizon)
     m = np.asarray(penalty, dtype=float)
     n_days = (m.size - 1) // horizon
     if n_days < 2:
@@ -202,5 +203,6 @@ def day_start_conditions(
 
     ``states`` and ``table`` are what :func:`extract_segments` returns.
     """
+    _check_horizon(horizon)
     starts = np.arange((len(states) - 1) // horizon) * horizon
     return states[starts], backward_times(table)[starts], np.asarray(soc)[starts]

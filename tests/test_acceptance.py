@@ -10,12 +10,11 @@ import pytest
 from pytest import approx
 
 from windbridge.bridge import (
-    BridgeParams,
     ErrorPath,
     decompose,
     extract_peak,
     sample_latent_bridge,
-    triangle_path,
+    triangle,
 )
 from windbridge.estimation import (
     SigmaModel,
@@ -118,9 +117,8 @@ def test_criterion_03_bridge_math(renewal_data):
         for (i, j, x), rows in complete_classes(table).items():
             charges = table.charge_matrix(rows, x)
             tau, h = extract_peak(charges)
-            params = BridgeParams(rho=np.full(rows.size, CAPACITY), tau=tau, h=h)
-            err = decompose(charges, params, LIMIT)
-            recon = triangle_path(params, x)[:, 1 : x + 1] + err.values
+            err = decompose(charges, np.full(rows.size, CAPACITY), tau, h, LIMIT)
+            recon = triangle(tau[:, None], h[:, None], x, np.arange(1, x + 1)) + err.values
             np.testing.assert_allclose(recon, charges, rtol=0, atol=1e-14)
             checked += rows.size
         assert checked > 1000
@@ -233,9 +231,9 @@ def test_criterion_07_soc_penalty_oracle(fitted_kernel, fitted_model):
         )
 
         charge_for = {
-            1: np.minimum(triangle_path(BridgeParams(1.9, 2, 0.5), 3), 1.9 - np.arange(-1, 4) * LIMIT),
+            1: np.minimum(triangle(2, 0.5, 3, np.arange(5)), 1.9 - np.arange(-1, 4) * LIMIT),
             0: np.zeros(5),
-            -1: np.minimum(triangle_path(BridgeParams(1.0, 2, 0.5), 3), 1.0 - np.arange(-1, 4) * LIMIT),
+            -1: np.minimum(triangle(2, 0.5, 3, np.arange(5)), 1.0 - np.arange(-1, 4) * LIMIT),
         }
         nxt = {1: 0, 0: -1, -1: 1}
         s_prev, state, seg_start = battery.soc_init, 1, 0

@@ -5,17 +5,16 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from windbridge.bridge import (
-    BridgeParams,
     ErrorPath,
     bb_transition,
     clip_error,
+    clip_to_band,
     compute_initial_power,
     decompose,
-    error_bounds,
     extract_peak,
     latent_bridges,
     sample_latent_bridge,
-    triangle_path,
+    triangle,
     write_bridge_csv,
 )
 from windbridge.errors import InputError
@@ -71,13 +70,13 @@ class TestEmbedAndPeak:
 
 class TestTriangle:
     def test_apex_and_endpoints(self):
-        path = triangle_path(BridgeParams(rho=1.0, tau=2, h=0.8), 4)
+        path = triangle(2, 0.8, 4, np.arange(6))
         assert path[2] == approx(0.8)
         assert path[0] == 0.0
         assert path[5] == 0.0
 
     def test_hand_value(self):
-        path = triangle_path(BridgeParams(rho=1.0, tau=2, h=1.0), 4)
+        path = triangle(2, 1.0, 4, np.arange(6))
         np.testing.assert_allclose(path, [0.0, 0.5, 1.0, 2.0 / 3.0, 1.0 / 3.0, 0.0])
 
     def test_path_matches_scalar(self):
@@ -86,15 +85,27 @@ class TestTriangle:
             return h * t / tau if t <= tau else h * (x + 1 - t) / (x + 1 - tau)
 
         for tau in (1, 3, 7):
-            path = triangle_path(BridgeParams(rho=1.0, tau=tau, h=0.6), 7)
+            path = triangle(tau, 0.6, 7, np.arange(9))
             for t in range(9):
                 assert path[t] == approx(g(t, tau, 0.6, 7))
 
     def test_invalid_tau(self):
-        with pytest.raises(InputError):
-            triangle_path(BridgeParams(rho=1.0, tau=5, h=1.0), 4)
-        with pytest.raises(InputError):
-            triangle_path(BridgeParams(rho=1.0, tau=0, h=1.0), 4)
+        # one check behind the triangle and every clip band, naming the first
+        # bad peak: one run's, or a class's with one peak per row
+        for tau, first in ((5, 5), (0, 0), ([2, 5, 0], 5)):
+            tau = np.asarray(tau)
+            rho, h, k = np.full(tau.shape, 1.0), np.full(tau.shape, 0.01), np.arange(1.0, 5.0)
+            per_row = np.zeros(tau.shape + (4,))
+            per_point = [np.broadcast_to(np.expand_dims(v, -1), per_row.shape).ravel() for v in (rho, tau, h)]
+            calls = [
+                lambda: triangle(np.expand_dims(tau, -1), 1.0, 4, np.arange(6)),
+                lambda: decompose(per_row, rho, tau, h, LIMIT),
+                lambda: clip_error(per_row, rho, tau, h, LIMIT),
+                lambda: clip_to_band(per_row.ravel(), *per_point, 4, np.resize(k, per_row.size), LIMIT),
+            ]
+            for call in calls:
+                with pytest.raises(InputError, match=rf"^peak time {first} outside \{{1\.\.4\}}$"):
+                    call()
 
 
 class TestInitialPower:
@@ -124,27 +135,24 @@ class TestDecomposeAndClip:
     def test_reconstruction_identity(self):
         charges = [0.31, 0.55, 0.41]
         tau, h = extract_peak(charges)
-        params = BridgeParams(rho=1.0, tau=tau, h=h)
-        err = decompose(charges, params, LIMIT)
-        g = triangle_path(params, 3)
+        err = decompose(charges, 1.0, tau, h, LIMIT)
+        g = triangle(tau, h, 3, np.arange(5))
         np.testing.assert_array_equal(g[1:4] + err.values, charges)
 
     def test_error_zero_at_peak(self):
         charges = [0.2, 0.9, 0.1]
         tau, h = extract_peak(charges)
-        err = decompose(charges, BridgeParams(rho=2.0, tau=tau, h=h), LIMIT)
+        err = decompose(charges, 2.0, tau, h, LIMIT)
         assert err.values[tau - 1] == 0.0
 
     def test_triangle_shaped_bridge_has_zero_error(self):
-        params = BridgeParams(rho=5.0, tau=2, h=0.6)
-        g = triangle_path(params, 4)
-        err = decompose(g[1:5], params, LIMIT)
+        g = triangle(2, 0.6, 4, np.arange(6))
+        err = decompose(g[1:5], 5.0, 2, 0.6, LIMIT)
         np.testing.assert_array_equal(err.values, np.zeros(4))
 
     def test_decompose_flags_clip_bounds(self):
         # the peak sits on its own triangle, the last step on the ceiling
-        params = BridgeParams(rho=0.5, tau=1, h=0.5)
-        err = decompose([0.5, 0.3, 0.46], params, LIMIT)
+        err = decompose([0.5, 0.3, 0.46], 0.5, 1, 0.5, LIMIT)
         assert err.clipped.tolist() == [True, False, True]
 
     def test_decompose_batch_matches_rows(self):
@@ -153,39 +161,36 @@ class TestDecomposeAndClip:
         charges = rng.uniform(0.0, 0.5, size=(40, x))
         tau, h = extract_peak(charges)
         rho = rng.uniform(0.5, 2.0, size=40)
-        batch = decompose(charges, BridgeParams(rho=rho, tau=tau, h=h), LIMIT)
+        batch = decompose(charges, rho, tau, h, LIMIT)
         assert batch.values.shape == batch.clipped.shape == (40, x)
         for r in range(40):
-            one = decompose(charges[r], BridgeParams(rho=float(rho[r]), tau=int(tau[r]), h=float(h[r])), LIMIT)
+            one = decompose(charges[r], float(rho[r]), int(tau[r]), float(h[r]), LIMIT)
             np.testing.assert_array_equal(batch.values[r], one.values)
             np.testing.assert_array_equal(batch.clipped[r], one.clipped)
 
     def test_clip_passthrough(self):
-        params = BridgeParams(rho=1.0, tau=2, h=0.3)
-        err = clip_error(np.zeros(4), params, 4, LIMIT)
+        err = clip_error(np.zeros(4), 1.0, 2, 0.3, LIMIT)
         np.testing.assert_array_equal(err.values, np.zeros(4))
         assert not err.clipped.any()
 
     def test_clip_floor(self):
-        params = BridgeParams(rho=1.0, tau=2, h=0.3)
-        g = triangle_path(params, 4)[1:5]
-        err = clip_error(np.full(4, -1e3), params, 4, LIMIT)
+        g = triangle(2, 0.3, 4, np.arange(1, 5))
+        err = clip_error(np.full(4, -1e3), 1.0, 2, 0.3, LIMIT)
         np.testing.assert_array_equal(err.values, -g)
         assert err.clipped.all()
 
     def test_clip_ceiling(self):
-        params = BridgeParams(rho=1.0, tau=2, h=0.3)
-        g = triangle_path(params, 4)[1:5]
+        rho = 1.0
+        g = triangle(2, 0.3, 4, np.arange(1, 5))
         k = np.arange(1, 5)
-        err = clip_error(np.full(4, 1e3), params, 4, LIMIT)
-        np.testing.assert_allclose(err.values, params.rho - (k - 1) * LIMIT - g)
+        err = clip_error(np.full(4, 1e3), rho, 2, 0.3, LIMIT)
+        np.testing.assert_allclose(err.values, rho - (k - 1) * LIMIT - g)
         assert err.clipped.all()
 
     def test_inconsistent_parameters(self):
         # rho < (x-1)*limit leaves an empty band at the last step
-        params = BridgeParams(rho=0.01, tau=1, h=0.005)
         with pytest.raises(InputError, match="inconsistent"):
-            clip_error(np.zeros(5), params, 5, 0.02)
+            clip_error(np.zeros(5), 0.01, 1, 0.005, 0.02)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -195,12 +200,13 @@ class TestDecomposeAndClip:
         tau = int(rng.integers(1, x + 1))
         rho = float(rng.uniform((x + 1) * LIMIT, 2.0))
         h = float(rng.uniform(1e-6, max(rho - tau * LIMIT, 2e-6)))
-        params = BridgeParams(rho=rho, tau=tau, h=h)
         y = rng.normal(scale=0.5, size=x)
-        err = clip_error(y, params, x, LIMIT)
-        lower, upper = error_bounds(params, x, LIMIT)
+        err = clip_error(y, rho, tau, h, LIMIT)
+        k = np.arange(1, x + 1)
+        g = triangle(tau, h, x, k)
+        lower, upper = -g, rho - (k - 1) * LIMIT - g
         assert np.all(err.values >= lower) and np.all(err.values <= upper)
-        c = triangle_path(params, x)[1 : x + 1] + err.values
+        c = g + err.values
         assert np.all(c >= -1e-12)
         assert np.all(c <= rho - (np.arange(x)) * LIMIT + 1e-12)
 
@@ -211,23 +217,58 @@ class TestDecomposeAndClip:
         rho = rng.uniform((x + 1) * LIMIT, 2.0, size=30)
         h = rng.uniform(1e-6, rho - tau * LIMIT)
         y = rng.normal(scale=0.5, size=(30, x))
-        batch = BridgeParams(rho=rho, tau=tau, h=h)
-        g = triangle_path(batch, x)
-        err = clip_error(y, batch, x, LIMIT)
+        k = np.arange(x + 2)
+        g = triangle(tau[:, None], h[:, None], x, k)
+        err = clip_error(y, rho, tau, h, LIMIT)
         for r in range(30):
-            row = BridgeParams(rho=float(rho[r]), tau=int(tau[r]), h=float(h[r]))
-            np.testing.assert_array_equal(g[r], triangle_path(row, x))
-            one = clip_error(y[r], row, x, LIMIT)
+            row = float(rho[r]), int(tau[r]), float(h[r])
+            np.testing.assert_array_equal(g[r], triangle(row[1], row[2], x, k))
+            one = clip_error(y[r], *row, LIMIT)
             np.testing.assert_array_equal(err.values[r], one.values)
             np.testing.assert_array_equal(err.clipped[r], one.clipped)
             np.testing.assert_array_equal(
-                g[r, 1 : x + 1] + err.values[r], triangle_path(row, x)[1 : x + 1] + one.values
+                g[r, 1 : x + 1] + err.values[r], triangle(row[1], row[2], x, k)[1 : x + 1] + one.values
             )
 
+    def test_flat_block_matches_class_matrices(self):
+        # runs of several classes laid end to end, one (rho, tau, h, x, k) per point
+        # as the penalty engine clips them, against one clip_error per class matrix
+        rng = np.random.default_rng(14)
+        sizes = {1: 3, 2: 5, 4: 7, 7: 6, 12: 4}
+        rho, tau, h, latent = {}, {}, {}, {}
+        for x, n in sizes.items():
+            tau[x] = rng.integers(1, x + 1, size=n)
+            rho[x] = rng.uniform((x + 1) * LIMIT, 2.0, size=n)
+            h[x] = rng.uniform(1e-6, rho[x] - tau[x] * LIMIT)
+            latent[x] = rng.normal(scale=0.5, size=(n, x))
+        x_run = np.repeat(list(sizes), list(sizes.values()))
+        run = np.repeat(np.arange(x_run.size), x_run)
+        k = np.arange(run.size) - (np.cumsum(x_run) - x_run)[run] + 1.0
+        per_run = [np.concatenate([v[x] for x in sizes]) for v in (rho, tau, h)]
+        flat = np.concatenate([latent[x].ravel() for x in sizes])
+        values, lower = clip_to_band(flat, *(v[run] for v in per_run), x_run[run], k, LIMIT)
+        np.testing.assert_array_equal(lower, -triangle(per_run[1][run], per_run[2][run], x_run[run], k))
+        ends = np.cumsum([x * n for x, n in sizes.items()])[:-1]
+        for (x, n), got, y in zip(sizes.items(), np.split(values, ends), np.split(flat, ends)):
+            err = clip_error(latent[x], rho[x], tau[x], h[x], LIMIT)
+            np.testing.assert_array_equal(got.reshape(n, x), err.values)
+            np.testing.assert_array_equal((got != y).reshape(n, x), err.clipped)
+
+    def test_parameters_are_one_for_all_or_one_per_row(self):
+        rho, tau, h = np.ones(3), np.full(3, 2), np.full(3, 0.3)
+        for values, params in (
+            (np.zeros(4), (rho, tau, h)),  # per-row values for one row
+            (np.zeros((2, 4)), (rho, tau, h)),  # three values for two rows
+            (np.zeros((3, 4)), (1.0, 2, h[:2])),
+        ):
+            for call in (decompose, clip_error):
+                with pytest.raises(InputError, match="one per row"):
+                    call(values, *params, LIMIT)
+
     def test_batch_names_inconsistent_row(self):
-        batch = BridgeParams(rho=np.array([1.0, 0.01]), tau=np.array([2, 1]), h=np.array([0.3, 0.005]))
+        rho, tau, h = np.array([1.0, 0.01]), np.array([2, 1]), np.array([0.3, 0.005])
         with pytest.raises(InputError, match=r"k=2 \(rho=0.01, tau=1, h=0.005, x=5\)"):
-            clip_error(np.zeros((2, 5)), batch, 5, 0.02)
+            clip_error(np.zeros((2, 5)), rho, tau, h, 0.02)
 
 
 class TestRealDataBounds:
@@ -263,9 +304,8 @@ class TestRealDataBounds:
         _, table = renewal_data
         for _, _, x, _, charges in complete_runs(table):
             tau, h = extract_peak(charges)
-            params = BridgeParams(rho=np.full(len(charges), 2.0), tau=tau, h=h)
-            err = decompose(charges, params, LIMIT)
-            recon = triangle_path(params, x)[:, 1 : x + 1] + err.values
+            err = decompose(charges, np.full(len(charges), 2.0), tau, h, LIMIT)
+            recon = triangle(tau[:, None], h[:, None], x, np.arange(1, x + 1)) + err.values
             np.testing.assert_allclose(recon, charges, rtol=0, atol=1e-14)
 
 

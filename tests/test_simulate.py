@@ -8,10 +8,9 @@ from pytest import approx
 
 from windbridge.bridge import (
     SIGMA_FLOOR,
-    BridgeParams,
     clip_error,
     sample_latent_bridge,
-    triangle_path,
+    triangle,
 )
 from windbridge.errors import EstimationError, InputError, SimulationError
 from windbridge.estimation import (
@@ -66,9 +65,9 @@ def cycle_oracle(state, backward, soc0, n_steps, battery, fees):
     """SOC, penalty and discounted sum of the x = 3 cycle under ``CYCLE_ENTRIES``,
     step by step, started ``backward`` steps into a sojourn in ``state``."""
     charge_for = {
-        1: np.minimum(triangle_path(BridgeParams(1.9, 2, 0.5), 3), 1.9 - np.arange(-1, 4) * LIMIT),
+        1: np.minimum(triangle(2, 0.5, 3, np.arange(5)), 1.9 - np.arange(-1, 4) * LIMIT),
         0: np.zeros(5),
-        -1: np.minimum(triangle_path(BridgeParams(1.0, 2, 0.5), 3), 1.0 - np.arange(-1, 4) * LIMIT),
+        -1: np.minimum(triangle(2, 0.5, 3, np.arange(5)), 1.0 - np.arange(-1, 4) * LIMIT),
     }
     order = {1: 0, 0: -1, -1: 1}
     s_prev = soc0
@@ -108,18 +107,17 @@ def oracle_charge_path(model, i, j, x, rng):
     sigma = predict_sigma(model.sigma_model_for(i, j), rho, tau, h, x)
     if x == 1:
         return np.array([min(max(h, 0.0), rho)])
-    params = BridgeParams(rho=rho, tau=tau, h=h, sigma=sigma)
     latent = np.zeros(x)
     if sigma > SIGMA_FLOOR * (1.0 + 1e-9):
         latent = sample_latent_bridge(x, tau, sigma, rng)[0]
-    return triangle_path(params, x)[1 : x + 1] + clip_error(latent, params, x, model.limit).values
+    return triangle(tau, h, x, np.arange(1, x + 1)) + clip_error(latent, rho, tau, h, model.limit).values
 
 
 class TestChargeSimulation:
     def test_floor_sigma_gives_clipped_triangle(self):
         model = degenerate_model({(1, 0, 5): (0.5, 2, 0.3)}, sigma=SIGMA_FLOOR)
         c = model.charge_paths(1, 0, 5, 3, np.random.default_rng(0))
-        g = triangle_path(BridgeParams(rho=0.5, tau=2, h=0.3), 5)[1:6]
+        g = triangle(2, 0.3, 5, np.arange(1, 6))
         expected = np.minimum(g, 0.5 - np.arange(5) * LIMIT)
         for row in c:
             np.testing.assert_array_equal(row, np.maximum(expected, 0.0))
@@ -272,8 +270,8 @@ def oracle_charge_paths(model, i, j, x, n, rng):
     for t in np.unique(tau[noisy]).tolist():
         rows = np.flatnonzero(noisy & (tau == t))
         latent[rows] = sample_latent_bridge(x, t, sigma[rows], rng, n_paths=rows.size)
-    params = BridgeParams(rho=rho, tau=tau, h=h, sigma=sigma)
-    return triangle_path(params, x)[:, 1 : x + 1] + clip_error(latent, params, x, model.limit).values
+    g = triangle(tau[:, None], h[:, None], x, np.arange(1, x + 1))
+    return g + clip_error(latent, rho, tau, h, model.limit).values
 
 
 def block_keys(counts):

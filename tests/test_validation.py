@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from windbridge.bridge import SIGMA_FLOOR, BridgeParams, decompose
+from windbridge.bridge import SIGMA_FLOOR, decompose
 from windbridge.errors import EstimationError, InputError, InsufficientDataError
 from windbridge.estimation import (
     SigmaModel,
@@ -18,7 +18,7 @@ from windbridge.estimation import (
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
 from windbridge.power import RampPolicy, apply_ramp_limit
 from windbridge.segmentation import SegmentTable, complete_classes, extract_segments
-from windbridge.simulate import BatterySpec, PenaltySpec, mc_moments
+from windbridge.simulate import BatterySpec, PenaltySpec, mc_moments, simulate_penalty_paths
 from windbridge.validation import (
     compare_segments,
     daily_penalty_moments,
@@ -68,7 +68,7 @@ def per_run_model_doc(table, limit, capacity, min_group_sample=10, seed_key=()):
                 continue
             triplets.append((rho, tau, h))
             if x >= 2:
-                err = decompose(padded[1 : x + 1], BridgeParams(rho=rho, tau=tau, h=h), limit)
+                err = decompose(padded[1 : x + 1], rho, tau, h, limit)
                 try:
                     s_hat = mle_sigma(err, tau, x)
                 except InsufficientDataError:
@@ -311,3 +311,19 @@ class TestDailyFolding:
         assert set(np.unique(z0)) <= {-1, 0, 1}
         assert np.all(b0 >= 0)
         assert np.all((s0 >= 0) & (s0 <= 0.36))
+
+    @pytest.mark.parametrize("horizon", [0, -1, -3])
+    def test_horizon_below_one_rejected(self, horizon, renewal_data, fitted_kernel, fitted_model):
+        states, table = renewal_data
+        battery = BatterySpec(0, 0.36, 0.18)
+        calls = [
+            lambda: daily_penalty_moments(np.zeros(100), horizon=horizon),
+            lambda: day_start_conditions(states, table, np.zeros(len(states)), horizon=horizon),
+            lambda: simulate_penalty_paths(
+                fitted_kernel, fitted_model, battery, PenaltySpec(1, 1), [1, 0],
+                np.random.default_rng(0), horizon=horizon,
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match=rf"^horizon must be >= 1, got {horizon}$"):
+                call()
