@@ -280,35 +280,97 @@ def battery_recursion(
     charges: np.ndarray,
     battery: BatterySpec,
     fees: PenaltySpec,
-    soc0: float,
+    soc0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Capped state-of-charge and penalty recursion over aligned steps.
 
     Charging (+1) moves the SOC up, capped at ``soc_max``; discharging (-1)
-    moves it down, floored at ``soc_min``; the fee is charged on whatever part
-    of the charge did not fit.  Any other state leaves the SOC unchanged.
-    Step 0 holds ``soc0`` and a zero penalty: its state and charge are never
-    used.  Returns ``(soc, penalty)`` with one entry per step.
+    moves it down, floored at ``soc_min``; idle (0) leaves it unchanged.  The
+    fee is charged on whatever part of the charge did not fit.  ``states`` and
+    ``charges`` are one ``(T,)`` row with a scalar ``soc0``, or a ``(P, T)``
+    block with one ``soc0`` per row; ``(soc, penalty)`` come back in the same
+    shape.  Step 0 holds ``soc0`` and a zero penalty: its state and charge are
+    never used.
+
+    Each step is one clamp, ``S = min(max(S + d, soc_min), soc_max)``, with
+    the signed charge ``d`` equal to ``+c``, ``-c`` or ``0`` by state: the
+    two-sided reflection of the charge walk on the band.  It gives the
+    one-branch-per-state recursion bit for bit only while every charge is
+    nonnegative and every SOC starts in the band, so a misaligned shape, an
+    initial SOC outside the band, and, at steps 1 and on, a state other than
+    -1, 0 or 1 or a negative or non-finite charge raise :class:`InputError`
+    naming the row and step.  The fees are computed afterwards from the SOC
+    before each step in one array pass, about ``CHUNK_POINTS`` values at a
+    time.
+
+    The path is chosen by row count.  One row runs the clamp on Python floats;
+    two or more run it column by column on the ``P``-vector of SOCs, with
+    three in-place ufuncs a step.  Measured on 2 cores with Python 3.11, the
+    column form costs about 2 us a step for any small ``P`` and the float
+    form about 0.14 us a step and row: one 87,648-step row takes 0.012 s as
+    floats and about 0.2 s as columns, 128 rows of 721 steps take 4 ms as
+    columns, and at 721 steps the two break even near 15 rows.
     """
-    zs = np.asarray(states).tolist()
-    cs = np.asarray(charges, dtype=float).tolist()
-    if not zs:
+    z = np.asarray(states)
+    c = np.asarray(charges, dtype=float)
+    if z.shape != c.shape or z.ndim not in (1, 2):
+        raise InputError(f"states {z.shape} and charges {c.shape} must be one aligned row or block")
+    if z.shape[-1] == 0:
         raise InputError("need at least one step")
-    s = float(soc0)
-    soc = [s]
-    penalty = [0.0]
-    for state, c in zip(zs[1:], cs[1:]):
-        if state == 1:
-            m = fees.up_fee * max(c - (battery.soc_max - s), 0.0)
-            s = min(s + c, battery.soc_max)
-        elif state == -1:
-            m = fees.down_fee * max(c - (s - battery.soc_min), 0.0)
-            s = max(s - c, battery.soc_min)
-        else:
-            m = 0.0
-        soc.append(s)
-        penalty.append(m)
-    return np.asarray(soc), np.asarray(penalty)
+    one_row = z.ndim == 1
+    z, c = np.atleast_2d(z, c)
+    s0 = np.asarray(soc0, dtype=float).reshape(-1)
+    lo, hi = battery.soc_min, battery.soc_max
+    if s0.size != z.shape[0]:
+        raise InputError(f"soc0 has {s0.size} entries for {z.shape[0]} rows")
+    _first_bad("initial SOC", s0, ~((s0 >= lo) & (s0 <= hi)), f"must lie in [{lo}, {hi}]")
+    z1, c1 = z[:, 1:], c[:, 1:]  # step 0's state and charge are never used
+    _first_bad("state", z1, (z1 != 1) & (z1 != 0) & (z1 != -1), "must be -1, 0 or 1")
+    _first_bad("charge", c1, ~(np.isfinite(c1) & (c1 >= 0.0)), "must be finite and nonnegative")
+
+    n_rows, n_steps = c.shape
+    soc = np.empty((n_rows, n_steps))
+    soc[:, 0] = s0
+    # the signed charges wait in the penalty buffer until the fee pass
+    penalty = np.multiply(z, c, out=np.empty((n_rows, n_steps)))
+    if n_rows == 1:
+        s = float(s0[0])
+        path = [s]
+        # the clamp spelt out: same values as min(max(...)), a fifth of its time
+        for d in penalty[0, 1:].tolist():
+            s += d
+            if s < lo:
+                s = lo
+            elif s > hi:
+                s = hi
+            path.append(s)
+        soc[0] = path
+    else:
+        for t in range(1, n_steps):
+            col = soc[:, t]
+            np.add(soc[:, t - 1], penalty[:, t], out=col)
+            np.maximum(col, lo, out=col)
+            np.minimum(col, hi, out=col)
+
+    penalty[:, 0] = 0.0
+    for a, b in _chunks(np.full(n_steps - 1, n_rows)):
+        prev, cc, zz = soc[:, a:b], c[:, a + 1 : b + 1], z[:, a + 1 : b + 1]
+        up = fees.up_fee * np.maximum(cc - (hi - prev), 0.0)
+        down = fees.down_fee * np.maximum(cc - (prev - lo), 0.0)
+        penalty[:, a + 1 : b + 1] = np.where(zz == 1, up, np.where(zz == -1, down, 0.0))
+    return (soc[0], penalty[0]) if one_row else (soc, penalty)
+
+
+def _first_bad(what: str, values: np.ndarray, bad: np.ndarray, rule: str) -> None:
+    """Raise an :class:`InputError` naming the first flagged entry of a row or block.
+
+    ``values`` and ``bad`` are ``(P,)`` per row or ``(P, T-1)`` over steps
+    ``1..T-1``.
+    """
+    if bad.any():
+        where = np.argwhere(bad)[0]
+        at = f"row {where[0]}" + (f", step {where[1] + 1}" if bad.ndim == 2 else "")
+        raise InputError(f"{what} at {at} {rule}, got {values[tuple(where)]}")
 
 
 def _check_horizon(horizon: int) -> None:
@@ -344,8 +406,8 @@ def simulate_penalty_paths(
        (the stream rule is in its docstring), then scattered into ``int8``
        state, ``int32`` backward-time and charge grids; a segment entered
        with backward time ``b`` skips its first ``b`` charge values;
-    3. :func:`battery_recursion` row by row, then :func:`discounted_penalty`
-       on the block.
+    3. one :func:`battery_recursion` call on the whole block, then
+       :func:`discounted_penalty` on it.
     """
     _check_horizon(horizon)
     z0 = np.asarray(initial_states, dtype=int)
@@ -354,16 +416,11 @@ def simulate_penalty_paths(
         if given is not None and np.size(given) != n_rows:
             raise InputError(f"{name} has {np.size(given)} entries for {n_rows} initial states")
     b0 = np.zeros(n_rows, dtype=int) if initial_backwards is None else np.asarray(initial_backwards, dtype=int)
-    soc0 = np.full(n_rows, battery.soc_init) if initial_socs is None else np.asarray(initial_socs, dtype=float)
-    outside = (soc0 < battery.soc_min) | (soc0 > battery.soc_max)
-    if outside.any():
-        raise InputError(f"initial SOC {soc0[outside][0]} outside the battery band")
+    soc0 = np.full(n_rows, battery.soc_init) if initial_socs is None else initial_socs
 
     chains, states, backward, charges = _step_grids(kernel, charge_model, z0, b0, rng, horizon)
-    soc = np.zeros(charges.shape)
-    penalty = np.zeros(charges.shape)
-    for n in range(n_rows):
-        soc[n], penalty[n] = battery_recursion(states[n], charges[n], battery, fees, soc0[n])
+    soc, penalty = battery_recursion(states, charges, battery, fees, soc0)
+    del charges  # before discounted_penalty's temporaries
     # a 2-d cumsum adds along each row in the order a 1-d one does, so every
     # row equals its one-row result bit for bit
     discounted = discounted_penalty(penalty, fees.discount_rate)

@@ -164,13 +164,10 @@ def empirical_penalty(
     """Run the battery recursion on observed per-step states and charges.
 
     Returns ``(soc, penalty)`` arrays aligned with the input steps; step 0
-    keeps the initial state of charge and a zero penalty.
+    keeps the initial state of charge (default ``battery.soc_init``) and a zero
+    penalty.  :func:`battery_recursion` checks the input.
     """
-    states = np.asarray(states, dtype=int)
-    charges = np.asarray(charges, dtype=float)
-    if states.shape != charges.shape:
-        raise InputError("states and charges must be aligned")
-    soc0 = battery.soc_init if initial_soc is None else float(initial_soc)
+    soc0 = battery.soc_init if initial_soc is None else initial_soc
     return battery_recursion(states, charges, battery, fees, soc0)
 
 

@@ -592,6 +592,30 @@ class TestPenaltyBlock:
         for grid in (block.states, block.backward, block.soc, block.penalty, block.discounted):
             assert grid.shape == (5, horizon + 1)
 
+    def test_one_recursion_call_per_block(self, monkeypatch):
+        import windbridge.simulate as simulate
+
+        calls = []
+
+        def counted(states, charges, *args):
+            calls.append(states.shape)
+            return battery_recursion(states, charges, *args)
+
+        monkeypatch.setattr(simulate, "battery_recursion", counted)
+        simulate_penalty_paths(
+            cycle_kernel(x=3), degenerate_model(CYCLE_ENTRIES), BatterySpec(0.0, 0.36, 0.18),
+            PenaltySpec(1.0, 1.0), [1, 0, -1], np.random.default_rng(0), horizon=5,
+        )
+        assert calls == [(3, 6)]
+
+    def test_initial_soc_outside_band_rejected(self):
+        with pytest.raises(InputError, match=r"^initial SOC at row 2 must lie in \[0.0, 0.36\], got 0.5$"):
+            simulate_penalty_paths(
+                cycle_kernel(x=3), degenerate_model(CYCLE_ENTRIES), BatterySpec(0.0, 0.36, 0.18),
+                PenaltySpec(1.0, 1.0), [1, 0, -1], np.random.default_rng(0),
+                initial_socs=[0.1, 0.2, 0.5], horizon=5,
+            )
+
     @pytest.mark.parametrize(
         "name, size",
         [("initial_socs", 2), ("initial_socs", 4), ("initial_backwards", 2), ("initial_backwards", 4)],
@@ -621,7 +645,100 @@ class TestSpecs:
                 spec(**{**values, name: value})
 
 
+def branch_recursion(states, charges, battery, fees, soc0):
+    """The capped SOC and penalty recursion of one row, step by step on Python
+    floats with one branch per state: the reference for :func:`battery_recursion`."""
+    s = float(soc0)
+    soc = [s]
+    penalty = [0.0]
+    for state, c in zip(np.asarray(states).tolist()[1:], np.asarray(charges, dtype=float).tolist()[1:]):
+        if state == 1:
+            m = fees.up_fee * max(c - (battery.soc_max - s), 0.0)
+            s = min(s + c, battery.soc_max)
+        elif state == -1:
+            m = fees.down_fee * max(c - (s - battery.soc_min), 0.0)
+            s = max(s - c, battery.soc_min)
+        else:
+            m = 0.0
+        soc.append(s)
+        penalty.append(m)
+    return np.asarray(soc), np.asarray(penalty)
+
+
+@st.composite
+def recursion_blocks(draw):
+    """A battery and a ``(P, T)`` block of states, charges and initial SOCs.
+
+    ``P`` is 1, 2 or 130 and ``T`` may be 1.  The band may have zero width;
+    the charges may all be zero or reach past the band, and some equal the
+    band's width exactly; the initial SOCs sit at either bound or in between.
+    """
+    n_rows = draw(st.sampled_from([1, 2, 130]))
+    n_steps = draw(st.integers(min_value=1, max_value=40))
+    soc_min = draw(st.floats(min_value=0.0, max_value=0.5))
+    width = draw(st.sampled_from([0.0, 0.36]) | st.floats(min_value=0.0, max_value=0.5))
+    reach = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    start = draw(st.sampled_from(["min", "max", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    battery = BatterySpec(soc_min, soc_min + width, soc_min)
+    states = rng.integers(-1, 2, (n_rows, n_steps)).astype(np.int8)
+    charges = rng.uniform(0.0, reach * max(width, 0.1), (n_rows, n_steps))
+    charges[rng.random((n_rows, n_steps)) < 0.2] = width
+    lo, hi = battery.soc_min, battery.soc_max
+    soc0 = {
+        "min": np.full(n_rows, lo),
+        "max": np.full(n_rows, hi),
+        "mixed": rng.choice([lo, hi, lo + 0.5 * width], n_rows),
+    }[start]
+    return battery, states, charges, soc0
+
+
 class TestBatteryRecursion:
+    @settings(max_examples=150, deadline=None)
+    @given(case=recursion_blocks())
+    def test_block_matches_branch_oracle_bit_for_bit(self, case):
+        battery, states, charges, soc0 = case
+        fees = PenaltySpec(21.52, 26.50)
+        soc, pen = battery_recursion(states, charges, battery, fees, soc0)
+        assert soc.shape == pen.shape == states.shape
+        for n in range(states.shape[0]):
+            want_soc, want_pen = branch_recursion(states[n], charges[n], battery, fees, soc0[n])
+            assert soc[n].tobytes() == want_soc.tobytes()
+            assert pen[n].tobytes() == want_pen.tobytes()
+        if states.shape[0] == 1:
+            row_soc, row_pen = battery_recursion(states[0], charges[0], battery, fees, soc0[0])
+            assert row_soc.shape == row_pen.shape == states[0].shape
+            assert row_soc.tobytes() == soc[0].tobytes()
+            assert row_pen.tobytes() == pen[0].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_rows=st.sampled_from([1, 2, 130]),
+        n_steps=st.integers(min_value=1, max_value=40),
+        soc_min=st.floats(min_value=0.0, max_value=0.5),
+        widths=st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=2, max_size=2),
+        start=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_penalty_never_rises_with_capacity(self, n_rows, n_steps, soc_min, widths, start, seed):
+        # common grids priced at two capacities, soc_min and soc_init fixed:
+        # s_big - s_small stays in [0, cap_big - cap_small] on every path
+        small, big = sorted(widths)
+        soc_init = soc_min + start * small
+        rng = np.random.default_rng(seed)
+        states = rng.integers(-1, 2, (n_rows, n_steps))
+        charges = rng.uniform(0.0, 0.4, (n_rows, n_steps))
+        fees = PenaltySpec(21.52, 26.50)
+        runs = [
+            battery_recursion(states, charges, BatterySpec(soc_min, soc_min + w, soc_init), fees,
+                              np.full(n_rows, soc_init))
+            for w in (small, big)
+        ]
+        (soc_small, pen_small), (soc_big, pen_big) = runs
+        assert np.all(pen_big <= pen_small + 1e-12)
+        gap = soc_big - soc_small
+        assert np.all(gap >= -1e-12) and np.all(gap <= big - small + 1e-12)
+
     @settings(max_examples=200, deadline=None)
     @given(
         steps=st.lists(
@@ -653,6 +770,32 @@ class TestBatteryRecursion:
         with pytest.raises(InputError):
             battery_recursion(np.array([], int), np.array([]), BatterySpec(0, 1, 0.5),
                               PenaltySpec(1, 1), 0.5)
+
+    @pytest.mark.parametrize(
+        "states, charges, soc0, message",
+        [
+            ([0, 1], [0.0, -0.5], 0.1, "charge at row 0, step 1 must be finite and nonnegative, got -0.5"),
+            ([[0, 1, -1], [0, -1, 1]], [[0.0, 0.1, 0.1], [0.0, 0.1, np.nan]], [0.1, 0.1],
+             "charge at row 1, step 2 must be finite and nonnegative, got nan"),
+            ([0, 1, 2], [0.0, 0.1, 0.1], 0.1, "state at row 0, step 2 must be -1, 0 or 1, got 2"),
+            ([0, 1, 1], [0.0, 0.1], 0.1,
+             r"states \(3,\) and charges \(2,\) must be one aligned row or block"),
+            ([[0, 1], [0, -1]], [[0.0, 0.1], [0.0, 0.1]], [0.1, 0.1, 0.1], "soc0 has 3 entries for 2 rows"),
+            ([[0, 1], [0, -1]], [[0.0, 0.1], [0.0, 0.1]], [0.1, 0.4],
+             r"initial SOC at row 1 must lie in \[0.0, 0.36\], got 0.4"),
+        ],
+        ids=["negative-charge", "nan-charge", "unknown-state", "misaligned", "soc0-count", "soc0-outside"],
+    )
+    def test_bad_input_rejected_naming_row_and_step(self, states, charges, soc0, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            battery_recursion(np.array(states), np.array(charges), BatterySpec(0.0, 0.36, 0.18),
+                              PenaltySpec(1.0, 1.0), soc0)
+
+    def test_step_zero_is_never_read(self):
+        # step 0's state and charge are never used, so they are not checked either
+        soc, pen = battery_recursion(np.array([7, 1]), np.array([np.nan, 0.1]),
+                                     BatterySpec(0.0, 0.36, 0.18), PenaltySpec(1.0, 1.0), 0.18)
+        assert soc.tolist() == [0.18, 0.18 + 0.1] and pen.tolist() == [0.0, 0.0]
 
 
 class TestDiscountedPenalty:
