@@ -41,6 +41,7 @@ from .power import (
     PowerSeries,
     RampPolicy,
     TurbineSpec,
+    _check_wind_law,
     apply_ramp_limit,
     generate_synthetic_wind,
     read_power_csv,
@@ -58,6 +59,7 @@ from .simulate import (
     ChargeModel,
     PenaltySpec,
     _check_horizon,
+    discounted_penalty,
     mc_moments,
     simulate_penalty_paths,
 )
@@ -103,6 +105,7 @@ class SyntheticWindSpec:
         require_finite(self)
         if self.n_steps < 2:
             raise InputError("synthetic wind needs at least 2 steps")
+        _check_wind_law(self.shape, self.scale, self.autocorrelation)
 
 
 @dataclass
@@ -336,13 +339,8 @@ def stage_segment(cfg: RunConfig) -> list[Path]:
         done = ~table.censored
         kernel = estimate_kernel(table.i[done], table.j[done], table.x[done])
         path = _artifact(cfg, f"kernel_{cfg.limit_tag(frac)}.json")
-        with _atomic(path) as tmp:
-            kernel.to_json(
-                tmp,
-                config_hash=config_hash(cfg),
-                seed=cfg.seed,
-                limit_mw=cfg.limit_mw(frac),
-            )
+        doc = {"config_hash": config_hash(cfg), "seed": cfg.seed, "limit_mw": cfg.limit_mw(frac)}
+        _write_json(path, {**doc, **kernel.to_dict()})
         out.append(path)
     return out
 
@@ -470,6 +468,12 @@ def load_charge_model(path: str | Path) -> ChargeModel:
         return charge_model_from_doc(json.load(fh))
 
 
+def _load_kernel(cfg: RunConfig, tag: str, stage: str) -> SemiMarkovKernel:
+    """The kernel that the segment stage wrote for limit ``tag``."""
+    with open(_require(_artifact(cfg, f"kernel_{tag}.json"), stage)) as fh:
+        return SemiMarkovKernel.from_dict(json.load(fh))
+
+
 def _write_json(path: Path, doc: dict) -> None:
     with _atomic(path) as tmp, open(tmp, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -496,7 +500,7 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
     out = []
     for idx, frac in enumerate(cfg.limits):
         tag = cfg.limit_tag(frac)
-        kernel = SemiMarkovKernel.from_json(_require(_artifact(cfg, f"kernel_{tag}.json"), "simulate"))
+        kernel = _load_kernel(cfg, tag, "simulate")
         model = load_charge_model(_require(_artifact(cfg, f"model_{tag}.json"), "simulate"))
 
         penalty = []
@@ -518,10 +522,11 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
         out.append(path)
 
         if cfg.dump_paths:
+            discounted = discounted_penalty(sample.penalty[0], cfg.fees.discount_rate)
             rows = [["k", "state", "S", "M", "W"]] + [
                 [int(k), int(st), repr(float(s)), repr(float(m)), repr(float(w))]
                 for k, (st, s, m, w) in enumerate(
-                    zip(sample.states[0], sample.soc[0], sample.penalty[0], sample.discounted[0])
+                    zip(sample.states[0], sample.soc[0], sample.penalty[0], discounted)
                 )
             ]
             dump = _artifact(cfg, f"paths_{tag}.csv")
@@ -535,7 +540,7 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
     for idx, frac in enumerate(cfg.limits):
         tag = cfg.limit_tag(frac)
         series = _load_corrected(cfg, frac, "validate")
-        kernel = SemiMarkovKernel.from_json(_require(_artifact(cfg, f"kernel_{tag}.json"), "validate"))
+        kernel = _load_kernel(cfg, tag, "validate")
         model = load_charge_model(_require(_artifact(cfg, f"model_{tag}.json"), "validate"))
         states, table = extract_segments(series)
 

@@ -173,6 +173,14 @@ def apply_ramp_limit(
     return PowerSeries(generated=e, corrected=out)
 
 
+def _check_wind_law(shape: float, scale: float, autocorrelation: float) -> None:
+    """Reject Weibull parameters or an AR(1) correlation that no wind series has."""
+    if shape <= 0.0 or scale <= 0.0:
+        raise InputError(f"Weibull parameters must be positive, got {shape}, {scale}")
+    if not (0.0 <= autocorrelation < 1.0):
+        raise InputError(f"autocorrelation must lie in [0, 1), got {autocorrelation}")
+
+
 def generate_synthetic_wind(
     n_steps: int,
     shape: float = 2.0,
@@ -191,10 +199,7 @@ def generate_synthetic_wind(
     """
     if n_steps < 1:
         raise InputError(f"n_steps must be >= 1, got {n_steps}")
-    if shape <= 0.0 or scale <= 0.0:
-        raise InputError(f"Weibull parameters must be positive, got {shape}, {scale}")
-    if not (0.0 <= autocorrelation < 1.0):
-        raise InputError(f"autocorrelation must lie in [0, 1), got {autocorrelation}")
+    _check_wind_law(shape, scale, autocorrelation)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     phi = autocorrelation
     eps = rng.standard_normal(n_steps)

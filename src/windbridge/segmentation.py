@@ -9,9 +9,7 @@ ramp-corrected power series.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -341,18 +339,6 @@ class SemiMarkovKernel:
         }
         visits = {int(i): int(c) for i, c in data.get("visits", {}).items()}
         return cls(q, visits)
-
-    def to_json(self, path: str | Path, **extra) -> None:
-        doc = dict(extra)
-        doc.update(self.to_dict())
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "SemiMarkovKernel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SemiMarkovKernel) and self.q == other.q

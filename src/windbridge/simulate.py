@@ -21,7 +21,7 @@ from .estimation import (
     sample_classes,
 )
 from .power import require_finite
-from .segmentation import JumpChains, SemiMarkovKernel
+from .segmentation import SemiMarkovKernel
 
 __all__ = [
     "BatterySpec",
@@ -247,26 +247,26 @@ class ChargeModel:
 
 @dataclass
 class PenaltyBlock:
-    """``P`` simulated trajectories of the battery and its penalties, and their jump chains.
+    """``P`` simulated trajectories of the battery state, its SOC and its penalties.
 
-    The step arrays have shape ``(P, horizon+1)``, over ``k = 0..horizon``.
-    ``soc[:, 0]`` is each row's initial SOC and ``penalty[:, 0] == 0``;
-    ``discounted`` is the running discount-weighted sum of ``penalty``.
+    Each array has shape ``(P, horizon+1)``, over ``k = 0..horizon``.
+    ``states`` is ``int8``; ``soc[:, 0]`` is each row's initial SOC and
+    ``penalty[:, 0] == 0``.  The discounted cumulative penalty ``W`` is
+    :func:`discounted_penalty` of ``penalty``, taken where it is read.
     """
 
-    chains: JumpChains
     states: np.ndarray
-    backward: np.ndarray
     soc: np.ndarray
     penalty: np.ndarray
-    discounted: np.ndarray
 
 
 def discounted_penalty(penalty: np.ndarray, rate: float) -> np.ndarray:
     """Running sum of ``penalty[..., m] * exp(-rate * m)`` along the last axis.
 
     Nondecreasing for r >= 0 and nonnegative penalties.  Rows of a 2-d array
-    are independent paths or windows, each discounted from its own column 0.
+    are independent paths or windows, each discounted from its own column 0;
+    a 2-d cumsum adds along each row in the order a 1-d one does, so every row
+    equals the one-row result bit for bit.
     """
     if rate < 0:
         raise InputError("discount rate must be nonnegative")
@@ -404,10 +404,10 @@ def simulate_penalty_paths(
        x)``, from one :meth:`ChargeModel.charge_block` pass: first the copula
        rounds of all classes, then one normal array for all their bridges
        (the stream rule is in its docstring), then scattered into ``int8``
-       state, ``int32`` backward-time and charge grids; a segment entered
-       with backward time ``b`` skips its first ``b`` charge values;
-    3. one :func:`battery_recursion` call on the whole block, then
-       :func:`discounted_penalty` on it.
+       state and charge grids; a segment entered with backward time ``b``
+       skips its first ``b`` charge values;
+    3. one :func:`battery_recursion` call on the whole block, which draws
+       nothing.
     """
     _check_horizon(horizon)
     z0 = np.asarray(initial_states, dtype=int)
@@ -418,22 +418,17 @@ def simulate_penalty_paths(
     b0 = np.zeros(n_rows, dtype=int) if initial_backwards is None else np.asarray(initial_backwards, dtype=int)
     soc0 = np.full(n_rows, battery.soc_init) if initial_socs is None else initial_socs
 
-    chains, states, backward, charges = _step_grids(kernel, charge_model, z0, b0, rng, horizon)
-    soc, penalty = battery_recursion(states, charges, battery, fees, soc0)
-    del charges  # before discounted_penalty's temporaries
-    # a 2-d cumsum adds along each row in the order a 1-d one does, so every
-    # row equals its one-row result bit for bit
-    discounted = discounted_penalty(penalty, fees.discount_rate)
-    return PenaltyBlock(chains, states, backward, soc, penalty, discounted)
+    states, charges = _step_grids(kernel, charge_model, z0, b0, rng, horizon)
+    return PenaltyBlock(states, *battery_recursion(states, charges, battery, fees, soc0))
 
 
 def _step_grids(kernel, charge_model, z0, b0, rng, horizon):
     """Phases 1 and 2 of :func:`simulate_penalty_paths`.
 
-    Returns the jump chains, which all end past ``horizon``, and ``(P,
-    horizon+1)`` grids of per-step states, backward times and charges.  A
-    function of its own so that the per-segment arrays are freed before phase
-    3 allocates its grids: at horizon 720 that lowers the peak RSS by 2 MB.
+    Returns ``(P, horizon+1)`` grids of per-step states and charges.  A
+    function of its own so that the jump chains and the per-segment arrays are
+    freed before phase 3 allocates its grids: at horizon 720 that lowers the
+    peak RSS by 2 MB.
     """
     chains = kernel.sample_chains(z0, rng, b0, horizon=horizon)
 
@@ -451,7 +446,6 @@ def _step_grids(kernel, charge_model, z0, b0, rng, horizon):
     # Step 0's charge is never used.  Whole segments are scattered about
     # CHUNK_POINTS steps at a time.
     states = np.zeros((z0.size, horizon + 1), dtype=np.int8)
-    backward = np.zeros((z0.size, horizon + 1), dtype=np.int32)
     charges = np.zeros((z0.size, horizon + 1))
     for a, b in _chunks(x):
         seg, k = _ragged(x[a:b])
@@ -461,9 +455,8 @@ def _step_grids(kernel, charge_model, z0, b0, rng, horizon):
         seg, k, t = seg[keep], k[keep], t[keep]
         r = row[seg]
         states[r, t] = i[seg]
-        backward[r, t] = k
         charges[r, t] = charge[first[seg] + k]
-    return chains, states, backward, charges
+    return states, charges
 
 
 def simulate_penalty_path(

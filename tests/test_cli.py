@@ -13,6 +13,7 @@ from windbridge.estimation import attainable_param_support
 from windbridge.pipeline import (
     RunConfig,
     SyntheticWindSpec,
+    _write_json,
     charge_model_from_doc,
     config_hash,
     load_charge_model,
@@ -22,7 +23,7 @@ from windbridge.pipeline import (
 )
 from windbridge.power import DEFAULT_TURBINE, read_power_csv
 from windbridge.segmentation import SemiMarkovKernel
-from windbridge.simulate import DEFAULT_BATTERY, DEFAULT_FEES, BatterySpec, PenaltySpec
+from windbridge.simulate import DEFAULT_BATTERY, DEFAULT_FEES, BatterySpec, PenaltySpec, discounted_penalty
 
 
 def small_config(out_dir, **kw):
@@ -107,10 +108,10 @@ class TestPipeline:
     def test_kernel_json_round_trip(self, pipeline_run):
         cfg, _ = pipeline_run
         path = cfg.out_dir / "kernel_0.05.json"
-        kernel = SemiMarkovKernel.from_json(path)
+        kernel = SemiMarkovKernel.from_dict(json.loads(path.read_text()))
         tmp = cfg.out_dir / "kernel_echo.json"
-        kernel.to_json(tmp)
-        assert SemiMarkovKernel.from_json(tmp) == kernel
+        _write_json(tmp, kernel.to_dict())
+        assert SemiMarkovKernel.from_dict(json.loads(tmp.read_text())) == kernel
         tmp.unlink()
 
     def test_stage_composition_equals_pipeline(self, pipeline_run, tmp_path):
@@ -177,7 +178,7 @@ class TestValidateRestart:
             run_stage(cfg, stage)
 
         series = read_power_csv(cfg.out_dir / "corrected_0.05.csv")
-        kernel = SemiMarkovKernel.from_json(cfg.out_dir / "kernel_0.05.json")
+        kernel = SemiMarkovKernel.from_dict(json.loads((cfg.out_dir / "kernel_0.05.json").read_text()))
         states, table = extract_segments(series)
         z0, b0, _ = day_start_conditions(states, table, np.zeros(len(series)), cfg.horizon)
         inside = np.flatnonzero(b0 >= [kernel.max_sojourn(int(z)) for z in z0])
@@ -215,6 +216,26 @@ class TestRunConfig:
     def test_non_finite_synthetic_spec_rejected(self, value):
         with pytest.raises(InputError, match="SyntheticWindSpec.scale must be finite"):
             SyntheticWindSpec(scale=value)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("shape", -1.0, r"Weibull parameters must be positive, got -1.0, 8.0"),
+            ("scale", 0.0, r"Weibull parameters must be positive, got 2.0, 0.0"),
+            ("autocorrelation", 1.0, r"autocorrelation must lie in \[0, 1\), got 1.0"),
+            ("autocorrelation", -0.5, r"autocorrelation must lie in \[0, 1\), got -0.5"),
+        ],
+        ids=["negative-shape", "zero-scale", "unit-autocorrelation", "negative-autocorrelation"],
+    )
+    def test_synthetic_wind_law_rejected_at_construction(self, name, value, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            SyntheticWindSpec(**{name: value})
+
+    def test_synthetic_wind_law_rejected_when_loading_a_config(self, tmp_path):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text("[synthetic]\nautocorrelation = 1.0\n")
+        with pytest.raises(InputError, match=r"autocorrelation must lie in \[0, 1\), got 1.0"):
+            load_config(cfg_file, out_dir=tmp_path)
 
     def test_config_hash_covers_every_output_field(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -324,13 +345,18 @@ class TestCorrectStage:
 class TestCliFrontEnd:
     def test_full_run_and_dump(self, tmp_path, capsys):
         out = tmp_path / "cli"
+        cfg_file = tmp_path / "discounted.ini"
+        cfg_file.write_text("[fees]\ndiscount_rate = 0.001\n")
         rc = main([
-            "--out", str(out), "--paths", "40", "--limit", "0.05",
+            "--config", str(cfg_file), "--out", str(out), "--paths", "40", "--limit", "0.05",
             "--seed", "3", "--dump-paths",
         ])
         assert rc == 0
         paths = (out / "paths_0.05.csv").read_text().splitlines()
         assert paths[1] == "k,state,S,M,W"
+        m, w = np.array([[float(v) for v in line.split(",")[3:]] for line in paths[2:]]).T
+        assert m.size == 25 and w[-1] > 0.0
+        assert w.tobytes() == discounted_penalty(m, 0.001).tobytes()
 
     def test_config_file(self, tmp_path):
         cfg_file = tmp_path / "run.ini"

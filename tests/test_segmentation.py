@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from windbridge.errors import EstimationError, InputError, SimulationError
+from windbridge.pipeline import _write_json
 from windbridge.power import PowerSeries, RampPolicy, apply_ramp_limit
 from windbridge.segmentation import (
     SIGN_TOLERANCE,
@@ -278,7 +279,7 @@ class TestEstimateKernel:
                      for i, jj in q.items()}}
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError, match=match):
-            SemiMarkovKernel.from_json(path)
+            SemiMarkovKernel.from_dict(json.loads(path.read_text()))
 
     def test_no_transitions_at_all(self):
         with pytest.raises(EstimationError):
@@ -322,8 +323,8 @@ class TestEstimateKernel:
 class TestKernelJson:
     def test_exact_round_trip(self, fitted_kernel, tmp_path):
         path = tmp_path / "kernel.json"
-        fitted_kernel.to_json(path, limit_mw=0.02)
-        back = SemiMarkovKernel.from_json(path)
+        _write_json(path, {"limit_mw": 0.02, **fitted_kernel.to_dict()})
+        back = SemiMarkovKernel.from_dict(json.loads(path.read_text()))
         assert back == fitted_kernel
         assert back.visits == fitted_kernel.visits
         doc = json.loads(path.read_text())

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -92,6 +92,30 @@ def cycle_oracle(state, backward, soc0, n_steps, battery, fees):
         pen.append(m)
     w = np.cumsum(np.asarray(pen) * np.exp(-fees.discount_rate * np.arange(n_steps + 1)))
     return np.asarray(soc), np.asarray(pen), w
+
+
+def chains_and_backward(kernel, block, seed, initial_states, initial_backwards=None):
+    """The jump chains and backward-time grid of a block drawn from ``default_rng(seed)``.
+
+    The jump chains are the first thing a block draws, so the same seed gives
+    the same chains.  Backward times are read off them one step at a time, and
+    the states they give must be the block's.
+    """
+    z0 = np.atleast_1d(initial_states)
+    b0 = np.zeros(z0.size, dtype=int) if initial_backwards is None else np.atleast_1d(initial_backwards)
+    horizon = block.states.shape[1] - 1
+    chains = kernel.sample_chains(z0, np.random.default_rng(seed), b0, horizon=horizon)
+    states = np.zeros_like(block.states)
+    backward = np.zeros(block.states.shape, dtype=int)
+    for n, jumps in enumerate(chains.counts.tolist()):
+        for r in range(jumps):
+            entry = int(chains.jump_times[n, r]) - (int(b0[n]) if r == 0 else 0)
+            for k in range(int(chains.sojourns[n, r])):
+                if 0 <= entry + k <= horizon:
+                    states[n, entry + k] = chains.states[n, r]
+                    backward[n, entry + k] = k
+    np.testing.assert_array_equal(states, block.states)
+    return chains, backward
 
 
 def oracle_charge_path(model, i, j, x, rng):
@@ -380,18 +404,24 @@ class TestChargeBlock:
             block = simulate_penalty_paths(
                 fitted_kernel, fitted_model, battery, fees, z0, np.random.default_rng(9), horizon=300
             )
-            runs.append((c, block))
-        for c, block in runs[1:]:
+            _, backward = chains_and_backward(fitted_kernel, block, 9, z0)
+            grids = dict(
+                states=block.states, backward=backward, soc=block.soc, penalty=block.penalty,
+                discounted=discounted_penalty(block.penalty, fees.discount_rate),
+            )
+            runs.append((c, grids))
+        for c, grids in runs[1:]:
             np.testing.assert_array_equal(c, runs[0][0])
-            for name in ("states", "backward", "soc", "penalty", "discounted"):
-                np.testing.assert_array_equal(getattr(block, name), getattr(runs[0][1], name))
+            for name, grid in grids.items():
+                np.testing.assert_array_equal(grid, runs[0][1][name], err_msg=name)
 
     def test_grids_are_narrow(self, fitted_kernel, fitted_model):
         block = simulate_penalty_paths(
             fitted_kernel, fitted_model, BatterySpec(0.0, 0.36, 0.18), PenaltySpec(1.0, 1.0),
             [1], np.random.default_rng(0), horizon=50,
         )
-        assert block.states.dtype == np.int8 and block.backward.dtype == np.int32
+        assert [f.name for f in fields(block)] == ["states", "soc", "penalty"]
+        assert block.states.dtype == np.int8
 
 
 class TestPenaltyPath:
@@ -404,7 +434,7 @@ class TestPenaltyPath:
         path = simulate_penalty_path(kernel, model, battery, fees, horizon=50, seed=0)
         assert np.all(path.penalty[0] == 0.0)
         assert np.all(path.soc[0] == 0.18)
-        assert np.all(path.discounted[0] == 0.0)
+        assert np.all(discounted_penalty(path.penalty[0], fees.discount_rate) == 0.0)
 
     def test_zero_capacity_battery_pays_full_fee(self):
         kernel = cycle_kernel(x=3)
@@ -416,10 +446,11 @@ class TestPenaltyPath:
         fees = PenaltySpec(10.0, 20.0)
         # six sojourns of 3 steps: the sixth jump is the first past step 17
         block = simulate_penalty_path(kernel, model, battery, fees, horizon=17, initial_state=1, seed=1)
+        _, backward = chains_and_backward(kernel, block, 1, 1)
         path = block.penalty[0]
         for t in range(1, len(path)):
             st = block.states[0, t]
-            b = block.backward[0, t]
+            b = backward[0, t]
             if st == 0:
                 assert path[t] == 0.0
             else:
@@ -449,7 +480,9 @@ class TestPenaltyPath:
         b = simulate_penalty_path(fitted_kernel, fitted_model, battery, fees, horizon=200, seed=7)
         np.testing.assert_array_equal(a.penalty[0], b.penalty[0])
         np.testing.assert_array_equal(a.soc[0], b.soc[0])
-        np.testing.assert_array_equal(a.chains.states[0], b.chains.states[0])
+        chains_a, _ = chains_and_backward(fitted_kernel, a, 7, 0)
+        chains_b, _ = chains_and_backward(fitted_kernel, b, 7, 0)
+        np.testing.assert_array_equal(chains_a.states[0], chains_b.states[0])
 
     def test_backward_resume_skips_charges(self):
         kernel = cycle_kernel(x=4)
@@ -462,8 +495,9 @@ class TestPenaltyPath:
         path = simulate_penalty_path(
             kernel, model, battery, fees, horizon=1, initial_state=1, initial_backward=2, seed=0,
         )
+        chains, _ = chains_and_backward(kernel, path, 0, 1, 2)
         # sojourn 4 with 2 steps already elapsed: 2 remaining, jump at time 2
-        assert path.chains.jump_times[0, 1] == 2
+        assert chains.jump_times[0, 1] == 2
         charges = model.charge_path(1, 0, 4, np.random.default_rng())
         # step 1 has backward time b + 1 = 3 and takes c(4), row index 3
         assert path.soc[0, 1] == approx(50.0 + charges[3])
@@ -510,9 +544,8 @@ class TestPenaltyPath:
         battery = BatterySpec(0.0, 0.36, 0.18)
         fees = PenaltySpec(21.52, 26.50)
         # the first 500 jumps of this stream, the last of them past step 1985
-        chains = simulate_penalty_path(
-            fitted_kernel, fitted_model, battery, fees, horizon=1985, seed=11
-        ).chains
+        path = simulate_penalty_path(fitted_kernel, fitted_model, battery, fees, horizon=1985, seed=11)
+        chains, _ = chains_and_backward(fitted_kernel, path, 11, 0)
         jumps = int(chains.counts[0])
         assert jumps == 500
         for i, x in zip(chains.states[0, :jumps], chains.sojourns[0, :jumps]):
@@ -532,7 +565,7 @@ class TestDegenerateOracle:
         soc, pen, w = cycle_oracle(1, 0, battery.soc_init, n_steps, battery, fees)
         np.testing.assert_array_equal(path.soc[0], soc)
         np.testing.assert_array_equal(path.penalty[0], pen)
-        np.testing.assert_array_equal(path.discounted[0], w)
+        np.testing.assert_array_equal(discounted_penalty(path.penalty[0], fees.discount_rate), w)
 
 
 class TestPenaltyBlock:
@@ -549,23 +582,29 @@ class TestPenaltyBlock:
             initial_socs=s0, initial_backwards=b0, horizon=horizon,
         )
         assert block.penalty.shape == (z0.size, horizon + 1)
+        chains, backward = chains_and_backward(kernel, block, 0, z0, b0)
+        discounted = discounted_penalty(block.penalty, fees.discount_rate)
         for n in range(z0.size):
             one = simulate_penalty_path(
                 kernel, model, battery, fees, horizon=horizon, initial_state=int(z0[n]),
                 initial_soc=float(s0[n]), initial_backward=int(b0[n]), seed=n,
             )
-            jumps = int(block.chains.counts[n])
-            assert one.chains.counts[0] == jumps
+            one_chains, one_backward = chains_and_backward(kernel, one, n, z0[n], b0[n])
+            jumps = int(chains.counts[n])
+            assert one_chains.counts[0] == jumps
             for name in ("states", "jump_times"):
-                got, want = getattr(block.chains, name), getattr(one.chains, name)
+                got, want = getattr(chains, name), getattr(one_chains, name)
                 np.testing.assert_array_equal(got[n, : jumps + 1], want[0, : jumps + 1], err_msg=name)
-            for name in ("states", "soc", "penalty", "discounted", "backward"):
+            for name in ("states", "soc", "penalty"):
                 np.testing.assert_array_equal(getattr(block, name)[n], getattr(one, name)[0], err_msg=name)
+            one_discounted = discounted_penalty(one.penalty[0], fees.discount_rate)
+            np.testing.assert_array_equal(discounted[n], one_discounted, err_msg="discounted")
+            np.testing.assert_array_equal(backward[n], one_backward[0], err_msg="backward")
             soc, pen, w = cycle_oracle(int(z0[n]), int(b0[n]), float(s0[n]), horizon, battery, fees)
             np.testing.assert_array_equal(block.soc[n], soc)
             np.testing.assert_array_equal(block.penalty[n], pen)
-            np.testing.assert_array_equal(block.discounted[n], w)
-            assert block.states[n, 0] == z0[n] and block.backward[n, 0] == b0[n]
+            np.testing.assert_array_equal(discounted[n], w)
+            assert block.states[n, 0] == z0[n] and backward[n, 0] == b0[n]
 
     def test_conditioned_first_sojourns_exceed_backward(self, fitted_kernel):
         rng = np.random.default_rng(12)
@@ -580,16 +619,17 @@ class TestPenaltyBlock:
     def test_short_blocks_and_transition_counts(self, fitted_kernel, fitted_model):
         battery, fees = BatterySpec(0.0, 0.36, 0.18), PenaltySpec(21.52, 26.50)
         horizon = 4
+        z0 = np.zeros(5, dtype=int)
         block = simulate_penalty_paths(
-            fitted_kernel, fitted_model, battery, fees, np.zeros(5, dtype=int),
-            np.random.default_rng(3), horizon=horizon,
+            fitted_kernel, fitted_model, battery, fees, z0, np.random.default_rng(3), horizon=horizon,
         )
-        chains = block.chains
+        chains, backward = chains_and_backward(fitted_kernel, block, 3, z0)
         assert chains.states.shape == chains.jump_times.shape == (5, chains.counts.max() + 1)
         for n, jumps in enumerate(chains.counts.tolist()):
             # a row stops at its first jump past the horizon
             assert chains.jump_times[n, jumps - 1] <= horizon < chains.jump_times[n, jumps]
-        for grid in (block.states, block.backward, block.soc, block.penalty, block.discounted):
+        discounted = discounted_penalty(block.penalty, fees.discount_rate)
+        for grid in (block.states, backward, block.soc, block.penalty, discounted):
             assert grid.shape == (5, horizon + 1)
 
     def test_one_recursion_call_per_block(self, monkeypatch):
@@ -815,6 +855,21 @@ class TestDiscountedPenalty:
         m = rng.uniform(0, 5, 100)
         w = discounted_penalty(m, 0.05)
         assert np.all(np.diff(w) >= 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_rows=st.integers(min_value=1, max_value=130),
+        n_steps=st.integers(min_value=1, max_value=800),
+        rate=st.one_of(st.sampled_from([0.0, 0.001]), st.floats(min_value=0.0, max_value=5.0)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_rows_equal_one_row_calls_bit_for_bit(self, n_rows, n_steps, rate, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n_rows, n_steps)
+        m = np.where(rng.random(shape) < 0.3, 0.0, rng.exponential(5.0, shape))
+        w = discounted_penalty(m, rate)
+        for n in range(n_rows):
+            assert w[n].tobytes() == discounted_penalty(m[n], rate).tobytes(), n
 
 
 class TestMcMoments:

@@ -263,13 +263,6 @@ class TestEmpiricalPenalty:
         )
         assert np.all(soc == 0.4) and np.all(pen == 0.0)
 
-    def test_initial_soc_outside_band_rejected(self):
-        with pytest.raises(InputError, match=r"^initial SOC at row 0 must lie in \[0.0, 0.36\], got 1.0$"):
-            empirical_penalty(
-                np.array([0, 1, -1]), np.array([0.0, 0.1, 0.1]), BatterySpec(0.0, 0.36, 0.18),
-                PenaltySpec(1, 1), initial_soc=1.0,
-            )
-
 
 class TestDailyFolding:
     def test_window_moments(self):
