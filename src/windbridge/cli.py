@@ -38,8 +38,6 @@ def _configure(args: argparse.Namespace) -> RunConfig:
     else:
         cfg = RunConfig(out_dir=args.out or Path("windbridge_out"))
     overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.paths is not None:

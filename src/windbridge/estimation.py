@@ -40,7 +40,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Rejection-sampling budget before the fitted density is declared inconsistent.
+#: Consecutive rejections at which a class's fitted density is declared inconsistent.
 MAX_REJECTIONS = 10_000
 
 REGRESSOR_NAMES = (
@@ -65,11 +65,13 @@ REGRESSOR_NAMES = (
 
 @dataclass(frozen=True)
 class SupportSpec:
-    """Constraint region for ``(rho, tau, h)`` on one segment class.
+    """Constraint region for ``(rho, tau, h)`` on one segment class, or one per row.
 
     ``rho`` ranges over ``[rho_min, rho_max]``, ``tau`` over ``{1..x}``, and
     ``h`` over ``(0, h_max(rho, tau)]`` with
-    ``h_max = h_rho_coef * rho + h_offset - tau * limit``.
+    ``h_max = rho + h_offset - tau * limit``.  Each field is one class's
+    value or an array of one value per row, so that one call tests or moves
+    rows of many classes.
     """
 
     side: int
@@ -77,21 +79,20 @@ class SupportSpec:
     limit: float
     rho_min: float
     rho_max: float
-    h_rho_coef: float
     h_offset: float
 
     def __post_init__(self) -> None:
-        if self.side not in (-1, 1):
-            raise InputError(f"support side must be -1 or +1, got {self.side}")
-        if self.x < 1:
-            raise InputError(f"sojourn must be >= 1, got {self.x}")
-        if self.rho_min > self.rho_max:
-            raise InputError("empty rho range")
+        for bad, values, rule in (
+            ((self.side != -1) & (self.side != 1), self.side, "support side must be -1 or +1"),
+            (self.x < 1, self.x, "sojourn must be >= 1"),
+            (self.rho_min > self.rho_max, self.rho_min, "rho_min must not exceed rho_max"),
+        ):
+            # one class's values compare to a plain bool, which needs no numpy call
+            if bad.any() if isinstance(bad, np.ndarray) else bad:
+                raise InputError(f"{rule}, got {np.broadcast_to(values, np.shape(bad))[bad][0]}")
 
     def h_max(self, rho, tau):
-        return self.h_rho_coef * np.asarray(rho, dtype=float) + self.h_offset - np.asarray(
-            tau, dtype=float
-        ) * self.limit
+        return np.asarray(rho, dtype=float) + self.h_offset - np.asarray(tau, dtype=float) * self.limit
 
     def contains(self, rho, tau, h) -> np.ndarray | bool:
         rho = np.asarray(rho, dtype=float)
@@ -117,36 +118,7 @@ class SupportSpec:
         return rho, tau, h
 
 
-@dataclass(frozen=True)
-class _SupportRows:
-    """The bounds of :class:`SupportSpec` as arrays, one entry per row.
-
-    Lets :class:`SupportSpec`'s own ``contains`` and ``clamp`` test or move
-    rows that belong to different supports in one call.
-    """
-
-    x: np.ndarray
-    limit: np.ndarray
-    rho_min: np.ndarray
-    rho_max: np.ndarray
-    h_rho_coef: np.ndarray
-    h_offset: np.ndarray
-
-    h_max = SupportSpec.h_max
-    contains = SupportSpec.contains
-    clamp = SupportSpec.clamp
-
-    @classmethod
-    def of(cls, supports) -> "_SupportRows":
-        """One row per support."""
-        return cls(*np.array([[getattr(s, f) for f in cls.__dataclass_fields__] for s in supports]).T)
-
-    def take(self, which) -> "_SupportRows":
-        """Row ``r`` holds row ``which[r]`` of these bounds."""
-        return type(self)(*(getattr(self, f)[which] for f in self.__dataclass_fields__))
-
-
-def attainable_param_support(side: int, x: int, limit: float, capacity: float) -> SupportSpec:
+def attainable_param_support(side, x, limit: float, capacity: float) -> SupportSpec:
     """Bounds actually attainable under the ramp correction.
 
     Derived from the initial-power formula and the per-step ramp geometry:
@@ -159,21 +131,24 @@ def attainable_param_support(side: int, x: int, limit: float, capacity: float) -
     are closed (attained exactly when the generated power sits at 0 or at
     rated capacity) and padded by 1e-12 MW against rounding in the power
     recursion.
+
+    ``side`` and ``x`` are one class's values, which give scalar bounds, or
+    arrays that broadcast, which give one bound per row; a side other than -1
+    or +1 is rejected by :class:`SupportSpec`.
     """
     pad = 1e-12
-    if side == 1:
-        return SupportSpec(
-            side=1, x=x, limit=limit,
-            rho_min=max(capacity - (x + 1) * limit, 0.0), rho_max=capacity + limit,
-            h_rho_coef=1.0, h_offset=pad,
-        )
-    if side == -1:
-        return SupportSpec(
-            side=-1, x=x, limit=limit,
-            rho_min=min((x + 1) * limit, capacity), rho_max=capacity,
-            h_rho_coef=1.0, h_offset=2.0 * limit + pad,
-        )
-    raise InputError("support is defined only for side -1 or +1")
+    charging = side == 1
+    reach = (x + 1) * limit
+    if isinstance(side, np.ndarray) or isinstance(x, np.ndarray):
+        pick, larger, smaller = np.where, np.maximum, np.minimum
+    else:  # plain floats: a 0-d array makes every later use of the bound slower
+        pick, larger, smaller = (lambda c, a, b: a if c else b), max, min
+    return SupportSpec(
+        side, x, limit,
+        rho_min=pick(charging, larger(capacity - reach, 0.0), smaller(reach, capacity)),
+        rho_max=pick(charging, capacity + limit, capacity),
+        h_offset=pick(charging, 0.0, 2.0 * limit) + pad,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +234,9 @@ def sample_classes(samplers, counts, rng: np.random.Generator, names=None):
     draws one ``(S, 3)`` standard normal array; in the given order, every
     class still short of rows takes the next ``max(short, 64)`` rows of it as
     candidates and keeps its first accepted ones, in order.  With one class
-    this is :meth:`EmpiricalCopulaSampler.sample_n`.  A class that meets more
-    than ``MAX_REJECTIONS`` consecutive rejections raises
-    :class:`EstimationError`, which names ``names[c]`` when given.
+    this is :meth:`EmpiricalCopulaSampler.sample_n`.  A class that meets
+    ``MAX_REJECTIONS`` consecutive rejections raises :class:`EstimationError`,
+    which names ``names[c]`` when given.
     """
     counts = np.asarray(counts, dtype=np.int64)
     start = np.cumsum(counts) - counts
@@ -271,7 +246,8 @@ def sample_classes(samplers, counts, rng: np.random.Generator, names=None):
     filled = np.zeros(counts.size, dtype=np.int64)
     rejects = np.zeros(counts.size, dtype=np.int64)  # each class's trailing run of rejects
     supports = [s.support for s in samplers]
-    bounds = _SupportRows.of(supports)
+    # one column per class, one row per SupportSpec field
+    bounds = np.array([(s.side, s.x, s.limit, s.rho_min, s.rho_max, s.h_offset) for s in supports]).T
     while True:
         active = np.flatnonzero(filled < counts)
         if active.size == 0:
@@ -288,7 +264,7 @@ def sample_classes(samplers, counts, rng: np.random.Generator, names=None):
             for c, lo, hi in zip(cls.tolist(), first.tolist(), (first + size).tolist()):
                 cand[:, lo:hi] = samplers[c]._quantiles(zc[lo:hi])
             owner = np.repeat(np.arange(cls.size), size)
-            rows = bounds.take(cls[owner])
+            rows = SupportSpec(*bounds[:, cls[owner]])
             tau = _nearest_tau(cand[1], rows.x)
             idx = np.flatnonzero(rows.contains(cand[0], tau, cand[2]))
             owner, here = owner[idx], idx - first[owner[idx]]
@@ -361,7 +337,7 @@ def fit_joint_density(
         data = data.reshape(1, 3)
     if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] == 0:
         raise EstimationError("need a non-empty (n, 3) array of (rho, tau, h) observations")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
 
     n_obs = data.shape[0]
     augmented = False

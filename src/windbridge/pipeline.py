@@ -339,8 +339,7 @@ def stage_segment(cfg: RunConfig) -> list[Path]:
         done = ~table.censored
         kernel = estimate_kernel(table.i[done], table.j[done], table.x[done])
         path = _artifact(cfg, f"kernel_{cfg.limit_tag(frac)}.json")
-        doc = {"config_hash": config_hash(cfg), "seed": cfg.seed, "limit_mw": cfg.limit_mw(frac)}
-        _write_json(path, {**doc, **kernel.to_dict()})
+        _write_json(path, {"limit_mw": cfg.limit_mw(frac), **kernel.to_dict()}, cfg)
         out.append(path)
     return out
 
@@ -437,27 +436,19 @@ def charge_model_from_doc(doc: dict) -> ChargeModel:
     )
 
 
-def _fit_limit(cfg: RunConfig, frac: float, limit_index: int) -> dict:
-    series = _load_corrected(cfg, frac, "fit")
-    _, table = extract_segments(series)
-    doc = build_model_doc(
-        table,
-        limit=cfg.limit_mw(frac),
-        capacity=cfg.turbine.rated_capacity,
-        min_group_sample=cfg.min_group_sample,
-        seed_key=(cfg.seed, _STAGE_IDS["fit"], limit_index),
-    )
-    doc["config_hash"] = config_hash(cfg)
-    doc["seed"] = cfg.seed
-    return doc
-
-
 def stage_fit(cfg: RunConfig) -> list[Path]:
     out = []
     for idx, frac in enumerate(cfg.limits):
-        doc = _fit_limit(cfg, frac, idx)
+        _, table = extract_segments(_load_corrected(cfg, frac, "fit"))
+        doc = build_model_doc(
+            table,
+            limit=cfg.limit_mw(frac),
+            capacity=cfg.turbine.rated_capacity,
+            min_group_sample=cfg.min_group_sample,
+            seed_key=(cfg.seed, _STAGE_IDS["fit"], idx),
+        )
         path = _artifact(cfg, f"model_{cfg.limit_tag(frac)}.json")
-        _write_json(path, doc)
+        _write_json(path, doc, cfg)
         out.append(path)
     return out
 
@@ -474,9 +465,11 @@ def _load_kernel(cfg: RunConfig, tag: str, stage: str) -> SemiMarkovKernel:
         return SemiMarkovKernel.from_dict(json.load(fh))
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def _write_json(path: Path, doc: dict, cfg: RunConfig) -> None:
+    """Write ``doc`` stamped with the run's ``config_hash`` and ``seed``."""
+    stamped = {**doc, "config_hash": config_hash(cfg), "seed": cfg.seed}
     with _atomic(path) as tmp, open(tmp, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        json.dump(stamped, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -592,8 +585,6 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
         report.mape_skipped_zero_real = skipped
 
         doc = dict(
-            config_hash=config_hash(cfg),
-            seed=cfg.seed,
             limit_mw=cfg.limit_mw(frac),
             n_days=n_days,
             n_paths=cfg.n_paths,
@@ -601,7 +592,7 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
             **report.to_dict(),
         )
         jpath = _artifact(cfg, f"validation_{tag}.json")
-        _write_json(jpath, doc)
+        _write_json(jpath, doc, cfg)
         cpath = _artifact(cfg, f"validation_{tag}.csv")
         _write_csv(cpath, report.csv_rows(), _stamp(cfg))
         out.extend([jpath, cpath])

@@ -200,7 +200,7 @@ def generate_synthetic_wind(
     if n_steps < 1:
         raise InputError(f"n_steps must be >= 1, got {n_steps}")
     _check_wind_law(shape, scale, autocorrelation)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     phi = autocorrelation
     eps = rng.standard_normal(n_steps)
     z = np.empty(n_steps)

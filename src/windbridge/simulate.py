@@ -14,8 +14,6 @@ from .errors import InputError, SimulationError
 from .estimation import (
     EmpiricalCopulaSampler,
     SigmaModel,
-    SupportSpec,
-    _SupportRows,
     attainable_param_support,
     predict_sigma_batch,
     sample_classes,
@@ -187,16 +185,28 @@ class ChargeModel:
         counts = np.diff(np.r_[starts, live.size])
         keys = list(zip(i[starts].tolist(), j[starts].tolist(), x[starts].tolist()))
         found = [self.sampler_for(*key) for key in keys]
-        fallback = [c for c, (_, fell_back) in enumerate(found) if fell_back]
-        clamp_to = [self._sojourn_support(*keys[c]) for c in fallback]
+        cls = np.repeat(np.arange(len(keys)), counts)
+        # nearest-sojourn draws are clamped to the attainable support of their
+        # own length, with rho also floored at (x-1)*limit, the least ceiling
+        # under which a charge path of x steps stays nonnegative
+        fell = np.flatnonzero(np.array([fell_back for _, fell_back in found])[cls])
+        if fell.size:
+            clamp_to = attainable_param_support(i[fell], x[fell], self.limit, self.capacity)
+            rho_needed = (x[fell] - 1) * self.limit
+            short = rho_needed > clamp_to.rho_max
+            if short.any():
+                k = int(np.argmax(short))
+                a, b, c = (int(v[fell[k]]) for v in (i, j, x))
+                raise SimulationError(
+                    f"no attainable rho covers a sojourn of {c} steps for (i={a}, j={b}, x={c}): "
+                    f"needs {float(rho_needed[k])}, support ends at {float(clamp_to.rho_max[k])}"
+                )
+            clamp_to = replace(clamp_to, rho_min=np.maximum(clamp_to.rho_min, rho_needed))
         rho, tau, h = sample_classes(
             [s for s, _ in found], counts, rng, names=[f"(i={a}, j={b}, x={c})" for a, b, c in keys]
         )
-        cls = np.repeat(np.arange(len(keys)), counts)
-        if fallback:
-            rows = np.flatnonzero(np.isin(cls, fallback))
-            bounds = _SupportRows.of(clamp_to).take(np.searchsorted(fallback, cls[rows]))
-            rho[rows], tau[rows], h[rows] = bounds.clamp(rho[rows], tau[rows], h[rows])
+        if fell.size:
+            rho[fell], tau[fell], h[fell] = clamp_to.clamp(rho[fell], tau[fell], h[fell])
 
         one = x == 1
         out[offset[one]] = np.minimum(np.maximum(h[one], 0.0), rho[one])
@@ -227,22 +237,6 @@ class ChargeModel:
             )
             out[offset[run] + col] = -lower + values
         return out
-
-    def _sojourn_support(self, i: int, j: int, x: int) -> SupportSpec:
-        """Where nearest-sojourn draws for class ``(i, j, x)`` are clamped to.
-
-        The attainable support of length ``x``, with ``rho`` also floored at
-        ``(x-1)*limit``, the least ceiling under which a charge path of ``x``
-        steps stays nonnegative.
-        """
-        support = attainable_param_support(i, x, self.limit, self.capacity)
-        rho_needed = (x - 1) * self.limit
-        if rho_needed > support.rho_max:
-            raise SimulationError(
-                f"no attainable rho covers a sojourn of {x} steps for "
-                f"(i={i}, j={j}, x={x}): needs {rho_needed}, support ends at {support.rho_max}"
-            )
-        return replace(support, rho_min=max(support.rho_min, rho_needed))
 
 
 @dataclass
@@ -493,7 +487,6 @@ class MomentTable:
     second: np.ndarray
     std: np.ndarray
     se_mean: np.ndarray
-    n_paths: int
 
 
 def mc_moments(windows: np.ndarray, discount_rate: float = 0.0) -> MomentTable:
@@ -520,5 +513,4 @@ def mc_moments(windows: np.ndarray, discount_rate: float = 0.0) -> MomentTable:
         second=(w**2).mean(axis=0),
         std=std,
         se_mean=std / np.sqrt(n),
-        n_paths=n,
     )

@@ -130,7 +130,7 @@ def compare_segments(
     both sides; classes whose real covariance is identically zero report no
     covariance error.
     """
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     report = ComparisonReport(eligibility=eligibility)
     for (i, j, x), rows in complete_classes(table).items():
         n_real = rows.size

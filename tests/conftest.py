@@ -29,8 +29,9 @@ class DegenerateSampler(EmpiricalCopulaSampler):
     """
 
     def __init__(self, support, rho: float, tau: int, h: float):
+        # at rho, h_max(rho, tau) = h + limit, the box's ceiling at the point
         box = replace(
-            support, rho_min=rho, rho_max=rho, h_rho_coef=0.0, h_offset=h + (tau + 1) * support.limit
+            support, rho_min=rho, rho_max=rho, h_offset=h + (tau + 1) * support.limit - rho
         )
         super().__init__(box, np.eye(3), ([rho], [tau], [h]), n_obs=1)
 

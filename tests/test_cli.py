@@ -110,7 +110,7 @@ class TestPipeline:
         path = cfg.out_dir / "kernel_0.05.json"
         kernel = SemiMarkovKernel.from_dict(json.loads(path.read_text()))
         tmp = cfg.out_dir / "kernel_echo.json"
-        _write_json(tmp, kernel.to_dict())
+        _write_json(tmp, kernel.to_dict(), cfg)
         assert SemiMarkovKernel.from_dict(json.loads(tmp.read_text())) == kernel
         tmp.unlink()
 

@@ -62,6 +62,50 @@ class TestSupports:
         with pytest.raises(InputError):
             attainable_param_support(0, 5, LIMIT, CAPACITY)
 
+    # both sides at x = 1, inside the ramp reach and past capacity/limit (100)
+    SIDES = np.array([1, -1, 1, -1, 1, -1, 1, -1])
+    XS = np.array([1, 1, 7, 7, 99, 100, 150, 150])
+
+    def test_per_row_support_equals_scalar_calls(self):
+        rows = attainable_param_support(self.SIDES, self.XS, LIMIT, CAPACITY)
+        for r, (side, x) in enumerate(zip(self.SIDES.tolist(), self.XS.tolist())):
+            one = attainable_param_support(side, x, LIMIT, CAPACITY)
+            for name in SupportSpec.__dataclass_fields__:
+                value = getattr(one, name)
+                assert type(value) in (int, float), name  # scalars in, plain scalars out
+                at_row = np.broadcast_to(getattr(rows, name), self.SIDES.shape)[r]
+                assert np.float64(at_row).tobytes() == np.float64(value).tobytes(), (r, name)
+
+    def test_per_row_methods_equal_each_rows_own_support(self):
+        rng = np.random.default_rng(21)
+        n = 400
+        pick = rng.integers(0, self.SIDES.size, n)
+        rows = attainable_param_support(self.SIDES[pick], self.XS[pick], LIMIT, CAPACITY)
+        rho = rng.uniform(-0.1, CAPACITY + 0.1, n)
+        tau = rng.integers(0, 152, n).astype(float)
+        tau[::7] += 0.5  # not an integer
+        h = rng.uniform(-0.1, 2.5, n)
+        ok = rows.contains(rho, tau, h)
+        h_max = rows.h_max(rho, tau)
+        moved = rows.clamp(rho, tau, h)
+        assert 0 < ok.sum() < n
+        for r in range(n):
+            one = attainable_param_support(int(self.SIDES[pick[r]]), int(self.XS[pick[r]]), LIMIT, CAPACITY)
+            assert ok[r] == one.contains(rho[r], tau[r], h[r]), r
+            assert h_max[r].tobytes() == one.h_max(rho[r], tau[r]).tobytes(), r
+            for got, want in zip(moved, one.clamp(rho[r], tau[r], h[r])):
+                assert got[r].tobytes() == np.float64(want).tobytes(), r
+
+    @pytest.mark.parametrize(
+        "side, x",
+        [([1, 0, -1], [2, 3, 4]), ([1, -1, 2], [2, 3, 4]), ([1, -1], [3, 0]), (1, [4, 5, -2])],
+    )
+    def test_bad_row_rejected(self, side, x):
+        with pytest.raises(InputError):
+            attainable_param_support(np.array(side), np.array(x), LIMIT, CAPACITY)
+        with pytest.raises(InputError):
+            SupportSpec(np.array(side), np.array(x), LIMIT, 0.0, CAPACITY, 0.0)
+
 
 class TestJointDensity:
     def test_resampled_marginals_match_truth(self):
@@ -114,9 +158,10 @@ class TestJointDensity:
         good = attainable_param_support(-1, 4, LIMIT, CAPACITY)
         pts = [(1.0, 1, 0.9), (1.1, 1, 0.95), (1.2, 1, 0.99)] * 5
         sampler = fit_joint_density(pts, good, rng=np.random.default_rng(7))
+        # h_max = rho - 1.3 + 1e-6 - tau*limit: at most 1e-6 - tau*limit < 0
         impossible = SupportSpec(
             side=-1, x=4, limit=LIMIT,
-            rho_min=0.9, rho_max=1.3, h_rho_coef=0.0, h_offset=1e-6,
+            rho_min=0.9, rho_max=1.3, h_offset=1e-6 - 1.3,
         )
         bad = EmpiricalCopulaSampler(
             support=impossible, corr=sampler.corr,
@@ -151,7 +196,7 @@ class TestJointDensity:
             return ok
 
         # the candidates of every class are tested against per-row bounds at once
-        monkeypatch.setattr(est._SupportRows, "contains", scripted_contains)
+        monkeypatch.setattr(est.SupportSpec, "contains", scripted_contains)
         sampler = EmpiricalCopulaSampler(
             support=attainable_param_support(1, 3, LIMIT, CAPACITY), corr=np.eye(3),
             marginals=(np.ones(3), np.ones(3), np.ones(3)), n_obs=3,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from windbridge.errors import EstimationError, InputError, SimulationError
-from windbridge.pipeline import _write_json
+from windbridge.pipeline import RunConfig, _write_json
 from windbridge.power import PowerSeries, RampPolicy, apply_ramp_limit
 from windbridge.segmentation import (
     SIGN_TOLERANCE,
@@ -323,7 +323,7 @@ class TestEstimateKernel:
 class TestKernelJson:
     def test_exact_round_trip(self, fitted_kernel, tmp_path):
         path = tmp_path / "kernel.json"
-        _write_json(path, {"limit_mw": 0.02, **fitted_kernel.to_dict()})
+        _write_json(path, {"limit_mw": 0.02, **fitted_kernel.to_dict()}, RunConfig(out_dir=tmp_path))
         back = SemiMarkovKernel.from_dict(json.loads(path.read_text()))
         assert back == fitted_kernel
         assert back.visits == fitted_kernel.visits

@@ -383,9 +383,11 @@ class TestChargeBlock:
             model.charge_block([-1, -1, 1], [0, 1, 0], [3, 4, 4], np.random.default_rng(0))
         with pytest.raises(SimulationError, match=r"\(i=1, j=0, x=110\)"):
             model.charge_block([-1, 1, 1], [1, 0, 0], [4, 4, 110], np.random.default_rng(0))
-        # a sampler whose support lies above every value it can draw
+        # a sampler whose support lies above every value it can draw: its h
+        # ceiling, at most 1e-6 - tau*limit, is below zero
+        attainable = attainable_param_support(1, 5, LIMIT, CAPACITY)
         model.samplers[(1, 0, 5)] = EmpiricalCopulaSampler(
-            replace(attainable_param_support(1, 5, LIMIT, CAPACITY), h_rho_coef=0.0, h_offset=1e-6),
+            replace(attainable, h_offset=1e-6 - attainable.rho_max),
             np.eye(3), ([1.95, 1.96], [2.0, 3.0], [0.5, 0.6]), n_obs=2,
         )
         with pytest.raises(EstimationError, match=r"10000 consecutive rejections.* in class \(i=1, j=0, x=5\)"):
