@@ -211,11 +211,15 @@ def load_config(path: str | Path, out_dir: str | Path | None = None) -> RunConfi
     ``[battery] soc_init`` defaults to the midpoint of the configured band.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise InputError(f"config file not found: {path}")
     # no key refers to another, so a ``%`` in a value (a file name, say) is literal
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    parser.read(path)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise InputError(f"{path}: not a readable INI file: {exc}".replace("\n", " ")) from None
     for section in parser.sections():
         if section not in _CONFIG_KEYS:
             raise InputError(
@@ -265,9 +269,9 @@ def _rng(cfg: RunConfig, stage: str, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((cfg.seed, _STAGE_IDS[stage], *key)))
 
 
-def _require(path: Path, stage: str) -> Path:
+def _require(path: Path) -> Path:
     if not path.exists():
-        raise InputError(f"[{stage}] missing upstream artifact: {path}")
+        raise InputError(f"missing upstream artifact: {path}")
     return path
 
 
@@ -277,10 +281,6 @@ def _atomic(path: Path):
     tmp = path.with_name(path.name + ".partial")
     yield tmp
     os.replace(tmp, path)
-
-
-def _artifact(cfg: RunConfig, name: str) -> Path:
-    return cfg.out_dir / name
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +301,8 @@ def stage_ingest(cfg: RunConfig) -> list[Path]:
             seed=_rng(cfg, "ingest"),
         )
     power = wind_to_power(speeds, cfg.turbine)
-    wind_path = _artifact(cfg, "wind.csv")
-    power_path = _artifact(cfg, "power.csv")
+    wind_path = cfg.out_dir / "wind.csv"
+    power_path = cfg.out_dir / "power.csv"
     with _atomic(wind_path) as tmp:
         write_wind_csv(tmp, speeds, comment=_stamp(cfg))
     with _atomic(power_path) as tmp:
@@ -311,34 +311,35 @@ def stage_ingest(cfg: RunConfig) -> list[Path]:
 
 
 def stage_correct(cfg: RunConfig) -> list[Path]:
-    series = read_power_csv(_require(_artifact(cfg, "power.csv"), "correct"))
+    series = read_power_csv(_require(cfg.out_dir / "power.csv"))
     out = []
     for frac in cfg.limits:
         policy = RampPolicy(limit=cfg.limit_mw(frac))
         corrected = apply_ramp_limit(series, policy, capacity=cfg.turbine.rated_capacity)
-        path = _artifact(cfg, f"corrected_{cfg.limit_tag(frac)}.csv")
+        path = cfg.out_dir / f"corrected_{cfg.limit_tag(frac)}.csv"
         with _atomic(path) as tmp:
             write_power_csv(tmp, corrected, comment=_stamp(cfg))
         out.append(path)
     return out
 
 
-def _load_corrected(cfg: RunConfig, frac: float, stage: str) -> PowerSeries:
-    path = _require(_artifact(cfg, f"corrected_{cfg.limit_tag(frac)}.csv"), stage)
+def _segments(cfg: RunConfig, tag: str) -> tuple[np.ndarray, SegmentTable]:
+    """The per-step states and segment table of limit ``tag``'s corrected series."""
+    path = _require(cfg.out_dir / f"corrected_{tag}.csv")
     series = read_power_csv(path)
     if series.corrected is None:
-        raise InputError(f"[{stage}] artifact {path} has no corrected column")
-    return series
+        raise InputError(f"artifact {path} has no corrected column")
+    return extract_segments(series)
 
 
 def stage_segment(cfg: RunConfig) -> list[Path]:
     out = []
     for frac in cfg.limits:
-        series = _load_corrected(cfg, frac, "segment")
-        _, table = extract_segments(series)
+        tag = cfg.limit_tag(frac)
+        _, table = _segments(cfg, tag)
         done = ~table.censored
         kernel = estimate_kernel(table.i[done], table.j[done], table.x[done])
-        path = _artifact(cfg, f"kernel_{cfg.limit_tag(frac)}.json")
+        path = cfg.out_dir / f"kernel_{tag}.json"
         _write_json(path, {"limit_mw": cfg.limit_mw(frac), **kernel.to_dict()}, cfg)
         out.append(path)
     return out
@@ -439,7 +440,8 @@ def charge_model_from_doc(doc: dict) -> ChargeModel:
 def stage_fit(cfg: RunConfig) -> list[Path]:
     out = []
     for idx, frac in enumerate(cfg.limits):
-        _, table = extract_segments(_load_corrected(cfg, frac, "fit"))
+        tag = cfg.limit_tag(frac)
+        _, table = _segments(cfg, tag)
         doc = build_model_doc(
             table,
             limit=cfg.limit_mw(frac),
@@ -447,7 +449,7 @@ def stage_fit(cfg: RunConfig) -> list[Path]:
             min_group_sample=cfg.min_group_sample,
             seed_key=(cfg.seed, _STAGE_IDS["fit"], idx),
         )
-        path = _artifact(cfg, f"model_{cfg.limit_tag(frac)}.json")
+        path = cfg.out_dir / f"model_{tag}.json"
         _write_json(path, doc, cfg)
         out.append(path)
     return out
@@ -459,10 +461,11 @@ def load_charge_model(path: str | Path) -> ChargeModel:
         return charge_model_from_doc(json.load(fh))
 
 
-def _load_kernel(cfg: RunConfig, tag: str, stage: str) -> SemiMarkovKernel:
-    """The kernel that the segment stage wrote for limit ``tag``."""
-    with open(_require(_artifact(cfg, f"kernel_{tag}.json"), stage)) as fh:
-        return SemiMarkovKernel.from_dict(json.load(fh))
+def _fitted(cfg: RunConfig, tag: str) -> tuple[SemiMarkovKernel, ChargeModel]:
+    """The kernel and charge model that segment and fit wrote for limit ``tag``."""
+    with open(_require(cfg.out_dir / f"kernel_{tag}.json")) as fh:
+        kernel = SemiMarkovKernel.from_dict(json.load(fh))
+    return kernel, load_charge_model(_require(cfg.out_dir / f"model_{tag}.json"))
 
 
 def _write_json(path: Path, doc: dict, cfg: RunConfig) -> None:
@@ -473,10 +476,10 @@ def _write_json(path: Path, doc: dict, cfg: RunConfig) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, rows: list[list], comment: str) -> None:
-    """Write ``# comment`` and then ``rows``, the first of which is the header."""
+def _write_csv(path: Path, rows: list[list], cfg: RunConfig) -> None:
+    """Write the run's stamp comment and then ``rows``, the first of which is the header."""
     with _atomic(path) as tmp, open(tmp, "w", newline="") as fh:
-        fh.write(f"# {comment}\n")
+        fh.write(f"# {_stamp(cfg)}\n")
         csv.writer(fh).writerows(rows)
 
 
@@ -493,8 +496,7 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
     out = []
     for idx, frac in enumerate(cfg.limits):
         tag = cfg.limit_tag(frac)
-        kernel = _load_kernel(cfg, tag, "simulate")
-        model = load_charge_model(_require(_artifact(cfg, f"model_{tag}.json"), "simulate"))
+        kernel, model = _fitted(cfg, tag)
 
         penalty = []
         for b in _blocks(cfg):
@@ -510,8 +512,8 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
             [int(t), repr(float(m)), repr(float(s)), repr(float(se))]
             for t, m, s, se in zip(table.steps, table.mean, table.std, table.se_mean)
         ]
-        path = _artifact(cfg, f"moments_{tag}.csv")
-        _write_csv(path, rows, _stamp(cfg))
+        path = cfg.out_dir / f"moments_{tag}.csv"
+        _write_csv(path, rows, cfg)
         out.append(path)
 
         if cfg.dump_paths:
@@ -522,8 +524,8 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
                     zip(sample.states[0], sample.soc[0], sample.penalty[0], discounted)
                 )
             ]
-            dump = _artifact(cfg, f"paths_{tag}.csv")
-            _write_csv(dump, rows, _stamp(cfg))
+            dump = cfg.out_dir / f"paths_{tag}.csv"
+            _write_csv(dump, rows, cfg)
             out.append(dump)
     return out
 
@@ -532,11 +534,8 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
     out = []
     for idx, frac in enumerate(cfg.limits):
         tag = cfg.limit_tag(frac)
-        series = _load_corrected(cfg, frac, "validate")
-        kernel = _load_kernel(cfg, tag, "validate")
-        model = load_charge_model(_require(_artifact(cfg, f"model_{tag}.json"), "validate"))
-        states, table = extract_segments(series)
-
+        states, table = _segments(cfg, tag)
+        kernel, model = _fitted(cfg, tag)
         report = compare_segments(
             table, model, rng=_rng(cfg, "validate", idx, 1), eligibility=cfg.eligibility
         )
@@ -571,30 +570,32 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
             "any completed one and restart it", tag, restarts, cfg.n_paths,
         )
         table = mc_moments(np.concatenate(penalty)[: cfg.n_paths, 1:], cfg.fees.discount_rate)
-        try:
+        # penalties are nonnegative, so a step's first moment is zero exactly
+        # when its second is, and an all-zero baseline leaves both MAPEs undefined
+        mape_first = mape_second = None
+        skipped = emp_first.size
+        if emp_first.any():
             mape_first, skipped = mape_detail(emp_first, table.mean)
-        except InputError:
-            logger.info("limit %s: no nonzero empirical penalties; MAPE undefined", tag)
-            mape_first, skipped = None, int(emp_first.size)
-        try:
             mape_second, _ = mape_detail(emp_second, table.second)
-        except InputError:
-            mape_second = None
-        report.mape_first_moment_pct = mape_first
-        report.mape_second_moment_pct = mape_second
-        report.mape_skipped_zero_real = skipped
+        else:
+            logger.info("limit %s: no nonzero empirical penalties; MAPE undefined", tag)
 
         doc = dict(
             limit_mw=cfg.limit_mw(frac),
             n_days=n_days,
             n_paths=cfg.n_paths,
             sojourn_restarts=restarts,
+            penalty={
+                "mape_first_moment_pct": mape_first,
+                "mape_second_moment_pct": mape_second,
+                "skipped_zero_real": skipped,
+            },
             **report.to_dict(),
         )
-        jpath = _artifact(cfg, f"validation_{tag}.json")
+        jpath = cfg.out_dir / f"validation_{tag}.json"
         _write_json(jpath, doc, cfg)
-        cpath = _artifact(cfg, f"validation_{tag}.csv")
-        _write_csv(cpath, report.csv_rows(), _stamp(cfg))
+        cpath = cfg.out_dir / f"validation_{tag}.csv"
+        _write_csv(cpath, report.csv_rows(), cfg)
         out.extend([jpath, cpath])
     return out
 
@@ -616,8 +617,6 @@ def run_stage(cfg: RunConfig, stage: str) -> list[Path]:
     try:
         return _STAGE_FUNCS[stage](cfg)
     except WindBridgeError as exc:
-        if str(exc).startswith("["):
-            raise
         raise type(exc)(f"[{stage}] {exc}") from exc
 
 

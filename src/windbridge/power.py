@@ -327,7 +327,7 @@ def read_wind_csv(path: str | Path) -> np.ndarray:
     nonnegative raises an :class:`InputError` naming its file and line.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise InputError(f"wind input file not found: {path}")
 
     def check_header(header: list[str]) -> list[str]:
@@ -358,7 +358,7 @@ def write_power_csv(path: str | Path, series: PowerSeries, comment: str | None =
 
 def read_power_csv(path: str | Path) -> PowerSeries:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise InputError(f"power file not found: {path}")
 
     def check_header(header: list[str]) -> list[str]:

@@ -333,12 +333,7 @@ class SemiMarkovKernel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SemiMarkovKernel":
-        q = {
-            int(i): {int(j): {int(k): float(v) for k, v in kk.items()} for j, kk in jj.items()}
-            for i, jj in data["q"].items()
-        }
-        visits = {int(i): int(c) for i, c in data.get("visits", {}).items()}
-        return cls(q, visits)
+        return cls(data["q"], data.get("visits", {}))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SemiMarkovKernel) and self.q == other.q

@@ -5,7 +5,7 @@ recursion that turns an observed power pair into penalty paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -71,13 +71,10 @@ class GroupComparison:
 
 @dataclass
 class ComparisonReport:
-    """Per-class L2 errors plus whatever penalty MAPEs the caller attaches."""
+    """Per-class L2 errors of the classes with at least ``eligibility`` observations."""
 
     groups: list[GroupComparison] = field(default_factory=list)
     eligibility: int = 30
-    mape_first_moment_pct: float | None = None
-    mape_second_moment_pct: float | None = None
-    mape_skipped_zero_real: int = 0
 
     @property
     def mean_l2_average_pct(self) -> float | None:
@@ -88,20 +85,8 @@ class ComparisonReport:
     def to_dict(self) -> dict:
         return {
             "eligibility": self.eligibility,
-            "groups": [
-                {
-                    "i": g.i, "j": g.j, "x": g.x,
-                    "n_real": g.n_real, "n_sim": g.n_sim,
-                    "l2_mean_pct": g.l2_mean_pct, "l2_cov_pct": g.l2_cov_pct,
-                }
-                for g in self.groups
-            ],
+            "groups": [asdict(g) for g in self.groups],
             "mean_l2_average_pct": self.mean_l2_average_pct,
-            "penalty": {
-                "mape_first_moment_pct": self.mape_first_moment_pct,
-                "mape_second_moment_pct": self.mape_second_moment_pct,
-                "skipped_zero_real": self.mape_skipped_zero_real,
-            },
         }
 
     def csv_rows(self) -> list[list]:

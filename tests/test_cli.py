@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import shutil
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -328,6 +329,38 @@ class TestStageErrors:
         assert rc == 1
         assert "missing upstream artifact" in captured.err
 
+    @pytest.mark.parametrize("stage", ["correct", "segment", "fit", "simulate", "validate"])
+    def test_each_error_carries_exactly_one_tag(self, tmp_path, stage):
+        cfg = small_config(tmp_path / "empty")
+        with pytest.raises(InputError) as info:
+            run_stage(cfg, stage)
+        message = str(info.value)
+        assert message.startswith(f"[{stage}] missing upstream artifact: ")
+        assert message.count("[") == 1
+
+    @pytest.mark.parametrize("stage", ["segment", "fit", "validate"])
+    def test_power_file_without_corrected_column_named(self, tmp_path, stage):
+        cfg = small_config(tmp_path / "out", limits=(0.05,))
+        cfg.out_dir.mkdir()
+        path = cfg.out_dir / "corrected_0.05.csv"
+        path.write_text("k,e\n0,1.0\n1,1.2\n2,1.1\n")
+        with pytest.raises(InputError) as info:
+            run_stage(cfg, stage)
+        assert str(info.value) == f"[{stage}] artifact {path} has no corrected column"
+
+    def test_directory_as_wind_file(self, tmp_path):
+        wind_dir = tmp_path / "wind"
+        wind_dir.mkdir()
+        cfg = small_config(tmp_path / "out", wind_csv=wind_dir)
+        with pytest.raises(InputError, match=f"^\\[ingest\\] wind input file not found: {re.escape(str(wind_dir))}$"):
+            run_stage(cfg, "ingest")
+
+    def test_directory_as_power_file(self, tmp_path):
+        cfg = small_config(tmp_path / "out")
+        (cfg.out_dir / "power.csv").mkdir(parents=True)
+        with pytest.raises(InputError, match=r"^\[correct\] power file not found: .*power\.csv$"):
+            run_stage(cfg, "correct")
+
 
 class TestCorrectStage:
     def test_reproduces_hand_example(self, tmp_path):
@@ -439,6 +472,42 @@ class TestCliFrontEnd:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_directory_as_config_file(self, tmp_path, capsys):
+        with pytest.raises(InputError, match=f"^config file not found: {re.escape(str(tmp_path))}$"):
+            load_config(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["--config", str(tmp_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: config file not found: {tmp_path}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("seed = 5\n[simulation]\npaths = 30\n", r"no section headers"),
+            ("[fit]\nmin_group_sample = 5\n[fit]\nmin_group_sample = 6\n", r"section 'fit' already exists"),
+            ("[simulation]\npaths = 30\npaths = 40\n", r"option 'paths' in section 'simulation' already exists"),
+        ],
+        ids=["key-before-any-section", "repeated-section", "repeated-key"],
+    )
+    def test_malformed_config_file_names_the_file(self, tmp_path, capsys, text, match):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(text)
+        with pytest.raises(InputError, match=f"^{re.escape(str(cfg_file))}: not a readable INI file: .*{match}"):
+            load_config(cfg_file)
+        rc = main(["--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {cfg_file}: not a readable INI file:" in err
+        assert "Traceback" not in err
+
+    def test_binary_config_file_rejected(self, tmp_path):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_bytes(b"\xff\xfe\x00[fit]\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(cfg_file))}: not a readable INI file: "):
+            load_config(cfg_file)
+
 
 class TestZeroPenaltyEdge:
     def test_validate_survives_zero_penalties(self, tmp_path):
@@ -454,6 +523,8 @@ class TestZeroPenaltyEdge:
         run_pipeline(cfg)
         doc = json.loads((cfg.out_dir / "validation_0.05.json").read_text())
         assert doc["penalty"]["mape_first_moment_pct"] is None
+        assert doc["penalty"]["mape_second_moment_pct"] is None
+        assert doc["penalty"]["skipped_zero_real"] == cfg.horizon
 
 
 class TestFileInput:
