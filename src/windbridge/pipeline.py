@@ -17,6 +17,7 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -261,8 +262,15 @@ def load_config(path: str | Path, out_dir: str | Path | None = None) -> RunConfi
 # ---------------------------------------------------------------------------
 
 
-def _stamp(cfg: RunConfig) -> str:
-    return f"config_hash={config_hash(cfg)} seed={cfg.seed}"
+def _stamp(cfg: RunConfig):
+    """A cached call that gives the ``config_hash`` and ``seed`` of a stage call's artifacts;
+    the hash reads the whole wind file, so it runs once, at the first write."""
+    return cache(lambda: {"config_hash": config_hash(cfg), "seed": cfg.seed})
+
+
+def _comment(stamp) -> str:
+    """The stamp line of a CSV artifact."""
+    return " ".join(f"{k}={v}" for k, v in stamp().items())
 
 
 def _rng(cfg: RunConfig, stage: str, *key: int) -> np.random.Generator:
@@ -288,7 +296,7 @@ def _atomic(path: Path):
 # ---------------------------------------------------------------------------
 
 
-def stage_ingest(cfg: RunConfig) -> list[Path]:
+def stage_ingest(cfg: RunConfig, stamp) -> list[Path]:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.wind_csv is not None:
         speeds = read_wind_csv(cfg.wind_csv)
@@ -304,13 +312,13 @@ def stage_ingest(cfg: RunConfig) -> list[Path]:
     wind_path = cfg.out_dir / "wind.csv"
     power_path = cfg.out_dir / "power.csv"
     with _atomic(wind_path) as tmp:
-        write_wind_csv(tmp, speeds, comment=_stamp(cfg))
+        write_wind_csv(tmp, speeds, comment=_comment(stamp))
     with _atomic(power_path) as tmp:
-        write_power_csv(tmp, PowerSeries(generated=power), comment=_stamp(cfg))
+        write_power_csv(tmp, PowerSeries(generated=power), comment=_comment(stamp))
     return [wind_path, power_path]
 
 
-def stage_correct(cfg: RunConfig) -> list[Path]:
+def stage_correct(cfg: RunConfig, stamp) -> list[Path]:
     series = read_power_csv(_require(cfg.out_dir / "power.csv"))
     out = []
     for frac in cfg.limits:
@@ -318,7 +326,7 @@ def stage_correct(cfg: RunConfig) -> list[Path]:
         corrected = apply_ramp_limit(series, policy, capacity=cfg.turbine.rated_capacity)
         path = cfg.out_dir / f"corrected_{cfg.limit_tag(frac)}.csv"
         with _atomic(path) as tmp:
-            write_power_csv(tmp, corrected, comment=_stamp(cfg))
+            write_power_csv(tmp, corrected, comment=_comment(stamp))
         out.append(path)
     return out
 
@@ -332,7 +340,7 @@ def _segments(cfg: RunConfig, tag: str) -> tuple[np.ndarray, SegmentTable]:
     return extract_segments(series)
 
 
-def stage_segment(cfg: RunConfig) -> list[Path]:
+def stage_segment(cfg: RunConfig, stamp) -> list[Path]:
     out = []
     for frac in cfg.limits:
         tag = cfg.limit_tag(frac)
@@ -340,7 +348,7 @@ def stage_segment(cfg: RunConfig) -> list[Path]:
         done = ~table.censored
         kernel = estimate_kernel(table.i[done], table.j[done], table.x[done])
         path = cfg.out_dir / f"kernel_{tag}.json"
-        _write_json(path, {"limit_mw": cfg.limit_mw(frac), **kernel.to_dict()}, cfg)
+        _write_json(path, {"limit_mw": cfg.limit_mw(frac), **kernel.to_dict()}, stamp)
         out.append(path)
     return out
 
@@ -437,7 +445,7 @@ def charge_model_from_doc(doc: dict) -> ChargeModel:
     )
 
 
-def stage_fit(cfg: RunConfig) -> list[Path]:
+def stage_fit(cfg: RunConfig, stamp) -> list[Path]:
     out = []
     for idx, frac in enumerate(cfg.limits):
         tag = cfg.limit_tag(frac)
@@ -450,7 +458,7 @@ def stage_fit(cfg: RunConfig) -> list[Path]:
             seed_key=(cfg.seed, _STAGE_IDS["fit"], idx),
         )
         path = cfg.out_dir / f"model_{tag}.json"
-        _write_json(path, doc, cfg)
+        _write_json(path, doc, stamp)
         out.append(path)
     return out
 
@@ -468,18 +476,18 @@ def _fitted(cfg: RunConfig, tag: str) -> tuple[SemiMarkovKernel, ChargeModel]:
     return kernel, load_charge_model(_require(cfg.out_dir / f"model_{tag}.json"))
 
 
-def _write_json(path: Path, doc: dict, cfg: RunConfig) -> None:
+def _write_json(path: Path, doc: dict, stamp) -> None:
     """Write ``doc`` stamped with the run's ``config_hash`` and ``seed``."""
-    stamped = {**doc, "config_hash": config_hash(cfg), "seed": cfg.seed}
+    stamped = {**doc, **stamp()}
     with _atomic(path) as tmp, open(tmp, "w") as fh:
         json.dump(stamped, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def _write_csv(path: Path, rows: list[list], cfg: RunConfig) -> None:
+def _write_csv(path: Path, rows: list[list], stamp) -> None:
     """Write the run's stamp comment and then ``rows``, the first of which is the header."""
     with _atomic(path) as tmp, open(tmp, "w", newline="") as fh:
-        fh.write(f"# {_stamp(cfg)}\n")
+        fh.write(f"# {_comment(stamp)}\n")
         csv.writer(fh).writerows(rows)
 
 
@@ -492,7 +500,7 @@ def _blocks(cfg: RunConfig) -> range:
     return range(-(-cfg.n_paths // BLOCK_PATHS))
 
 
-def stage_simulate(cfg: RunConfig) -> list[Path]:
+def stage_simulate(cfg: RunConfig, stamp) -> list[Path]:
     out = []
     for idx, frac in enumerate(cfg.limits):
         tag = cfg.limit_tag(frac)
@@ -513,7 +521,7 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
             for t, m, s, se in zip(table.steps, table.mean, table.std, table.se_mean)
         ]
         path = cfg.out_dir / f"moments_{tag}.csv"
-        _write_csv(path, rows, cfg)
+        _write_csv(path, rows, stamp)
         out.append(path)
 
         if cfg.dump_paths:
@@ -525,12 +533,12 @@ def stage_simulate(cfg: RunConfig) -> list[Path]:
                 )
             ]
             dump = cfg.out_dir / f"paths_{tag}.csv"
-            _write_csv(dump, rows, cfg)
+            _write_csv(dump, rows, stamp)
             out.append(dump)
     return out
 
 
-def stage_validate(cfg: RunConfig) -> list[Path]:
+def stage_validate(cfg: RunConfig, stamp) -> list[Path]:
     out = []
     for idx, frac in enumerate(cfg.limits):
         tag = cfg.limit_tag(frac)
@@ -593,9 +601,9 @@ def stage_validate(cfg: RunConfig) -> list[Path]:
             **report.to_dict(),
         )
         jpath = cfg.out_dir / f"validation_{tag}.json"
-        _write_json(jpath, doc, cfg)
+        _write_json(jpath, doc, stamp)
         cpath = cfg.out_dir / f"validation_{tag}.csv"
-        _write_csv(cpath, report.csv_rows(), cfg)
+        _write_csv(cpath, report.csv_rows(), stamp)
         out.extend([jpath, cpath])
     return out
 
@@ -615,7 +623,7 @@ def run_stage(cfg: RunConfig, stage: str) -> list[Path]:
         raise InputError(f"unknown stage {stage!r}; expected one of {', '.join(STAGES)}")
     logger.info("running stage %s -> %s", stage, cfg.out_dir)
     try:
-        return _STAGE_FUNCS[stage](cfg)
+        return _STAGE_FUNCS[stage](cfg, _stamp(cfg))
     except WindBridgeError as exc:
         raise type(exc)(f"[{stage}] {exc}") from exc
 

@@ -3,8 +3,8 @@
 The battery state at hour ``k`` is the sign of ``e(k) - e_bar(k)``: +1 while
 storing surplus (up-ramping), -1 while supplying a shortfall (down-ramping),
 0 while idle.  The maximal runs of one state, their sojourns and successors,
-and the empirical semi-Markov kernel ``q[i][j][x]`` are extracted from a
-ramp-corrected power series.
+and the empirical semi-Markov kernel ``Q[i + 1, j + 1, x]`` are extracted
+from a ramp-corrected power series.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "SIGN_TOLERANCE",
     "SegmentTable",
     "SemiMarkovKernel",
-    "JumpChains",
     "extract_segments",
     "estimate_kernel",
     "complete_classes",
@@ -65,23 +64,6 @@ class SegmentTable:
     def charge_matrix(self, rows: np.ndarray, x: int) -> np.ndarray:
         """The charges of ``rows``, runs of ``x`` steps each, one row per run."""
         return self.charges[self.start[rows][:, None] + np.arange(x)]
-
-
-@dataclass
-class JumpChains:
-    """Jump chains of a block of rows, one column per round.
-
-    Row ``n`` makes ``counts[n]`` jumps: it enters ``states[n, r]`` at time
-    ``jump_times[n, r]`` and stays ``sojourns[n, r]`` steps, for ``r <
-    counts[n]``; column ``counts[n]`` holds its last state and end time.  A
-    row that starts ``b`` steps into its first sojourn has ``jump_times[n,
-    1] == sojourns[n, 0] - b``.  Columns past a row's last are padding.
-    """
-
-    states: np.ndarray
-    sojourns: np.ndarray
-    jump_times: np.ndarray
-    counts: np.ndarray
 
 
 def extract_segments(series: PowerSeries) -> tuple[np.ndarray, SegmentTable]:
@@ -141,73 +123,43 @@ def backward_times(table: SegmentTable) -> np.ndarray:
 
 
 class SemiMarkovKernel:
-    """Empirical kernel ``q[i][j][x]`` of the battery operation renewal process.
+    """Empirical kernel of the battery operation renewal process.
 
-    ``q[i][j][x]`` estimates the probability that, from state ``i``, the next
-    jump happens after a sojourn of ``x`` steps and lands in ``j``.  Draws
-    read the same law as the array ``Q[i + 1, j + 1, x]`` over the states
-    ``(-1, 0, 1)`` and ``x = 0..max``, through sums of it computed once: the
-    sojourn law ``h_i(x) = sum_j q[i][j][x]`` and its CDF, and the successor
-    CDFs ``cumsum_j q[i][j][x] / h_i(x)``.  A zero entry repeats the CDF
-    value before it, so it is never drawn.
+    ``Q[i + 1, j + 1, x]`` estimates the probability that, from state ``i`` of
+    ``(-1, 0, 1)``, the next jump happens after a sojourn of ``x`` steps and
+    lands in ``j``; ``visits[i + 1]`` counts the completed visits to ``i``.
+    Draws read sums of ``Q`` computed once: the sojourn law ``h_i(x)`` (the
+    sum over ``j``) and its CDF, and the successor CDFs, cumulative sums over
+    ``j`` of ``Q[i + 1, j + 1, x] / h_i(x)``.  A zero entry repeats the CDF
+    value before it, so it is never drawn.  The nested JSON form of
+    :meth:`to_dict`, ``q[i][j][x]`` and ``{i: visits}``, is accepted and checked.
     """
 
-    def __init__(self, q: dict[int, dict[int, dict[int, float]]], visits: dict[int, int]):
-        self.q = {int(i): {int(j): {int(k): float(v) for k, v in kk.items()}
-                           for j, kk in jj.items()}
-                  for i, jj in q.items()}
-        self.visits = {int(i): int(c) for i, c in visits.items()}
-        keys = [(i, j, k) for i, jj in self.q.items() for j, kk in jj.items() for k in kk]
-        outside = sorted({s for i, j, _ in keys for s in (i, j)} - set(STATES))
-        if outside:
-            raise InputError(f"kernel state {outside[0]} is not one of {STATES}")
-        if any(k < 1 for *_, k in keys):
-            raise InputError("sojourns must be at least one step")
-        self._Q = np.zeros((3, 3, max((k for *_, k in keys), default=0) + 1))
-        for i, j, k in keys:
-            v = self.q[i][j][k]
-            if not (np.isfinite(v) and v >= 0.0):
-                raise InputError(f"kernel entry q[{i}][{j}][{k}] = {v} must be finite and nonnegative")
-            self._Q[i + 1, j + 1, k] = v
-        h = self._h = self._Q.sum(axis=1)
+    def __init__(self, Q, visits):
+        if isinstance(Q, dict):
+            Q, visits = _kernel_array(Q, visits)
+        self.Q = np.asarray(Q, dtype=float)
+        self.visits = np.asarray(visits, dtype=int)
+        h = self._h = self.Q.sum(axis=1)
         self._H = np.cumsum(h, axis=1)
         self._longest = np.where(h > 0.0, np.arange(h.shape[1]), 0).max(axis=1)
-        self._live = self._longest > 0
         self._successor_cdf = np.cumsum(
-            np.divide(self._Q, h[:, None], out=np.zeros_like(self._Q), where=h[:, None] > 0.0), axis=1
+            np.divide(self.Q, h[:, None], out=np.zeros_like(self.Q), where=h[:, None] > 0.0), axis=1
         )
-        self._last_successor = np.where(h > 0.0, 2 - np.argmax(self._Q[:, ::-1] > 0.0, axis=1), -1)
+        self._last_successor = np.where(h > 0.0, 2 - np.argmax(self.Q[:, ::-1] > 0.0, axis=1), -1)
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def states(self) -> tuple[int, ...]:
-        return tuple(sorted(self.q))
 
     def _rows(self, states) -> np.ndarray:
         """Row of ``Q`` for each entry of ``states``; a state never left raises."""
         rows = np.asarray(states, dtype=int) + 1
-        if rows.size and (rows.min() < 0 or rows.max() > 2 or not self._live[rows].all()):
-            n = next(n for n, r in enumerate(rows.tolist()) if not (0 <= r <= 2 and self._live[r]))
+        if rows.size and (rows.min() < 0 or rows.max() > 2 or not self._longest[rows].all()):
+            n = next(n for n, r in enumerate(rows.tolist()) if not (0 <= r <= 2 and self._longest[r]))
             raise EstimationError(f"no transitions observed from state {rows[n] - 1}")
         return rows
 
     def max_sojourn(self, i: int) -> int:
         return int(self._longest[self._rows([i])[0]])
-
-    def sojourn_pmf(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """The sojourns of ``i`` with positive probability, and their probabilities."""
-        h = self._h[self._rows([i])[0]]
-        xs = np.flatnonzero(h)
-        return xs, h[xs]
-
-    def successor_pmf(self, i: int, x: int) -> dict[int, float]:
-        """``q[i][j][x] / h_i(x)`` for every successor ``j`` with positive probability."""
-        a = self._rows([i])[0]
-        if not 0 <= x < self._h.shape[1] or self._h[a, x] == 0.0:
-            raise SimulationError(f"state {i} has no observed sojourn of length {x}")
-        pmf = self._Q[a, :, x] / self._h[a, x]
-        return {j: float(p) for j, p in zip(STATES, pmf) if p > 0.0}
 
     # -- sampling -----------------------------------------------------------
 
@@ -242,7 +194,7 @@ class SemiMarkovKernel:
     def sample_successors(
         self, states: np.ndarray, sojourns: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """One successor per ``(state, sojourn)`` pair from ``q[i][j][x] / h_i(x)``, by inverse CDF."""
+        """One successor per ``(state, sojourn)`` pair from ``Q[i + 1, j + 1, x] / h_i(x)``, by inverse CDF."""
         rows = self._rows(states)
         sojourns = np.asarray(sojourns, dtype=int)
         inside = np.clip(sojourns, 0, self._h.shape[1] - 1)
@@ -259,8 +211,7 @@ class SemiMarkovKernel:
 
     def sample_sojourn(self, i: int, rng: np.random.Generator, longer_than: int = 0) -> int:
         """Draw a sojourn from ``h_i``, optionally conditioned on exceeding ``longer_than``."""
-        condition = np.array([longer_than]) if longer_than > 0 else None
-        return int(self.sample_sojourns(np.array([i]), rng, condition)[0])
+        return int(self.sample_sojourns(np.array([i]), rng, np.array([longer_than]))[0])
 
     def sample_successor(self, i: int, x: int, rng: np.random.Generator) -> int:
         return int(self.sample_successors(np.array([i]), np.array([x]), rng)[0])
@@ -270,95 +221,105 @@ class SemiMarkovKernel:
         initial_states: np.ndarray,
         rng: np.random.Generator,
         initial_backwards: np.ndarray | None = None,
-        horizon: int | None = None,
-        n_transitions: int | None = None,
-    ) -> JumpChains:
+        *,
+        horizon: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Jump chains of a block of rows, drawn together round by round.
 
         Each round draws a sojourn for every row still running, then its
         successor (:meth:`sample_sojourns`, :meth:`sample_successors`).  Row
         ``n`` starts ``initial_backwards[n]`` steps into its first sojourn:
         that sojourn is conditioned on being longer, and only its remainder
-        counts towards the row's time.  A row stops after ``n_transitions``
-        jumps or once its time passes ``horizon``, whichever comes first.
+        counts towards the row's time.  A row stops once its time passes
+        ``horizon``.
+
+        Returns ``(states, sojourns)``: row ``n`` stays ``sojourns[n, r]``
+        steps in ``states[n, r]``, then enters ``states[n, r + 1]``; a zero
+        sojourn pads a row that stopped before the last round.
         """
-        if n_transitions is None and horizon is None:
-            raise InputError("give n_transitions, horizon, or both")
-        if n_transitions is not None and n_transitions < 1:
-            raise InputError("need at least one transition")
-        state = np.array(initial_states, dtype=int)
+        state = np.array(initial_states, dtype=int).ravel()
         p = state.size
         if p == 0:
             raise InputError("need at least one initial state")
-        backward = np.zeros(p, dtype=int) if initial_backwards is None else np.asarray(initial_backwards, dtype=int)
+        backward = np.zeros(p, dtype=int) if initial_backwards is None else np.ravel(initial_backwards).astype(int)
+        if backward.size != p:
+            raise InputError(f"initial_backwards has {backward.size} entries for {p} initial states")
         if np.any(backward < 0):
             raise InputError("backward time must be nonnegative")
         time = -backward
-        states, sojourns, times = [state.copy()], [], [np.zeros(p, dtype=int)]
+        states, sojourns = [state.copy()], []
         rows = np.arange(p)
-        while rows.size and (n_transitions is None or len(sojourns) < n_transitions):
+        while rows.size:
             x = self.sample_sojourns(state[rows], rng, None if sojourns else backward)
             nxt = self.sample_successors(state[rows], x, rng)
-            column = np.zeros(p, dtype=int)
-            column[rows] = x
-            sojourns.append(column)
+            sojourns.append(np.zeros(p, dtype=int))
+            sojourns[-1][rows] = x
             time[rows] += x
             state[rows] = nxt
             states.append(state.copy())
-            times.append(time.copy())
-            if horizon is not None:
-                rows = rows[time[rows] <= horizon]
-        sojourns = np.column_stack(sojourns)
-        return JumpChains(
-            states=np.column_stack(states),
-            sojourns=sojourns,
-            jump_times=np.column_stack(times),
-            counts=np.sum(sojourns > 0, axis=1),
-        )
+            rows = rows[time[rows] <= horizon]
+        return np.column_stack(states), np.column_stack(sojourns)
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "states": list(self.states),
-            "visits": {str(i): self.visits.get(i, 0) for i in self.states},
-            "q": {
-                str(i): {
-                    str(j): {str(k): self.q[i][j][k] for k in sorted(self.q[i][j])}
-                    for j in sorted(self.q[i])
-                }
-                for i in self.states
-            },
-        }
+        """The nested JSON form: the states left, their visits, and ``q[i][j][x]`` where positive."""
+        a, b, k = np.nonzero(self.Q > 0.0)
+        q: dict = {}
+        for i, j, x, v in zip((a - 1).tolist(), (b - 1).tolist(), k.tolist(), self.Q[a, b, k].tolist()):
+            q.setdefault(str(i), {}).setdefault(str(j), {})[str(x)] = v
+        states = sorted(int(i) for i in q)
+        return {"states": states, "visits": {str(i): int(self.visits[i + 1]) for i in states}, "q": q}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SemiMarkovKernel":
         return cls(data["q"], data.get("visits", {}))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SemiMarkovKernel) and self.q == other.q
+        return isinstance(other, SemiMarkovKernel) and (
+            np.array_equal(self.Q, other.Q) and np.array_equal(self.visits, other.visits)
+        )
+
+
+def _kernel_array(q: dict, visits: dict) -> tuple[np.ndarray, np.ndarray]:
+    """``Q`` and the visit counts of the nested form ``q[i][j][x]`` and ``{i: visits}``."""
+    entries = [(int(i), int(j), int(k), float(v))
+               for i, jj in q.items() for j, kk in jj.items() for k, v in kk.items()]
+    counts = {int(i): int(c) for i, c in visits.items()}
+    outside = np.setdiff1d([s for i, j, *_ in entries for s in (i, j)] + list(counts), STATES)
+    if outside.size:
+        raise InputError(f"kernel state {outside[0]} is not one of {STATES}")
+    if any(k < 1 for _, _, k, _ in entries):
+        raise InputError("sojourns must be at least one step")
+    Q = np.zeros((3, 3, max((k for _, _, k, _ in entries), default=0) + 1))
+    for i, j, k, v in entries:
+        if not (np.isfinite(v) and v >= 0.0):
+            raise InputError(f"kernel entry q[{i}][{j}][{k}] = {v} must be finite and nonnegative")
+        Q[i + 1, j + 1, k] = v
+    return Q, [counts.get(s, 0) for s in STATES]
 
 
 def estimate_kernel(i, j, x) -> SemiMarkovKernel:
-    """Estimate ``q[i][j][x]`` by counting completed transitions.
+    """Estimate ``Q[i + 1, j + 1, x] = N_ij(x) / N_i`` by counting completed transitions.
 
     Transition ``n`` leaves state ``i[n]`` after ``x[n]`` steps for state
-    ``j[n]``; a censored run has no successor and must be left out.  Rows are
-    normalized by the number of completed visits to the source state, so
-    ``sum_{j,x} q[i][j][x] = 1``.
+    ``j[n]``; a censored run has no successor and must be left out.  Each
+    source row is divided by the number ``N_i`` of completed visits to it, so
+    ``sum_{j,x} Q[i + 1, j + 1, x] = 1``.
     """
     columns = [np.asarray(a, dtype=int).ravel() for a in (i, j, x)]
     if len({c.size for c in columns}) > 1:
         raise InputError("transition sources, successors and sojourns must have equal length")
-    transitions = np.column_stack(columns)
-    if not transitions.size:
+    sources, successors, sojourns = columns
+    if not sojourns.size:
         raise EstimationError("no completed transitions to estimate a kernel from")
-    if np.any(transitions[:, 2] < 1):
+    if np.any(sojourns < 1):
         raise InputError("sojourns must be at least one step")
-    keys, counts = np.unique(transitions, axis=0, return_counts=True)
-    sources, totals = np.unique(transitions[:, 0], return_counts=True)
-    visits = dict(zip(sources.tolist(), totals.tolist()))
-    q: dict[int, dict[int, dict[int, float]]] = {}
-    for (a, b, k), c in zip(keys.tolist(), counts.tolist()):
-        q.setdefault(a, {}).setdefault(b, {})[k] = c / visits[a]
-    return SemiMarkovKernel(q, visits)
+    outside = np.setdiff1d(np.r_[sources, successors], STATES)
+    if outside.size:
+        raise InputError(f"kernel state {outside[0]} is not one of {STATES}")
+    Q = np.zeros((3, 3, sojourns.max() + 1))
+    np.add.at(Q, (sources + 1, successors + 1, sojourns), 1.0)
+    visits = np.bincount(sources + 1, minlength=3)
+    Q[visits > 0] /= visits[visits > 0, None, None]
+    return SemiMarkovKernel(Q, visits)

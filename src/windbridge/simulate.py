@@ -406,9 +406,8 @@ def simulate_penalty_paths(
     _check_horizon(horizon)
     z0 = np.asarray(initial_states, dtype=int)
     n_rows = z0.size
-    for name, given in (("initial_socs", initial_socs), ("initial_backwards", initial_backwards)):
-        if given is not None and np.size(given) != n_rows:
-            raise InputError(f"{name} has {np.size(given)} entries for {n_rows} initial states")
+    if initial_socs is not None and np.size(initial_socs) != n_rows:
+        raise InputError(f"initial_socs has {np.size(initial_socs)} entries for {n_rows} initial states")
     b0 = np.zeros(n_rows, dtype=int) if initial_backwards is None else np.asarray(initial_backwards, dtype=int)
     soc0 = np.full(n_rows, battery.soc_init) if initial_socs is None else initial_socs
 
@@ -424,12 +423,13 @@ def _step_grids(kernel, charge_model, z0, b0, rng, horizon):
     freed before phase 3 allocates its grids: at horizon 720 that lowers the
     peak RSS by 2 MB.
     """
-    chains = kernel.sample_chains(z0, rng, b0, horizon=horizon)
+    chain, sojourn = kernel.sample_chains(z0, rng, b0, horizon=horizon)
 
     # One entry per segment, row-major; then grouped by class, in sorted order.
-    row, rnd = np.nonzero(np.arange(chains.sojourns.shape[1]) < chains.counts[:, None])
-    i, j, x = chains.states[row, rnd], chains.states[row, rnd + 1], chains.sojourns[row, rnd]
-    entry = chains.jump_times[row, rnd] - np.where(rnd == 0, b0[row], 0)
+    # A row's first segment was entered b0 steps before time 0.
+    row, rnd = np.nonzero(sojourn)
+    i, j, x = chain[row, rnd], chain[row, rnd + 1], sojourn[row, rnd]
+    entry = (np.cumsum(sojourn, axis=1) - sojourn)[row, rnd] - b0[row]
     order = np.lexsort((x, j, i))
     row, i, j, x, entry = row[order], i[order], j[order], x[order], entry[order]
     charge = charge_model.charge_block(i, j, x, rng)

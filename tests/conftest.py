@@ -13,10 +13,63 @@ from windbridge.power import (
     generate_synthetic_wind,
     wind_to_power,
 )
-from windbridge.segmentation import estimate_kernel, extract_segments
+from windbridge.segmentation import STATES, estimate_kernel, extract_segments
 
 LIMIT = 0.02
 CAPACITY = DEFAULT_TURBINE.rated_capacity
+
+
+def nested_q(kernel):
+    """The kernel's nested form ``q[i][j][x]`` with int keys, read from its ``to_dict``."""
+    return {
+        int(i): {int(j): {int(x): v for x, v in kk.items()} for j, kk in jj.items()}
+        for i, jj in kernel.to_dict()["q"].items()
+    }
+
+
+def kernel_states(kernel):
+    """The states the kernel leaves, in order."""
+    return [i for i in STATES if kernel.Q[i + 1].any()]
+
+
+def sojourn_pmf(kernel, i):
+    """The sojourns of ``i`` with positive probability, and their probabilities."""
+    h = kernel.Q[i + 1].sum(axis=0)
+    xs = np.flatnonzero(h)
+    return xs, h[xs]
+
+
+def successor_pmf(kernel, i, x):
+    """``Q[i + 1, j + 1, x] / h_i(x)`` for every successor ``j`` with positive probability."""
+    column = kernel.Q[i + 1, :, x]
+    return {j: float(p) for j, p in zip(STATES, column / column.sum()) if p > 0.0}
+
+
+def fixed_count_chains(kernel, initial_states, rng, n):
+    """``n`` jumps of every row, drawn round by round as ``sample_chains`` draws them.
+
+    Each round draws every row's sojourn, then its successor; round 0
+    conditions the sojourns on exceeding zero steps, as ``sample_chains``
+    does.  Returns ``(states, sojourns)`` of shapes ``(P, n + 1)`` and ``(P, n)``.
+    """
+    state = np.array(initial_states, dtype=int)
+    states, sojourns = [state], []
+    for r in range(n):
+        x = kernel.sample_sojourns(state, rng, np.zeros(state.size, dtype=int) if r == 0 else None)
+        state = kernel.sample_successors(state, x, rng)
+        states.append(state)
+        sojourns.append(x)
+    return np.column_stack(states), np.column_stack(sojourns)
+
+
+def jump_times(sojourns, initial_backwards):
+    """Column ``r`` is when each row entered its state ``r``; column 0 is 0.
+
+    A row that starts ``b`` steps into its first sojourn ``x`` first jumps at
+    ``x - b``; past a row's last jump its zero sojourns repeat its end time.
+    """
+    times = np.cumsum(sojourns, axis=1) - np.asarray(initial_backwards)[:, None]
+    return np.column_stack((np.zeros(len(sojourns), dtype=int), times))
 
 
 class DegenerateSampler(EmpiricalCopulaSampler):

@@ -14,6 +14,7 @@ from windbridge.estimation import attainable_param_support
 from windbridge.pipeline import (
     RunConfig,
     SyntheticWindSpec,
+    _stamp,
     _write_json,
     charge_model_from_doc,
     config_hash,
@@ -111,7 +112,7 @@ class TestPipeline:
         path = cfg.out_dir / "kernel_0.05.json"
         kernel = SemiMarkovKernel.from_dict(json.loads(path.read_text()))
         tmp = cfg.out_dir / "kernel_echo.json"
-        _write_json(tmp, kernel.to_dict(), cfg)
+        _write_json(tmp, kernel.to_dict(), _stamp(cfg))
         assert SemiMarkovKernel.from_dict(json.loads(tmp.read_text())) == kernel
         tmp.unlink()
 
@@ -537,6 +538,27 @@ class TestFileInput:
                            limits=(0.01,), n_paths=30)
         run_pipeline(cfg)
         assert (cfg.out_dir / "moments_0.01.csv").exists()
+
+    def test_config_hash_taken_once_per_stage_call(self, tmp_path, monkeypatch):
+        import windbridge.pipeline as pipeline
+        from windbridge.power import generate_synthetic_wind, write_wind_csv
+
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return config_hash(cfg)
+
+        wind_file = tmp_path / "measured.csv"
+        write_wind_csv(wind_file, generate_synthetic_wind(4000, 2.0, 8.0, 0.9, seed=5))
+        cfg = small_config(tmp_path / "from_file", wind_csv=wind_file, n_paths=30, dump_paths=True)
+        assert len(cfg.limits) == 3
+        monkeypatch.setattr(pipeline, "config_hash", counted)
+        for stage in pipeline.STAGES:
+            calls.clear()
+            written = run_stage(cfg, stage)
+            assert len(written) >= 2 and calls == [cfg], stage
+            assert all(config_hash(cfg) in path.read_text() for path in written), stage
 
     def test_nan_wind_row_rejected_at_ingest(self, tmp_path):
         wind_file = tmp_path / "measured.csv"

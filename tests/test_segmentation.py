@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from windbridge.errors import EstimationError, InputError, SimulationError
-from windbridge.pipeline import RunConfig, _write_json
+from windbridge.pipeline import RunConfig, _stamp, _write_json
 from windbridge.power import PowerSeries, RampPolicy, apply_ramp_limit
 from windbridge.segmentation import (
     SIGN_TOLERANCE,
+    STATES,
     SemiMarkovKernel,
     backward_times,
     complete_classes,
     estimate_kernel,
     extract_segments,
 )
+
+from conftest import fixed_count_chains, kernel_states, nested_q, sojourn_pmf, successor_pmf
 
 
 def series_pair(e, eb):
@@ -30,6 +33,23 @@ def make_transitions(transitions, final_state=0):
     """
     states = [state for state, _ in transitions] + [final_state]
     return states[:-1], states[1:], [x for _, x in transitions]
+
+
+def counted_kernel_doc(i, j, x):
+    """``to_dict`` of the kernel of these transitions, counted into nested dicts.
+
+    Each ``(i, j, x)`` count comes from ``np.unique`` and is divided by the
+    visits to ``i`` as Python numbers: ``q[i][j][x] = c / visits[i]``.
+    """
+    transitions = np.column_stack([np.asarray(a, dtype=int) for a in (i, j, x)])
+    keys, counts = np.unique(transitions, axis=0, return_counts=True)
+    sources, totals = np.unique(transitions[:, 0], return_counts=True)
+    visits = dict(zip(sources.tolist(), totals.tolist()))
+    q: dict = {}
+    for (a, b, k), c in zip(keys.tolist(), counts.tolist()):
+        q.setdefault(str(a), {}).setdefault(str(b), {})[str(k)] = c / visits[a]
+    states = sorted(visits)
+    return {"states": states, "visits": {str(a): visits[a] for a in states}, "q": q}
 
 
 def completed(table):
@@ -155,9 +175,10 @@ class TestTableProperties:
                 estimate_kernel(*completed(table))
             return
         kernel = estimate_kernel(*completed(table))
-        for i in kernel.states:
-            assert sum(v for jj in kernel.q[i].values() for v in jj.values()) == approx(1.0, abs=1e-12)
-            assert kernel.visits[i] == int(np.sum(table.i[:-1] == i))
+        q = nested_q(kernel)
+        for i in kernel_states(kernel):
+            assert sum(v for jj in q[i].values() for v in jj.values()) == approx(1.0, abs=1e-12)
+            assert kernel.visits[i + 1] == int(np.sum(table.i[:-1] == i))
 
 
 class TestEstimateKernel:
@@ -167,28 +188,28 @@ class TestEstimateKernel:
             [(1, 2), (0, 3), (1, 2), (0, 3), (1, 2), (0, 3), (1, 2)], final_state=-1
         )
         kernel = estimate_kernel(*transitions)
-        assert kernel.q[1][0][2] == approx(0.75)
-        assert kernel.q[1][-1][2] == approx(0.25)
-        xs, probs = kernel.sojourn_pmf(1)
+        assert kernel.Q[1 + 1, 0 + 1, 2] == approx(0.75)
+        assert kernel.Q[1 + 1, -1 + 1, 2] == approx(0.25)
+        xs, probs = sojourn_pmf(kernel, 1)
         assert xs.tolist() == [2] and probs.tolist() == approx([1.0])
-        assert kernel.successor_pmf(1, 2) == approx({-1: 0.25, 0: 0.75})
+        assert successor_pmf(kernel, 1, 2) == approx({-1: 0.25, 0: 0.75})
         assert kernel.max_sojourn(0) == 3
 
     def test_identities(self, fitted_kernel):
-        k = fitted_kernel
-        for i in k.states:
-            total = sum(v for jj in k.q[i].values() for v in jj.values())
+        k, q = fitted_kernel, nested_q(fitted_kernel)
+        for i in kernel_states(k):
+            total = sum(v for jj in q[i].values() for v in jj.values())
             assert total == approx(1.0, abs=1e-12)
-            xs, probs = k.sojourn_pmf(i)
-            assert xs.tolist() == sorted({x for jj in k.q[i].values() for x in jj})
+            xs, probs = sojourn_pmf(k, i)
+            assert xs.tolist() == sorted({x for jj in q[i].values() for x in jj})
             assert k.max_sojourn(i) == xs[-1]
             for x, hval in zip(xs.tolist(), probs):
-                assert hval == approx(sum(k.q[i][j].get(x, 0.0) for j in k.q[i]), abs=1e-12)
-                pmf = k.successor_pmf(i, x)
-                assert list(pmf) == sorted(j for j in k.q[i] if x in k.q[i][j])
+                assert hval == approx(sum(q[i][j].get(x, 0.0) for j in q[i]), abs=1e-12)
+                pmf = successor_pmf(k, i, x)
+                assert list(pmf) == sorted(j for j in q[i] if x in q[i][j])
                 assert sum(pmf.values()) == approx(1.0, abs=1e-12)
                 for j, c in pmf.items():
-                    assert c == approx(k.q[i][j][x] / hval, abs=1e-12)
+                    assert c == approx(q[i][j][x] / hval, abs=1e-12)
 
     def test_draws_match_scalar_inverse_cdf(self):
         # sojourn gaps of zero probability, and state 0 never jumps to -1
@@ -244,13 +265,13 @@ class TestEstimateKernel:
         # a 5-step charging run, then an idle tail cut by the end of the series
         _, table = extract_segments(series_pair([1.0] * 5 + [0.5] * 3, [0.5] * 8))
         kernel = estimate_kernel(*completed(table))
-        assert kernel.visits == {1: 1}
-        assert kernel.q == {1: {0: {5: 1.0}}}  # the censored visit to 0 contributes nothing
+        assert kernel.visits.tolist() == [0, 0, 1]
+        assert nested_q(kernel) == {1: {0: {5: 1.0}}}  # the censored visit to 0 contributes nothing
 
     def test_unseen_state_errors_on_use(self):
         kernel = estimate_kernel(*make_transitions([(1, 2), (0, 1), (1, 3)], final_state=0))
         with pytest.raises(EstimationError, match="-1"):
-            kernel.sojourn_pmf(-1)
+            kernel.max_sojourn(-1)
         with pytest.raises(EstimationError, match="-1"):
             kernel.sample_sojourn(-1, np.random.default_rng(0))
         with pytest.raises(EstimationError, match="state 2"):
@@ -258,7 +279,7 @@ class TestEstimateKernel:
         with pytest.raises(EstimationError, match="state -3"):
             kernel.sample_successors(np.array([-3]), np.array([1]), np.random.default_rng(0))
         with pytest.raises(SimulationError, match="length 2"):
-            kernel.successor_pmf(0, 2)
+            kernel.sample_successor(0, 2, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "q, match",
@@ -307,11 +328,11 @@ class TestEstimateKernel:
         }
         kernel = SemiMarkovKernel(q, {1: 100, 0: 100, -1: 100})
         rng = np.random.default_rng(11)
-        chains = kernel.sample_chains(np.array([0]), rng, n_transitions=20_000)
-        back = estimate_kernel(chains.states[0, :-1], chains.states[0, 1:], chains.sojourns[0])
+        states, sojourns = fixed_count_chains(kernel, np.array([0]), rng, 20_000)
+        back = nested_q(estimate_kernel(states[0, :-1], states[0, 1:], sojourns[0]))
         err = {
             i: sum(
-                abs(back.q.get(i, {}).get(j, {}).get(k, 0.0) - q[i][j][k])
+                abs(back.get(i, {}).get(j, {}).get(k, 0.0) - q[i][j][k])
                 for j in q[i]
                 for k in q[i][j]
             )
@@ -321,12 +342,25 @@ class TestEstimateKernel:
 
 
 class TestKernelJson:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(STATES), st.sampled_from(STATES), st.integers(1, 40)),
+                    min_size=1, max_size=300))
+    def test_artifact_form_matches_counting_oracle(self, transitions):
+        i, j, x = (list(column) for column in zip(*transitions))
+        kernel = estimate_kernel(i, j, x)
+        text = json.dumps(kernel.to_dict(), sort_keys=True, indent=1)
+        assert text == json.dumps(counted_kernel_doc(i, j, x), sort_keys=True, indent=1)
+        assert SemiMarkovKernel.from_dict(json.loads(text)) == kernel
+        for row, visits in zip(kernel.Q, kernel.visits):
+            if visits:
+                assert abs(row.sum() - 1.0) <= 1e-12
+
     def test_exact_round_trip(self, fitted_kernel, tmp_path):
         path = tmp_path / "kernel.json"
-        _write_json(path, {"limit_mw": 0.02, **fitted_kernel.to_dict()}, RunConfig(out_dir=tmp_path))
+        _write_json(path, {"limit_mw": 0.02, **fitted_kernel.to_dict()}, _stamp(RunConfig(out_dir=tmp_path)))
         back = SemiMarkovKernel.from_dict(json.loads(path.read_text()))
         assert back == fitted_kernel
-        assert back.visits == fitted_kernel.visits
+        np.testing.assert_array_equal(back.visits, fitted_kernel.visits)
         doc = json.loads(path.read_text())
         assert doc["limit_mw"] == 0.02
 

@@ -33,7 +33,14 @@ from windbridge.simulate import (
     simulate_penalty_paths,
 )
 
-from conftest import DegenerateSampler
+from conftest import (
+    DegenerateSampler,
+    fixed_count_chains,
+    jump_times,
+    kernel_states,
+    sojourn_pmf,
+    successor_pmf,
+)
 
 LIMIT = 0.02
 CAPACITY = 2.0
@@ -95,7 +102,8 @@ def cycle_oracle(state, backward, soc0, n_steps, battery, fees):
 
 
 def chains_and_backward(kernel, block, seed, initial_states, initial_backwards=None):
-    """The jump chains and backward-time grid of a block drawn from ``default_rng(seed)``.
+    """The jump chains ``(states, sojourns)`` and backward-time grid of a block
+    drawn from ``default_rng(seed)``.
 
     The jump chains are the first thing a block draws, so the same seed gives
     the same chains.  Backward times are read off them one step at a time, and
@@ -104,18 +112,19 @@ def chains_and_backward(kernel, block, seed, initial_states, initial_backwards=N
     z0 = np.atleast_1d(initial_states)
     b0 = np.zeros(z0.size, dtype=int) if initial_backwards is None else np.atleast_1d(initial_backwards)
     horizon = block.states.shape[1] - 1
-    chains = kernel.sample_chains(z0, np.random.default_rng(seed), b0, horizon=horizon)
+    chain, sojourns = kernel.sample_chains(z0, np.random.default_rng(seed), b0, horizon=horizon)
+    times = jump_times(sojourns, b0)
     states = np.zeros_like(block.states)
     backward = np.zeros(block.states.shape, dtype=int)
-    for n, jumps in enumerate(chains.counts.tolist()):
+    for n, jumps in enumerate((sojourns > 0).sum(axis=1).tolist()):
         for r in range(jumps):
-            entry = int(chains.jump_times[n, r]) - (int(b0[n]) if r == 0 else 0)
-            for k in range(int(chains.sojourns[n, r])):
+            entry = int(times[n, r]) - (int(b0[n]) if r == 0 else 0)
+            for k in range(int(sojourns[n, r])):
                 if 0 <= entry + k <= horizon:
-                    states[n, entry + k] = chains.states[n, r]
+                    states[n, entry + k] = chain[n, r]
                     backward[n, entry + k] = k
     np.testing.assert_array_equal(states, block.states)
-    return chains, backward
+    return (chain, sojourns), backward
 
 
 def oracle_charge_path(model, i, j, x, rng):
@@ -398,7 +407,7 @@ class TestChargeBlock:
 
         counts = {key: 30 for key in sorted(fitted_model.samplers)[::3]}
         battery, fees = BatterySpec(0.0, 0.36, 0.18), PenaltySpec(21.52, 26.50, 0.001)
-        z0 = np.resize(fitted_kernel.states, 40)
+        z0 = np.resize(kernel_states(fitted_kernel), 40)
         runs = []
         for chunk in (10**9, 50, 1):
             monkeypatch.setattr(bridge, "CHUNK_POINTS", chunk)
@@ -482,9 +491,9 @@ class TestPenaltyPath:
         b = simulate_penalty_path(fitted_kernel, fitted_model, battery, fees, horizon=200, seed=7)
         np.testing.assert_array_equal(a.penalty[0], b.penalty[0])
         np.testing.assert_array_equal(a.soc[0], b.soc[0])
-        chains_a, _ = chains_and_backward(fitted_kernel, a, 7, 0)
-        chains_b, _ = chains_and_backward(fitted_kernel, b, 7, 0)
-        np.testing.assert_array_equal(chains_a.states[0], chains_b.states[0])
+        (states_a, _), _ = chains_and_backward(fitted_kernel, a, 7, 0)
+        (states_b, _), _ = chains_and_backward(fitted_kernel, b, 7, 0)
+        np.testing.assert_array_equal(states_a[0], states_b[0])
 
     def test_backward_resume_skips_charges(self):
         kernel = cycle_kernel(x=4)
@@ -497,9 +506,9 @@ class TestPenaltyPath:
         path = simulate_penalty_path(
             kernel, model, battery, fees, horizon=1, initial_state=1, initial_backward=2, seed=0,
         )
-        chains, _ = chains_and_backward(kernel, path, 0, 1, 2)
+        (_, sojourns), _ = chains_and_backward(kernel, path, 0, 1, 2)
         # sojourn 4 with 2 steps already elapsed: 2 remaining, jump at time 2
-        assert chains.jump_times[0, 1] == 2
+        assert jump_times(sojourns, [2])[0, 1] == 2
         charges = model.charge_path(1, 0, 4, np.random.default_rng())
         # step 1 has backward time b + 1 = 3 and takes c(4), row index 3
         assert path.soc[0, 1] == approx(50.0 + charges[3])
@@ -515,29 +524,29 @@ class TestPenaltyPath:
 
     def test_renewal_law_matches_kernel(self, fitted_kernel):
         # one block of 1,000 rows of 100 jumps each
-        chains = fitted_kernel.sample_chains(np.zeros(1000), np.random.default_rng(11), n_transitions=100)
-        sojourns, states = chains.sojourns.ravel(), chains.states[:, :-1].ravel()
+        states, sojourns = fixed_count_chains(fitted_kernel, np.zeros(1000), np.random.default_rng(11), 100)
+        sojourns, states = sojourns.ravel(), states[:, :-1].ravel()
         assert sojourns.size == 100_000 and np.all(sojourns > 0)
-        for i in fitted_kernel.states:
-            ks, probs = fitted_kernel.sojourn_pmf(i)
+        for i in kernel_states(fitted_kernel):
+            ks, probs = sojourn_pmf(fitted_kernel, i)
             xs = sojourns[states == i]
             emp = np.array([(xs == k).mean() for k in ks])
             assert np.abs(emp - probs).sum() < 0.05
 
         # the same law from a block of 4,000 rows drawn round by round
-        z0 = np.resize(fitted_kernel.states, 4000)
-        chains = fitted_kernel.sample_chains(z0, np.random.default_rng(12), horizon=100)
-        row, rnd = np.nonzero(np.arange(chains.sojourns.shape[1]) < chains.counts[:, None])
-        i_, x_ = chains.states[row, rnd], chains.sojourns[row, rnd]
-        j_ = chains.states[row, rnd + 1]
-        for i in fitted_kernel.states:
-            ks, probs = fitted_kernel.sojourn_pmf(i)
+        z0 = np.resize(kernel_states(fitted_kernel), 4000)
+        chain, sojourns = fitted_kernel.sample_chains(z0, np.random.default_rng(12), horizon=100)
+        row, rnd = np.nonzero(sojourns)
+        i_, x_ = chain[row, rnd], sojourns[row, rnd]
+        j_ = chain[row, rnd + 1]
+        for i in kernel_states(fitted_kernel):
+            ks, probs = sojourn_pmf(fitted_kernel, i)
             xs = x_[i_ == i]
             assert xs.size > 10_000
             emp = np.array([(xs == k).mean() for k in ks])
             assert np.abs(emp - probs).sum() < 0.05
             for x in ks[:3]:
-                pmf = fitted_kernel.successor_pmf(i, int(x))
+                pmf = successor_pmf(fitted_kernel, i, int(x))
                 js = j_[(i_ == i) & (x_ == x)]
                 emp = np.array([(js == j).mean() for j in pmf])
                 assert np.abs(emp - np.array(list(pmf.values()))).sum() < 0.05
@@ -547,11 +556,11 @@ class TestPenaltyPath:
         fees = PenaltySpec(21.52, 26.50)
         # the first 500 jumps of this stream, the last of them past step 1985
         path = simulate_penalty_path(fitted_kernel, fitted_model, battery, fees, horizon=1985, seed=11)
-        chains, _ = chains_and_backward(fitted_kernel, path, 11, 0)
-        jumps = int(chains.counts[0])
+        (chain, sojourns), _ = chains_and_backward(fitted_kernel, path, 11, 0)
+        jumps = int((sojourns[0] > 0).sum())
         assert jumps == 500
-        for i, x in zip(chains.states[0, :jumps], chains.sojourns[0, :jumps]):
-            ks, _ = fitted_kernel.sojourn_pmf(int(i))
+        for i, x in zip(chain[0, :jumps], sojourns[0, :jumps]):
+            ks, _ = sojourn_pmf(fitted_kernel, int(i))
             assert int(x) in set(int(k) for k in ks)
 
 
@@ -584,18 +593,19 @@ class TestPenaltyBlock:
             initial_socs=s0, initial_backwards=b0, horizon=horizon,
         )
         assert block.penalty.shape == (z0.size, horizon + 1)
-        chains, backward = chains_and_backward(kernel, block, 0, z0, b0)
+        (chain, sojourns), backward = chains_and_backward(kernel, block, 0, z0, b0)
+        times = jump_times(sojourns, b0)
         discounted = discounted_penalty(block.penalty, fees.discount_rate)
         for n in range(z0.size):
             one = simulate_penalty_path(
                 kernel, model, battery, fees, horizon=horizon, initial_state=int(z0[n]),
                 initial_soc=float(s0[n]), initial_backward=int(b0[n]), seed=n,
             )
-            one_chains, one_backward = chains_and_backward(kernel, one, n, z0[n], b0[n])
-            jumps = int(chains.counts[n])
-            assert one_chains.counts[0] == jumps
-            for name in ("states", "jump_times"):
-                got, want = getattr(chains, name), getattr(one_chains, name)
+            (one_chain, one_sojourns), one_backward = chains_and_backward(kernel, one, n, z0[n], b0[n])
+            jumps = int((sojourns[n] > 0).sum())
+            assert (one_sojourns[0] > 0).sum() == jumps
+            one_times = jump_times(one_sojourns, [b0[n]])
+            for name, got, want in (("states", chain, one_chain), ("jump_times", times, one_times)):
                 np.testing.assert_array_equal(got[n, : jumps + 1], want[0, : jumps + 1], err_msg=name)
             for name in ("states", "soc", "penalty"):
                 np.testing.assert_array_equal(getattr(block, name)[n], getattr(one, name)[0], err_msg=name)
@@ -610,12 +620,12 @@ class TestPenaltyBlock:
 
     def test_conditioned_first_sojourns_exceed_backward(self, fitted_kernel):
         rng = np.random.default_rng(12)
-        z0 = rng.choice(fitted_kernel.states, 3000)
+        z0 = rng.choice(kernel_states(fitted_kernel), 3000)
         longest = np.array([fitted_kernel.max_sojourn(int(z)) for z in z0])
         b0 = (rng.random(3000) * longest).astype(int)
-        chains = fitted_kernel.sample_chains(z0, rng, b0, horizon=24)
-        assert np.all(chains.sojourns[:, 0] > b0)
-        np.testing.assert_array_equal(chains.jump_times[:, 1], chains.sojourns[:, 0] - b0)
+        _, sojourns = fitted_kernel.sample_chains(z0, rng, b0, horizon=24)
+        assert np.all(sojourns[:, 0] > b0)
+        np.testing.assert_array_equal(jump_times(sojourns, b0)[:, 1], sojourns[:, 0] - b0)
         assert b0.max() > 0
 
     def test_short_blocks_and_transition_counts(self, fitted_kernel, fitted_model):
@@ -625,11 +635,12 @@ class TestPenaltyBlock:
         block = simulate_penalty_paths(
             fitted_kernel, fitted_model, battery, fees, z0, np.random.default_rng(3), horizon=horizon,
         )
-        chains, backward = chains_and_backward(fitted_kernel, block, 3, z0)
-        assert chains.states.shape == chains.jump_times.shape == (5, chains.counts.max() + 1)
-        for n, jumps in enumerate(chains.counts.tolist()):
+        (chain, sojourns), backward = chains_and_backward(fitted_kernel, block, 3, z0)
+        times, counts = jump_times(sojourns, np.zeros(5, dtype=int)), (sojourns > 0).sum(axis=1)
+        assert chain.shape == times.shape == (5, counts.max() + 1)
+        for n, jumps in enumerate(counts.tolist()):
             # a row stops at its first jump past the horizon
-            assert chains.jump_times[n, jumps - 1] <= horizon < chains.jump_times[n, jumps]
+            assert times[n, jumps - 1] <= horizon < times[n, jumps]
         discounted = discounted_penalty(block.penalty, fees.discount_rate)
         for grid in (block.states, backward, block.soc, block.penalty, discounted):
             assert grid.shape == (5, horizon + 1)
@@ -670,6 +681,20 @@ class TestPenaltyBlock:
                 PenaltySpec(1.0, 1.0), [1, 0, -1], np.random.default_rng(0), horizon=5,
                 **{name: given[name]},
             )
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_jump_chains_reject_mismatched_backward_times(self, size):
+        with pytest.raises(InputError, match=f"^initial_backwards has {size} entries for 3 initial states$"):
+            cycle_kernel(x=3).sample_chains(
+                [1, 0, -1], np.random.default_rng(0), np.zeros(size, dtype=int), horizon=5
+            )
+
+    def test_jump_chains_take_a_scalar_backward_time_for_one_row(self):
+        kernel = cycle_kernel(x=4)
+        scalar = kernel.sample_chains(1, np.random.default_rng(0), 2, horizon=5)
+        listed = kernel.sample_chains([1], np.random.default_rng(0), [2], horizon=5)
+        for got, want in zip(scalar, listed):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSpecs:
