@@ -63,13 +63,13 @@ from .simulate import (
     BatterySpec,
     ChargeModel,
     MomentTable,
-    PenaltyBlock,
+    PenaltyPath,
     PenaltySpec,
     battery_recursion,
     discounted_penalty,
     mc_moments,
+    sample_step_grids,
     simulate_penalty_path,
-    simulate_penalty_paths,
 )
 from .validation import ComparisonReport, compare_segments, rel_l2_error
 

@@ -60,9 +60,10 @@ from .simulate import (
     ChargeModel,
     PenaltySpec,
     _check_horizon,
+    battery_recursion,
     discounted_penalty,
     mc_moments,
-    simulate_penalty_paths,
+    sample_step_grids,
 )
 from .validation import (
     ComparisonReport,
@@ -508,13 +509,16 @@ def stage_simulate(cfg: RunConfig, stamp) -> list[Path]:
 
         penalty = []
         for b in _blocks(cfg):
-            block = simulate_penalty_paths(
-                kernel, model, cfg.battery, cfg.fees, np.zeros(BLOCK_PATHS, dtype=int),
-                _rng(cfg, "simulate", idx, b), horizon=cfg.horizon,
+            states, charges = sample_step_grids(
+                kernel, model, np.zeros(BLOCK_PATHS, dtype=int), _rng(cfg, "simulate", idx, b),
+                horizon=cfg.horizon,
+            )
+            soc, pen = battery_recursion(
+                states, charges, cfg.battery, cfg.fees, np.full(BLOCK_PATHS, cfg.battery.soc_init)
             )
             if b == 0:
-                sample = block
-            penalty.append(block.penalty)
+                sample = [grid[0].copy() for grid in (states, soc, pen)]
+            penalty.append(pen)
         table = mc_moments(np.concatenate(penalty)[: cfg.n_paths, 1:], cfg.fees.discount_rate)
         rows = [["t", "mean", "std", "se_mean"]] + [
             [int(t), repr(float(m)), repr(float(s)), repr(float(se))]
@@ -525,12 +529,10 @@ def stage_simulate(cfg: RunConfig, stamp) -> list[Path]:
         out.append(path)
 
         if cfg.dump_paths:
-            discounted = discounted_penalty(sample.penalty[0], cfg.fees.discount_rate)
+            discounted = discounted_penalty(sample[2], cfg.fees.discount_rate)
             rows = [["k", "state", "S", "M", "W"]] + [
                 [int(k), int(st), repr(float(s)), repr(float(m)), repr(float(w))]
-                for k, (st, s, m, w) in enumerate(
-                    zip(sample.states[0], sample.soc[0], sample.penalty[0], discounted)
-                )
+                for k, (st, s, m, w) in enumerate(zip(*sample, discounted))
             ]
             dump = cfg.out_dir / f"paths_{tag}.csv"
             _write_csv(dump, rows, stamp)
@@ -566,12 +568,10 @@ def stage_validate(cfg: RunConfig, stamp) -> list[Path]:
             rng = _rng(cfg, "validate", idx, 2, b)
             d = rng.integers(n_days, size=BLOCK_PATHS)
             days.append(d)
-            penalty.append(
-                simulate_penalty_paths(
-                    kernel, model, cfg.battery, cfg.fees, z0[d], rng, horizon=cfg.horizon,
-                    initial_socs=s0[d], initial_backwards=np.where(restart[d], 0, b0[d]),
-                ).penalty
+            grids = sample_step_grids(
+                kernel, model, z0[d], rng, np.where(restart[d], 0, b0[d]), horizon=cfg.horizon
             )
+            penalty.append(battery_recursion(*grids, cfg.battery, cfg.fees, s0[d])[1])
         restarts = int(restart[np.concatenate(days)[: cfg.n_paths]].sum())
         logger.info(
             "limit %s: %d of %d paths start inside a sojourn at least as long as "

@@ -24,12 +24,12 @@ from .segmentation import SemiMarkovKernel
 __all__ = [
     "BatterySpec",
     "PenaltySpec",
-    "PenaltyBlock",
+    "PenaltyPath",
     "ChargeModel",
     "DEFAULT_BATTERY",
     "DEFAULT_FEES",
     "battery_recursion",
-    "simulate_penalty_paths",
+    "sample_step_grids",
     "simulate_penalty_path",
     "discounted_penalty",
     "MomentTable",
@@ -143,7 +143,7 @@ class ChargeModel:
         """Charges ``c(1..x)`` of many runs from one vectorised pass, laid end to end.
 
         ``i``, ``j`` and ``x`` hold each run's class, sorted by class as
-        :func:`simulate_penalty_paths` sorts them; equal neighbouring keys make
+        :func:`sample_step_grids` sorts them; equal neighbouring keys make
         one class.  Returns the ``x[r]`` charges of every run in the given
         order.  Idle runs are zeros and draw nothing.  Each volatility is
         predicted from its row, one :func:`predict_sigma_batch` per ``(i, j)``
@@ -240,12 +240,12 @@ class ChargeModel:
 
 
 @dataclass
-class PenaltyBlock:
-    """``P`` simulated trajectories of the battery state, its SOC and its penalties.
+class PenaltyPath:
+    """One simulated trajectory of the battery state, its SOC and its penalties.
 
-    Each array has shape ``(P, horizon+1)``, over ``k = 0..horizon``.
-    ``states`` is ``int8``; ``soc[:, 0]`` is each row's initial SOC and
-    ``penalty[:, 0] == 0``.  The discounted cumulative penalty ``W`` is
+    Each array has shape ``(horizon+1,)``, over ``k = 0..horizon``.
+    ``states`` is ``int8``; ``soc[0]`` is the initial SOC and
+    ``penalty[0] == 0``.  The discounted cumulative penalty ``W`` is
     :func:`discounted_penalty` of ``penalty``, taken where it is read.
     """
 
@@ -373,57 +373,43 @@ def _check_horizon(horizon: int) -> None:
         raise InputError(f"horizon must be >= 1, got {horizon}")
 
 
-def simulate_penalty_paths(
+def sample_step_grids(
     kernel: SemiMarkovKernel,
     charge_model: ChargeModel,
-    battery: BatterySpec,
-    fees: PenaltySpec,
     initial_states,
     rng: np.random.Generator,
-    initial_socs=None,
     initial_backwards=None,
     *,
     horizon: int,
-) -> PenaltyBlock:
-    """Simulate a block of penalty paths, one per entry of ``initial_states``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step states and charges of a block of paths, one per entry of ``initial_states``.
 
-    Row ``n`` starts in state ``initial_states[n]`` with SOC
-    ``initial_socs[n]`` (default ``battery.soc_init``), ``initial_backwards[n]``
+    Row ``n`` starts in state ``initial_states[n]``, ``initial_backwards[n]``
     steps (default 0) into its first sojourn, whose total length is drawn
-    conditional on exceeding that.  Three phases, all from ``rng``:
+    conditional on exceeding that.  Two phases, all from ``rng``:
 
     1. the jump chains of every row, round by round, until its time passes
-       ``horizon`` (:meth:`SemiMarkovKernel.sample_chains`);
+       ``horizon`` (:meth:`SemiMarkovKernel.sample_chains`, which reads the
+       start arrays);
     2. the charges of every segment of the block, sorted by class ``(i, j,
        x)``, from one :meth:`ChargeModel.charge_block` pass: first the copula
        rounds of all classes, then one normal array for all their bridges
-       (the stream rule is in its docstring), then scattered into ``int8``
-       state and charge grids; a segment entered with backward time ``b``
-       skips its first ``b`` charge values;
-    3. one :func:`battery_recursion` call on the whole block, which draws
-       nothing.
+       (the stream rule is in its docstring), then scattered into the grids;
+       a segment entered with backward time ``b`` skips its first ``b``
+       charge values.
+
+    Returns ``(states, charges)``, an ``int8`` and a float grid of shape
+    ``(P, horizon+1)``; step 0's charge is never used.  Neither depends on
+    the battery, so :func:`battery_recursion` prices one block for any
+    number of batteries on common random numbers.  Pricing happens after this
+    function returns, so the jump chains and the per-segment arrays are freed
+    before it allocates its grids: at horizon 720 that lowers the peak RSS by
+    2 MB.
     """
     _check_horizon(horizon)
-    z0 = np.asarray(initial_states, dtype=int)
-    n_rows = z0.size
-    if initial_socs is not None and np.size(initial_socs) != n_rows:
-        raise InputError(f"initial_socs has {np.size(initial_socs)} entries for {n_rows} initial states")
-    b0 = np.zeros(n_rows, dtype=int) if initial_backwards is None else np.asarray(initial_backwards, dtype=int)
-    soc0 = np.full(n_rows, battery.soc_init) if initial_socs is None else initial_socs
-
-    states, charges = _step_grids(kernel, charge_model, z0, b0, rng, horizon)
-    return PenaltyBlock(states, *battery_recursion(states, charges, battery, fees, soc0))
-
-
-def _step_grids(kernel, charge_model, z0, b0, rng, horizon):
-    """Phases 1 and 2 of :func:`simulate_penalty_paths`.
-
-    Returns ``(P, horizon+1)`` grids of per-step states and charges.  A
-    function of its own so that the jump chains and the per-segment arrays are
-    freed before phase 3 allocates its grids: at horizon 720 that lowers the
-    peak RSS by 2 MB.
-    """
-    chain, sojourn = kernel.sample_chains(z0, rng, b0, horizon=horizon)
+    chain, sojourn = kernel.sample_chains(initial_states, rng, initial_backwards, horizon=horizon)
+    n_rows = chain.shape[0]
+    b0 = np.zeros(n_rows, dtype=int) if initial_backwards is None else np.ravel(initial_backwards).astype(int)
 
     # One entry per segment, row-major; then grouped by class, in sorted order.
     # A row's first segment was entered b0 steps before time 0.
@@ -439,8 +425,8 @@ def _step_grids(kernel, charge_model, z0, b0, rng, horizon):
     # charge c(t - e + 1); steps before 0 were spent before the path began.
     # Step 0's charge is never used.  Whole segments are scattered about
     # CHUNK_POINTS steps at a time.
-    states = np.zeros((z0.size, horizon + 1), dtype=np.int8)
-    charges = np.zeros((z0.size, horizon + 1))
+    states = np.zeros((n_rows, horizon + 1), dtype=np.int8)
+    charges = np.zeros((n_rows, horizon + 1))
     for a, b in _chunks(x):
         seg, k = _ragged(x[a:b])
         seg += a
@@ -464,18 +450,20 @@ def simulate_penalty_path(
     initial_soc: float | None = None,
     initial_backward: int = 0,
     seed=None,
-) -> PenaltyBlock:
-    """The one-row block of :func:`simulate_penalty_paths`; ``seed`` may be a generator.
+) -> PenaltyPath:
+    """One row of :func:`sample_step_grids` priced by :func:`battery_recursion`.
 
-    A positive ``initial_backward`` resumes ``b`` steps into the first
-    sojourn: its total length is drawn conditional on exceeding ``b`` and the
-    first ``b`` charge values are skipped.
+    ``seed`` may be a generator; ``initial_soc`` defaults to
+    ``battery.soc_init``.  A positive ``initial_backward`` resumes ``b``
+    steps into the first sojourn: its total length is drawn conditional on
+    exceeding ``b`` and the first ``b`` charge values are skipped.
     """
-    return simulate_penalty_paths(
-        kernel, charge_model, battery, fees, [initial_state], np.random.default_rng(seed),
-        initial_socs=None if initial_soc is None else [initial_soc],
-        initial_backwards=[initial_backward], horizon=horizon,
+    states, charges = sample_step_grids(
+        kernel, charge_model, [initial_state], np.random.default_rng(seed), [initial_backward],
+        horizon=horizon,
     )
+    soc0 = battery.soc_init if initial_soc is None else initial_soc
+    return PenaltyPath(states[0], *battery_recursion(states[0], charges[0], battery, fees, soc0))
 
 
 @dataclass

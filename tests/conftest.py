@@ -62,6 +62,40 @@ def fixed_count_chains(kernel, initial_states, rng, n):
     return np.column_stack(states), np.column_stack(sojourns)
 
 
+def occupancy(kernel, i, b, horizon):
+    """The exact law ``P(Z_t = j)`` of the state at ``t = 0..horizon`` of a path
+    started in state ``i``, ``b`` steps into its sojourn; row ``j + 1`` of a
+    ``(3, horizon + 1)`` array.
+
+    Solves the Markov renewal equation on ``kernel.Q``, each source row scaled
+    to sum to 1 as the draws scale it.  With ``S_k(n) = P(X_k > n)``, the
+    density ``r_j(s)`` of a jump into ``j`` at time ``s`` obeys
+    ``r_j(s) = Q[i,j,b+s]/S_i(b) + sum_k sum_{1<=u<s} r_k(u) Q[k,j,s-u]``, and
+    ``P(Z_t = j) = 1{j=i} S_i(b+t)/S_i(b) + sum_{1<=u<=t} r_j(u) S_j(t-u)``
+    (Barbu & Limnios, *Semi-Markov Chains and Hidden Semi-Markov Models*, 2008,
+    ch. 3).
+    """
+    total = kernel.Q.sum(axis=(1, 2))
+    q = np.zeros((3, 3, max(kernel.Q.shape[2], b + horizon + 1)))
+    q[:, :, : kernel.Q.shape[2]] = kernel.Q / np.where(total > 0.0, total, 1.0)[:, None, None]
+    h = q.sum(axis=1)
+    survive = np.zeros_like(h)  # S_k(n) = sum_{x > n} h_k(x), zero past the longest sojourn
+    survive[:, :-1] = np.cumsum(h[:, ::-1], axis=1)[:, ::-1][:, 1:]
+
+    first = survive[i + 1, b]
+    r = np.zeros((3, horizon + 1))
+    r[:, 1:] = q[i + 1, :, b + 1 : b + horizon + 1] / first
+    for s in range(2, horizon + 1):
+        u = np.arange(1, s)
+        r[:, s] += np.einsum("ku,kju->j", r[:, u], q[:, :, s - u])
+    law = np.zeros((3, horizon + 1))
+    law[i + 1] = survive[i + 1, b : b + horizon + 1] / first
+    for t in range(1, horizon + 1):
+        u = np.arange(1, t + 1)
+        law[:, t] += (r[:, u] * survive[:, t - u]).sum(axis=1)
+    return law
+
+
 def jump_times(sojourns, initial_backwards):
     """Column ``r`` is when each row entered its state ``r``; column 0 is 0.
 

@@ -30,10 +30,11 @@ from windbridge.simulate import (
     BatterySpec,
     ChargeModel,
     PenaltySpec,
+    battery_recursion,
     discounted_penalty,
     mc_moments,
+    sample_step_grids,
     simulate_penalty_path,
-    simulate_penalty_paths,
 )
 
 from conftest import DegenerateSampler, fixed_count_chains, nested_q, sojourn_pmf, successor_pmf
@@ -254,15 +255,15 @@ def test_criterion_07_soc_penalty_oracle(fitted_kernel, fitted_model):
                 pen.append(0.0)
             soc.append(s_prev)
         w = np.cumsum(np.asarray(pen) * np.exp(-fees.discount_rate * np.arange(n_steps + 1)))
-        np.testing.assert_array_equal(path.soc[0], soc)
-        np.testing.assert_array_equal(path.penalty[0], pen)
-        np.testing.assert_array_equal(discounted_penalty(path.penalty[0], fees.discount_rate), w)
+        np.testing.assert_array_equal(path.soc, soc)
+        np.testing.assert_array_equal(path.penalty, pen)
+        np.testing.assert_array_equal(discounted_penalty(path.penalty, fees.discount_rate), w)
 
         # confinement + complementarity over 1e5 randomized steps
         long_path = simulate_penalty_path(
             fitted_kernel, fitted_model, battery, fees, horizon=100_000, seed=1007
         )
-        s, m, st = long_path.soc[0], long_path.penalty[0], long_path.states[0]
+        s, m, st = long_path.soc, long_path.penalty, long_path.states
         assert s.size > 100_000
         assert np.all((s >= battery.soc_min - 1e-12) & (s <= battery.soc_max + 1e-12))
         charging = (m > 0) & (st == 1)
@@ -292,11 +293,14 @@ def test_criterion_08_mc_moment_estimator(fitted_kernel, fitted_model):
         for n_paths in (100, 1000, 10_000):
             # whole idle-start blocks, one stream per block, truncated to n_paths
             penalty = np.concatenate([
-                simulate_penalty_paths(
-                    fitted_kernel, fitted_model, battery, fees, np.zeros(block, dtype=int),
-                    np.random.default_rng(np.random.SeedSequence((1008, n_paths, b))),
-                    horizon=horizon,
-                ).penalty
+                battery_recursion(
+                    *sample_step_grids(
+                        fitted_kernel, fitted_model, np.zeros(block, dtype=int),
+                        np.random.default_rng(np.random.SeedSequence((1008, n_paths, b))),
+                        horizon=horizon,
+                    ),
+                    battery, fees, np.full(block, battery.soc_init),
+                )[1]
                 for b in range(-(-n_paths // block))
             ])[:n_paths]
             ses[n_paths] = float(mc_moments(penalty[:, 1:], fees.discount_rate).se_mean[-1])

@@ -25,7 +25,14 @@ from windbridge.pipeline import (
 )
 from windbridge.power import DEFAULT_TURBINE, read_power_csv
 from windbridge.segmentation import SemiMarkovKernel
-from windbridge.simulate import DEFAULT_BATTERY, DEFAULT_FEES, BatterySpec, PenaltySpec, discounted_penalty
+from windbridge.simulate import (
+    DEFAULT_BATTERY,
+    DEFAULT_FEES,
+    BatterySpec,
+    PenaltySpec,
+    battery_recursion,
+    discounted_penalty,
+)
 
 
 def small_config(out_dir, **kw):
@@ -137,6 +144,24 @@ class TestPipeline:
             assert a["groups"] and a["groups"] == b["groups"]
             assert b["n_paths"] == 20
 
+
+    def test_one_recursion_call_per_block(self, pipeline_run, tmp_path, monkeypatch):
+        from windbridge import pipeline
+
+        calls = []
+
+        def counted(states, charges, *args):
+            calls.append(states.shape)
+            return battery_recursion(states, charges, *args)
+
+        monkeypatch.setattr(pipeline, "battery_recursion", counted)
+        cfg, _ = pipeline_run
+        more = small_config(tmp_path / "blocks", limits=(0.05,), n_paths=300)
+        shutil.copytree(cfg.out_dir, more.out_dir)
+        for stage in ("simulate", "validate"):
+            calls.clear()
+            run_stage(more, stage)
+            assert calls == [(128, cfg.horizon + 1)] * 3, stage
 
     def test_first_paths_independent_of_path_count(self, pipeline_run, tmp_path, monkeypatch):
         from windbridge import pipeline

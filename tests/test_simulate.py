@@ -29,8 +29,8 @@ from windbridge.simulate import (
     battery_recursion,
     discounted_penalty,
     mc_moments,
+    sample_step_grids,
     simulate_penalty_path,
-    simulate_penalty_paths,
 )
 
 from conftest import (
@@ -38,6 +38,7 @@ from conftest import (
     fixed_count_chains,
     jump_times,
     kernel_states,
+    occupancy,
     sojourn_pmf,
     successor_pmf,
 )
@@ -101,21 +102,23 @@ def cycle_oracle(state, backward, soc0, n_steps, battery, fees):
     return np.asarray(soc), np.asarray(pen), w
 
 
-def chains_and_backward(kernel, block, seed, initial_states, initial_backwards=None):
+def chains_and_backward(kernel, grid, seed, initial_states, initial_backwards=None):
     """The jump chains ``(states, sojourns)`` and backward-time grid of a block
     drawn from ``default_rng(seed)``.
 
-    The jump chains are the first thing a block draws, so the same seed gives
-    the same chains.  Backward times are read off them one step at a time, and
-    the states they give must be the block's.
+    ``grid`` is the block's state grid, or one path's state row.  The jump
+    chains are the first thing a block draws, so the same seed gives the same
+    chains.  Backward times are read off them one step at a time, and the
+    states they give must be the grid's.
     """
+    grid = np.atleast_2d(grid)
     z0 = np.atleast_1d(initial_states)
     b0 = np.zeros(z0.size, dtype=int) if initial_backwards is None else np.atleast_1d(initial_backwards)
-    horizon = block.states.shape[1] - 1
+    horizon = grid.shape[1] - 1
     chain, sojourns = kernel.sample_chains(z0, np.random.default_rng(seed), b0, horizon=horizon)
     times = jump_times(sojourns, b0)
-    states = np.zeros_like(block.states)
-    backward = np.zeros(block.states.shape, dtype=int)
+    states = np.zeros_like(grid)
+    backward = np.zeros(grid.shape, dtype=int)
     for n, jumps in enumerate((sojourns > 0).sum(axis=1).tolist()):
         for r in range(jumps):
             entry = int(times[n, r]) - (int(b0[n]) if r == 0 else 0)
@@ -123,7 +126,7 @@ def chains_and_backward(kernel, block, seed, initial_states, initial_backwards=N
                 if 0 <= entry + k <= horizon:
                     states[n, entry + k] = chain[n, r]
                     backward[n, entry + k] = k
-    np.testing.assert_array_equal(states, block.states)
+    np.testing.assert_array_equal(states, grid)
     return (chain, sojourns), backward
 
 
@@ -412,13 +415,14 @@ class TestChargeBlock:
         for chunk in (10**9, 50, 1):
             monkeypatch.setattr(bridge, "CHUNK_POINTS", chunk)
             c = fitted_model.charge_block(*block_keys(counts), np.random.default_rng(9))
-            block = simulate_penalty_paths(
-                fitted_kernel, fitted_model, battery, fees, z0, np.random.default_rng(9), horizon=300
+            states, charges = sample_step_grids(
+                fitted_kernel, fitted_model, z0, np.random.default_rng(9), horizon=300
             )
-            _, backward = chains_and_backward(fitted_kernel, block, 9, z0)
+            soc, penalty = battery_recursion(states, charges, battery, fees, np.full(z0.size, 0.18))
+            _, backward = chains_and_backward(fitted_kernel, states, 9, z0)
             grids = dict(
-                states=block.states, backward=backward, soc=block.soc, penalty=block.penalty,
-                discounted=discounted_penalty(block.penalty, fees.discount_rate),
+                states=states, backward=backward, charges=charges, soc=soc, penalty=penalty,
+                discounted=discounted_penalty(penalty, fees.discount_rate),
             )
             runs.append((c, grids))
         for c, grids in runs[1:]:
@@ -427,12 +431,17 @@ class TestChargeBlock:
                 np.testing.assert_array_equal(grid, runs[0][1][name], err_msg=name)
 
     def test_grids_are_narrow(self, fitted_kernel, fitted_model):
-        block = simulate_penalty_paths(
-            fitted_kernel, fitted_model, BatterySpec(0.0, 0.36, 0.18), PenaltySpec(1.0, 1.0),
-            [1], np.random.default_rng(0), horizon=50,
+        states, charges = sample_step_grids(
+            fitted_kernel, fitted_model, [1], np.random.default_rng(0), horizon=50
         )
-        assert [f.name for f in fields(block)] == ["states", "soc", "penalty"]
-        assert block.states.dtype == np.int8
+        assert states.dtype == np.int8 and states.shape == charges.shape == (1, 51)
+        path = simulate_penalty_path(
+            fitted_kernel, fitted_model, BatterySpec(0.0, 0.36, 0.18), PenaltySpec(1.0, 1.0),
+            horizon=50, initial_state=1, seed=0,
+        )
+        assert [f.name for f in fields(path)] == ["states", "soc", "penalty"]
+        assert path.states.dtype == np.int8
+        assert path.states.tobytes() == states[0].tobytes()
 
 
 class TestPenaltyPath:
@@ -443,9 +452,9 @@ class TestPenaltyPath:
         battery = BatterySpec(0.0, 0.36, 0.18)
         fees = PenaltySpec(21.52, 26.50)
         path = simulate_penalty_path(kernel, model, battery, fees, horizon=50, seed=0)
-        assert np.all(path.penalty[0] == 0.0)
-        assert np.all(path.soc[0] == 0.18)
-        assert np.all(discounted_penalty(path.penalty[0], fees.discount_rate) == 0.0)
+        assert np.all(path.penalty == 0.0)
+        assert np.all(path.soc == 0.18)
+        assert np.all(discounted_penalty(path.penalty, fees.discount_rate) == 0.0)
 
     def test_zero_capacity_battery_pays_full_fee(self):
         kernel = cycle_kernel(x=3)
@@ -456,18 +465,18 @@ class TestPenaltyPath:
         battery = BatterySpec(0.0, 0.0, 0.0)
         fees = PenaltySpec(10.0, 20.0)
         # six sojourns of 3 steps: the sixth jump is the first past step 17
-        block = simulate_penalty_path(kernel, model, battery, fees, horizon=17, initial_state=1, seed=1)
-        _, backward = chains_and_backward(kernel, block, 1, 1)
-        path = block.penalty[0]
-        for t in range(1, len(path)):
-            st = block.states[0, t]
+        path = simulate_penalty_path(kernel, model, battery, fees, horizon=17, initial_state=1, seed=1)
+        _, backward = chains_and_backward(kernel, path.states, 1, 1)
+        penalty = path.penalty
+        for t in range(1, len(penalty)):
+            st = path.states[t]
             b = backward[0, t]
             if st == 0:
-                assert path[t] == 0.0
+                assert penalty[t] == 0.0
             else:
                 seg_charges = model.charge_path(st, 0 if st == 1 else 1, 3, np.random.default_rng())
                 fee = fees.up_fee if st == 1 else fees.down_fee
-                assert path[t] == approx(fee * seg_charges[b])
+                assert penalty[t] == approx(fee * seg_charges[b])
 
     def test_soc_confinement_and_complementarity(self, fitted_kernel, fitted_model):
         battery = BatterySpec(0.0, 0.36, 0.18)
@@ -475,7 +484,7 @@ class TestPenaltyPath:
         path = simulate_penalty_path(
             fitted_kernel, fitted_model, battery, fees, horizon=20_000, seed=5
         )
-        s, m, st = path.soc[0], path.penalty[0], path.states[0]
+        s, m, st = path.soc, path.penalty, path.states
         assert np.all((s >= battery.soc_min - 1e-12) & (s <= battery.soc_max + 1e-12))
         hot = m > 0
         assert np.all(st[hot] != 0)
@@ -489,10 +498,10 @@ class TestPenaltyPath:
         fees = PenaltySpec(21.52, 26.50)
         a = simulate_penalty_path(fitted_kernel, fitted_model, battery, fees, horizon=200, seed=7)
         b = simulate_penalty_path(fitted_kernel, fitted_model, battery, fees, horizon=200, seed=7)
-        np.testing.assert_array_equal(a.penalty[0], b.penalty[0])
-        np.testing.assert_array_equal(a.soc[0], b.soc[0])
-        (states_a, _), _ = chains_and_backward(fitted_kernel, a, 7, 0)
-        (states_b, _), _ = chains_and_backward(fitted_kernel, b, 7, 0)
+        np.testing.assert_array_equal(a.penalty, b.penalty)
+        np.testing.assert_array_equal(a.soc, b.soc)
+        (states_a, _), _ = chains_and_backward(fitted_kernel, a.states, 7, 0)
+        (states_b, _), _ = chains_and_backward(fitted_kernel, b.states, 7, 0)
         np.testing.assert_array_equal(states_a[0], states_b[0])
 
     def test_backward_resume_skips_charges(self):
@@ -506,12 +515,12 @@ class TestPenaltyPath:
         path = simulate_penalty_path(
             kernel, model, battery, fees, horizon=1, initial_state=1, initial_backward=2, seed=0,
         )
-        (_, sojourns), _ = chains_and_backward(kernel, path, 0, 1, 2)
+        (_, sojourns), _ = chains_and_backward(kernel, path.states, 0, 1, 2)
         # sojourn 4 with 2 steps already elapsed: 2 remaining, jump at time 2
         assert jump_times(sojourns, [2])[0, 1] == 2
         charges = model.charge_path(1, 0, 4, np.random.default_rng())
         # step 1 has backward time b + 1 = 3 and takes c(4), row index 3
-        assert path.soc[0, 1] == approx(50.0 + charges[3])
+        assert path.soc[1] == approx(50.0 + charges[3])
 
     def test_backward_longer_than_any_sojourn(self):
         kernel = cycle_kernel(x=4)
@@ -556,7 +565,7 @@ class TestPenaltyPath:
         fees = PenaltySpec(21.52, 26.50)
         # the first 500 jumps of this stream, the last of them past step 1985
         path = simulate_penalty_path(fitted_kernel, fitted_model, battery, fees, horizon=1985, seed=11)
-        (chain, sojourns), _ = chains_and_backward(fitted_kernel, path, 11, 0)
+        (chain, sojourns), _ = chains_and_backward(fitted_kernel, path.states, 11, 0)
         jumps = int((sojourns[0] > 0).sum())
         assert jumps == 500
         for i, x in zip(chain[0, :jumps], sojourns[0, :jumps]):
@@ -574,9 +583,9 @@ class TestDegenerateOracle:
             cycle_kernel(x=3), model, battery, fees, horizon=n_steps, initial_state=1, seed=0
         )
         soc, pen, w = cycle_oracle(1, 0, battery.soc_init, n_steps, battery, fees)
-        np.testing.assert_array_equal(path.soc[0], soc)
-        np.testing.assert_array_equal(path.penalty[0], pen)
-        np.testing.assert_array_equal(discounted_penalty(path.penalty[0], fees.discount_rate), w)
+        np.testing.assert_array_equal(path.soc, soc)
+        np.testing.assert_array_equal(path.penalty, pen)
+        np.testing.assert_array_equal(discounted_penalty(path.penalty, fees.discount_rate), w)
 
 
 class TestPenaltyBlock:
@@ -588,35 +597,34 @@ class TestPenaltyBlock:
         b0 = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
         s0 = np.array([0.18, 0.0, 0.36, 0.05, 0.3, 0.2, 0.36, 0.1, 0.0])
         horizon = 200
-        block = simulate_penalty_paths(
-            kernel, model, battery, fees, z0, np.random.default_rng(0),
-            initial_socs=s0, initial_backwards=b0, horizon=horizon,
-        )
-        assert block.penalty.shape == (z0.size, horizon + 1)
-        (chain, sojourns), backward = chains_and_backward(kernel, block, 0, z0, b0)
+        states, charges = sample_step_grids(kernel, model, z0, np.random.default_rng(0), b0, horizon=horizon)
+        soc, penalty = battery_recursion(states, charges, battery, fees, s0)
+        block = dict(states=states, soc=soc, penalty=penalty)
+        assert penalty.shape == (z0.size, horizon + 1)
+        (chain, sojourns), backward = chains_and_backward(kernel, states, 0, z0, b0)
         times = jump_times(sojourns, b0)
-        discounted = discounted_penalty(block.penalty, fees.discount_rate)
+        discounted = discounted_penalty(penalty, fees.discount_rate)
         for n in range(z0.size):
             one = simulate_penalty_path(
                 kernel, model, battery, fees, horizon=horizon, initial_state=int(z0[n]),
                 initial_soc=float(s0[n]), initial_backward=int(b0[n]), seed=n,
             )
-            (one_chain, one_sojourns), one_backward = chains_and_backward(kernel, one, n, z0[n], b0[n])
+            (one_chain, one_sojourns), one_backward = chains_and_backward(kernel, one.states, n, z0[n], b0[n])
             jumps = int((sojourns[n] > 0).sum())
             assert (one_sojourns[0] > 0).sum() == jumps
             one_times = jump_times(one_sojourns, [b0[n]])
             for name, got, want in (("states", chain, one_chain), ("jump_times", times, one_times)):
                 np.testing.assert_array_equal(got[n, : jumps + 1], want[0, : jumps + 1], err_msg=name)
             for name in ("states", "soc", "penalty"):
-                np.testing.assert_array_equal(getattr(block, name)[n], getattr(one, name)[0], err_msg=name)
-            one_discounted = discounted_penalty(one.penalty[0], fees.discount_rate)
+                np.testing.assert_array_equal(block[name][n], getattr(one, name), err_msg=name)
+            one_discounted = discounted_penalty(one.penalty, fees.discount_rate)
             np.testing.assert_array_equal(discounted[n], one_discounted, err_msg="discounted")
             np.testing.assert_array_equal(backward[n], one_backward[0], err_msg="backward")
-            soc, pen, w = cycle_oracle(int(z0[n]), int(b0[n]), float(s0[n]), horizon, battery, fees)
-            np.testing.assert_array_equal(block.soc[n], soc)
-            np.testing.assert_array_equal(block.penalty[n], pen)
+            want_soc, want_pen, w = cycle_oracle(int(z0[n]), int(b0[n]), float(s0[n]), horizon, battery, fees)
+            np.testing.assert_array_equal(soc[n], want_soc)
+            np.testing.assert_array_equal(penalty[n], want_pen)
             np.testing.assert_array_equal(discounted[n], w)
-            assert block.states[n, 0] == z0[n] and backward[n, 0] == b0[n]
+            assert states[n, 0] == z0[n] and backward[n, 0] == b0[n]
 
     def test_conditioned_first_sojourns_exceed_backward(self, fitted_kernel):
         rng = np.random.default_rng(12)
@@ -632,41 +640,28 @@ class TestPenaltyBlock:
         battery, fees = BatterySpec(0.0, 0.36, 0.18), PenaltySpec(21.52, 26.50)
         horizon = 4
         z0 = np.zeros(5, dtype=int)
-        block = simulate_penalty_paths(
-            fitted_kernel, fitted_model, battery, fees, z0, np.random.default_rng(3), horizon=horizon,
+        states, charges = sample_step_grids(
+            fitted_kernel, fitted_model, z0, np.random.default_rng(3), horizon=horizon
         )
-        (chain, sojourns), backward = chains_and_backward(fitted_kernel, block, 3, z0)
+        soc, penalty = battery_recursion(states, charges, battery, fees, np.full(5, 0.18))
+        (chain, sojourns), backward = chains_and_backward(fitted_kernel, states, 3, z0)
         times, counts = jump_times(sojourns, np.zeros(5, dtype=int)), (sojourns > 0).sum(axis=1)
         assert chain.shape == times.shape == (5, counts.max() + 1)
         for n, jumps in enumerate(counts.tolist()):
             # a row stops at its first jump past the horizon
             assert times[n, jumps - 1] <= horizon < times[n, jumps]
-        discounted = discounted_penalty(block.penalty, fees.discount_rate)
-        for grid in (block.states, backward, block.soc, block.penalty, discounted):
+        discounted = discounted_penalty(penalty, fees.discount_rate)
+        for grid in (states, backward, charges, soc, penalty, discounted):
             assert grid.shape == (5, horizon + 1)
 
-    def test_one_recursion_call_per_block(self, monkeypatch):
-        import windbridge.simulate as simulate
-
-        calls = []
-
-        def counted(states, charges, *args):
-            calls.append(states.shape)
-            return battery_recursion(states, charges, *args)
-
-        monkeypatch.setattr(simulate, "battery_recursion", counted)
-        simulate_penalty_paths(
-            cycle_kernel(x=3), degenerate_model(CYCLE_ENTRIES), BatterySpec(0.0, 0.36, 0.18),
-            PenaltySpec(1.0, 1.0), [1, 0, -1], np.random.default_rng(0), horizon=5,
-        )
-        assert calls == [(3, 6)]
-
     def test_initial_soc_outside_band_rejected(self):
+        grids = sample_step_grids(
+            cycle_kernel(x=3), degenerate_model(CYCLE_ENTRIES), [1, 0, -1], np.random.default_rng(0),
+            horizon=5,
+        )
         with pytest.raises(InputError, match=r"^initial SOC at row 2 must lie in \[0.0, 0.36\], got 0.5$"):
-            simulate_penalty_paths(
-                cycle_kernel(x=3), degenerate_model(CYCLE_ENTRIES), BatterySpec(0.0, 0.36, 0.18),
-                PenaltySpec(1.0, 1.0), [1, 0, -1], np.random.default_rng(0),
-                initial_socs=[0.1, 0.2, 0.5], horizon=5,
+            battery_recursion(
+                *grids, BatterySpec(0.0, 0.36, 0.18), PenaltySpec(1.0, 1.0), [0.1, 0.2, 0.5]
             )
 
     @pytest.mark.parametrize(
@@ -674,13 +669,17 @@ class TestPenaltyBlock:
         [("initial_socs", 2), ("initial_socs", 4), ("initial_backwards", 2), ("initial_backwards", 4)],
     )
     def test_start_arrays_must_match_the_states(self, name, size):
-        given = {"initial_socs": np.full(size, 0.18), "initial_backwards": np.zeros(size, dtype=int)}
-        with pytest.raises(InputError, match=f"{name} has {size} entries for 3 initial states"):
-            simulate_penalty_paths(
-                cycle_kernel(x=3), degenerate_model(CYCLE_ENTRIES), BatterySpec(0.0, 0.36, 0.18),
-                PenaltySpec(1.0, 1.0), [1, 0, -1], np.random.default_rng(0), horizon=5,
-                **{name: given[name]},
-            )
+        # backward times are read where the states are drawn, SOCs where they are priced
+        kernel, model, rng = cycle_kernel(x=3), degenerate_model(CYCLE_ENTRIES), np.random.default_rng(0)
+        if name == "initial_backwards":
+            with pytest.raises(InputError, match=f"^initial_backwards has {size} entries for 3 initial states$"):
+                sample_step_grids(kernel, model, [1, 0, -1], rng, np.zeros(size, dtype=int), horizon=5)
+        else:
+            grids = sample_step_grids(kernel, model, [1, 0, -1], rng, horizon=5)
+            with pytest.raises(InputError, match=f"^soc0 has {size} entries for 3 rows$"):
+                battery_recursion(
+                    *grids, BatterySpec(0.0, 0.36, 0.18), PenaltySpec(1.0, 1.0), np.full(size, 0.18)
+                )
 
     @pytest.mark.parametrize("size", [1, 2, 4])
     def test_jump_chains_reject_mismatched_backward_times(self, size):
@@ -695,6 +694,44 @@ class TestPenaltyBlock:
         listed = kernel.sample_chains([1], np.random.default_rng(0), [2], horizon=5)
         for got, want in zip(scalar, listed):
             np.testing.assert_array_equal(got, want)
+
+    def test_step_grids_take_a_scalar_backward_time_for_one_row(self, fitted_kernel, fitted_model):
+        draw = dict(kernel=fitted_kernel, charge_model=fitted_model, horizon=5)
+        scalar = sample_step_grids(initial_states=0, rng=np.random.default_rng(0), initial_backwards=2, **draw)
+        listed = sample_step_grids(initial_states=[0], rng=np.random.default_rng(0), initial_backwards=[2], **draw)
+        for got, want in zip(scalar, listed):
+            assert got.shape == (1, 6)
+            assert got.tobytes() == want.tobytes()
+
+    def test_renewal_oracle_on_a_cycle(self):
+        # the x = 3 cycle is deterministic: its law is the drawn path, one-hot
+        states, _ = sample_step_grids(
+            cycle_kernel(x=3), degenerate_model(CYCLE_ENTRIES), [1], np.random.default_rng(0), [1],
+            horizon=8,
+        )
+        one_hot = np.stack([states[0] == j for j in (-1, 0, 1)]).astype(float)
+        np.testing.assert_array_equal(occupancy(cycle_kernel(x=3), 1, 1, 8), one_hot)
+
+    @pytest.mark.parametrize(
+        "start", [(0, 0), (1, 0), (1, 2), (-1, 1)], ids=["idle", "charging", "charging-b2", "discharging-b1"]
+    )
+    def test_state_grid_follows_the_renewal_law(self, fitted_kernel, fitted_model, start):
+        # 72 cells (state, t = 1..24) of 4,000 rows against the exact law
+        i, b = start
+        n, horizon = 4000, 24
+        law = occupancy(fitted_kernel, i, b, horizon)
+        np.testing.assert_allclose(law.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+        states, _ = sample_step_grids(
+            fitted_kernel, fitted_model, np.full(n, i), np.random.default_rng(2008), np.full(n, b),
+            horizon=horizon,
+        )
+        assert np.all(states[:, 0] == i)
+        p = law[:, 1:]
+        freq = np.stack([(states[:, 1:] == j).mean(axis=0) for j in (-1, 0, 1)])
+        assert np.all(freq[p == 0.0] == 0.0)
+        live = p > 0.0
+        z = (freq[live] - p[live]) / np.sqrt(p[live] * (1.0 - p[live]) / n)
+        assert np.abs(z).max() < 4.5
 
 
 class TestSpecs:

@@ -121,6 +121,7 @@ def test_every_counter_evaluates(tracing, tiny, tmp_path):
         for counter in counters:
             assert f"{module}.{attr}.{counter}" in tracer.counts, f"{module}.{attr}.{counter}"
     assert tracer.counts["validation.compare_segments.sim_paths"] > 0
+    assert tracer.counts["simulate.simulate_penalty_path.steps"] == 24
     metrics = tracer.metrics()
     assert all(np.isfinite(v) for v in metrics.values())
     assert 0.0 < metrics["bridge.clip_error.clipped_share"] < 1.0

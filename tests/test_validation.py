@@ -18,7 +18,7 @@ from windbridge.estimation import (
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
 from windbridge.power import RampPolicy, apply_ramp_limit
 from windbridge.segmentation import SegmentTable, complete_classes, extract_segments
-from windbridge.simulate import BatterySpec, PenaltySpec, mc_moments, simulate_penalty_paths
+from windbridge.simulate import BatterySpec, PenaltySpec, mc_moments, sample_step_grids
 from windbridge.validation import (
     compare_segments,
     daily_penalty_moments,
@@ -315,13 +315,11 @@ class TestDailyFolding:
     @pytest.mark.parametrize("horizon", [0, -1, -3])
     def test_horizon_below_one_rejected(self, horizon, renewal_data, fitted_kernel, fitted_model):
         states, table = renewal_data
-        battery = BatterySpec(0, 0.36, 0.18)
         calls = [
             lambda: daily_penalty_moments(np.zeros(100), horizon=horizon),
             lambda: day_start_conditions(states, table, np.zeros(len(states)), horizon=horizon),
-            lambda: simulate_penalty_paths(
-                fitted_kernel, fitted_model, battery, PenaltySpec(1, 1), [1, 0],
-                np.random.default_rng(0), horizon=horizon,
+            lambda: sample_step_grids(
+                fitted_kernel, fitted_model, [1, 0], np.random.default_rng(0), horizon=horizon
             ),
         ]
         for call in calls:
