@@ -167,21 +167,26 @@ def clip_error(latent, rho, tau, h, limit: float) -> ErrorPath:
     return ErrorPath(values=values, clipped=values != y)
 
 
-def bb_transition(
-    y_prev: float, s: float, t: float, horizon: float, sigma: float
-) -> tuple[float, float]:
+def bb_transition(y_prev, s, t, horizon, sigma):
     """Mean and variance of a Brownian bridge pinned at ``(horizon, 0)``.
 
     Conditional on the value ``y_prev`` at time ``s``, the bridge at time
     ``t`` is Gaussian with mean ``y_prev * (T-t)/(T-s)`` and variance
-    ``sigma^2 * (t-s)(T-t)/(T-s)``.
+    ``sigma^2 * (t-s)(T-t)/(T-s)``.  The arguments are values or arrays that
+    broadcast; a bad time or volatility raises, naming the first offending point.
     """
-    if not 0 <= s < t:
-        raise InputError(f"need 0 <= s < t, got s={s}, t={t}")
-    if t >= horizon:
-        raise InputError(f"transition time {t} must precede the pinning time {horizon}")
-    if sigma <= 0:
-        raise InputError(f"sigma must be positive, got {sigma}")
+    order = ~((np.asarray(s) >= 0) & np.less(s, t))
+    if order.any():
+        a, b = _first(order, s, t)
+        raise InputError(f"need 0 <= s < t, got s={a}, t={b}")
+    late = np.greater_equal(t, horizon)
+    if late.any():
+        a, b = _first(late, t, horizon)
+        raise InputError(f"transition time {a} must precede the pinning time {b}")
+    flat = np.less_equal(sigma, 0)
+    if flat.any():
+        (a,) = _first(flat, sigma)
+        raise InputError(f"sigma must be positive, got {a}")
     mean = y_prev * (horizon - t) / (horizon - s)
     var = sigma * sigma * (t - s) * (horizon - t) / (horizon - s)
     return mean, var

@@ -380,35 +380,49 @@ def fit_joint_density(
 # ---------------------------------------------------------------------------
 
 
-def mle_sigma(error: ErrorPath, tau: int, x: int) -> float:
-    """Exact Gaussian MLE of the bridge volatility from one error path.
+def mle_sigma(error: ErrorPath, tau, x: int):
+    """Exact Gaussian MLE of the bridge volatility of one error path or a class.
 
-    Only unclipped points carry information.  Walking the unclipped times
-    ``u_1 < u_2 < ...`` (with ``u_0 = 0`` and ``Y(0) = 0``), each step
-    contributes the squared innovation of the pinned-bridge transition, scaled
-    by its variance factor; the horizon is ``tau`` before the peak and ``x+1``
-    after it.  Selections landing exactly on a pinning time contribute nothing
-    and are skipped (they still serve as conditioning points).
+    ``error`` is one row ``(x,)`` with a scalar ``tau``, or a class ``(n, x)``
+    with one ``tau`` per row.  Only unclipped points carry information.
+    Walking the unclipped times ``u_1 < u_2 < ...`` (with ``u_0 = 0`` and
+    ``Y(0) = 0``), each step contributes the squared innovation of the
+    pinned-bridge transition, scaled by its variance factor; the horizon is
+    ``tau`` before the peak and ``x+1`` after it.  Selections landing exactly
+    on a pinning time contribute nothing and are skipped (they still serve as
+    conditioning points).  A class takes one :func:`bb_transition` call; the
+    squares are taken on Python floats and each row's mean over its own
+    terms, so a row equals its one-row estimate bit for bit.  A class row
+    without a term is NaN; one row without a term raises
+    :class:`InsufficientDataError`.
     """
-    values = error.values
-    if values.shape != (x,):
+    shape = error.values.shape
+    if shape[-1:] != (x,) or len(shape) > 2:
         raise InputError(f"error path must have length {x}")
-    ks = np.flatnonzero(~error.clipped) + 1
-    u_prev, y_prev = 0.0, 0.0
-    terms = []
-    for k in ks:
-        u = float(k)
-        y = float(values[k - 1])
-        horizon = float(tau) if u <= tau else float(x + 1)
-        if u != horizon:
-            mean, var_factor = bb_transition(y_prev, u_prev, u, horizon, 1.0)
-            terms.append((y - mean) ** 2 / var_factor)
-        u_prev, y_prev = u, y
-    if not terms:
-        raise InsufficientDataError(
-            "no informative unclipped increments; cannot estimate sigma"
-        )
-    return float(np.sqrt(np.mean(terms)))
+    if np.shape(tau) != shape[:-1]:
+        raise InputError(f"need one tau per error path, got shape {np.shape(tau)} for {shape}")
+    values, free = error.values.reshape(-1, x), ~error.clipped.reshape(-1, x)
+    k = np.broadcast_to(np.arange(1, x + 1), values.shape)
+    # s: the previous unclipped time, 0 before the first; column 0 holds Y(0) = 0
+    zero = np.zeros((len(values), 1), dtype=int)
+    s = np.hstack((zero, np.maximum.accumulate(np.where(free, k, 0), axis=1)[:, :-1]))
+    y_prev = np.take_along_axis(np.hstack((zero, values)), s, axis=1)
+    tau = np.reshape(tau, (-1, 1))
+    horizon = np.where(k <= tau, tau, x + 1)
+    keep = free & (k != horizon)
+    mean, var_factor = bb_transition(y_prev[keep], s[keep], k[keep], horizon[keep], 1.0)
+    terms = np.array([d**2 for d in (values[keep] - mean).tolist()]) / var_factor
+    counts = keep.sum(axis=1)
+    ends = np.cumsum(counts)
+    sigma = np.full(len(counts), np.nan)
+    for m in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == m)
+        sigma[rows] = np.sqrt(np.mean(terms[(ends[rows] - m)[:, None] + np.arange(m)], axis=1))
+    if len(shape) == 2:
+        return sigma
+    if np.isnan(sigma[0]):
+        raise InsufficientDataError("no informative unclipped increments; cannot estimate sigma")
+    return float(sigma[0])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bridge import SIGMA_FLOOR, ErrorPath, compute_initial_power, decompose, extract_peak
+from .bridge import SIGMA_FLOOR, compute_initial_power, decompose, extract_peak
 from .errors import (
     EstimationError,
     InputError,
@@ -66,7 +66,6 @@ from .simulate import (
     sample_step_grids,
 )
 from .validation import (
-    ComparisonReport,
     compare_segments,
     daily_penalty_moments,
     day_start_conditions,
@@ -384,16 +383,11 @@ def build_model_doc(
         charges, tau, h = charges[keep], tau[keep], h[keep]
         rho = compute_initial_power(i, table.entry_power[rows[keep]], x, limit, capacity)
         if x >= 2:
-            err = decompose(charges, rho, tau, h, limit)
-            obs = []
-            for r, t in enumerate(tau.tolist()):
-                try:
-                    s_hat = mle_sigma(ErrorPath(err.values[r], err.clipped[r]), t, x)
-                except InsufficientDataError:
-                    continue
-                obs.append((s_hat, rho[r], t, h[r], x))
-            if obs:
-                sigma_obs.setdefault((i, j), []).append(np.asarray(obs, dtype=float))
+            s_hat = mle_sigma(decompose(charges, rho, tau, h, limit), tau, x)
+            # a run with no informative point (NaN) gives no observation
+            obs = np.column_stack((s_hat, rho, tau, h, np.full(len(h), x)))[~np.isnan(s_hat)]
+            if len(obs):
+                sigma_obs.setdefault((i, j), []).append(obs)
         rng = np.random.default_rng(np.random.SeedSequence((*seed_key, i + 2, j + 2, x)))
         support = attainable_param_support(i, x, limit, capacity)
         sampler = fit_joint_density(

@@ -201,14 +201,12 @@ def generate_synthetic_wind(
         raise InputError(f"n_steps must be >= 1, got {n_steps}")
     _check_wind_law(shape, scale, autocorrelation)
     rng = np.random.default_rng(seed)
-    phi = autocorrelation
-    eps = rng.standard_normal(n_steps)
-    z = np.empty(n_steps)
-    z[0] = eps[0]
-    innov = np.sqrt(1.0 - phi * phi)
+    phi = float(autocorrelation)
+    innov = float(np.sqrt(1.0 - phi * phi))
+    z = rng.standard_normal(n_steps).tolist()  # Python floats: numpy scalars' bits, faster
     for k in range(1, n_steps):
-        z[k] = phi * z[k - 1] + innov * eps[k]
-    u = ndtr(z)
+        z[k] = phi * z[k - 1] + innov * z[k]
+    u = ndtr(np.array(z))
     return scale * (-np.log1p(-u)) ** (1.0 / shape)
 
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from windbridge.bridge import bb_transition
+from windbridge.errors import InputError, InsufficientDataError
 from windbridge.estimation import EmpiricalCopulaSampler
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
 from windbridge.power import (
@@ -104,6 +106,30 @@ def jump_times(sojourns, initial_backwards):
     """
     times = np.cumsum(sojourns, axis=1) - np.asarray(initial_backwards)[:, None]
     return np.column_stack((np.zeros(len(sojourns), dtype=int), times))
+
+
+def mle_sigma_loop(error, tau, x):
+    """The volatility MLE of one error path, one unclipped point at a time:
+    the reference that the class-wide ``mle_sigma`` must equal bit for bit."""
+    values = error.values
+    if values.shape != (x,):
+        raise InputError(f"error path must have length {x}")
+    ks = np.flatnonzero(~error.clipped) + 1
+    u_prev, y_prev = 0.0, 0.0
+    terms = []
+    for k in ks:
+        u = float(k)
+        y = float(values[k - 1])
+        horizon = float(tau) if u <= tau else float(x + 1)
+        if u != horizon:
+            mean, var_factor = bb_transition(y_prev, u_prev, u, horizon, 1.0)
+            terms.append((y - mean) ** 2 / var_factor)
+        u_prev, y_prev = u, y
+    if not terms:
+        raise InsufficientDataError(
+            "no informative unclipped increments; cannot estimate sigma"
+        )
+    return float(np.sqrt(np.mean(terms)))
 
 
 class DegenerateSampler(EmpiricalCopulaSampler):

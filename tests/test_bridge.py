@@ -332,6 +332,19 @@ class TestBridgeTransition:
         with pytest.raises(InputError):
             bb_transition(0.0, 3, 2, 6, 1.0)
 
+    def test_arrays_match_scalars_and_name_the_first_bad_point(self):
+        y, s, t, horizon = np.array([0.7, -0.2, 1e-6]), np.array([0, 1, 2]), np.array([5, 2, 3]), 6
+        mean, var = bb_transition(y, s, t, horizon, 2.0)
+        for r in range(3):
+            one = bb_transition(float(y[r]), int(s[r]), int(t[r]), horizon, 2.0)
+            assert (mean[r], var[r]) == one
+        with pytest.raises(InputError, match="s=3, t=2"):
+            bb_transition(y, np.array([0, 3, 4]), np.array([1, 2, 3]), horizon, 1.0)
+        with pytest.raises(InputError, match="time 6 must precede the pinning time 6"):
+            bb_transition(y, s, np.array([5, 6, 7]), horizon, 1.0)
+        with pytest.raises(InputError, match="got -1.0"):
+            bb_transition(y, s, t, horizon, np.array([1.0, -1.0, 0.0]))
+
 
 class TestLatentBridge:
     def test_pinned_at_tau_exactly(self):

@@ -27,7 +27,7 @@ from windbridge.estimation import (
     _nearest_tau,
 )
 
-from conftest import DegenerateSampler
+from conftest import DegenerateSampler, mle_sigma_loop
 
 LIMIT = 0.02
 CAPACITY = 2.0
@@ -308,6 +308,52 @@ class TestMleSigma:
             err = ErrorPath(values=y, clipped=np.zeros(x, bool))
             sq.append(mle_sigma(err, tau, x) ** 2)
         assert np.sqrt(np.mean(sq)) == approx(true_sigma, rel=0.05)
+
+    def test_square_is_taken_on_python_floats(self):
+        # from a default-workload class; d * d gives 0.00036087008831531617
+        err = ErrorPath(values=np.array([0.0, -0.00025517368657514833]), clipped=np.zeros(2, bool))
+        assert mle_sigma_loop(err, 1, 2) == 0.0003608700883153161
+        assert mle_sigma(err, 1, 2) == 0.0003608700883153161
+        assert mle_sigma(ErrorPath(err.values[None], err.clipped[None]), np.array([1]), 2)[0] == (
+            0.0003608700883153161
+        )
+
+    def test_class_shape_checks(self):
+        err = ErrorPath(values=np.zeros((3, 4)), clipped=np.zeros((3, 4), bool))
+        with pytest.raises(InputError, match="one tau per error path"):
+            mle_sigma(err, 2, 4)
+        with pytest.raises(InputError, match="one tau per error path"):
+            mle_sigma(err, np.array([1, 2]), 4)
+        with pytest.raises(InputError, match="length 5"):
+            mle_sigma(err, np.array([1, 2, 3]), 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        x=st.integers(min_value=1, max_value=40),
+        clip_share=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_class_rows_match_the_loop(self, n, x, clip_share, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-8.0, 1.0, (n, 1))
+        values = rng.standard_normal((n, x)) * scale
+        clipped = rng.random((n, x)) < clip_share
+        clipped[rng.random(n) < 0.2] = True  # some rows clipped throughout
+        tau = rng.integers(1, x + 1, n)
+        got = mle_sigma(ErrorPath(values, clipped), tau, x)
+        assert got.shape == (n,)
+        for r, t in enumerate(tau.tolist()):
+            row = ErrorPath(values[r], clipped[r])
+            try:
+                want = mle_sigma_loop(row, t, x)
+            except InsufficientDataError:
+                assert np.isnan(got[r])
+                with pytest.raises(InsufficientDataError):
+                    mle_sigma(row, t, x)
+                continue
+            assert got[r].tobytes() == np.float64(want).tobytes()
+            assert mle_sigma(row, t, x) == want
 
 
 class TestBoxCox:

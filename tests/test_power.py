@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
-from scipy.special import gamma
+from scipy.special import gamma, ndtr
 
 from windbridge import power
 from windbridge.errors import InputError
@@ -148,7 +148,29 @@ class TestRampLimit:
         np.testing.assert_array_equal(again.corrected, eb)
 
 
+def synthetic_wind_numpy_scalars(n_steps, shape, scale, autocorrelation, seed):
+    """The synthetic wind series with its AR(1) recursion on numpy scalars: the
+    reference that the Python-float recursion must equal bit for bit."""
+    rng = np.random.default_rng(seed)
+    phi = autocorrelation
+    eps = rng.standard_normal(n_steps)
+    z = np.empty(n_steps)
+    z[0] = eps[0]
+    innov = np.sqrt(1.0 - phi * phi)
+    for k in range(1, n_steps):
+        z[k] = phi * z[k - 1] + innov * eps[k]
+    u = ndtr(z)
+    return scale * (-np.log1p(-u)) ** (1.0 / shape)
+
+
 class TestSyntheticWind:
+    @pytest.mark.parametrize("n_steps", [1, 2, 5000])
+    @pytest.mark.parametrize("autocorrelation", [0.0, 0.9])
+    def test_matches_numpy_scalar_recursion(self, n_steps, autocorrelation):
+        got = generate_synthetic_wind(n_steps, 2.0, 8.0, autocorrelation, seed=1)
+        want = synthetic_wind_numpy_scalars(n_steps, 2.0, 8.0, autocorrelation, seed=1)
+        assert got.tobytes() == want.tobytes()
+
     def test_weibull_mean(self):
         shape, scale = 2.0, 8.0
         w = generate_synthetic_wind(100_000, shape, scale, autocorrelation=0.0, seed=123)

@@ -13,7 +13,6 @@ from windbridge.estimation import (
     attainable_param_support,
     fit_joint_density,
     fit_sigma_regression,
-    mle_sigma,
 )
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
 from windbridge.power import RampPolicy, apply_ramp_limit
@@ -27,6 +26,8 @@ from windbridge.validation import (
     mape_detail,
     rel_l2_error,
 )
+
+from conftest import mle_sigma_loop
 
 LIMIT = 0.02
 CAPACITY = 2.0
@@ -70,7 +71,7 @@ def per_run_model_doc(table, limit, capacity, min_group_sample=10, seed_key=()):
             if x >= 2:
                 err = decompose(padded[1 : x + 1], rho, tau, h, limit)
                 try:
-                    s_hat = mle_sigma(err, tau, x)
+                    s_hat = mle_sigma_loop(err, tau, x)
                 except InsufficientDataError:
                     continue
                 sigma_obs.setdefault((i, j), []).append((s_hat, rho, tau, h, x))
