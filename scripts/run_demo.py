@@ -12,6 +12,11 @@ from pathlib import Path
 from windbridge.pipeline import RunConfig, SyntheticWindSpec, run_pipeline
 
 
+def fmt(value, spec: str) -> str:
+    """``value`` formatted by ``spec``; ``n/a`` for a metric left undefined (``null``)."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("demo_out"))
@@ -37,8 +42,8 @@ def main() -> None:
         last = rows[-1].split(",")
         val = json.loads((args.out / f"validation_{tag}.json").read_text())
         print(f"{frac:>6g} {cfg.limit_mw(frac):>9.2f} {float(last[1]):>15.2f} "
-              f"{float(last[2]):>8.2f} {val['mean_l2_average_pct']:>11.1f} "
-              f"{val['penalty']['mape_first_moment_pct']:>10.1f}")
+              f"{float(last[2]):>8.2f} {fmt(val['mean_l2_average_pct'], '.1f'):>11} "
+              f"{fmt(val['penalty']['mape_first_moment_pct'], '.1f'):>10}")
     print(f"\nartifacts in {args.out}/")
 
 

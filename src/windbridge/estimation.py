@@ -380,11 +380,11 @@ def fit_joint_density(
 # ---------------------------------------------------------------------------
 
 
-def mle_sigma(error: ErrorPath, tau, x: int):
-    """Exact Gaussian MLE of the bridge volatility of one error path or a class.
+def mle_sigma(error: ErrorPath, tau, x: int) -> np.ndarray:
+    """Exact Gaussian MLE of the bridge volatility of each error path of a class.
 
-    ``error`` is one row ``(x,)`` with a scalar ``tau``, or a class ``(n, x)``
-    with one ``tau`` per row.  Only unclipped points carry information.
+    ``error`` is a class ``(n, x)`` with one ``tau`` per row; one volatility
+    per row is returned.  Only unclipped points carry information.
     Walking the unclipped times ``u_1 < u_2 < ...`` (with ``u_0 = 0`` and
     ``Y(0) = 0``), each step contributes the squared innovation of the
     pinned-bridge transition, scaled by its variance factor; the horizon is
@@ -392,16 +392,15 @@ def mle_sigma(error: ErrorPath, tau, x: int):
     on a pinning time contribute nothing and are skipped (they still serve as
     conditioning points).  A class takes one :func:`bb_transition` call; the
     squares are taken on Python floats and each row's mean over its own
-    terms, so a row equals its one-row estimate bit for bit.  A class row
-    without a term is NaN; one row without a term raises
-    :class:`InsufficientDataError`.
+    terms, so a row's estimate is the same, bit for bit, whatever rows share
+    its class.  A row without a term is NaN.
     """
     shape = error.values.shape
-    if shape[-1:] != (x,) or len(shape) > 2:
-        raise InputError(f"error path must have length {x}")
-    if np.shape(tau) != shape[:-1]:
+    if len(shape) != 2 or shape[1] != x:
+        raise InputError(f"need an (n, {x}) class of error paths, got shape {shape}")
+    if np.shape(tau) != shape[:1]:
         raise InputError(f"need one tau per error path, got shape {np.shape(tau)} for {shape}")
-    values, free = error.values.reshape(-1, x), ~error.clipped.reshape(-1, x)
+    values, free = error.values, ~error.clipped
     k = np.broadcast_to(np.arange(1, x + 1), values.shape)
     # s: the previous unclipped time, 0 before the first; column 0 holds Y(0) = 0
     zero = np.zeros((len(values), 1), dtype=int)
@@ -418,11 +417,7 @@ def mle_sigma(error: ErrorPath, tau, x: int):
     for m in np.unique(counts[counts > 0]).tolist():
         rows = np.flatnonzero(counts == m)
         sigma[rows] = np.sqrt(np.mean(terms[(ends[rows] - m)[:, None] + np.arange(m)], axis=1))
-    if len(shape) == 2:
-        return sigma
-    if np.isnan(sigma[0]):
-        raise InsufficientDataError("no informative unclipped increments; cannot estimate sigma")
-    return float(sigma[0])
+    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -554,9 +554,8 @@ def stage_validate(cfg: RunConfig, stamp) -> list[Path]:
         # window-start conditions so both sides face the same initial law.
         # A window that starts inside a sojourn at least as long as any
         # completed one (the censored trailing run) restarts that sojourn.
-        z0, b0, s0 = day_start_conditions(states, table, soc, cfg.horizon)
-        longest = {int(z): kernel.max_sojourn(int(z)) for z in np.unique(z0)}
-        restart = b0 >= np.array([longest[int(z)] for z in z0])
+        z0, b0, s0 = day_start_conditions(table, soc, cfg.horizon)
+        restart = b0 >= kernel.max_sojourn(z0)
         penalty, days = [], []
         for b in _blocks(cfg):
             rng = _rng(cfg, "validate", idx, 2, b)

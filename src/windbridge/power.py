@@ -111,7 +111,7 @@ def wind_to_power(speed, turbine: TurbineSpec):
     the cut-in speed maps to 0, the rated and cut-out speeds map to rated
     capacity, anything faster than cut-out maps to 0.
 
-    Accepts a scalar or an array; returns the matching shape.
+    Accepts a scalar or an array; returns an array of the matching shape.
     """
     v = np.asarray(speed, dtype=float)
     if not np.all(np.isfinite(v) & (v >= 0.0)):
@@ -121,38 +121,25 @@ def wind_to_power(speed, turbine: TurbineSpec):
     ramp = turbine.rated_capacity * (v**3 - vi3) / (vr3 - vi3)
     power = np.where(v <= turbine.cut_in_speed, 0.0, ramp)
     power = np.where(v >= turbine.rated_speed, turbine.rated_capacity, power)
-    power = np.where(v > turbine.cut_out_speed, 0.0, power)
-    if np.isscalar(speed) or np.ndim(speed) == 0:
-        return float(power)
-    return power
+    return np.where(v > turbine.cut_out_speed, 0.0, power)
 
 
-def apply_ramp_limit(
-    series: PowerSeries,
-    policy: RampPolicy,
-    initial_corrected: float | None = None,
-    capacity: float | None = None,
-) -> PowerSeries:
+def apply_ramp_limit(series: PowerSeries, policy: RampPolicy, capacity: float) -> PowerSeries:
     """Apply the ramp-rate correction and return a new series with ``corrected`` set.
 
-    Each step the injected power follows the generated power except that it may
-    not move by more than ``policy.limit`` from its previous value:
-    up-ramping events are capped at ``e_bar(k-1) + limit`` and down-ramping
-    events at ``e_bar(k-1) - limit``.  The first value defaults to the first
-    generated value when ``initial_corrected`` is not given.
-
-    ``capacity``, when provided, clamps the output to ``[0, capacity]`` to guard
-    against floating-point drift; the recursion itself cannot leave that band.
+    The injected power starts at the first generated value, then follows the
+    generated power except that it may not move by more than ``policy.limit``
+    per step: up-ramping events are capped at ``e_bar(k-1) + limit`` and
+    down-ramping events at ``e_bar(k-1) - limit``.  It is clamped to
+    ``[0, capacity]`` to guard against floating-point drift; the recursion
+    itself cannot leave that band.
     """
     e = series.generated
-    if e.size < 1:
-        raise InputError("cannot correct an empty series")
-    first = float(e[0]) if initial_corrected is None else float(initial_corrected)
-    if capacity is not None and not (0.0 <= first <= capacity):
-        raise InputError(f"initial corrected power {first} outside [0, {capacity}]")
+    prev = float(e[0])
+    if prev > capacity:
+        raise InputError(f"initial corrected power {prev} outside [0, {capacity}]")
     step = policy.limit
     out = np.empty_like(e)
-    prev = first
     out[0] = prev
     values = e.tolist()
     for k in range(1, len(values)):
@@ -167,7 +154,7 @@ def apply_ramp_limit(
             prev = ek
         if prev < 0.0:
             prev = 0.0
-        elif capacity is not None and prev > capacity:
+        elif prev > capacity:
             prev = capacity
         out[k] = prev
     return PowerSeries(generated=e, corrected=out)

@@ -23,7 +23,6 @@ __all__ = [
     "extract_segments",
     "estimate_kernel",
     "complete_classes",
-    "backward_times",
 ]
 
 #: Absolute charges below this many MW count as "battery idle".
@@ -117,11 +116,6 @@ def complete_classes(table: SegmentTable) -> dict[tuple[int, int, int], np.ndarr
     }
 
 
-def backward_times(table: SegmentTable) -> np.ndarray:
-    """Backward recurrence time ``B(k) = k - (last jump time <= k)`` at every step."""
-    return np.arange(int(table.x.sum())) - np.repeat(table.start, table.x)
-
-
 class SemiMarkovKernel:
     """Empirical kernel of the battery operation renewal process.
 
@@ -131,8 +125,8 @@ class SemiMarkovKernel:
     Draws read sums of ``Q`` computed once: the sojourn law ``h_i(x)`` (the
     sum over ``j``) and its CDF, and the successor CDFs, cumulative sums over
     ``j`` of ``Q[i + 1, j + 1, x] / h_i(x)``.  A zero entry repeats the CDF
-    value before it, so it is never drawn.  The nested JSON form of
-    :meth:`to_dict`, ``q[i][j][x]`` and ``{i: visits}``, is accepted and checked.
+    value before it, so it is never drawn.  ``Q`` or its nested JSON form
+    (:meth:`to_dict`) must be finite and nonnegative with no mass at ``x = 0``.
     """
 
     def __init__(self, Q, visits):
@@ -140,6 +134,18 @@ class SemiMarkovKernel:
             Q, visits = _kernel_array(Q, visits)
         self.Q = np.asarray(Q, dtype=float)
         self.visits = np.asarray(visits, dtype=int)
+        if self.Q.ndim != 3 or self.Q.shape[:2] != (3, 3) or not self.Q.shape[2]:
+            raise InputError(f"kernel array must have shape (3, 3, X+1), got {self.Q.shape}")
+        bad = np.argwhere(~(np.isfinite(self.Q) & (self.Q >= 0.0)))
+        if bad.size:
+            i, j, k = bad[0].tolist()
+            raise InputError(
+                f"kernel entry q[{i - 1}][{j - 1}][{k}] = {self.Q[i, j, k]} must be finite and nonnegative"
+            )
+        if self.Q[:, :, 0].any():
+            raise InputError("sojourns must be at least one step")
+        if self.visits.shape != (3,) or (self.visits < 0).any():
+            raise InputError(f"visits must be three nonnegative counts, got {self.visits.tolist()}")
         h = self._h = self.Q.sum(axis=1)
         self._H = np.cumsum(h, axis=1)
         self._longest = np.where(h > 0.0, np.arange(h.shape[1]), 0).max(axis=1)
@@ -158,8 +164,9 @@ class SemiMarkovKernel:
             raise EstimationError(f"no transitions observed from state {rows[n] - 1}")
         return rows
 
-    def max_sojourn(self, i: int) -> int:
-        return int(self._longest[self._rows([i])[0]])
+    def max_sojourn(self, states: np.ndarray) -> np.ndarray:
+        """The longest observed sojourn of each entry of ``states``."""
+        return self._longest[self._rows(states)]
 
     # -- sampling -----------------------------------------------------------
 
@@ -293,8 +300,6 @@ def _kernel_array(q: dict, visits: dict) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("sojourns must be at least one step")
     Q = np.zeros((3, 3, max((k for _, _, k, _ in entries), default=0) + 1))
     for i, j, k, v in entries:
-        if not (np.isfinite(v) and v >= 0.0):
-            raise InputError(f"kernel entry q[{i}][{j}][{k}] = {v} must be finite and nonnegative")
         Q[i + 1, j + 1, k] = v
     return Q, [counts.get(s, 0) for s in STATES]
 

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .segmentation import SegmentTable, backward_times, complete_classes
+from .segmentation import SegmentTable, complete_classes
 from .simulate import BatterySpec, ChargeModel, PenaltySpec, _check_horizon, battery_recursion, mc_moments
 
 __all__ = [
@@ -174,15 +174,14 @@ def daily_penalty_moments(
 
 
 def day_start_conditions(
-    states: np.ndarray,
-    table: SegmentTable,
-    soc: np.ndarray,
-    horizon: int = 24,
+    table: SegmentTable, soc: np.ndarray, horizon: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """States, backward times, and SOC observed at each window boundary.
 
-    ``states`` and ``table`` are what :func:`extract_segments` returns.
+    The run in progress at each window start is looked up in ``table.start``;
+    the backward time is how many steps into that run the window starts.
     """
     _check_horizon(horizon)
-    starts = np.arange((len(states) - 1) // horizon) * horizon
-    return states[starts], backward_times(table)[starts], np.asarray(soc)[starts]
+    starts = np.arange((table.charges.size - 1) // horizon) * horizon
+    run = np.searchsorted(table.start, starts, side="right") - 1
+    return table.i[run], starts - table.start[run], np.asarray(soc)[starts]

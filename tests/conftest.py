@@ -108,9 +108,15 @@ def jump_times(sojourns, initial_backwards):
     return np.column_stack((np.zeros(len(sojourns), dtype=int), times))
 
 
+def backward_times(table):
+    """Backward recurrence time ``B(k) = k - (last jump time <= k)`` at every step:
+    the per-step reference for the day starts' backward times."""
+    return np.arange(int(table.x.sum())) - np.repeat(table.start, table.x)
+
+
 def mle_sigma_loop(error, tau, x):
     """The volatility MLE of one error path, one unclipped point at a time:
-    the reference that the class-wide ``mle_sigma`` must equal bit for bit."""
+    the reference that each row of ``mle_sigma`` must equal bit for bit."""
     values = error.values
     if values.shape != (x,):
         raise InputError(f"error path must have length {x}")

@@ -74,6 +74,7 @@ def test_criterion_01_ramp_correction_invariant():
         hand = apply_ramp_limit(
             PowerSeries(generated=np.array([1.00, 1.50, 1.01, 0.90, 1.03])),
             RampPolicy(limit=0.02),
+            capacity=CAPACITY,
         )
         np.testing.assert_allclose(hand.corrected, [1.00, 1.02, 1.01, 0.99, 1.01], atol=1e-15)
     assert t.elapsed < 10.0
@@ -157,11 +158,8 @@ def test_criterion_04_sigma_mle_recovery():
     with timer() as t:
         rng = np.random.default_rng(1004)
         true_sigma, x, tau = 0.05, 50, 17
-        sq = []
-        for _ in range(200):
-            y = sample_latent_bridge(x, tau, true_sigma, rng)[0]
-            err = ErrorPath(values=y, clipped=np.zeros(x, bool))
-            sq.append(mle_sigma(err, tau, x) ** 2)
+        y = np.vstack([sample_latent_bridge(x, tau, true_sigma, rng)[0] for _ in range(200)])
+        sq = mle_sigma(ErrorPath(values=y, clipped=np.zeros(y.shape, bool)), np.full(200, tau), x) ** 2
         pooled = float(np.sqrt(np.mean(sq)))
         assert pooled == approx(true_sigma, rel=0.05)
     assert t.elapsed < 10.0

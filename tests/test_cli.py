@@ -206,9 +206,9 @@ class TestValidateRestart:
 
         series = read_power_csv(cfg.out_dir / "corrected_0.05.csv")
         kernel = SemiMarkovKernel.from_dict(json.loads((cfg.out_dir / "kernel_0.05.json").read_text()))
-        states, table = extract_segments(series)
-        z0, b0, _ = day_start_conditions(states, table, np.zeros(len(series)), cfg.horizon)
-        inside = np.flatnonzero(b0 >= [kernel.max_sojourn(int(z)) for z in z0])
+        _, table = extract_segments(series)
+        z0, b0, _ = day_start_conditions(table, np.zeros(len(series)), cfg.horizon)
+        inside = np.flatnonzero(b0 >= kernel.max_sojourn(z0))
         assert inside.size and np.all(z0[inside] == 0)
         assert inside[-1] == z0.size - 1  # the last window starts in the tail
         with pytest.raises(SimulationError, match="longer than"):

@@ -282,18 +282,19 @@ class TestMleSigma:
     def test_single_increment_closed_form(self):
         # u = (0, 1), horizon tau = 2, x = 2: sigma^2 = y^2 * 2 / (1 * 1)
         y = 0.37
-        err = ErrorPath(values=np.array([y, 0.0]), clipped=np.array([False, True]))
-        assert mle_sigma(err, tau=2, x=2) == approx(np.sqrt(2.0) * abs(y))
+        err = ErrorPath(values=np.array([[y, 0.0]]), clipped=np.array([[False, True]]))
+        assert mle_sigma(err, tau=np.array([2]), x=2) == approx([np.sqrt(2.0) * abs(y)])
 
     def test_everything_clipped(self):
-        err = ErrorPath(values=np.zeros(4), clipped=np.ones(4, bool))
-        with pytest.raises(InsufficientDataError):
-            mle_sigma(err, tau=2, x=4)
+        # row 0 is clipped throughout, row 1 is not
+        err = ErrorPath(values=np.full((2, 4), 0.1), clipped=np.array([[True] * 4, [False] * 4]))
+        sig = mle_sigma(err, tau=np.array([2, 2]), x=4)
+        assert np.isnan(sig[0]) and np.isfinite(sig[1])
 
     def test_pinned_point_skipped_but_conditions(self):
         # values at k=1..3 with tau=2: the k=2 point is pinned (horizon tau)
-        err = ErrorPath(values=np.array([0.5, 0.0, -0.2]), clipped=np.zeros(3, bool))
-        sig = mle_sigma(err, tau=2, x=3)
+        err = ErrorPath(values=np.array([[0.5, 0.0, -0.2]]), clipped=np.zeros((1, 3), bool))
+        (sig,) = mle_sigma(err, tau=np.array([2]), x=3)
         # term1: k=1, T=2: (0.5)^2 * 2/(1*1); term2: k=3, T=4, prev=(2, 0):
         # mean 0, var factor (3-2)(4-3)/(4-2) = 0.5
         expected = np.sqrt((0.25 * 2.0 + 0.04 / 0.5) / 2.0)
@@ -302,18 +303,14 @@ class TestMleSigma:
     def test_recovery_from_simulated_bridges(self):
         rng = np.random.default_rng(10)
         true_sigma, x, tau = 0.05, 50, 20
-        sq = []
-        for _ in range(200):
-            y = sample_latent_bridge(x, tau, true_sigma, rng)[0]
-            err = ErrorPath(values=y, clipped=np.zeros(x, bool))
-            sq.append(mle_sigma(err, tau, x) ** 2)
+        y = np.vstack([sample_latent_bridge(x, tau, true_sigma, rng)[0] for _ in range(200)])
+        sq = mle_sigma(ErrorPath(values=y, clipped=np.zeros(y.shape, bool)), np.full(200, tau), x) ** 2
         assert np.sqrt(np.mean(sq)) == approx(true_sigma, rel=0.05)
 
     def test_square_is_taken_on_python_floats(self):
         # from a default-workload class; d * d gives 0.00036087008831531617
         err = ErrorPath(values=np.array([0.0, -0.00025517368657514833]), clipped=np.zeros(2, bool))
         assert mle_sigma_loop(err, 1, 2) == 0.0003608700883153161
-        assert mle_sigma(err, 1, 2) == 0.0003608700883153161
         assert mle_sigma(ErrorPath(err.values[None], err.clipped[None]), np.array([1]), 2)[0] == (
             0.0003608700883153161
         )
@@ -324,8 +321,10 @@ class TestMleSigma:
             mle_sigma(err, 2, 4)
         with pytest.raises(InputError, match="one tau per error path"):
             mle_sigma(err, np.array([1, 2]), 4)
-        with pytest.raises(InputError, match="length 5"):
+        with pytest.raises(InputError, match=r"\(n, 5\) class"):
             mle_sigma(err, np.array([1, 2, 3]), 5)
+        with pytest.raises(InputError, match=r"\(n, 4\) class of error paths, got shape \(4,\)"):
+            mle_sigma(ErrorPath(values=np.zeros(4), clipped=np.zeros(4, bool)), 2, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -349,11 +348,8 @@ class TestMleSigma:
                 want = mle_sigma_loop(row, t, x)
             except InsufficientDataError:
                 assert np.isnan(got[r])
-                with pytest.raises(InsufficientDataError):
-                    mle_sigma(row, t, x)
                 continue
             assert got[r].tobytes() == np.float64(want).tobytes()
-            assert mle_sigma(row, t, x) == want
 
 
 class TestBoxCox:

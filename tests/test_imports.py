@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -22,3 +23,9 @@ def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert sorted(set(imported_names(tree)) - read) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_all_entry_resolves(path):
+    module = importlib.import_module(f"windbridge.{path.stem}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -43,6 +43,10 @@ class TestWindToPower:
         assert wind_to_power(25.0, DEFAULT_TURBINE) == 2.0
         assert wind_to_power(25.0 + 1e-9, DEFAULT_TURBINE) == 0.0
 
+    def test_scalar_gives_a_zero_dimensional_array(self):
+        out = wind_to_power(8.0, DEFAULT_TURBINE)
+        assert isinstance(out, np.ndarray) and out.shape == ()
+
     def test_vectorized(self):
         out = wind_to_power(np.array([0.0, 8.0, 30.0]), DEFAULT_TURBINE)
         assert out.shape == (3,)
@@ -90,24 +94,28 @@ class TestWindToPower:
 class TestRampLimit:
     def test_hand_computed_example(self):
         series = PowerSeries(generated=np.array([1.00, 1.50, 1.01, 0.90, 1.03]))
-        out = apply_ramp_limit(series, RampPolicy(limit=0.02), initial_corrected=1.00)
+        out = apply_ramp_limit(series, RampPolicy(limit=0.02), capacity=2.0)
         np.testing.assert_allclose(out.corrected, [1.00, 1.02, 1.01, 0.99, 1.01], atol=1e-15)
 
     def test_constant_series_untouched(self):
         series = PowerSeries(generated=np.full(50, 0.7))
-        out = apply_ramp_limit(series, RampPolicy(limit=0.02))
+        out = apply_ramp_limit(series, RampPolicy(limit=0.02), capacity=2.0)
         np.testing.assert_array_equal(out.corrected, series.generated)
 
     def test_huge_limit_never_binds(self):
         rng = np.random.default_rng(0)
         series = PowerSeries(generated=rng.uniform(0, 2, 200))
-        out = apply_ramp_limit(series, RampPolicy(limit=5.0))
+        out = apply_ramp_limit(series, RampPolicy(limit=5.0), capacity=2.0)
         np.testing.assert_array_equal(out.corrected[1:], series.generated[1:])
 
     def test_default_initial_is_first_value(self):
         series = PowerSeries(generated=np.array([0.5, 0.5]))
-        out = apply_ramp_limit(series, RampPolicy(limit=0.1))
+        out = apply_ramp_limit(series, RampPolicy(limit=0.1), capacity=2.0)
         assert out.corrected[0] == 0.5
+
+    def test_first_value_above_capacity_rejected(self):
+        with pytest.raises(InputError, match=r"initial corrected power 2.5 outside \[0, 2.0\]"):
+            apply_ramp_limit(PowerSeries(generated=np.array([2.5, 1.0])), RampPolicy(limit=0.1), 2.0)
 
     def test_empty_series_rejected(self):
         with pytest.raises(InputError):
@@ -141,10 +149,7 @@ class TestRampLimit:
         no_bind = (e[1:] >= eb[:-1] - limit) & (e[1:] <= eb[:-1] + limit)
         np.testing.assert_array_equal(eb[1:][no_bind], e[1:][no_bind])
         # correcting an already-corrected series changes nothing
-        again = apply_ramp_limit(
-            PowerSeries(generated=eb), RampPolicy(limit=limit),
-            initial_corrected=eb[0], capacity=2.0,
-        )
+        again = apply_ramp_limit(PowerSeries(generated=eb), RampPolicy(limit=limit), capacity=2.0)
         np.testing.assert_array_equal(again.corrected, eb)
 
 
@@ -208,7 +213,7 @@ class TestCsvRoundTrips:
 
     def test_power_round_trip(self, tmp_path):
         series = PowerSeries(generated=np.array([0.1, 0.9, 0.3]))
-        out = apply_ramp_limit(series, RampPolicy(limit=0.2))
+        out = apply_ramp_limit(series, RampPolicy(limit=0.2), capacity=2.0)
         path = tmp_path / "power.csv"
         write_power_csv(path, out, comment="stamp")
         back = read_power_csv(path)

@@ -13,13 +13,13 @@ from windbridge.segmentation import (
     SIGN_TOLERANCE,
     STATES,
     SemiMarkovKernel,
-    backward_times,
     complete_classes,
     estimate_kernel,
     extract_segments,
 )
+from windbridge.validation import day_start_conditions
 
-from conftest import fixed_count_chains, kernel_states, nested_q, sojourn_pmf, successor_pmf
+from conftest import backward_times, fixed_count_chains, kernel_states, nested_q, sojourn_pmf, successor_pmf
 
 
 def series_pair(e, eb):
@@ -193,7 +193,7 @@ class TestEstimateKernel:
         xs, probs = sojourn_pmf(kernel, 1)
         assert xs.tolist() == [2] and probs.tolist() == approx([1.0])
         assert successor_pmf(kernel, 1, 2) == approx({-1: 0.25, 0: 0.75})
-        assert kernel.max_sojourn(0) == 3
+        assert kernel.max_sojourn(np.array([0, 1, 0])).tolist() == [3, 2, 3]
 
     def test_identities(self, fitted_kernel):
         k, q = fitted_kernel, nested_q(fitted_kernel)
@@ -202,7 +202,7 @@ class TestEstimateKernel:
             assert total == approx(1.0, abs=1e-12)
             xs, probs = sojourn_pmf(k, i)
             assert xs.tolist() == sorted({x for jj in q[i].values() for x in jj})
-            assert k.max_sojourn(i) == xs[-1]
+            assert k.max_sojourn(np.array([i])).tolist() == [xs[-1]]
             for x, hval in zip(xs.tolist(), probs):
                 assert hval == approx(sum(q[i][j].get(x, 0.0) for j in q[i]), abs=1e-12)
                 pmf = successor_pmf(k, i, x)
@@ -270,8 +270,8 @@ class TestEstimateKernel:
 
     def test_unseen_state_errors_on_use(self):
         kernel = estimate_kernel(*make_transitions([(1, 2), (0, 1), (1, 3)], final_state=0))
-        with pytest.raises(EstimationError, match="-1"):
-            kernel.max_sojourn(-1)
+        with pytest.raises(EstimationError, match="state -1"):
+            kernel.max_sojourn(np.array([1, -1]))
         with pytest.raises(EstimationError, match="-1"):
             kernel.sample_sojourn(-1, np.random.default_rng(0))
         with pytest.raises(EstimationError, match="state 2"):
@@ -301,6 +301,30 @@ class TestEstimateKernel:
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError, match=match):
             SemiMarkovKernel.from_dict(json.loads(path.read_text()))
+
+    @pytest.mark.parametrize(
+        "entry, visits, match",
+        [
+            ("shape", [1, 1, 1], r"shape \(3, 3, X\+1\), got \(2, 2, 4\)"),
+            ((1, 2, 1, float("nan")), [1, 1, 1], r"q\[0\]\[1\]\[1\] = nan"),
+            ((1, 2, 1, -0.5), [1, 1, 1], r"q\[0\]\[1\]\[1\] = -0.5"),
+            ((1, 2, 1, float("inf")), [1, 1, 1], r"q\[0\]\[1\]\[1\] = inf"),
+            ((1, 2, 0, 0.5), [1, 1, 1], "at least one step"),
+            (None, [1, 1], r"three nonnegative counts, got \[1, 1\]"),
+            (None, [1, -1, 1], r"three nonnegative counts, got \[1, -1, 1\]"),
+        ],
+        ids=["shape", "nan", "negative", "inf", "mass-at-zero", "two-visits", "negative-visit"],
+    )
+    def test_bad_kernel_array_rejected_at_construction(self, entry, visits, match):
+        Q = np.zeros((3, 3, 4))
+        Q[1, 2, 1] = Q[2, 1, 2] = 1.0  # 0 -> 1 after one step, 1 -> 0 after two
+        if entry == "shape":
+            Q = Q[:2, :2]
+        elif entry is not None:
+            *index, value = entry
+            Q[tuple(index)] = value
+        with pytest.raises(InputError, match=match):
+            SemiMarkovKernel(Q, visits)
 
     def test_no_transitions_at_all(self):
         with pytest.raises(EstimationError):
@@ -373,3 +397,9 @@ class TestStepHelpers:
         z, table = extract_segments(series_pair(e, eb))
         np.testing.assert_array_equal(z, [1, 1, 0, 0, 0, -1, -1])
         np.testing.assert_array_equal(backward_times(table), [0, 1, 0, 1, 2, 0, 1])
+        for horizon, starts in ((1, [0, 1, 2, 3, 4, 5]), (5, [0]), (24, [])):
+            z0, b0, s0 = day_start_conditions(table, np.arange(7.0), horizon)
+            starts = np.array(starts, dtype=int)
+            np.testing.assert_array_equal(z0, z[starts])
+            np.testing.assert_array_equal(b0, backward_times(table)[starts])
+            np.testing.assert_array_equal(s0, starts)

@@ -629,7 +629,7 @@ class TestPenaltyBlock:
     def test_conditioned_first_sojourns_exceed_backward(self, fitted_kernel):
         rng = np.random.default_rng(12)
         z0 = rng.choice(kernel_states(fitted_kernel), 3000)
-        longest = np.array([fitted_kernel.max_sojourn(int(z)) for z in z0])
+        longest = fitted_kernel.max_sojourn(z0)
         b0 = (rng.random(3000) * longest).astype(int)
         _, sojourns = fitted_kernel.sample_chains(z0, rng, b0, horizon=24)
         assert np.all(sojourns[:, 0] > b0)

@@ -27,7 +27,7 @@ from windbridge.validation import (
     rel_l2_error,
 )
 
-from conftest import mle_sigma_loop
+from conftest import backward_times, mle_sigma_loop
 
 LIMIT = 0.02
 CAPACITY = 2.0
@@ -307,18 +307,24 @@ class TestDailyFolding:
         soc, _ = empirical_penalty(
             states, charges, BatterySpec(0, 0.36, 0.18), PenaltySpec(1, 1)
         )
-        z0, b0, s0 = day_start_conditions(states, table, soc, horizon=24)
+        z0, b0, s0 = day_start_conditions(table, soc, horizon=24)
         assert len(z0) == (n - 1) // 24
         assert set(np.unique(z0)) <= {-1, 0, 1}
         assert np.all(b0 >= 0)
         assert np.all((s0 >= 0) & (s0 <= 0.36))
+        for horizon in (1, 5, 24):
+            z0, b0, s0 = day_start_conditions(table, soc, horizon)
+            starts = np.arange(0, n, horizon)[: (n - 1) // horizon]
+            np.testing.assert_array_equal(z0, states[starts])
+            np.testing.assert_array_equal(b0, backward_times(table)[starts])
+            np.testing.assert_array_equal(s0, soc[starts])
 
     @pytest.mark.parametrize("horizon", [0, -1, -3])
     def test_horizon_below_one_rejected(self, horizon, renewal_data, fitted_kernel, fitted_model):
         states, table = renewal_data
         calls = [
             lambda: daily_penalty_moments(np.zeros(100), horizon=horizon),
-            lambda: day_start_conditions(states, table, np.zeros(len(states)), horizon=horizon),
+            lambda: day_start_conditions(table, np.zeros(len(states)), horizon=horizon),
             lambda: sample_step_grids(
                 fitted_kernel, fitted_model, [1, 0], np.random.default_rng(0), horizon=horizon
             ),
