@@ -458,16 +458,23 @@ def stage_fit(cfg: RunConfig, stamp) -> list[Path]:
     return out
 
 
+def _read_artifact(path: str | Path, build):
+    """``build`` of the JSON document at ``path``; a broken one raises :class:`InputError` naming it."""
+    try:
+        with open(path) as fh:
+            return build(json.load(fh))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"broken artifact {path}: {type(exc).__name__}: {exc}") from None
+
+
 def load_charge_model(path: str | Path) -> ChargeModel:
     """Rebuild a ChargeModel from a fitted-model JSON artifact."""
-    with open(path) as fh:
-        return charge_model_from_doc(json.load(fh))
+    return _read_artifact(path, charge_model_from_doc)
 
 
 def _fitted(cfg: RunConfig, tag: str) -> tuple[SemiMarkovKernel, ChargeModel]:
     """The kernel and charge model that segment and fit wrote for limit ``tag``."""
-    with open(_require(cfg.out_dir / f"kernel_{tag}.json")) as fh:
-        kernel = SemiMarkovKernel.from_dict(json.load(fh))
+    kernel = _read_artifact(_require(cfg.out_dir / f"kernel_{tag}.json"), SemiMarkovKernel.from_dict)
     return kernel, load_charge_model(_require(cfg.out_dir / f"model_{tag}.json"))
 
 
@@ -486,34 +493,37 @@ def _write_csv(path: Path, rows: list[list], stamp) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _blocks(cfg: RunConfig) -> range:
-    """Indices of the path blocks that cover ``cfg.n_paths``.
+def _penalty_moments(cfg: RunConfig, kernel, model, key: tuple, z0, b0, s0):
+    """Moments of ``cfg.n_paths`` penalty paths, path ``n`` started from entry ``d[n]`` of ``(z0, b0, s0)``.
 
-    Every block is simulated in full from its own stream and only the first
-    ``cfg.n_paths`` paths are used, so adding paths never perturbs existing ones.
+    Block ``b`` draws from ``_rng(cfg, *key, b)``: its picks ``d``, which draw nothing for one
+    start, then its grids (:func:`sample_step_grids`), priced by :func:`battery_recursion`.
+    Only the first ``cfg.n_paths`` paths are used, so adding paths never perturbs existing
+    ones.  Returns the moments, those paths' ``d`` and ``(states, soc, penalty)`` of path 0.
     """
-    return range(-(-cfg.n_paths // BLOCK_PATHS))
+    penalty, picks = [], []
+    for b in range(-(-cfg.n_paths // BLOCK_PATHS)):
+        rng = _rng(cfg, *key, b)
+        d = rng.integers(z0.size, size=BLOCK_PATHS)
+        states, charges = sample_step_grids(kernel, model, z0[d], rng, b0[d], horizon=cfg.horizon)
+        soc, pen = battery_recursion(states, charges, cfg.battery, cfg.fees, s0[d])
+        if b == 0:
+            first = [grid[0].copy() for grid in (states, soc, pen)]
+        penalty.append(pen)
+        picks.append(d)
+    table = mc_moments(np.concatenate(penalty)[: cfg.n_paths, 1:], cfg.fees.discount_rate)
+    return table, np.concatenate(picks)[: cfg.n_paths], first
 
 
 def stage_simulate(cfg: RunConfig, stamp) -> list[Path]:
     out = []
+    idle = np.zeros(1, dtype=int)
     for idx, frac in enumerate(cfg.limits):
         tag = cfg.limit_tag(frac)
         kernel, model = _fitted(cfg, tag)
-
-        penalty = []
-        for b in _blocks(cfg):
-            states, charges = sample_step_grids(
-                kernel, model, np.zeros(BLOCK_PATHS, dtype=int), _rng(cfg, "simulate", idx, b),
-                horizon=cfg.horizon,
-            )
-            soc, pen = battery_recursion(
-                states, charges, cfg.battery, cfg.fees, np.full(BLOCK_PATHS, cfg.battery.soc_init)
-            )
-            if b == 0:
-                sample = [grid[0].copy() for grid in (states, soc, pen)]
-            penalty.append(pen)
-        table = mc_moments(np.concatenate(penalty)[: cfg.n_paths, 1:], cfg.fees.discount_rate)
+        table, _, sample = _penalty_moments(
+            cfg, kernel, model, ("simulate", idx), idle, idle, np.array([cfg.battery.soc_init])
+        )
         rows = [["t", "mean", "std", "se_mean"]] + [
             [int(t), repr(float(m)), repr(float(s)), repr(float(se))]
             for t, m, s, se in zip(table.steps, table.mean, table.std, table.se_mean)
@@ -556,28 +566,21 @@ def stage_validate(cfg: RunConfig, stamp) -> list[Path]:
         # completed one (the censored trailing run) restarts that sojourn.
         z0, b0, s0 = day_start_conditions(table, soc, cfg.horizon)
         restart = b0 >= kernel.max_sojourn(z0)
-        penalty, days = [], []
-        for b in _blocks(cfg):
-            rng = _rng(cfg, "validate", idx, 2, b)
-            d = rng.integers(n_days, size=BLOCK_PATHS)
-            days.append(d)
-            grids = sample_step_grids(
-                kernel, model, z0[d], rng, np.where(restart[d], 0, b0[d]), horizon=cfg.horizon
-            )
-            penalty.append(battery_recursion(*grids, cfg.battery, cfg.fees, s0[d])[1])
-        restarts = int(restart[np.concatenate(days)[: cfg.n_paths]].sum())
+        sim, days, _ = _penalty_moments(
+            cfg, kernel, model, ("validate", idx, 2), z0, np.where(restart, 0, b0), s0
+        )
+        restarts = int(restart[days].sum())
         logger.info(
             "limit %s: %d of %d paths start inside a sojourn at least as long as "
             "any completed one and restart it", tag, restarts, cfg.n_paths,
         )
-        table = mc_moments(np.concatenate(penalty)[: cfg.n_paths, 1:], cfg.fees.discount_rate)
         # penalties are nonnegative, so a step's first moment is zero exactly
         # when its second is, and an all-zero baseline leaves both MAPEs undefined
         mape_first = mape_second = None
         skipped = emp_first.size
         if emp_first.any():
-            mape_first, skipped = mape_detail(emp_first, table.mean)
-            mape_second, _ = mape_detail(emp_second, table.second)
+            mape_first, skipped = mape_detail(emp_first, sim.mean)
+            mape_second, _ = mape_detail(emp_second, sim.second)
         else:
             logger.info("limit %s: no nonzero empirical penalties; MAPE undefined", tag)
 

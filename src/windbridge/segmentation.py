@@ -227,7 +227,7 @@ class SemiMarkovKernel:
         self,
         initial_states: np.ndarray,
         rng: np.random.Generator,
-        initial_backwards: np.ndarray | None = None,
+        initial_backwards: np.ndarray,
         *,
         horizon: int,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +248,7 @@ class SemiMarkovKernel:
         p = state.size
         if p == 0:
             raise InputError("need at least one initial state")
-        backward = np.zeros(p, dtype=int) if initial_backwards is None else np.ravel(initial_backwards).astype(int)
+        backward = np.ravel(initial_backwards).astype(int)
         if backward.size != p:
             raise InputError(f"initial_backwards has {backward.size} entries for {p} initial states")
         if np.any(backward < 0):

@@ -380,14 +380,14 @@ def sample_step_grids(
     charge_model: ChargeModel,
     initial_states,
     rng: np.random.Generator,
-    initial_backwards=None,
+    initial_backwards,
     *,
     horizon: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step states and charges of a block of paths, one per entry of ``initial_states``.
 
     Row ``n`` starts in state ``initial_states[n]``, ``initial_backwards[n]``
-    steps (default 0) into its first sojourn, whose total length is drawn
+    steps into its first sojourn, whose total length is drawn
     conditional on exceeding that.  Two phases, all from ``rng``:
 
     1. the jump chains of every row, round by round, until its time passes
@@ -411,7 +411,7 @@ def sample_step_grids(
     _check_horizon(horizon)
     chain, sojourn = kernel.sample_chains(initial_states, rng, initial_backwards, horizon=horizon)
     n_rows = chain.shape[0]
-    b0 = np.zeros(n_rows, dtype=int) if initial_backwards is None else np.ravel(initial_backwards).astype(int)
+    b0 = np.ravel(initial_backwards).astype(int)
 
     # One entry per segment, row-major; then grouped by class, in sorted order.
     # A row's first segment was entered b0 steps before time 0.

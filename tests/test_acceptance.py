@@ -295,7 +295,7 @@ def test_criterion_08_mc_moment_estimator(fitted_kernel, fitted_model):
                     *sample_step_grids(
                         fitted_kernel, fitted_model, np.zeros(block, dtype=int),
                         np.random.default_rng(np.random.SeedSequence((1008, n_paths, b))),
-                        horizon=horizon,
+                        np.zeros(block, dtype=int), horizon=horizon,
                     ),
                     battery, fees, np.full(block, battery.soc_init),
                 )[1]

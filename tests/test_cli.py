@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import re
 import shutil
@@ -12,6 +13,7 @@ from windbridge.cli import main
 from windbridge.errors import InputError
 from windbridge.estimation import attainable_param_support
 from windbridge.pipeline import (
+    BLOCK_PATHS,
     RunConfig,
     SyntheticWindSpec,
     _stamp,
@@ -32,6 +34,8 @@ from windbridge.simulate import (
     PenaltySpec,
     battery_recursion,
     discounted_penalty,
+    mc_moments,
+    sample_step_grids,
 )
 
 
@@ -185,6 +189,41 @@ class TestPipeline:
         np.testing.assert_array_equal(sim_100, sim_300[:100])
         np.testing.assert_array_equal(val_100, val_300[:100])
         assert not np.array_equal(sim_300[:100], sim_300[128:228])
+
+    def test_a_single_start_draws_nothing_for_its_picks(self):
+        rng = np.random.default_rng(np.random.SeedSequence((1, 5, 0, 0)))
+        before = copy.deepcopy(rng.bit_generator.state)
+        assert not rng.integers(1, size=BLOCK_PATHS).any()
+        assert rng.bit_generator.state == before
+
+    def test_simulated_moments_equal_the_idle_start_block_loop(self, pipeline_run, tmp_path):
+        # simulate's blocks spelt out: every path starts idle at soc_init, and
+        # picking among that one start draws nothing from the block's stream
+        cfg, _ = pipeline_run
+        for idx, frac in enumerate(cfg.limits):
+            tag = cfg.limit_tag(frac)
+            kernel = SemiMarkovKernel.from_dict(json.loads((cfg.out_dir / f"kernel_{tag}.json").read_text()))
+            model = load_charge_model(cfg.out_dir / f"model_{tag}.json")
+            idle = np.zeros(BLOCK_PATHS, dtype=int)
+            penalty = np.concatenate([
+                battery_recursion(
+                    *sample_step_grids(
+                        kernel, model, idle, np.random.default_rng(np.random.SeedSequence((cfg.seed, 5, idx, b))),
+                        idle, horizon=cfg.horizon,
+                    ),
+                    cfg.battery, cfg.fees, np.full(BLOCK_PATHS, cfg.battery.soc_init),
+                )[1]
+                for b in range(-(-cfg.n_paths // BLOCK_PATHS))
+            ])
+            table = mc_moments(penalty[: cfg.n_paths, 1:], cfg.fees.discount_rate)
+            oracle = tmp_path / f"oracle_{tag}.csv"
+            with open(oracle, "w", newline="") as fh:
+                csv.writer(fh).writerows([["t", "mean", "std", "se_mean"]] + [
+                    [int(t), repr(float(m)), repr(float(s)), repr(float(se))]
+                    for t, m, s, se in zip(table.steps, table.mean, table.std, table.se_mean)
+                ])
+            written = (cfg.out_dir / f"moments_{tag}.csv").read_bytes()
+            assert written.split(b"\n", 1)[1] == oracle.read_bytes(), tag
 
 
 class TestValidateRestart:
@@ -363,6 +402,32 @@ class TestStageErrors:
         message = str(info.value)
         assert message.startswith(f"[{stage}] missing upstream artifact: ")
         assert message.count("[") == 1
+
+    @pytest.mark.parametrize(
+        "name, breaks, match",
+        [
+            ("kernel_0.05.json", lambda doc: None, "JSONDecodeError"),
+            ("kernel_0.05.json", lambda doc: {"visits": {}}, "KeyError: 'q'"),
+            ("kernel_0.05.json", lambda doc: {"q": {"1": 5}}, "AttributeError"),
+            ("model_0.05.json", lambda doc: {k: v for k, v in doc.items() if k != "sigma_default"},
+             "KeyError: 'sigma_default'"),
+        ],
+        ids=["truncated-kernel", "kernel-without-q", "kernel-row-not-a-dict", "model-without-sigma-default"],
+    )
+    def test_broken_upstream_json_exits_with_error_line(self, pipeline_run, tmp_path, capsys, name, breaks, match):
+        cfg, _ = pipeline_run
+        out = tmp_path / "out"
+        out.mkdir()
+        for artifact in ("kernel_0.05.json", "model_0.05.json"):
+            shutil.copy(cfg.out_dir / artifact, out)
+        broken = breaks(json.loads((out / name).read_text()))
+        (out / name).write_text("{" if broken is None else json.dumps(broken))
+        rc = main(["--out", str(out), "--limit", "0.05", "--paths", "20", "--stage", "simulate"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: [simulate] broken artifact {out / name}: ")
+        assert err.count("[simulate]") == 1 and match in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("stage", ["segment", "fit", "validate"])
     def test_power_file_without_corrected_column_named(self, tmp_path, stage):

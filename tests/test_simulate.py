@@ -416,7 +416,8 @@ class TestChargeBlock:
             monkeypatch.setattr(bridge, "CHUNK_POINTS", chunk)
             c = fitted_model.charge_block(*block_keys(counts), np.random.default_rng(9))
             states, charges = sample_step_grids(
-                fitted_kernel, fitted_model, z0, np.random.default_rng(9), horizon=300
+                fitted_kernel, fitted_model, z0, np.random.default_rng(9), np.zeros(z0.size, dtype=int),
+                horizon=300,
             )
             soc, penalty = battery_recursion(states, charges, battery, fees, np.full(z0.size, 0.18))
             _, backward = chains_and_backward(fitted_kernel, states, 9, z0)
@@ -432,7 +433,7 @@ class TestChargeBlock:
 
     def test_grids_are_narrow(self, fitted_kernel, fitted_model):
         states, charges = sample_step_grids(
-            fitted_kernel, fitted_model, [1], np.random.default_rng(0), horizon=50
+            fitted_kernel, fitted_model, [1], np.random.default_rng(0), [0], horizon=50
         )
         assert states.dtype == np.int8 and states.shape == charges.shape == (1, 51)
         path = simulate_penalty_path(
@@ -544,7 +545,9 @@ class TestPenaltyPath:
 
         # the same law from a block of 4,000 rows drawn round by round
         z0 = np.resize(kernel_states(fitted_kernel), 4000)
-        chain, sojourns = fitted_kernel.sample_chains(z0, np.random.default_rng(12), horizon=100)
+        chain, sojourns = fitted_kernel.sample_chains(
+            z0, np.random.default_rng(12), np.zeros(z0.size, dtype=int), horizon=100
+        )
         row, rnd = np.nonzero(sojourns)
         i_, x_ = chain[row, rnd], sojourns[row, rnd]
         j_ = chain[row, rnd + 1]
@@ -641,7 +644,8 @@ class TestPenaltyBlock:
         horizon = 4
         z0 = np.zeros(5, dtype=int)
         states, charges = sample_step_grids(
-            fitted_kernel, fitted_model, z0, np.random.default_rng(3), horizon=horizon
+            fitted_kernel, fitted_model, z0, np.random.default_rng(3), np.zeros(5, dtype=int),
+            horizon=horizon,
         )
         soc, penalty = battery_recursion(states, charges, battery, fees, np.full(5, 0.18))
         (chain, sojourns), backward = chains_and_backward(fitted_kernel, states, 3, z0)
@@ -657,7 +661,7 @@ class TestPenaltyBlock:
     def test_initial_soc_outside_band_rejected(self):
         grids = sample_step_grids(
             cycle_kernel(x=3), degenerate_model(CYCLE_ENTRIES), [1, 0, -1], np.random.default_rng(0),
-            horizon=5,
+            [0, 0, 0], horizon=5,
         )
         with pytest.raises(InputError, match=r"^initial SOC at row 2 must lie in \[0.0, 0.36\], got 0.5$"):
             battery_recursion(
@@ -675,7 +679,7 @@ class TestPenaltyBlock:
             with pytest.raises(InputError, match=f"^initial_backwards has {size} entries for 3 initial states$"):
                 sample_step_grids(kernel, model, [1, 0, -1], rng, np.zeros(size, dtype=int), horizon=5)
         else:
-            grids = sample_step_grids(kernel, model, [1, 0, -1], rng, horizon=5)
+            grids = sample_step_grids(kernel, model, [1, 0, -1], rng, [0, 0, 0], horizon=5)
             with pytest.raises(InputError, match=f"^soc0 has {size} entries for 3 rows$"):
                 battery_recursion(
                     *grids, BatterySpec(0.0, 0.36, 0.18), PenaltySpec(1.0, 1.0), np.full(size, 0.18)

@@ -326,7 +326,7 @@ class TestDailyFolding:
             lambda: daily_penalty_moments(np.zeros(100), horizon=horizon),
             lambda: day_start_conditions(table, np.zeros(len(states)), horizon=horizon),
             lambda: sample_step_grids(
-                fitted_kernel, fitted_model, [1, 0], np.random.default_rng(0), horizon=horizon
+                fitted_kernel, fitted_model, [1, 0], np.random.default_rng(0), [0, 0], horizon=horizon
             ),
         ]
         for call in calls:
