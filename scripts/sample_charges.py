@@ -2,8 +2,10 @@
 """Dump real and simulated charge bridges for one segment class, side by side.
 
 Useful for eyeballing whether the fitted triangle-plus-bridge model reproduces
-the shapes seen in the data.  Output: <out>/real_###.csv and sim_###.csv in
-the ``k,value`` layout.
+the shapes seen in the data.  The class ``(i, j, x)`` is the given state and
+sojourn with the most common successor ``j`` of their runs.  Output:
+<out>/real_###.csv and sim_###.csv in the ``k,value`` layout, each led by the
+line ``# class i=... j=... x=...``.
 """
 
 import argparse
@@ -38,21 +40,23 @@ def main() -> None:
     doc = build_model_doc(table, args.limit, DEFAULT_TURBINE.rated_capacity, seed_key=(args.seed,))
     model = charge_model_from_doc(doc)
 
-    matches = np.flatnonzero(~table.censored & (table.i == args.state) & (table.x == args.sojourn))
-    if not matches.size:
+    runs = np.flatnonzero(~table.censored & (table.i == args.state) & (table.x == args.sojourn))
+    if not runs.size:
         raise SystemExit(f"no segments with i={args.state}, x={args.sojourn}; try another class")
+    # the class (i, j, x) takes the most common successor j of these runs
+    js, counts = np.unique(table.j[runs], return_counts=True)
+    j = int(js[np.argmax(counts)])
+    matches = runs[table.j[runs] == j]
     args.out.mkdir(parents=True, exist_ok=True)
     count = min(args.count, matches.size)
-    # simulate the class's most common successor, all paths in one draw
-    js, counts = np.unique(table.j[matches], return_counts=True)
-    j = int(js[np.argmax(counts)])
     sims = model.charge_paths(args.state, j, args.sojourn, count, np.random.default_rng(args.seed))
     real = table.charge_matrix(matches[:count], args.sojourn)
+    label = f"class i={args.state} j={j} x={args.sojourn}"
     for n in range(count):
-        write_bridge_csv(args.out / f"real_{n:03d}.csv", real[n])
-        write_bridge_csv(args.out / f"sim_{n:03d}.csv", sims[n])
-    print(f"wrote {count} real/sim bridge pairs to {args.out}/ "
-          f"({matches.size} real segments available for this class; simulated j={j})")
+        write_bridge_csv(args.out / f"real_{n:03d}.csv", real[n], comment=label)
+        write_bridge_csv(args.out / f"sim_{n:03d}.csv", sims[n], comment=label)
+    print(f"wrote {count} real/sim bridge pairs of {label} to {args.out}/ "
+          f"({matches.size} real segments available for this class)")
 
 
 if __name__ == "__main__":

@@ -90,6 +90,18 @@ class SupportSpec:
             if np.count_nonzero(bad):  # on one class's 0-d values, a sixth of np.any's cost
                 raise InputError(f"{rule}, got {np.broadcast_to(values, np.shape(bad))[bad][0]}")
 
+    def rows(self) -> list["SupportSpec"]:
+        """One support per row of a per-row spec, each field a numpy scalar of its row.
+
+        One per-row spec split into rows gives each row's own
+        :func:`attainable_param_support` values, at a fraction of the cost of
+        building one spec per class: its ten-odd ufuncs run once for all rows.
+        """
+        fields = np.broadcast_arrays(
+            self.side, self.x, self.limit, self.rho_min, self.rho_max, self.h_offset
+        )
+        return [SupportSpec(*row) for row in zip(*fields)]
+
     def h_max(self, rho, tau):
         return np.asarray(rho, dtype=float) + self.h_offset - np.asarray(tau, dtype=float) * self.limit
 

@@ -373,7 +373,9 @@ def build_model_doc(
     """
     samplers: dict[str, dict] = {}
     sigma_obs: dict[tuple[int, int], list[np.ndarray]] = {}
-    for (i, j, x), rows in complete_classes(table).items():
+    classes = complete_classes(table)
+    supports = _class_supports(list(classes), limit, capacity)
+    for ((i, j, x), rows), support in zip(classes.items(), supports):
         charges = table.charge_matrix(rows, x)
         tau, h = extract_peak(charges)
         # a flat (all-zero) run carries no parameter information
@@ -389,7 +391,6 @@ def build_model_doc(
             if len(obs):
                 sigma_obs.setdefault((i, j), []).append(obs)
         rng = np.random.default_rng(np.random.SeedSequence((*seed_key, i + 2, j + 2, x)))
-        support = attainable_param_support(i, x, limit, capacity)
         sampler = fit_joint_density(
             np.column_stack((rho, tau, h)), support, min_sample=min_group_sample, rng=rng
         )
@@ -419,14 +420,21 @@ def build_model_doc(
     }
 
 
+def _class_supports(keys: list[tuple[int, int, int]], limit: float, capacity: float) -> list:
+    """The :func:`attainable_param_support` of each class ``(i, j, x)``, from one call for all."""
+    side, _, x = np.array(keys, dtype=int).reshape(-1, 3).T
+    return attainable_param_support(side, x, limit, capacity).rows()
+
+
 def charge_model_from_doc(doc: dict) -> ChargeModel:
     """Rebuild a ChargeModel; each sampler's support comes from its class, as in the fit."""
     limit, capacity = doc["limit_mw"], doc["capacity_mw"]
-    samplers = {}
-    for key, data in doc["samplers"].items():
-        i, j, x = (int(v) for v in key.split(","))
-        support = attainable_param_support(i, x, limit, capacity)
-        samplers[(i, j, x)] = EmpiricalCopulaSampler.from_dict(data, support)
+    keys = [tuple(int(v) for v in key.split(",")) for key in doc["samplers"]]
+    supports = _class_supports(keys, limit, capacity)
+    samplers = {
+        key: EmpiricalCopulaSampler.from_dict(data, support)
+        for key, data, support in zip(keys, doc["samplers"].values(), supports)
+    }
     sigma_models = {}
     for key, data in doc["sigma_models"].items():
         i, j = (int(v) for v in key.split(","))

@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .bridge import _chunks
 from .errors import InputError
 from .segmentation import SegmentTable, complete_classes
 from .simulate import BatterySpec, ChargeModel, PenaltySpec, _check_horizon, battery_recursion, mc_moments
@@ -109,33 +110,43 @@ def compare_segments(
     """Compare per-class sample means and covariances, real versus simulated.
 
     Only classes with at least ``eligibility`` complete observations are
-    compared; each gets ``max(SIM_PATH_MULTIPLIER * n_real, MIN_SIM_PATHS)`` simulated
-    paths, drawn in one :meth:`ChargeModel.charge_paths` call per class, class
-    after class from ``rng``.  Covariance entries use the n-1 convention on
-    both sides; classes whose real covariance is identically zero report no
+    compared; each gets ``n_sim = max(SIM_PATH_MULTIPLIER * n_real, MIN_SIM_PATHS)``
+    simulated paths.  Covariance entries use the n-1 convention on both
+    sides; classes whose real covariance is identically zero report no
     covariance error.
+
+    Stream rule, all from ``rng``: the eligible classes, in sorted ``(i, j,
+    x)`` order with ``n_sim`` rows each, are split into runs of whole
+    classes of about ``CHUNK_POINTS`` simulated points (``n_sim * x``) by
+    :func:`~windbridge.bridge._chunks`, and each run is drawn by one
+    :meth:`ChargeModel.charge_block` call, run after run.  A run of one
+    class draws what :meth:`ChargeModel.charge_paths` draws.
     """
     rng = np.random.default_rng(rng)
     report = ComparisonReport(eligibility=eligibility)
-    for (i, j, x), rows in complete_classes(table).items():
-        n_real = rows.size
-        if n_real < eligibility:
-            continue
-        real = table.charge_matrix(rows, x)
-        n_sim = max(SIM_PATH_MULTIPLIER * n_real, MIN_SIM_PATHS)
-        sim = charge_model.charge_paths(i, j, x, n_sim, rng)
-        l2_mean = rel_l2_error(real.mean(axis=0), sim.mean(axis=0))
-        cov_real = np.atleast_2d(np.cov(real, rowvar=False, ddof=1))
-        cov_sim = np.atleast_2d(np.cov(sim, rowvar=False, ddof=1))
-        l2_cov = None
-        if float(np.linalg.norm(cov_real)) > 0.0:
-            l2_cov = rel_l2_error(cov_real, cov_sim)
-        report.groups.append(
-            GroupComparison(
-                i=i, j=j, x=x, n_real=n_real, n_sim=n_sim,
-                l2_mean_pct=l2_mean, l2_cov_pct=l2_cov,
+    classes = [(key, rows) for key, rows in complete_classes(table).items() if rows.size >= eligibility]
+    keys = np.array([key for key, _ in classes], dtype=np.int64).reshape(-1, 3)
+    n_real = np.array([rows.size for _, rows in classes], dtype=np.int64)
+    n_sim = np.maximum(SIM_PATH_MULTIPLIER * n_real, MIN_SIM_PATHS)
+    points = n_sim * keys[:, 2]
+    for a, b in _chunks(points):
+        block = charge_model.charge_block(*np.repeat(keys[a:b], n_sim[a:b], axis=0).T, rng)
+        sims = np.split(block, np.cumsum(points[a:b])[:-1])
+        for ((i, j, x), rows), n, flat in zip(classes[a:b], n_sim[a:b].tolist(), sims):
+            real = table.charge_matrix(rows, x)
+            sim = flat.reshape(n, x)
+            l2_mean = rel_l2_error(real.mean(axis=0), sim.mean(axis=0))
+            cov_real = np.atleast_2d(np.cov(real, rowvar=False, ddof=1))
+            cov_sim = np.atleast_2d(np.cov(sim, rowvar=False, ddof=1))
+            l2_cov = None
+            if float(np.linalg.norm(cov_real)) > 0.0:
+                l2_cov = rel_l2_error(cov_real, cov_sim)
+            report.groups.append(
+                GroupComparison(
+                    i=i, j=j, x=x, n_real=rows.size, n_sim=n,
+                    l2_mean_pct=l2_mean, l2_cov_pct=l2_cov,
+                )
             )
-        )
     return report
 
 

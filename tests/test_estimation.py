@@ -68,12 +68,16 @@ class TestSupports:
 
     def test_per_row_support_equals_scalar_calls(self):
         rows = attainable_param_support(self.SIDES, self.XS, LIMIT, CAPACITY)
+        split = rows.rows()
+        assert len(split) == self.SIDES.size
         for r, (side, x) in enumerate(zip(self.SIDES.tolist(), self.XS.tolist())):
             one = attainable_param_support(side, x, LIMIT, CAPACITY)
             for name in SupportSpec.__dataclass_fields__:
                 value = getattr(one, name)
                 at_row = np.broadcast_to(getattr(rows, name), self.SIDES.shape)[r]
                 assert np.float64(at_row).tobytes() == np.float64(value).tobytes(), (r, name)
+                got, want = np.asarray(getattr(split[r], name)), np.asarray(value)
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
     def test_per_row_methods_equal_each_rows_own_support(self):
         rng = np.random.default_rng(21)

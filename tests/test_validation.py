@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from windbridge import bridge
 from windbridge.bridge import SIGMA_FLOOR, decompose
 from windbridge.errors import EstimationError, InputError, InsufficientDataError
 from windbridge.estimation import (
@@ -201,20 +202,43 @@ class TestCompareSegments:
         b = compare_segments(table, fitted_model, rng=3)
         assert [g.__dict__ for g in a.groups] == [g.__dict__ for g in b.groups]
 
-    def test_one_batch_per_class_from_rng(self, renewal_data, fitted_model):
+    @pytest.mark.parametrize("chunk_points", [bridge.CHUNK_POINTS, 300])
+    def test_one_charge_block_per_chunk_from_rng(
+        self, renewal_data, fitted_model, monkeypatch, chunk_points
+    ):
+        monkeypatch.setattr(bridge, "CHUNK_POINTS", chunk_points)
         _, table = renewal_data
         report = compare_segments(table, fitted_model, rng=3)
-        rng = np.random.default_rng(3)
+        eligible = [(k, rows) for k, rows in complete_classes(table).items() if rows.size >= report.eligibility]
+        n_sim = [max(3 * rows.size, 100) for _, rows in eligible]
+        chunks = bridge._chunks(np.array([n * k[2] for n, (k, _) in zip(n_sim, eligible)]))
+        assert len(chunks) > 1
+        if chunk_points == 300:  # every class is a chunk alone: charge_paths, class after class
+            assert all(b - a == 1 for a, b in chunks)
+        else:
+            assert any(b - a > 1 for a, b in chunks)
+        rng, per_class_rng = np.random.default_rng(3), np.random.default_rng(3)
         expected = []
-        for (i, j, x), rows in complete_classes(table).items():
-            if rows.size < report.eligibility:
-                continue
-            real = np.vstack([table.charges[s : s + x] for s in table.start[rows]])
-            n_sim = max(3 * rows.size, 100)
-            sim = fitted_model.charge_paths(i, j, x, n_sim, rng)
-            expected.append(rel_l2_error(real.mean(axis=0), sim.mean(axis=0)))
-        assert len(expected) >= 2
-        assert [g.l2_mean_pct for g in report.groups] == expected
+        for a, b in chunks:
+            keys = [eligible[c][0] for c in range(a, b) for _ in range(n_sim[c])]
+            flat = fitted_model.charge_block(*np.array(keys).T, rng)
+            at = 0
+            for c in range(a, b):
+                (i, j, x), rows = eligible[c]
+                sim = flat[at : at + n_sim[c] * x].reshape(n_sim[c], x)
+                at += n_sim[c] * x
+                if chunk_points == 300:
+                    one = fitted_model.charge_paths(i, j, x, n_sim[c], per_class_rng)
+                    assert np.array_equal(sim, one)
+                real = np.vstack([table.charges[s : s + x] for s in table.start[rows]])
+                cov_real = np.atleast_2d(np.cov(real, rowvar=False, ddof=1))
+                cov_sim = np.atleast_2d(np.cov(sim, rowvar=False, ddof=1))
+                expected.append((
+                    (i, j, x), n_sim[c], rel_l2_error(real.mean(axis=0), sim.mean(axis=0)),
+                    rel_l2_error(cov_real, cov_sim) if np.linalg.norm(cov_real) > 0 else None,
+                ))
+            assert at == flat.size
+        assert [((g.i, g.j, g.x), g.n_sim, g.l2_mean_pct, g.l2_cov_pct) for g in report.groups] == expected
 
     def test_real_data_errors_are_moderate(self, renewal_data, fitted_model):
         _, table = renewal_data
@@ -233,6 +257,15 @@ class TestBuildModelDoc:
 
         assert fit() == fit()
         assert fit() != fit(seed_key=(1,))
+
+    def test_each_sampler_support_is_its_class_support(self, fitted_model):
+        """One support call per model, split by row, gives each class's own support bit for bit."""
+        assert {i for i, _, _ in fitted_model.samplers} == {-1, 1}
+        for (i, j, x), sampler in fitted_model.samplers.items():
+            one = attainable_param_support(i, x, LIMIT, CAPACITY)
+            for name in ("side", "x", "limit", "rho_min", "rho_max", "h_offset"):
+                got, want = (np.asarray(getattr(s, name)) for s in (sampler.support, one))
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
 
     @pytest.mark.parametrize("limit", [LIMIT, 0.1])
     def test_class_fit_matches_per_run_loop(self, corrected_series, limit):
