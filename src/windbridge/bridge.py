@@ -238,9 +238,10 @@ def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _chunks(sizes: np.ndarray) -> list[tuple[int, int]]:
     """Runs ``[a, b)`` of consecutive items of ``sizes``, about ``CHUNK_POINTS`` in total each.
 
-    A run starts at every item that begins past a further multiple of
-    ``CHUNK_POINTS`` of the running total, so one large item makes a run
-    alone.
+    An item starts a new run when the total before it lies in a later
+    ``CHUNK_POINTS`` bin than the previous item's.  So a run holds fewer than
+    ``CHUNK_POINTS`` points of items and then one last item of any size: a
+    large item joins the run it begins in, and the next item starts afresh.
     """
     before = np.cumsum(sizes) - sizes
     edges = np.flatnonzero(np.r_[True, np.diff(before // CHUNK_POINTS) > 0])

@@ -130,15 +130,18 @@ def apply_ramp_limit(series: PowerSeries, policy: RampPolicy, capacity: float) -
     The injected power starts at the first generated value, then follows the
     generated power except that it may not move by more than ``policy.limit``
     per step: up-ramping events are capped at ``e_bar(k-1) + limit`` and
-    down-ramping events at ``e_bar(k-1) - limit``.  It is clamped to
-    ``[0, capacity]`` to guard against floating-point drift; the recursion
-    itself cannot leave that band.
+    down-ramping events at ``e_bar(k-1) - limit``.  A generated value above
+    ``capacity`` raises :class:`InputError` naming its step.  Within
+    ``[0, capacity]`` every corrected value is ``e(k)`` or a capped value
+    strictly between ``e(k)`` and ``e_bar(k-1)``, so it stays in that band.
     """
     e = series.generated
-    prev = float(e[0])
-    if prev > capacity:
-        raise InputError(f"initial corrected power {prev} outside [0, {capacity}]")
+    above = np.flatnonzero(e > capacity)
+    if above.size:
+        k = int(above[0])
+        raise InputError(f"generated power {e[k]} at step {k} outside [0, {capacity}]")
     step = policy.limit
+    prev = float(e[0])
     out = np.empty_like(e)
     out[0] = prev
     values = e.tolist()
@@ -152,10 +155,6 @@ def apply_ramp_limit(series: PowerSeries, policy: RampPolicy, capacity: float) -
             prev = lo
         else:
             prev = ek
-        if prev < 0.0:
-            prev = 0.0
-        elif prev > capacity:
-            prev = capacity
         out[k] = prev
     return PowerSeries(generated=e, corrected=out)
 

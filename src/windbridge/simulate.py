@@ -4,8 +4,7 @@ and Monte Carlo estimation of the discounted cumulative penalty moments.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +13,6 @@ from .errors import InputError, SimulationError
 from .estimation import (
     EmpiricalCopulaSampler,
     SigmaModel,
-    attainable_param_support,
     predict_sigma_batch,
     sample_classes,
 )
@@ -35,8 +33,6 @@ __all__ = [
     "MomentTable",
     "mc_moments",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -80,10 +76,9 @@ DEFAULT_FEES = PenaltySpec(up_fee=21.52, down_fee=26.50, discount_rate=0.0)
 class ChargeModel:
     """Registry of fitted samplers and volatility models for one ramp limit.
 
-    Sojourns without a fitted sampler for their (i, j) pair fall back to the
-    nearest fitted sojourn length, with the drawn parameters clamped into the
-    support of the actual length; a length that no attainable ``rho`` can
-    carry raises :class:`SimulationError`.
+    Each non-idle class ``(i, j, x)`` a kernel enters needs its own fitted
+    sampler, as a kernel and a model fitted from one segment table always have;
+    any other class raises :class:`SimulationError` naming it.
     """
 
     def __init__(
@@ -99,24 +94,15 @@ class ChargeModel:
         self.limit = float(limit)
         self.capacity = float(capacity)
         self.sigma_default = float(sigma_default)
-        xs: dict[tuple[int, int], list[int]] = {}
-        for (i, j, x) in self.samplers:
-            xs.setdefault((i, j), []).append(x)
-        self._x_by_pair = {pair: np.sort(np.asarray(v)) for pair, v in xs.items()}
 
     def sampler_for(self, i: int, j: int, x: int) -> tuple[EmpiricalCopulaSampler, bool]:
-        """Exact sampler if fitted, else the nearest-sojourn fallback."""
-        key = (i, j, x)
-        if key in self.samplers:
-            return self.samplers[key], False
-        xs = self._x_by_pair.get((i, j))
-        if xs is None or xs.size == 0:
-            raise SimulationError(
-                f"no fitted sampler for pair (i={i}, j={j}) of class (i={i}, j={j}, x={x})"
-            )
-        nearest = int(xs[np.argmin(np.abs(xs - x))])
-        logger.debug("no sampler for (%d, %d, x=%d); falling back to x=%d", i, j, x, nearest)
-        return self.samplers[(i, j, nearest)], True
+        """``(sampler, False)`` for the fitted class ``(i, j, x)``.  The flag is
+        always ``False``, since no class draws from another's sampler; the
+        benchmark tracer's ``fallbacks`` counter reads it."""
+        sampler = self.samplers.get((i, j, x))
+        if sampler is None:
+            raise SimulationError(f"no fitted sampler for class (i={i}, j={j}, x={x})")
+        return sampler, False
 
     def sigma_model_for(self, i: int, j: int) -> SigmaModel:
         return self.sigma_models.get((i, j)) or SigmaModel.constant(self.sigma_default)
@@ -184,29 +170,9 @@ class ChargeModel:
         starts = np.flatnonzero(np.r_[True, (np.diff(i) != 0) | (np.diff(j) != 0) | (np.diff(x) != 0)])
         counts = np.diff(np.r_[starts, live.size])
         keys = list(zip(i[starts].tolist(), j[starts].tolist(), x[starts].tolist()))
-        found = [self.sampler_for(*key) for key in keys]
+        names = [f"(i={a}, j={b}, x={c})" for a, b, c in keys]
+        rho, tau, h = sample_classes([self.sampler_for(*k)[0] for k in keys], counts, rng, names=names)
         cls = np.repeat(np.arange(len(keys)), counts)
-        # nearest-sojourn draws are clamped to the attainable support of their
-        # own length, with rho also floored at (x-1)*limit, the least ceiling
-        # under which a charge path of x steps stays nonnegative
-        fell = np.flatnonzero(np.array([fell_back for _, fell_back in found])[cls])
-        if fell.size:
-            clamp_to = attainable_param_support(i[fell], x[fell], self.limit, self.capacity)
-            rho_needed = (x[fell] - 1) * self.limit
-            short = rho_needed > clamp_to.rho_max
-            if short.any():
-                k = int(np.argmax(short))
-                a, b, c = (int(v[fell[k]]) for v in (i, j, x))
-                raise SimulationError(
-                    f"no attainable rho covers a sojourn of {c} steps for (i={a}, j={b}, x={c}): "
-                    f"needs {float(rho_needed[k])}, support ends at {float(clamp_to.rho_max[k])}"
-                )
-            clamp_to = replace(clamp_to, rho_min=np.maximum(clamp_to.rho_min, rho_needed))
-        rho, tau, h = sample_classes(
-            [s for s, _ in found], counts, rng, names=[f"(i={a}, j={b}, x={c})" for a, b, c in keys]
-        )
-        if fell.size:
-            rho[fell], tau[fell], h[fell] = clamp_to.clamp(rho[fell], tau[fell], h[fell])
 
         one = x == 1
         out[offset[one]] = np.minimum(np.maximum(h[one], 0.0), rho[one])

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from windbridge.bridge import (
+    CHUNK_POINTS,
     ErrorPath,
+    _chunks,
     bb_transition,
     clip_error,
     clip_to_band,
@@ -408,6 +410,28 @@ class TestLatentBridgeBlock:
     def test_wrong_number_of_normals(self):
         with pytest.raises(InputError, match="need 7 normals"):
             latent_bridges([0], [6], [2], [1.0], np.zeros(6))
+
+
+class TestChunks:
+    def test_a_large_item_joins_the_run_it_begins_in(self):
+        # 5,000 points begin at 10, inside the first run's bin: the run keeps
+        # them, and the item after them, beginning at 5,010, starts afresh
+        assert CHUNK_POINTS == 4096
+        assert _chunks(np.array([10, 5000, 10, 10])) == [(0, 2), (2, 4)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(min_value=0, max_value=3 * CHUNK_POINTS), min_size=1, max_size=40))
+    def test_runs_hold_the_items_that_begin_in_one_bin(self, sizes):
+        sizes = np.array(sizes)
+        runs = _chunks(sizes)
+        assert runs[0][0] == 0 and runs[-1][1] == sizes.size
+        assert all(a < b and b == c for (a, b), (c, _) in zip(runs, runs[1:]))
+        for a, b in runs:
+            # every item but the last begins in the run's first item's bin, and
+            # every run but the last reaches past the end of that bin
+            into_bin = int(sizes[:a].sum()) % CHUNK_POINTS
+            assert into_bin + sizes[a : b - 1].sum() < CHUNK_POINTS
+            assert b == sizes.size or into_bin + sizes[a:b].sum() >= CHUNK_POINTS
 
 
 class TestBridgeCsv:

@@ -114,8 +114,14 @@ class TestRampLimit:
         assert out.corrected[0] == 0.5
 
     def test_first_value_above_capacity_rejected(self):
-        with pytest.raises(InputError, match=r"initial corrected power 2.5 outside \[0, 2.0\]"):
+        with pytest.raises(InputError, match=r"generated power 2.5 at step 0 outside \[0, 2.0\]"):
             apply_ramp_limit(PowerSeries(generated=np.array([2.5, 1.0])), RampPolicy(limit=0.1), 2.0)
+
+    def test_later_value_above_capacity_rejected(self):
+        # the first value above capacity is named, not silently capped
+        generated = np.array([1.0, 2.0, 1.9, 2.25, 3.0])
+        with pytest.raises(InputError, match=r"generated power 2.25 at step 3 outside \[0, 2.0\]"):
+            apply_ramp_limit(PowerSeries(generated=generated), RampPolicy(limit=0.1), 2.0)
 
     def test_empty_series_rejected(self):
         with pytest.raises(InputError):

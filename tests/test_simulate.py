@@ -132,14 +132,8 @@ def chains_and_backward(kernel, grid, seed, initial_states, initial_backwards=No
 
 def oracle_charge_path(model, i, j, x, rng):
     """One charge path composed from the scalar primitives, step by step."""
-    sampler, fell_back = model.sampler_for(i, j, x)
-    rho, tau, h = (v[0] for v in sampler.sample_n(1, rng))
+    rho, tau, h = (v[0] for v in model.samplers[(i, j, x)].sample_n(1, rng))
     rho, tau, h = float(rho), int(tau), float(h)
-    if fell_back:
-        sup = attainable_param_support(i, x, model.limit, model.capacity)
-        rho = max(min(max(rho, sup.rho_min), sup.rho_max), (x - 1) * model.limit)
-        tau = min(max(tau, 1), x)
-        h = min(max(h, 1e-15), max(float(sup.h_max(rho, tau)), 1e-15))
     sigma = predict_sigma(model.sigma_model_for(i, j), rho, tau, h, x)
     if x == 1:
         return np.array([min(max(h, 0.0), rho)])
@@ -197,41 +191,21 @@ class TestChargeSimulation:
         b = model.charge_path(1, 0, 6, np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)
 
-    def test_nearest_sojourn_fallback(self):
-        model = degenerate_model({(1, 0, 4): (1.9, 2, 0.6)})
-        rng = np.random.default_rng(2)
-        c = model.charge_path(1, 0, 9, rng)  # no sampler for x=9
-        assert c.shape == (9,)
-        k = np.arange(9)
-        assert np.all(c <= 1.9 - k * LIMIT + 1e-12)
-
-    def test_missing_pair_errors(self):
-        model = degenerate_model({(1, 0, 4): (1.9, 2, 0.6)})
-        with pytest.raises(SimulationError, match=r"\(i=-1, j=0\)"):
-            model.charge_path(-1, 0, 4, np.random.default_rng(3))
-
-    def test_fallback_past_largest_fitted_sojourn(self):
-        # both sides stay in the band well past the largest fitted sojourn; on
-        # the charging side a low rho clamped into the support of x=60 would
-        # leave the clip band empty at k=x, so the fallback floors it at
-        # (x-1)*limit
-        model = degenerate_model(
-            {(1, 0, 4): (0.5, 2, 0.3), (-1, 1, 4): (1.0, 2, 0.5)}, sigma=0.05
-        )
-        for i, j, x in [(1, 0, 60), (-1, 1, 95)]:
-            c = model.charge_paths(i, j, x, 50, np.random.default_rng(4))
-            assert c.shape == (50, x)
-            assert np.all(c >= 0.0)
-            # nothing is left to charge at the last step of the floored ceiling
-            if i == 1:
-                np.testing.assert_allclose(c[:, -1], 0.0, atol=1e-12)
-
-    def test_fallback_without_attainable_rho_names_class(self):
+    @pytest.mark.parametrize("call", ["charge_path", "charge_paths", "charge_block", "sample_step_grids"])
+    @pytest.mark.parametrize("key", [(-1, 0, 3), (1, 0, 110)], ids=["unfitted-pair", "unfitted-x"])
+    def test_unfitted_class_is_named(self, key, call):
         model = degenerate_model({(1, 0, 4): (1.9, 2, 0.6), (-1, 1, 4): (1.0, 2, 0.5)})
-        # (x-1)*limit = 2.18 MW exceeds every attainable rho on both sides
-        for i, j in [(1, 0), (-1, 1)]:
-            with pytest.raises(SimulationError, match=rf"\(i={i}, j={j}, x=110\)"):
-                model.charge_path(i, j, 110, np.random.default_rng(5))
+        i, j, x = key
+        block = [np.array(v) for v in zip(*sorted([key, (1, 0, 4), (-1, 1, 4)]))]
+        kernel = SemiMarkovKernel({i: {j: {x: 1.0}}, j: {i: {x: 1.0}}}, {i: 1, j: 1})
+        calls = {
+            "charge_path": lambda rng: model.charge_path(i, j, x, rng),
+            "charge_paths": lambda rng: model.charge_paths(i, j, x, 5, rng),
+            "charge_block": lambda rng: model.charge_block(*block, rng),
+            "sample_step_grids": lambda rng: sample_step_grids(kernel, model, [i], rng, [0], horizon=4),
+        }
+        with pytest.raises(SimulationError, match=rf"^no fitted sampler for class \(i={i}, j={j}, x={x}\)$"):
+            calls[call](np.random.default_rng(3))
 
 
 class TestChargePaths:
@@ -250,27 +224,17 @@ class TestChargePaths:
         assert any(x == 1 for _, _, x in keys)
         self.check_against_oracle(fitted_model, keys, draws=5)
 
-    def test_one_row_matches_oracle_on_fallback(self, fitted_model):
-        xmax = {}
-        for i, j, x in fitted_model.samplers:
-            xmax[(i, j)] = max(xmax.get((i, j), 0), x)
-        keys = [(i, j, x + 2) for (i, j), x in sorted(xmax.items())]
-        self.check_against_oracle(fitted_model, keys)
-
     @pytest.mark.parametrize(
         "entries, sigma",
         [
             ({(1, 0, 1): (2.0, 1, 0.8)}, 0.3),  # x = 1: no bridge
             ({(1, 0, 6): (1.9, 6, 0.6)}, 0.08),  # tau == x: x normals, not x+1
             ({(-1, 1, 5): (1.0, 2, 0.4)}, SIGMA_FLOOR),  # floor sigma: no draw
-            ({(1, 0, 4): (0.5, 2, 0.3)}, 0.05),  # fallback with the rho floor
         ],
     )
     def test_one_row_matches_oracle_on_edge_cases(self, entries, sigma):
         model = degenerate_model(entries, sigma=sigma)
-        (key,) = entries
-        x = 60 if key == (1, 0, 4) else key[2]
-        self.check_against_oracle(model, [(key[0], key[1], x)])
+        self.check_against_oracle(model, list(entries))
 
     def test_large_batch_in_band(self, fitted_model):
         for (i, j, x), sampler in sorted(fitted_model.samplers.items())[:6]:
@@ -287,17 +251,11 @@ class TestChargePaths:
 
 def oracle_charge_paths(model, i, j, x, n, rng):
     """``n`` charge paths of one class from the primitives: one ``sample_n``,
-    the nearest-sojourn clamp, one volatility batch, one latent bridge per
-    group of equal ``tau`` in increasing ``tau``, and one clip."""
+    one volatility batch, one latent bridge per group of equal ``tau`` in
+    increasing ``tau``, and one clip."""
     if i == 0:
         return np.zeros((n, x))
-    sampler, fell_back = model.sampler_for(i, j, x)
-    rho, tau, h = sampler.sample_n(n, rng)
-    if fell_back:
-        sup = attainable_param_support(i, x, model.limit, model.capacity)
-        sup = replace(sup, rho_min=max(sup.rho_min, (x - 1) * model.limit))
-        rho, tau, h = sup.clamp(rho, tau, h)
-        tau = tau.astype(int)
+    rho, tau, h = model.samplers[(i, j, x)].sample_n(n, rng)
     if x == 1:
         return np.minimum(np.maximum(h, 0.0), rho)[:, None]
     sigma = predict_sigma_batch(model.sigma_model_for(i, j), rho, tau, h, x)
@@ -330,14 +288,8 @@ def standard_error(v):
 
 
 class TestChargeBlock:
-    def fallback_keys(self, model):
-        xmax = {}
-        for i, j, x in model.samplers:
-            xmax[(i, j)] = max(xmax.get((i, j), 0), x)
-        return [(i, j, x + 3) for (i, j), x in sorted(xmax.items())]
-
     def test_one_class_is_the_per_class_oracle(self, fitted_model):
-        keys = sorted(fitted_model.samplers)[::4] + self.fallback_keys(fitted_model) + [(0, 1, 3)]
+        keys = sorted(fitted_model.samplers)[::4] + [(0, 1, 3)]
         for n in (1, 37, 300):
             for key in keys:
                 seed = (n, key[0] + 2, key[1] + 2, key[2])
@@ -349,10 +301,10 @@ class TestChargeBlock:
                 )
 
     def test_multi_class_blocks_match_per_class_draws(self, fitted_model):
-        # three classes drawn in 25 mixed blocks of 100 rows each, against one
+        # two classes drawn in 25 mixed blocks of 100 rows each, against one
         # charge_paths call of 2,500 rows per class: the same law
         fitted = sorted(k for k in fitted_model.samplers if k[2] in (3, 4))
-        compared = [fitted[0], fitted[-1], self.fallback_keys(fitted_model)[0]]
+        compared = [fitted[0], fitted[-1]]
         counts = {key: 100 for key in compared}
         counts[(0, 1, 2)] = 30
         counts[sorted(fitted_model.samplers)[0]] = 40
@@ -391,10 +343,6 @@ class TestChargeBlock:
 
     def test_block_errors_name_the_class(self):
         model = degenerate_model({(1, 0, 4): (1.9, 2, 0.6), (-1, 1, 4): (1.0, 2, 0.5)})
-        with pytest.raises(SimulationError, match=r"pair \(i=-1, j=0\) of class \(i=-1, j=0, x=3\)"):
-            model.charge_block([-1, -1, 1], [0, 1, 0], [3, 4, 4], np.random.default_rng(0))
-        with pytest.raises(SimulationError, match=r"\(i=1, j=0, x=110\)"):
-            model.charge_block([-1, 1, 1], [1, 0, 0], [4, 4, 110], np.random.default_rng(0))
         # a sampler whose support lies above every value it can draw: its h
         # ceiling, at most 1e-6 - tau*limit, is below zero
         attainable = attainable_param_support(1, 5, LIMIT, CAPACITY)

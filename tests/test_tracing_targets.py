@@ -75,7 +75,6 @@ def one_row_calls(model):
     support = estimation.attainable_param_support(1, 4, LIMIT, CAPACITY)
     mid = (support.rho_min + support.rho_max) / 2
     (i, j, x), sampler = next(iter(sorted(model.samplers.items())))
-    missing = max(k[2] for k in model.samplers if k[:2] == (i, j)) + 1
     latent = np.array([[0.0, -1e3, 1e3, 0.0], [0.0, 0.0, 0.0, 0.0]])
     return [
         ("bridge.clip_error", lambda: bridge.clip_error(latent, 1.0, 2, 0.3, LIMIT),
@@ -89,7 +88,7 @@ def one_row_calls(model):
          {"candidates": 4, "accepted": 2}),
         ("estimation.EmpiricalCopulaSampler.sample_n",
          lambda: sampler.sample_n(7, np.random.default_rng(1)), {"draws": 7}),
-        ("simulate.ChargeModel.sampler_for", lambda: model.sampler_for(i, j, missing), {"fallbacks": 1}),
+        ("simulate.ChargeModel.sampler_for", lambda: model.sampler_for(i, j, x), {"fallbacks": 0}),
     ]
 
 
