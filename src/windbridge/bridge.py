@@ -214,19 +214,18 @@ def sample_latent_bridge(
     Two independent Brownian motions are pinned into bridges on ``[0, tau]``
     and ``[tau, x+1]``; both pieces vanish at ``tau``, so every sampled path
     has ``Y(tau) == 0`` exactly.  ``sigma`` is one volatility for every path
-    or an array of ``n_paths``, one per path.  The normals are drawn as an
-    ``(n_paths, tau)`` block, then an ``(n_paths, x+1-tau)`` block if
-    ``tau < x``: ``x`` normals per path when ``tau == x``, else ``x+1``.
-    The one-group case of :func:`latent_bridges`.
+    or an array of ``n_paths``, one per path.  Each path draws its ``tau``
+    normals and then, if ``tau < x``, its ``x+1-tau``, one path after
+    another, so ``n_paths`` rows equal as many one-row draws in sequence.
+    The one-sojourn case of :func:`latent_bridges`.
     """
     if not 1 <= tau <= x:
         raise InputError(f"peak time {tau} outside {{1..{x}}}")
     if not np.all(np.asarray(sigma) > 0):
         raise InputError(f"sigma must be positive, got {sigma}")
-    rows = np.zeros(n_paths, dtype=int)
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (n_paths,))
     z = rng.standard_normal(n_paths * (x + (tau < x)))
-    return latent_bridges(rows, rows + x, rows + tau, sigma, z).reshape(n_paths, x)
+    return latent_bridges(np.full(n_paths, x), np.full(n_paths, tau), sigma, z).reshape(n_paths, x)
 
 
 def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,48 +247,26 @@ def _chunks(sizes: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges.tolist(), np.r_[edges[1:], sizes.size].tolist()))
 
 
-def latent_bridges(labels, x, tau, sigma, z: np.ndarray) -> np.ndarray:
+def latent_bridges(x, tau, sigma, z: np.ndarray) -> np.ndarray:
     """Latent two-piece bridges of many runs from one array of normals, flat.
 
-    Run ``r`` has sojourn ``x[r]``, peak time ``tau[r]``, volatility
-    ``sigma[r]`` and a class label ``labels[r]``; it takes ``x[r] + 1``
-    normals of ``z``, or ``x[r]`` when ``tau[r] == x[r]``.  Returns the
-    values at ``k = 1..x[r]`` of every run, laid end to end in the given run
-    order.
-
-    Layout of ``z``: by label, then ``tau`` ascending, then the given order.
-    Each ``(label, tau)`` group of ``L`` runs takes an ``(L, tau)`` block of
-    it and then, if ``tau < x``, an ``(L, x+1-tau)`` block, as
-    :func:`sample_latent_bridge` lays out the one ``standard_normal`` draw
-    of one group.  Each piece adds its normals in the order a cumsum along
-    its row does, so one group gives :func:`sample_latent_bridge` bit for
-    bit.
+    Run ``r`` has sojourn ``x[r]``, peak time ``tau[r]`` and volatility
+    ``sigma[r]``.  It takes the next ``tau[r]`` normals of ``z`` for its
+    ``[0, tau]`` piece and then, if ``tau[r] < x[r]``, the next
+    ``x[r]+1-tau[r]`` for its ``[tau, x+1]`` piece, so the runs draw one
+    after another and a block equals its one-row :func:`sample_latent_bridge`
+    draws in order, bit for bit.  Returns the values at ``k = 1..x[r]`` of
+    every run, laid end to end in run order.
     """
-    labels, x, tau = (np.asarray(v, dtype=np.int64) for v in (labels, x, tau))
-    offset = np.cumsum(x) - x  # where each run's values go
-    order = np.lexsort((tau, labels))
-    labels, x, tau, offset = labels[order], x[order], tau[order], offset[order]
-    sigma = np.asarray(sigma, dtype=float)[order]
-    n = order.size
-    new = np.ones(n, dtype=bool)
-    new[1:] = (labels[1:] != labels[:-1]) | (tau[1:] != tau[:-1])
-    starts = np.flatnonzero(new)
-    sizes = np.diff(np.r_[starts, n])
-    group, rank = _ragged(sizes)
-    size = sizes[group]
-    span = np.where(tau < x, x + 1 - tau, 0)
-    group_normals = (size * (tau + span))[starts]
-    base = (np.cumsum(group_normals) - group_normals)[group]
-
-    # one piece per run on [0, tau], then one per run on [tau, x+1] if tau < x;
-    # a piece of m normals is pinned at m, and the second drops its last value,
-    # the pin at x+1
-    second = span > 0
-    run = np.r_[np.arange(n), np.flatnonzero(second)]
-    length = np.r_[tau, span[second]]
-    begin = np.r_[base + rank * tau, (base + size * tau + rank * span)[second]]
-    dest = np.r_[offset, (offset + tau)[second]]
-    kept = length - np.r_[np.zeros(n, dtype=np.int64), np.ones(int(second.sum()), dtype=np.int64)]
+    x, tau = (np.asarray(v, dtype=np.int64) for v in (x, tau))
+    # the pieces in the order of z: each run's [0, tau], then its [tau, x+1]
+    # if tau < x; a piece of m normals is pinned at m, and the second drops
+    # its last value, the pin at x+1
+    length = np.stack([tau, np.where(tau < x, x + 1 - tau, 0)], axis=1).ravel()
+    run = np.repeat(np.arange(x.size), 2)
+    kept = length - np.tile([0, 1], x.size)
+    live = length > 0
+    length, run, kept = length[live], run[live], kept[live]
 
     if z.size != length.sum():
         raise InputError(f"need {length.sum()} normals, got {z.size}")
@@ -297,10 +274,8 @@ def latent_bridges(labels, x, tau, sigma, z: np.ndarray) -> np.ndarray:
     # its normals in order, as a cumsum along its own row does
     piece, col = _ragged(length)
     w = np.zeros((length.size, int(length.max(initial=0))))
-    w[piece, col] = z[begin[piece] + col]
+    w[piece, col] = z
     np.cumsum(w, axis=1, out=w)
     piece, col = _ragged(kept)
     m = length[piece]
-    out = np.empty(int(x.sum()))
-    out[dest[piece] + col] = sigma[run[piece]] * (w[piece, col] - ((col + 1.0) / m) * w[piece, m - 1])
-    return out
+    return np.asarray(sigma, dtype=float)[run[piece]] * (w[piece, col] - ((col + 1.0) / m) * w[piece, m - 1])

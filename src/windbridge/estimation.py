@@ -470,6 +470,10 @@ class SigmaModel:
     def __post_init__(self) -> None:
         self.coef = np.asarray(self.coef, dtype=float)
         self.feature_names = tuple(self.feature_names)
+        if self.feature_names not in (("const",), REGRESSOR_NAMES):
+            raise InputError(
+                f"volatility features must be ('const',) or REGRESSOR_NAMES, got {list(self.feature_names)}"
+            )
         if self.coef.shape != (len(self.feature_names),):
             raise InputError("one coefficient per feature required")
 

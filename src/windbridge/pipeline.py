@@ -481,9 +481,18 @@ def load_charge_model(path: str | Path) -> ChargeModel:
 
 
 def _fitted(cfg: RunConfig, tag: str) -> tuple[SemiMarkovKernel, ChargeModel]:
-    """The kernel and charge model that segment and fit wrote for limit ``tag``."""
-    kernel = _read_artifact(_require(cfg.out_dir / f"kernel_{tag}.json"), SemiMarkovKernel.from_dict)
-    return kernel, load_charge_model(_require(cfg.out_dir / f"model_{tag}.json"))
+    """The kernel and charge model that segment and fit wrote for limit ``tag``.
+
+    Every non-idle class ``(i, j, x)`` with kernel mass needs a fitted
+    sampler; the first that has none raises :class:`InputError` naming it.
+    """
+    kernel_path = _require(cfg.out_dir / f"kernel_{tag}.json")
+    kernel = _read_artifact(kernel_path, SemiMarkovKernel.from_dict)
+    model = load_charge_model(_require(cfg.out_dir / f"model_{tag}.json"))
+    for i, j, x in (np.argwhere(kernel.Q > 0.0) - [1, 1, 0]).tolist():
+        if i != 0 and (i, j, x) not in model.samplers:
+            raise InputError(f"{kernel_path}: no fitted sampler for class (i={i}, j={j}, x={x})")
+    return kernel, model
 
 
 def _write_json(path: Path, doc: dict, stamp) -> None:

@@ -117,10 +117,10 @@ class ChargeModel:
         """``n`` charge paths ``c(1..x)`` of class ``(i, j, x)``, shape ``(n, x)``.
 
         The one-class case of :meth:`charge_block`: one ``sample_n(n)`` draws
-        the ``(rho, tau, h)`` rows, then the latent bridges are sampled one
-        group of equal ``tau`` at a time, in increasing ``tau``.  For ``n = 1``
-        the draws are those of one sampler draw followed by one latent bridge.
-        Identically zero in the idle state.
+        the ``(rho, tau, h)`` rows, then each row with noise draws its latent
+        bridge, row after row.  For ``n = 1`` the draws are those of one
+        sampler draw followed by one latent bridge.  Identically zero in the
+        idle state.
         """
         keys = np.broadcast_to(np.array([[i], [j], [x]]), (3, n))
         return self.charge_block(*keys, rng).reshape(n, x)
@@ -146,17 +146,16 @@ class ChargeModel:
            ``max(short, 64)`` candidates in sorted class order, keeping its
            first accepted ones in order;
         2. every bridge with volatility above the floor, by
-           :func:`latent_bridges`: one ``standard_normal(total)`` laid out
-           by class, then ``tau`` ascending, then row; each ``(class, tau)``
-           group takes its ``(L, tau)`` block and then its ``(L, x+1-tau)``
-           block.
+           :func:`latent_bridges`, run after run in the given order: each
+           takes its ``tau`` normals and then, if ``tau < x``, its
+           ``x+1-tau``, as a one-row :func:`sample_latent_bridge` does.
 
         With one class this is one :meth:`EmpiricalCopulaSampler.sample_n`
-        followed by one :func:`sample_latent_bridge` per group of equal
-        ``tau``, in increasing ``tau``.  Classes are worked through about
-        ``CHUNK_POINTS`` candidates or points at a time, each chunk drawing
-        its own slice of the normals in turn; that bounds the temporaries of
-        long blocks and changes no draw.
+        followed by one one-row :func:`sample_latent_bridge` per noisy row.
+        The copula rounds work through whole classes and the bridges through
+        runs, about ``CHUNK_POINTS`` candidates or points at a time, each
+        chunk drawing its own slice of the normals in turn; that bounds the
+        temporaries of long blocks and changes no draw.
         """
         i, j, x = (np.asarray(v, dtype=np.int64) for v in (i, j, x))
         if x.size and x.min() < 1:
@@ -172,7 +171,6 @@ class ChargeModel:
         keys = list(zip(i[starts].tolist(), j[starts].tolist(), x[starts].tolist()))
         names = [f"(i={a}, j={b}, x={c})" for a, b, c in keys]
         rho, tau, h = sample_classes([self.sampler_for(*k)[0] for k in keys], counts, rng, names=names)
-        cls = np.repeat(np.arange(len(keys)), counts)
 
         one = x == 1
         out[offset[one]] = np.minimum(np.maximum(h[one], 0.0), rho[one])
@@ -187,16 +185,13 @@ class ChargeModel:
         noisy = sigma > SIGMA_FLOOR * (1.0 + 1e-9)
         normals = np.where(noisy, x + (tau < x), 0)
         points = np.where(one, 0, x)
-        class_end = np.r_[starts[1:], live.size]
-        for a, b in _chunks(np.add.reduceat(points, starts)):
-            lo, hi = starts[a], class_end[b - 1]
+        for lo, hi in _chunks(points):
             run, col = _ragged(points[lo:hi])
             run += lo
             bridged = lo + np.flatnonzero(noisy[lo:hi])
             latent = np.zeros(run.size)
             latent[noisy[run]] = latent_bridges(
-                cls[bridged], x[bridged], tau[bridged], sigma[bridged],
-                rng.standard_normal(int(normals[lo:hi].sum())),
+                x[bridged], tau[bridged], sigma[bridged], rng.standard_normal(int(normals[lo:hi].sum()))
             )
             values, lower = clip_to_band(
                 latent, rho[run], tau[run], h[run], x[run], col + 1.0, self.limit
@@ -361,8 +356,8 @@ def sample_step_grids(
        start arrays);
     2. the charges of every segment of the block, sorted by class ``(i, j,
        x)``, from one :meth:`ChargeModel.charge_block` pass: first the copula
-       rounds of all classes, then one normal array for all their bridges
-       (the stream rule is in its docstring), then scattered into the grids;
+       rounds of all classes, then their bridges run after run (the stream
+       rule is in its docstring), then scattered into the grids;
        a segment entered with backward time ``b`` skips its first ``b``
        charge values.
 

@@ -386,30 +386,34 @@ class TestLatentBridge:
 
 
 class TestLatentBridgeBlock:
-    def test_layout_is_one_group_draw_after_another(self):
-        rng = np.random.default_rng(21)
-        sojourn = {0: 6, 1: 2, 2: 9, 3: 4}
-        labels = np.repeat([0, 1, 2, 3, 0], [7, 3, 12, 5, 4])  # label 0 twice: groups join
-        x = np.array([sojourn[lab] for lab in labels.tolist()])
-        tau = np.array([int(rng.integers(1, n + 1)) for n in x.tolist()])
-        sigma = rng.uniform(0.05, 2.0, labels.size)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        runs=st.lists(
+            st.integers(min_value=1, max_value=15).flatmap(
+                lambda x: st.tuples(
+                    st.just(x),
+                    st.integers(min_value=1, max_value=x),
+                    st.floats(min_value=1e-3, max_value=10.0),
+                )
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_layout_is_one_run_draw_after_another(self, runs, seed):
+        x, tau, sigma = (np.array(v) for v in zip(*runs))
         total = int(np.sum(x + (tau < x)))
-        got = latent_bridges(labels, x, tau, sigma, np.random.default_rng(5).standard_normal(total))
+        got = latent_bridges(x, tau, sigma, np.random.default_rng(seed).standard_normal(total))
 
-        # by label, then tau ascending, then row; one sample_latent_bridge per group
-        want = np.empty(labels.size, dtype=object)
-        oracle = np.random.default_rng(5)
-        for lab in sorted(set(labels.tolist())):
-            for t in sorted(set(tau[labels == lab].tolist())):
-                rows = np.flatnonzero((labels == lab) & (tau == t))
-                paths = sample_latent_bridge(sojourn[lab], t, sigma[rows], oracle, n_paths=rows.size)
-                for r, path in zip(rows, paths):
-                    want[r] = path
-        np.testing.assert_array_equal(got, np.concatenate(want.tolist()))
+        # run after run, each one one-row sample_latent_bridge from one generator
+        oracle = np.random.default_rng(seed)
+        want = np.concatenate([sample_latent_bridge(n, t, s, oracle)[0] for n, t, s in runs])
+        assert got.tobytes() == want.tobytes()
 
     def test_wrong_number_of_normals(self):
         with pytest.raises(InputError, match="need 7 normals"):
-            latent_bridges([0], [6], [2], [1.0], np.zeros(6))
+            latent_bridges([6], [2], [1.0], np.zeros(6))
 
 
 class TestChunks:

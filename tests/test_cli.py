@@ -377,6 +377,13 @@ class TestLoadConfig:
         assert load_config(cfg_file, out_dir=tmp_path).wind_csv == Path("wind_100%.csv")
 
 
+def two_feature_sigma_model(doc):
+    """``doc`` with one volatility model on the features ``const`` and ``rho`` only."""
+    key = min(doc["sigma_models"])
+    broken = {**doc["sigma_models"][key], "feature_names": ["const", "rho"], "coef": [0.1, 0.2]}
+    return {**doc, "sigma_models": {**doc["sigma_models"], key: broken}}
+
+
 class TestStageErrors:
     def test_missing_input_file(self, tmp_path):
         cfg = small_config(tmp_path, wind_csv=tmp_path / "absent.csv")
@@ -411,8 +418,11 @@ class TestStageErrors:
             ("kernel_0.05.json", lambda doc: {"q": {"1": 5}}, "AttributeError"),
             ("model_0.05.json", lambda doc: {k: v for k, v in doc.items() if k != "sigma_default"},
              "KeyError: 'sigma_default'"),
+            ("model_0.05.json", two_feature_sigma_model,
+             "InputError: volatility features must be ('const',) or REGRESSOR_NAMES, got ['const', 'rho']"),
         ],
-        ids=["truncated-kernel", "kernel-without-q", "kernel-row-not-a-dict", "model-without-sigma-default"],
+        ids=["truncated-kernel", "kernel-without-q", "kernel-row-not-a-dict", "model-without-sigma-default",
+             "sigma-model-with-two-features"],
     )
     def test_broken_upstream_json_exits_with_error_line(self, pipeline_run, tmp_path, capsys, name, breaks, match):
         cfg, _ = pipeline_run
@@ -428,6 +438,23 @@ class TestStageErrors:
         assert err.startswith(f"error: [simulate] broken artifact {out / name}: ")
         assert err.count("[simulate]") == 1 and match in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("stage", ["simulate", "validate"])
+    def test_kernel_mass_at_an_unfitted_class_is_refused(self, pipeline_run, tmp_path, stage):
+        # a mass too small for any path to enter is refused at load, as a large one is
+        fitted, _ = pipeline_run
+        cfg = replace(fitted, out_dir=tmp_path / "out", limits=(0.05,))
+        shutil.copytree(fitted.out_dir, cfg.out_dir)
+        path = cfg.out_dir / "kernel_0.05.json"
+        doc = json.loads(path.read_text())
+        row = doc["q"]["-1"]["0"]
+        x = max(map(int, row)) + 1
+        row["1"] -= 1e-6
+        row[str(x)] = 1e-6
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError) as info:
+            run_stage(cfg, stage)
+        assert str(info.value) == f"[{stage}] {path}: no fitted sampler for class (i=-1, j=0, x={x})"
 
     @pytest.mark.parametrize("stage", ["segment", "fit", "validate"])
     def test_power_file_without_corrected_column_named(self, tmp_path, stage):

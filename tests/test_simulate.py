@@ -251,8 +251,8 @@ class TestChargePaths:
 
 def oracle_charge_paths(model, i, j, x, n, rng):
     """``n`` charge paths of one class from the primitives: one ``sample_n``,
-    one volatility batch, one latent bridge per group of equal ``tau`` in
-    increasing ``tau``, and one clip."""
+    one volatility batch, one one-row latent bridge per noisy row in row
+    order, and one clip."""
     if i == 0:
         return np.zeros((n, x))
     rho, tau, h = model.samplers[(i, j, x)].sample_n(n, rng)
@@ -261,9 +261,8 @@ def oracle_charge_paths(model, i, j, x, n, rng):
     sigma = predict_sigma_batch(model.sigma_model_for(i, j), rho, tau, h, x)
     latent = np.zeros((n, x))
     noisy = sigma > SIGMA_FLOOR * (1.0 + 1e-9)
-    for t in np.unique(tau[noisy]).tolist():
-        rows = np.flatnonzero(noisy & (tau == t))
-        latent[rows] = sample_latent_bridge(x, t, sigma[rows], rng, n_paths=rows.size)
+    for r in np.flatnonzero(noisy).tolist():
+        latent[r] = sample_latent_bridge(x, int(tau[r]), sigma[r], rng)[0]
     g = triangle(tau[:, None], h[:, None], x, np.arange(1, x + 1))
     return g + clip_error(latent, rho, tau, h, model.limit).values
 
