@@ -492,11 +492,12 @@ class SigmaModel:
         )
 
     def to_dict(self) -> dict:
+        """The JSON form; a constant model's undefined ``adj_r2`` is ``None`` (``null``)."""
         return {
             "lambda": self.lam,
             "coef": self.coef.tolist(),
             "feature_names": list(self.feature_names),
-            "adj_r2": self.adj_r2,
+            "adj_r2": None if np.isnan(self.adj_r2) else self.adj_r2,
             "resid_std": self.resid_std,
             "n_outliers_removed": self.n_outliers_removed,
             "n_obs": self.n_obs,
@@ -508,7 +509,7 @@ class SigmaModel:
             lam=float(data["lambda"]),
             coef=np.asarray(data["coef"]),
             feature_names=tuple(data["feature_names"]),
-            adj_r2=float(data["adj_r2"]),
+            adj_r2=float("nan") if data["adj_r2"] is None else float(data["adj_r2"]),
             resid_std=float(data["resid_std"]),
             n_outliers_removed=int(data["n_outliers_removed"]),
             n_obs=int(data["n_obs"]),

@@ -499,7 +499,7 @@ def _write_json(path: Path, doc: dict, stamp) -> None:
     """Write ``doc`` stamped with the run's ``config_hash`` and ``seed``."""
     stamped = {**doc, **stamp()}
     with _atomic(path) as tmp, open(tmp, "w") as fh:
-        json.dump(stamped, fh, sort_keys=True, indent=1)
+        json.dump(stamped, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 

@@ -122,11 +122,12 @@ class SemiMarkovKernel:
     ``Q[i + 1, j + 1, x]`` estimates the probability that, from state ``i`` of
     ``(-1, 0, 1)``, the next jump happens after a sojourn of ``x`` steps and
     lands in ``j``; ``visits[i + 1]`` counts the completed visits to ``i``.
-    Draws read sums of ``Q`` computed once: the sojourn law ``h_i(x)`` (the
-    sum over ``j``) and its CDF, and the successor CDFs, cumulative sums over
-    ``j`` of ``Q[i + 1, j + 1, x] / h_i(x)``.  A zero entry repeats the CDF
-    value before it, so it is never drawn.  ``Q`` or its nested JSON form
-    (:meth:`to_dict`) must be finite and nonnegative with no mass at ``x = 0``.
+    Draws read sums of ``Q`` computed once: each row's joint CDF over
+    ``(x, j)``, the cumulative sum of ``Q[i + 1]`` read sojourn-major (entry
+    ``3 x + j + 1``), and its last positive entry, whose ``x`` is the state's
+    longest sojourn.  A zero entry repeats the CDF value before it, so it is
+    never drawn.  ``Q`` or its nested JSON form (:meth:`to_dict`) must be
+    finite and nonnegative with no mass at ``x = 0``.
     """
 
     def __init__(self, Q, visits):
@@ -146,13 +147,10 @@ class SemiMarkovKernel:
             raise InputError("sojourns must be at least one step")
         if self.visits.shape != (3,) or (self.visits < 0).any():
             raise InputError(f"visits must be three nonnegative counts, got {self.visits.tolist()}")
-        h = self._h = self.Q.sum(axis=1)
-        self._H = np.cumsum(h, axis=1)
-        self._longest = np.where(h > 0.0, np.arange(h.shape[1]), 0).max(axis=1)
-        self._successor_cdf = np.cumsum(
-            np.divide(self.Q, h[:, None], out=np.zeros_like(self.Q), where=h[:, None] > 0.0), axis=1
-        )
-        self._last_successor = np.where(h > 0.0, 2 - np.argmax(self.Q[:, ::-1] > 0.0, axis=1), -1)
+        flat = self.Q.transpose(0, 2, 1).reshape(3, -1)
+        self._cdf = np.cumsum(flat, axis=1)
+        self._last = flat.shape[1] - 1 - np.argmax(flat[:, ::-1] > 0.0, axis=1)
+        self._longest = np.where(flat.any(axis=1), self._last // 3, 0)
 
     # -- queries ------------------------------------------------------------
 
@@ -170,18 +168,18 @@ class SemiMarkovKernel:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_sojourns(
+    def sample_jumps(
         self, states: np.ndarray, rng: np.random.Generator, longer_than: np.ndarray | None = None
-    ) -> np.ndarray:
-        """One sojourn per entry of ``states`` from ``h_i``, by inverse CDF.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One ``(sojourn, successor)`` pair per entry of ``states`` from ``Q[i + 1]``.
 
-        Draws one uniform per entry, in order.  Entry ``n`` is conditioned on
-        exceeding ``longer_than[n]``: its uniform is mapped onto the part of
-        the CDF above that length.
+        Draws one uniform per entry, in order, and inverts the row's joint
+        CDF over ``(x, j)``.  Entry ``n`` is conditioned on a sojourn longer
+        than ``longer_than[n]``: its uniform is mapped onto the part of the
+        CDF above that length.  Returns ``(sojourns, successors)``.
         """
         rows = self._rows(states)
-        longest = self._longest[rows]
-        cdf = self._H[rows]
+        cdf = self._cdf[rows]
         total = cdf[:, -1]
         if longer_than is None:
             v = rng.random(rows.size) * total
@@ -189,39 +187,31 @@ class SemiMarkovKernel:
             b = np.asarray(longer_than, dtype=int)
             if np.any(b < 0):
                 raise InputError("sojourn conditions must be nonnegative")
+            longest = self._longest[rows]
             if np.any(b >= longest):
                 n = int(np.flatnonzero(b >= longest)[0])
                 raise SimulationError(
                     f"state {rows[n] - 1} has no observed sojourn longer than {b[n]}"
                 )
-            lower = cdf[np.arange(rows.size), b]
+            lower = cdf[np.arange(rows.size), 3 * b + 2]
             v = lower + rng.random(rows.size) * (total - lower)
-        return np.minimum((cdf[:, 1:] <= v[:, None]).sum(axis=1) + 1, longest)
-
-    def sample_successors(
-        self, states: np.ndarray, sojourns: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One successor per ``(state, sojourn)`` pair from ``Q[i + 1, j + 1, x] / h_i(x)``, by inverse CDF."""
-        rows = self._rows(states)
-        sojourns = np.asarray(sojourns, dtype=int)
-        inside = np.clip(sojourns, 0, self._h.shape[1] - 1)
-        last = self._last_successor[rows, inside]
-        bad = (last < 0) | (inside != sojourns)
-        if bad.any():
-            n = int(np.flatnonzero(bad)[0])
-            raise SimulationError(
-                f"state {rows[n] - 1} has no observed sojourn of length {sojourns[n]}"
-            )
-        cdf = self._successor_cdf[rows, :, sojourns]
-        idx = (cdf <= (rng.random(rows.size) * cdf[:, -1])[:, None]).sum(axis=1)
-        return np.minimum(idx, last) - 1
+        entry = np.minimum((cdf <= v[:, None]).sum(axis=1), self._last[rows])
+        return entry // 3, entry % 3 - 1
 
     def sample_sojourn(self, i: int, rng: np.random.Generator, longer_than: int = 0) -> int:
-        """Draw a sojourn from ``h_i``, optionally conditioned on exceeding ``longer_than``."""
-        return int(self.sample_sojourns(np.array([i]), rng, np.array([longer_than]))[0])
+        """Draw a sojourn of ``i``, optionally conditioned on exceeding ``longer_than``:
+        the ``x`` of a one-row :meth:`sample_jumps`."""
+        return int(self.sample_jumps(np.array([i]), rng, np.array([longer_than]))[0][0])
 
     def sample_successor(self, i: int, x: int, rng: np.random.Generator) -> int:
-        return int(self.sample_successors(np.array([i]), np.array([x]), rng)[0])
+        """Draw the state entered after a sojourn of ``x`` in ``i`` from ``Q[i + 1, :, x]``."""
+        (row,) = self._rows([i])
+        column = self.Q[row, :, x] if 0 <= x < self.Q.shape[2] else np.zeros(3)
+        if not column.any():
+            raise SimulationError(f"state {i} has no observed sojourn of length {x}")
+        cdf = np.cumsum(column / column.sum())
+        last = 2 - int(np.argmax(column[::-1] > 0.0))
+        return min(int((cdf <= rng.random() * cdf[-1]).sum()), last) - 1
 
     def sample_chains(
         self,
@@ -233,8 +223,8 @@ class SemiMarkovKernel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Jump chains of a block of rows, drawn together round by round.
 
-        Each round draws a sojourn for every row still running, then its
-        successor (:meth:`sample_sojourns`, :meth:`sample_successors`).  Row
+        Each round draws every running row's next sojourn and successor with
+        one :meth:`sample_jumps` call, one uniform per row.  Row
         ``n`` starts ``initial_backwards[n]`` steps into its first sojourn:
         that sojourn is conditioned on being longer, and only its remainder
         counts towards the row's time.  A row stops once its time passes
@@ -257,8 +247,7 @@ class SemiMarkovKernel:
         states, sojourns = [state.copy()], []
         rows = np.arange(p)
         while rows.size:
-            x = self.sample_sojourns(state[rows], rng, None if sojourns else backward)
-            nxt = self.sample_successors(state[rows], x, rng)
+            x, nxt = self.sample_jumps(state[rows], rng, None if sojourns else backward)
             sojourns.append(np.zeros(p, dtype=int))
             sojourns[-1][rows] = x
             time[rows] += x

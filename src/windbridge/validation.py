@@ -110,7 +110,8 @@ def compare_segments(
     """Compare per-class sample means and covariances, real versus simulated.
 
     Only classes with at least ``eligibility`` complete observations are
-    compared; each gets ``n_sim = max(SIM_PATH_MULTIPLIER * n_real, MIN_SIM_PATHS)``
+    compared, and ``eligibility`` must be at least 2 for a sample covariance;
+    each gets ``n_sim = max(SIM_PATH_MULTIPLIER * n_real, MIN_SIM_PATHS)``
     simulated paths.  Covariance entries use the n-1 convention on both
     sides; classes whose real covariance is identically zero report no
     covariance error.
@@ -122,6 +123,8 @@ def compare_segments(
     :meth:`ChargeModel.charge_block` call, run after run.  A run of one
     class draws what :meth:`ChargeModel.charge_paths` draws.
     """
+    if eligibility < 2:
+        raise InputError(f"eligibility must be >= 2, got {eligibility}")
     rng = np.random.default_rng(rng)
     report = ComparisonReport(eligibility=eligibility)
     classes = [(key, rows) for key, rows in complete_classes(table).items() if rows.size >= eligibility]

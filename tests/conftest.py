@@ -50,15 +50,15 @@ def successor_pmf(kernel, i, x):
 def fixed_count_chains(kernel, initial_states, rng, n):
     """``n`` jumps of every row, drawn round by round as ``sample_chains`` draws them.
 
-    Each round draws every row's sojourn, then its successor; round 0
-    conditions the sojourns on exceeding zero steps, as ``sample_chains``
-    does.  Returns ``(states, sojourns)`` of shapes ``(P, n + 1)`` and ``(P, n)``.
+    Each round draws every row's sojourn and successor with one
+    ``sample_jumps`` call; round 0 conditions the sojourns on exceeding zero
+    steps, as ``sample_chains`` does.  Returns ``(states, sojourns)`` of
+    shapes ``(P, n + 1)`` and ``(P, n)``.
     """
     state = np.array(initial_states, dtype=int)
     states, sojourns = [state], []
     for r in range(n):
-        x = kernel.sample_sojourns(state, rng, np.zeros(state.size, dtype=int) if r == 0 else None)
-        state = kernel.sample_successors(state, x, rng)
+        x, state = kernel.sample_jumps(state, rng, np.zeros(state.size, dtype=int) if r == 0 else None)
         states.append(state)
         sojourns.append(x)
     return np.column_stack(states), np.column_stack(sojourns)

@@ -226,6 +226,24 @@ class TestPipeline:
             assert written.split(b"\n", 1)[1] == oracle.read_bytes(), tag
 
 
+class TestStrictJson:
+    def test_thin_run_writes_only_strict_json(self, tmp_path):
+        # 800 hours leave some (i, j) pairs too few runs for a regression
+        cfg = RunConfig(out_dir=tmp_path, synthetic=SyntheticWindSpec(n_steps=800), n_paths=20)
+        run_pipeline(cfg)
+
+        def refuse(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        paths = sorted(tmp_path.glob("*.json"))
+        assert len(paths) == 3 * len(cfg.limits)
+        docs = {p.name: json.loads(p.read_text(), parse_constant=refuse) for p in paths}
+        adj_r2 = [m["adj_r2"] for m in docs["model_0.01.json"]["sigma_models"].values()]
+        assert None in adj_r2
+        model = load_charge_model(tmp_path / "model_0.01.json")
+        assert any(np.isnan(m.adj_r2) for m in model.sigma_models.values())
+
+
 class TestValidateRestart:
     def test_window_inside_the_censored_trailing_sojourn_restarts(self, tmp_path, caplog):
         from windbridge.errors import SimulationError

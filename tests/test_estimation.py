@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -476,6 +478,16 @@ class TestSigmaRegression:
             adj_r2=1.0, resid_std=0.0, n_outliers_removed=0, n_obs=0,
         )
         assert predict_sigma(model0, 5, 5, 5, 5) == approx(0.3)
+
+    def test_constant_model_json_is_strict(self):
+        doc = SigmaModel.constant(0.05).to_dict()
+        assert doc["adj_r2"] is None
+        text = json.dumps(doc, allow_nan=False)
+        assert np.isnan(SigmaModel.from_dict(json.loads(text)).adj_r2)
+        # a model file written with a bare NaN still loads
+        old = json.loads(text.replace("null", "NaN"))
+        assert np.isnan(SigmaModel.from_dict(old).adj_r2)
+        assert SigmaModel.from_dict(old).to_dict() == doc
 
     def test_model_round_trip(self):
         obs = synthetic_sigma_observations(100, np.random.default_rng(27))

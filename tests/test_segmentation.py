@@ -22,6 +22,14 @@ from windbridge.validation import day_start_conditions
 from conftest import backward_times, fixed_count_chains, kernel_states, nested_q, sojourn_pmf, successor_pmf
 
 
+# sojourn gaps of zero probability, and state 0 never jumps to -1
+GAPPED_Q = {
+    1: {0: {1: 0.2, 4: 0.1, 9: 0.05}, -1: {4: 0.3, 6: 0.35}},
+    0: {1: {2: 0.5, 3: 0.1, 12: 0.4}},
+    -1: {1: {1: 0.45, 7: 0.15}, 0: {2: 0.3, 7: 0.1}},
+}
+
+
 def series_pair(e, eb):
     return PowerSeries(generated=np.asarray(e, float), corrected=np.asarray(eb, float))
 
@@ -212,12 +220,7 @@ class TestEstimateKernel:
                     assert c == approx(q[i][j][x] / hval, abs=1e-12)
 
     def test_draws_match_scalar_inverse_cdf(self):
-        # sojourn gaps of zero probability, and state 0 never jumps to -1
-        q = {
-            1: {0: {1: 0.2, 4: 0.1, 9: 0.05}, -1: {4: 0.3, 6: 0.35}},
-            0: {1: {2: 0.5, 3: 0.1, 12: 0.4}},
-            -1: {1: {1: 0.45, 7: 0.15}, 0: {2: 0.3, 7: 0.1}},
-        }
+        q = GAPPED_Q
         kernel = SemiMarkovKernel(q, {1: 1, 0: 1, -1: 1})
         rng = np.random.default_rng(21)
         states = rng.choice([-1, 0, 1], 5000)
@@ -225,12 +228,13 @@ class TestEstimateKernel:
         backward = (rng.random(states.size) * longest).astype(int)
         assert set(backward.tolist()) >= set(range(12))
 
-        def sojourn_oracle(i, u, b=None):
-            xs = sorted({x for kk in q[i].values() for x in kk})
-            cdf = np.cumsum([sum(q[i][j].get(x, 0.0) for j in sorted(q[i])) for x in xs])
-            lower = 0.0 if b is None or b < xs[0] else cdf[np.searchsorted(xs, b, side="right") - 1]
+        def jump_oracle(i, u, b=None):
+            entries = sorted((x, j) for j, kk in q[i].items() for x in kk)
+            cdf = np.cumsum([q[i][j][x] for x, j in entries])
+            below = [n for n, (x, _) in enumerate(entries) if b is not None and x <= b]
+            lower = cdf[below[-1]] if below else 0.0
             v = lower + u * (cdf[-1] - lower)
-            return xs[min(int(np.sum(cdf <= v)), len(xs) - 1)]
+            return entries[min(int(np.sum(cdf <= v)), len(entries) - 1)]
 
         def successor_oracle(i, x, u):
             targets = [j for j in sorted(q[i]) if x in q[i][j]]
@@ -241,25 +245,44 @@ class TestEstimateKernel:
         for condition in (None, backward):
             clone = np.random.Generator(np.random.PCG64())
             clone.bit_generator.state = rng.bit_generator.state
-            sojourns = kernel.sample_sojourns(states, rng, condition)
+            sojourns, successors = kernel.sample_jumps(states, rng, condition)
             u = clone.random(states.size)
             expected = [
-                sojourn_oracle(i, un, None if condition is None else bn)
+                jump_oracle(i, un, None if condition is None else bn)
                 for i, un, bn in zip(states.tolist(), u, backward.tolist())
             ]
-            np.testing.assert_array_equal(sojourns, expected)
+            np.testing.assert_array_equal(np.column_stack((sojourns, successors)), expected)
             if condition is not None:
                 assert np.all(sojourns > backward)
-            clone.bit_generator.state = rng.bit_generator.state
-            successors = kernel.sample_successors(states, sojourns, rng)
-            u = clone.random(states.size)
-            expected = [
-                successor_oracle(i, x, un) for i, x, un in zip(states.tolist(), sojourns.tolist(), u)
-            ]
-            np.testing.assert_array_equal(successors, expected)
             assert not np.any((states == 0) & (successors == -1))
-        observed = {(i, x) for i in q for kk in q[i].values() for x in kk}
-        assert set(zip(states.tolist(), sojourns.tolist())) == observed
+        drawn = set(zip(states.tolist(), successors.tolist(), sojourns.tolist()))
+        assert drawn == {(i, j, x) for i in q for j, kk in q[i].items() for x in kk}
+
+        clone.bit_generator.state = rng.bit_generator.state
+        one_row = [kernel.sample_successor(i, x, rng) for i, x in zip(states.tolist(), sojourns.tolist())]
+        u = clone.random(states.size)
+        expected = [successor_oracle(i, x, un) for i, x, un in zip(states.tolist(), sojourns.tolist(), u)]
+        assert one_row == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        states=st.lists(st.sampled_from(STATES), min_size=1, max_size=30),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        conditioned=st.booleans(),
+    )
+    def test_block_draw_is_one_row_draws_in_sequence(self, states, seed, conditioned):
+        kernel = SemiMarkovKernel(GAPPED_Q, {1: 1, 0: 1, -1: 1})
+        states = np.array(states)
+        longer = np.random.default_rng(seed).integers(0, kernel.max_sojourn(states)) if conditioned else None
+        block, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        sojourns, successors = kernel.sample_jumps(states, block, longer)
+        one_row = [
+            kernel.sample_jumps(states[n : n + 1], rows, None if longer is None else longer[n : n + 1])
+            for n in range(states.size)
+        ]
+        assert sojourns.tobytes() == np.concatenate([x for x, _ in one_row]).tobytes()
+        assert successors.tobytes() == np.concatenate([j for _, j in one_row]).tobytes()
+        assert block.bit_generator.state == rows.bit_generator.state
 
     def test_censored_tail_excluded(self):
         # a 5-step charging run, then an idle tail cut by the end of the series
@@ -275,9 +298,11 @@ class TestEstimateKernel:
         with pytest.raises(EstimationError, match="-1"):
             kernel.sample_sojourn(-1, np.random.default_rng(0))
         with pytest.raises(EstimationError, match="state 2"):
-            kernel.sample_sojourns(np.array([1, 2]), np.random.default_rng(0))
+            kernel.sample_jumps(np.array([1, 2]), np.random.default_rng(0))
         with pytest.raises(EstimationError, match="state -3"):
-            kernel.sample_successors(np.array([-3]), np.array([1]), np.random.default_rng(0))
+            kernel.sample_jumps(np.array([-3]), np.random.default_rng(0))
+        with pytest.raises(EstimationError, match="state -3"):
+            kernel.sample_successor(-3, 1, np.random.default_rng(0))
         with pytest.raises(SimulationError, match="length 2"):
             kernel.sample_successor(0, 2, np.random.default_rng(0))
 
@@ -337,12 +362,12 @@ class TestEstimateKernel:
     def test_conditioned_sojourn_sampling(self):
         kernel = estimate_kernel(*make_transitions([(0, 2), (1, 1), (0, 5), (1, 1), (0, 9), (1, 1)], 0))
         rng = np.random.default_rng(3)
-        draws = {kernel.sample_sojourn(0, rng, longer_than=2) for _ in range(200)}
-        assert draws <= {5, 9}
+        draws, successors = kernel.sample_jumps(np.zeros(200, dtype=int), rng, np.full(200, 2))
+        assert set(draws.tolist()) <= {5, 9} and set(successors.tolist()) == {1}
         with pytest.raises(SimulationError):
-            kernel.sample_sojourn(0, rng, longer_than=9)
+            kernel.sample_jumps(np.array([0]), rng, np.array([9]))
         with pytest.raises(InputError, match="nonnegative"):
-            kernel.sample_sojourns(np.array([0]), rng, np.array([-1]))
+            kernel.sample_jumps(np.array([0]), rng, np.array([-1]))
 
     def test_round_trip_recovery(self):
         q = {

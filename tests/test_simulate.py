@@ -513,8 +513,8 @@ class TestPenaltyPath:
     def test_penalty_path_sojourns_follow_kernel(self, fitted_kernel, fitted_model):
         battery = BatterySpec(0.0, 0.36, 0.18)
         fees = PenaltySpec(21.52, 26.50)
-        # the first 500 jumps of this stream, the last of them past step 1985
-        path = simulate_penalty_path(fitted_kernel, fitted_model, battery, fees, horizon=1985, seed=11)
+        # the first 500 jumps of this stream, the last of them past step 2057
+        path = simulate_penalty_path(fitted_kernel, fitted_model, battery, fees, horizon=2057, seed=11)
         (chain, sojourns), _ = chains_and_backward(fitted_kernel, path.states, 11, 0)
         jumps = int((sojourns[0] > 0).sum())
         assert jumps == 500

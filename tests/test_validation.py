@@ -185,6 +185,13 @@ class TestCompareSegments:
         report30 = compare_segments(group(i, j, x, 30), fitted_model, rng=1)
         assert report30.groups[0].n_sim == 100  # max(90, 100)
 
+    @pytest.mark.parametrize("eligibility", [1, 0])
+    def test_eligibility_below_two_rejected(self, renewal_data, fitted_model, eligibility):
+        # one run per class has no sample covariance
+        _, table = renewal_data
+        with pytest.raises(InputError, match=f"eligibility must be >= 2, got {eligibility}"):
+            compare_segments(table, fitted_model, rng=1, eligibility=eligibility)
+
     def test_self_consistency_oracle(self, fitted_model):
         """Refit on the model's own simulations; errors stay small."""
         rng = np.random.default_rng(5)
