@@ -190,6 +190,10 @@ class EmpiricalCopulaSampler:
         self.marginals = tuple(np.sort(np.asarray(m, dtype=float)) for m in marginals)
         self.n_obs = int(n_obs)
         self.bootstrap_augmented = bool(bootstrap_augmented)
+        if not np.isfinite(np.concatenate((self.corr.ravel(), *self.marginals))).all():
+            named = zip(("corr", "marginal rho", "marginal tau", "marginal h"), (self.corr, *self.marginals))
+            bad = [name for name, values in named if not np.isfinite(values).all()]
+            raise InputError(f"copula {bad[0]} must be finite")
         self._chol = np.linalg.cholesky(_nearest_corr(self.corr))
         # plotting positions of each sorted marginal, for the quantile lookup
         self._pp = tuple((np.arange(m.size) + 0.5) / m.size for m in self.marginals)
@@ -263,45 +267,33 @@ def sample_classes(samplers, counts, rng: np.random.Generator, names=None):
         for a, b in _chunks(m):
             cls, size = active[a:b], m[a:b]
             zc = rng.standard_normal((int(size.sum()), 3))
-            short = (counts - filled)[cls]
             first = np.cumsum(size) - size
-            cand = np.empty((3, zc.shape[0]))
-            for c, lo, hi in zip(cls.tolist(), first.tolist(), (first + size).tolist()):
-                cand[:, lo:hi] = samplers[c]._quantiles(zc[lo:hi])
+            cand = np.hstack([samplers[c]._quantiles(zc[lo : lo + n])
+                              for c, lo, n in zip(cls.tolist(), first.tolist(), size.tolist())])
             owner = np.repeat(np.arange(cls.size), size)
             rows = SupportSpec(*bounds[:, cls[owner]])
             tau = _nearest_tau(cand[1], rows.x)
-            idx = np.flatnonzero(rows.contains(cand[0], tau, cand[2]))
-            owner, here = owner[idx], idx - first[owner[idx]]
-            n_acc = np.bincount(owner, minlength=cls.size)
-            rank = np.arange(idx.size) - (np.cumsum(n_acc) - n_acc)[owner]
-            # edges: the accepted draws, led by a virtual one just before the
-            # previous round's trailing run of rejects; the rejects between
-            # two edges form one run
-            prev = np.empty_like(here)
-            prev[1:] = here[:-1]
-            lead = rank == 0
-            prev[lead] = -1 - rejects[cls][owner[lead]]
-            last = -1 - rejects[cls]
-            has = n_acc > 0
-            last[has] = here[np.cumsum(n_acc)[has] - 1]
-            worst = size - last
-            np.maximum.at(worst, owner, here - prev)
-            if (worst > MAX_REJECTIONS).any():
-                c = int(cls[np.argmax(worst > MAX_REJECTIONS)])
-                support = supports[c]
-                where = "" if names is None else f" in class {names[c]}"
+            ok = rows.contains(cand[0], tau, cand[2])
+            # a reject's run is its key less the last accepted key before it, or less its class's
+            # base (first key - 1 - trailing run), which the key spacing keeps above earlier classes
+            key = np.arange(ok.size) + owner * MAX_REJECTIONS
+            base = key[first] - 1 - rejects[cls]
+            run = key - np.maximum.accumulate(np.where(ok, key, base[owner]))
+            if run.max() >= MAX_REJECTIONS:
+                c = int(cls[owner[np.argmax(run >= MAX_REJECTIONS)]])
+                support, where = supports[c], "" if names is None else f" in class {names[c]}"
                 raise EstimationError(
                     f"{MAX_REJECTIONS} consecutive rejections: fitted density is "
-                    f"inconsistent with its support (side={support.side}, "
-                    f"x={support.x}){where}"
+                    f"inconsistent with its support (side={support.side}, x={support.x}){where}"
                 )
-            rejects[cls] = size - 1 - last
-            take = rank < short[owner]
+            rejects[cls] = run[first + size - 1]
+            seen = np.cumsum(ok)  # accepted so far; ranks within a class are differences of it
+            rank = seen - (seen[first] - ok[first])[owner] - 1
+            short = (counts - filled)[cls]
+            take = np.flatnonzero(ok & (rank < short[owner]))
             dest = (start + filled)[cls][owner[take]] + rank[take]
-            src = idx[take]
-            rho_out[dest], tau_out[dest], h_out[dest] = cand[0, src], tau[src], cand[2, src]
-            filled[cls] += np.minimum(n_acc, short)
+            rho_out[dest], tau_out[dest], h_out[dest] = cand[0, take], tau[take], cand[2, take]
+            filled[cls] += np.bincount(owner[take], minlength=cls.size)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -476,6 +468,10 @@ class SigmaModel:
             )
         if self.coef.shape != (len(self.feature_names),):
             raise InputError("one coefficient per feature required")
+        if not np.isfinite(self.lam):
+            raise InputError(f"volatility model lambda must be finite, got {self.lam}")
+        if not np.isfinite(self.coef).all():
+            raise InputError(f"volatility model coef must be finite, got {self.coef.tolist()}")
 
     @classmethod
     def constant(cls, sigma: float) -> "SigmaModel":

@@ -428,6 +428,9 @@ def _class_supports(keys: list[tuple[int, int, int]], limit: float, capacity: fl
 
 def charge_model_from_doc(doc: dict) -> ChargeModel:
     """Rebuild a ChargeModel; each sampler's support comes from its class, as in the fit."""
+    for name in ("limit_mw", "capacity_mw", "sigma_default"):
+        if not 0.0 < doc[name] < np.inf:
+            raise InputError(f"{name} must be finite and positive, got {doc[name]}")
     limit, capacity = doc["limit_mw"], doc["capacity_mw"]
     keys = [tuple(int(v) for v in key.split(",")) for key in doc["samplers"]]
     supports = _class_supports(keys, limit, capacity)

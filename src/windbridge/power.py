@@ -75,6 +75,7 @@ class RampPolicy:
     limit: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.limit <= 0.0:
             raise InputError(f"ramp limit must be positive, got {self.limit}")
 

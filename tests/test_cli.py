@@ -402,6 +402,14 @@ def two_feature_sigma_model(doc):
     return {**doc, "sigma_models": {**doc["sigma_models"], key: broken}}
 
 
+def set_at(doc, path, value):
+    """Set the entry of ``doc`` at ``path`` to ``value``; a ``None`` key picks the first key of its dict."""
+    *head, last = path
+    for key in head:
+        doc = doc[min(doc) if key is None else key]
+    doc[last] = value
+
+
 class TestStageErrors:
     def test_missing_input_file(self, tmp_path):
         cfg = small_config(tmp_path, wind_csv=tmp_path / "absent.csv")
@@ -454,6 +462,39 @@ class TestStageErrors:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: [simulate] broken artifact {out / name}: ")
+        assert err.count("[simulate]") == 1 and match in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            (("sigma_models", None, "lambda"), np.nan, "volatility model lambda must be finite, got nan"),
+            (("sigma_models", None, "coef", 0), np.nan, "volatility model coef must be finite, got [nan, "),
+            (("sigma_models", None, "coef", -1), np.inf, "volatility model coef must be finite, got ["),
+            (("sigma_default",), np.nan, "sigma_default must be finite and positive, got nan"),
+            (("limit_mw",), np.nan, "limit_mw must be finite and positive, got nan"),
+            (("capacity_mw",), np.inf, "capacity_mw must be finite and positive, got inf"),
+            (("samplers", None, "corr", 0, 1), np.nan, "copula corr must be finite"),
+            (("samplers", None, "marginals", "rho", 0), np.nan, "copula marginal rho must be finite"),
+            (("samplers", None, "marginals", "tau", -1), np.inf, "copula marginal tau must be finite"),
+            (("samplers", None, "marginals", "h", 0), np.nan, "copula marginal h must be finite"),
+        ],
+        ids=["sigma-lambda", "sigma-coef-nan", "sigma-coef-inf", "sigma-default", "limit", "capacity",
+             "copula-corr", "copula-rho", "copula-tau", "copula-h"],
+    )
+    def test_non_finite_model_field_exits_with_error_line(self, pipeline_run, tmp_path, capsys, path, value, match):
+        cfg, _ = pipeline_run
+        out = tmp_path / "out"
+        out.mkdir()
+        for artifact in ("kernel_0.05.json", "model_0.05.json"):
+            shutil.copy(cfg.out_dir / artifact, out)
+        doc = json.loads((out / "model_0.05.json").read_text())
+        set_at(doc, path, value)
+        (out / "model_0.05.json").write_text(json.dumps(doc))  # writes NaN and Infinity tokens
+        rc = main(["--out", str(out), "--limit", "0.05", "--paths", "20", "--stage", "simulate"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: [simulate] broken artifact {out / 'model_0.05.json'}: InputError: ")
         assert err.count("[simulate]") == 1 and match in err
         assert "Traceback" not in err
 

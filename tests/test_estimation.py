@@ -48,6 +48,80 @@ def uniform_triplets(support, n, rng):
     return out
 
 
+class ScriptedClasses:
+    """Classes whose candidates are accepted by script, not by their supports.
+
+    Class ``c`` rejects ``gaps[c][k]`` candidates before its ``k``-th
+    accepted one, then accepts all (``tail`` true) or rejects all.  Its
+    sampler always draws ``rho = c + 1``, by which :meth:`contains` tells
+    the classes of one call apart; ``h`` varies with the normals.
+    """
+
+    def __init__(self, gaps, tails):
+        self.flags = [np.r_[np.concatenate([[False] * g + [True] for g in gs] + [[]]), tail].astype(bool)
+                      for gs, tail in zip(gaps, tails)]
+        self.seen = np.zeros(len(gaps), dtype=int)
+        self.samplers = [
+            EmpiricalCopulaSampler(
+                support=attainable_param_support(1, 3, LIMIT, CAPACITY), corr=np.eye(3),
+                marginals=(np.full(3, c + 1.0), np.ones(3), np.linspace(0.1, 1.0, 5)), n_obs=3,
+            )
+            for c in range(len(gaps))
+        ]
+
+    def accept(self, c, k):
+        """Whether class ``c`` accepts its ``k``-th candidates, counted over all rounds."""
+        return self.flags[c][np.minimum(k, self.flags[c].size - 1)]
+
+    def contains(self, rho, tau, h):
+        owner = np.asarray(rho).astype(int) - 1
+        ok = np.empty(owner.size, dtype=bool)
+        for c in np.unique(owner).tolist():
+            at = np.flatnonzero(owner == c)
+            ok[at] = self.accept(c, self.seen[c] + np.arange(at.size))
+            self.seen[c] += at.size
+        return ok
+
+    def draw(self, counts, seed, chunk):
+        """``sample_classes`` of the scripted classes, or the message of its error."""
+        import windbridge.bridge as bridge
+        import windbridge.estimation as est
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(est, "MAX_REJECTIONS", 100)
+            mp.setattr(bridge, "CHUNK_POINTS", chunk)
+            mp.setattr(est.SupportSpec, "contains", self.contains)
+            try:
+                return sample_classes(self.samplers, counts, np.random.default_rng(seed), names="ABCD")
+            except EstimationError as exc:
+                return str(exc)
+
+    def oracle(self, counts, seed):
+        """The stream rule as a scalar loop, one class and one candidate at a time:
+        the rows, or the index of the class that meets 100 consecutive rejects first."""
+        rng = np.random.default_rng(seed)
+        kept = [[] for _ in counts]
+        seen, run = [0] * len(counts), [0] * len(counts)
+        while any(len(k) < n for k, n in zip(kept, counts)):
+            active = [c for c, n in enumerate(counts) if len(kept[c]) < n]
+            m = [max(counts[c] - len(kept[c]), 64) for c in active]
+            z = rng.standard_normal((sum(m), 3))
+            for c, lo, size in zip(active, np.cumsum(m) - m, m):
+                rho, tau, h = self.samplers[c]._quantiles(z[lo : lo + size])
+                tau = _nearest_tau(tau, 3)
+                for r in range(size):
+                    if self.accept(c, seen[c]):
+                        run[c] = 0
+                        if len(kept[c]) < counts[c]:
+                            kept[c].append((rho[r], tau[r], h[r]))
+                    else:
+                        run[c] += 1
+                        if run[c] >= 100:
+                            return c
+                    seen[c] += 1
+        return np.array([row for k in kept for row in k]).reshape(-1, 3).T
+
+
 class TestSupports:
     def test_contains_strictness(self):
         s = attainable_param_support(1, 5, LIMIT, CAPACITY)
@@ -238,6 +312,63 @@ class TestJointDensity:
         want = np.array([row for k in kept for row in k]).T
         np.testing.assert_array_equal(np.array(got), want)
         assert got[1].dtype == int
+
+    # with a budget of 100: A (150 rows) accepts its first 51 candidates and
+    # ends round 1 on 99 rejects; B and C start on rejects of their own
+    @pytest.mark.parametrize("chunk", [10**9, 100, 1])
+    @pytest.mark.parametrize(
+        "counts, gaps, raises",
+        [
+            ((150, 1), ([0] * 51 + [99], [63]), None),  # B does not inherit A's 99
+            ((150, 1), ([0] * 51 + [100], [63]), "A"),  # A's 100th reject opens round 2
+            ((150, 1), ([0] * 51 + [99], [99]), None),  # B: 64 rejects in round 1, 35 in round 2
+            ((150, 1), ([0] * 51 + [99], [100]), "B"),
+            ((150, 1), ([0] * 51 + [100], [100]), "A"),  # both in round 2: the first class is named
+            ((2, 150, 1), ([0, 99], [0] * 51 + [99], [99]), None),
+            ((2, 150, 1), ([0, 100], [0] * 51 + [99], [99]), "A"),
+            ((2, 150, 1), ([0, 99], [0] * 51 + [100], [99]), "B"),
+            ((2, 150, 1), ([0, 99], [0] * 51 + [99], [100]), "C"),
+            ((1, 1, 1), ([200], [99], [63]), "A"),  # A's 100th reject is the 36th of round 2
+            ((150, 64), ([0] * 51 + [99], [0] * 63 + [99]), None),  # two trailing runs of 99 in one round
+            ((150, 64), ([0] * 51 + [99], [0] * 63 + [100]), "B"),
+        ],
+    )
+    def test_rejection_runs_stay_in_their_class(self, counts, gaps, raises, chunk):
+        script = ScriptedClasses(gaps, [True] * len(gaps))
+        got = script.draw(counts, 23, chunk)
+        want = script.oracle(counts, 23)
+        if raises is None:
+            np.testing.assert_array_equal(np.array(got), want)
+            assert want.shape == (3, sum(counts))
+        else:
+            assert got.startswith("100 consecutive rejections") and got.endswith(f"in class {raises}")
+            assert want == "ABCD".index(raises)
+
+    @pytest.mark.parametrize("chunk", [10**9, 100, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        classes=st.lists(
+            st.tuples(
+                st.integers(0, 150),
+                st.lists(st.one_of(st.integers(0, 120), st.sampled_from([63, 64, 98, 99, 100])), max_size=6),
+                st.booleans(),
+            ),
+            min_size=1, max_size=4,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rejection_runs_match_a_scalar_loop(self, chunk, classes, seed):
+        counts, gaps, tails = (list(v) for v in zip(*classes))
+        script = ScriptedClasses(gaps, tails)
+        got = script.draw(counts, seed, chunk)
+        want = script.oracle(counts, seed)
+        if isinstance(want, int):
+            assert got == (
+                "100 consecutive rejections: fitted density is inconsistent with its support "
+                f"(side=1, x=3) in class {'ABCD'[want]}"
+            )
+        else:
+            np.testing.assert_array_equal(np.array(got), want)
 
     def test_average_ranks_match_scipy(self):
         from scipy.stats import rankdata

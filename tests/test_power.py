@@ -123,6 +123,12 @@ class TestRampLimit:
         with pytest.raises(InputError, match=r"generated power 2.25 at step 3 outside \[0, 2.0\]"):
             apply_ramp_limit(PowerSeries(generated=generated), RampPolicy(limit=0.1), 2.0)
 
+    @pytest.mark.parametrize("limit", [np.nan, np.inf])
+    def test_non_finite_limit_rejected(self, limit):
+        # either limit would leave [0, 1.5, 0.2, 1.9] uncorrected
+        with pytest.raises(InputError, match=f"RampPolicy.limit must be finite, got {limit}"):
+            RampPolicy(limit=limit)
+
     def test_empty_series_rejected(self):
         with pytest.raises(InputError):
             PowerSeries(generated=np.array([]))
