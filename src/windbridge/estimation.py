@@ -187,7 +187,13 @@ class EmpiricalCopulaSampler:
     ):
         self.support = support
         self.corr = np.asarray(corr, dtype=float)
-        self.marginals = tuple(np.sort(np.asarray(m, dtype=float)) for m in marginals)
+        if self.corr.shape != (3, 3):
+            raise InputError(f"copula corr must be 3x3, got shape {self.corr.shape}")
+        self.marginals = tuple(np.asarray(m, dtype=float) for m in marginals)
+        for name, m in zip(("rho", "tau", "h"), self.marginals):
+            if m.ndim != 1 or m.size == 0:
+                raise InputError(f"copula marginal {name} must be a non-empty list, got shape {m.shape}")
+        self.marginals = tuple(np.sort(m) for m in self.marginals)
         self.n_obs = int(n_obs)
         self.bootstrap_augmented = bool(bootstrap_augmented)
         if not np.isfinite(np.concatenate((self.corr.ravel(), *self.marginals))).all():

@@ -203,6 +203,8 @@ def generate_synthetic_wind(
 
 WIND_HEADER = ["timestamp", "speed_ms"]
 POWER_HEADER = ["k", "e", "e_bar"]
+#: How an error names a column, where not by its header name.
+_LABELS = {"speed_ms": "wind speed"}
 
 
 def _open_rows(path: Path):
@@ -254,7 +256,9 @@ def _read_columns(path: Path, kind: str, check_header, key: type) -> list[np.nda
     csv module starts a quoted field or skips a comment row.  Such files,
     files without data rows and any parse that warns are read again by
     :func:`_scan_columns`, which returns what the csv module reads or raises
-    the ``path:line`` error.
+    the ``path:line`` error.  Once every row has parsed, the first value
+    that is not finite and nonnegative, in row order and then column order,
+    raises an :class:`InputError` naming its file, line and column.
     """
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
@@ -276,6 +280,13 @@ def _read_columns(path: Path, kind: str, check_header, key: type) -> list[np.nda
         columns = [np.ascontiguousarray(table[name]) for name in header[1:]]
     if columns[0].size == 0:
         raise InputError(f"no {kind} rows in {path}")
+    bad = np.column_stack([~(np.isfinite(c) & (c >= 0.0)) for c in columns])
+    if bad.any():
+        at, col = np.argwhere(bad)[0]
+        # the header is the first row that is neither blank nor a comment
+        line, row = next(itertools.islice(_open_rows(path), int(at) + 1, None))
+        name = _LABELS.get(header[col + 1], header[col + 1])
+        raise InputError(f"{path}:{line}: {name} must be finite and nonnegative, got {row[col + 1]!r}")
     return columns
 
 
@@ -306,11 +317,7 @@ def _write_columns(
 
 
 def read_wind_csv(path: str | Path) -> np.ndarray:
-    """Read an hourly wind series (header ``timestamp,speed_ms``) into m/s values.
-
-    Once every row has parsed, the first speed that is not finite and
-    nonnegative raises an :class:`InputError` naming its file and line.
-    """
+    """Read an hourly wind series (header ``timestamp,speed_ms``) into m/s values."""
     path = Path(path)
     if not path.is_file():
         raise InputError(f"wind input file not found: {path}")
@@ -321,11 +328,6 @@ def read_wind_csv(path: str | Path) -> np.ndarray:
         return WIND_HEADER
 
     (speeds,) = _read_columns(path, "wind", check_header, str)
-    bad = np.flatnonzero(~(np.isfinite(speeds) & (speeds >= 0.0)))
-    if bad.size:
-        # the header is the first row that is neither blank nor a comment
-        line, row = next(itertools.islice(_open_rows(path), int(bad[0]) + 1, None))
-        raise InputError(f"{path}:{line}: wind speed must be finite and nonnegative, got {row[1]!r}")
     return speeds
 
 

@@ -128,10 +128,12 @@ class ChargeModel:
     def charge_block(self, i, j, x, rng: np.random.Generator) -> np.ndarray:
         """Charges ``c(1..x)`` of many runs from one vectorised pass, laid end to end.
 
-        ``i``, ``j`` and ``x`` hold each run's class, sorted by class as
-        :func:`sample_step_grids` sorts them; equal neighbouring keys make
-        one class.  Returns the ``x[r]`` charges of every run in the given
-        order.  Idle runs are zeros and draw nothing.  Each volatility is
+        ``i``, ``j`` and ``x`` hold each run's class; the runs may come in
+        any order.  Returns the ``x[r]`` charges of every run at that run's
+        offset in the given order.  The runs are drawn sorted by class ``(i,
+        j, x)``, a stable sort that keeps each class's runs in their given
+        order, so interleaving the classes changes no run's charges.  Idle
+        runs are zeros and draw nothing.  Each volatility is
         predicted from its row, one :func:`predict_sigma_batch` per ``(i, j)``
         pair; volatilities at the floor draw no bridge and give the clipped
         triangle.  Every value lies in ``[0, rho - (k-1)*limit]``; the pinned
@@ -146,7 +148,7 @@ class ChargeModel:
            ``max(short, 64)`` candidates in sorted class order, keeping its
            first accepted ones in order;
         2. every bridge with volatility above the floor, by
-           :func:`latent_bridges`, run after run in the given order: each
+           :func:`latent_bridges`, run after run in sorted order: each
            takes its ``tau`` normals and then, if ``tau < x``, its
            ``x+1-tau``, as a one-row :func:`sample_latent_bridge` does.
 
@@ -161,7 +163,8 @@ class ChargeModel:
         if x.size and x.min() < 1:
             raise InputError(f"sojourn must be >= 1, got {x.min()}")
         out = np.zeros(int(x.sum()))
-        live = np.flatnonzero(i != 0)
+        order = np.lexsort((x, j, i))
+        live = order[i[order] != 0]
         offset = (np.cumsum(x) - x)[live]
         i, j, x = i[live], j[live], x[live]
         if live.size == 0:
@@ -354,52 +357,33 @@ def sample_step_grids(
     1. the jump chains of every row, round by round, until its time passes
        ``horizon`` (:meth:`SemiMarkovKernel.sample_chains`, which reads the
        start arrays);
-    2. the charges of every segment of the block, sorted by class ``(i, j,
-       x)``, from one :meth:`ChargeModel.charge_block` pass: first the copula
-       rounds of all classes, then their bridges run after run (the stream
-       rule is in its docstring), then scattered into the grids;
-       a segment entered with backward time ``b`` skips its first ``b``
-       charge values.
+    2. the charges of every segment of the block, row by row and in time
+       order, from one :meth:`ChargeModel.charge_block` pass (the stream
+       rule is in its docstring).
+
+    The segments of the block, laid end to end, give one state per step
+    (each entered state repeated over its sojourn) and one charge per step.
+    A row's segments tile its time from ``-initial_backwards[n]`` on and run
+    past ``horizon``, so its steps ``0..horizon`` are one window of
+    ``horizon+1`` consecutive entries, ``initial_backwards[n]`` past the start
+    of its first segment: a segment entered with backward time ``b`` skips
+    its first ``b`` charge values.
 
     Returns ``(states, charges)``, an ``int8`` and a float grid of shape
     ``(P, horizon+1)``; step 0's charge is never used.  Neither depends on
     the battery, so :func:`battery_recursion` prices one block for any
-    number of batteries on common random numbers.  Pricing happens after this
-    function returns, so the jump chains and the per-segment arrays are freed
-    before it allocates its grids: at horizon 720 that lowers the peak RSS by
-    2 MB.
+    number of batteries on common random numbers.
     """
     _check_horizon(horizon)
     chain, sojourn = kernel.sample_chains(initial_states, rng, initial_backwards, horizon=horizon)
-    n_rows = chain.shape[0]
-    b0 = np.ravel(initial_backwards).astype(int)
-
-    # One entry per segment, row-major; then grouped by class, in sorted order.
-    # A row's first segment was entered b0 steps before time 0.
-    row, rnd = np.nonzero(sojourn)
-    i, j, x = chain[row, rnd], chain[row, rnd + 1], sojourn[row, rnd]
-    entry = (np.cumsum(sojourn, axis=1) - sojourn)[row, rnd] - b0[row]
-    order = np.lexsort((x, j, i))
-    row, i, j, x, entry = row[order], i[order], j[order], x[order], entry[order]
-    charge = charge_model.charge_block(i, j, x, rng)
-    first = np.cumsum(x) - x  # where each segment's charges start in ``charge``
-
-    # Step t of a segment entered at time e has backward time t - e and
-    # charge c(t - e + 1); steps before 0 were spent before the path began.
-    # Step 0's charge is never used.  Whole segments are scattered about
-    # CHUNK_POINTS steps at a time.
-    states = np.zeros((n_rows, horizon + 1), dtype=np.int8)
-    charges = np.zeros((n_rows, horizon + 1))
-    for a, b in _chunks(x):
-        seg, k = _ragged(x[a:b])
-        seg += a
-        t = entry[seg] + k
-        keep = (t >= 0) & (t <= horizon)
-        seg, k, t = seg[keep], k[keep], t[keep]
-        r = row[seg]
-        states[r, t] = i[seg]
-        charges[r, t] = charge[first[seg] + k]
-    return states, charges
+    row, rnd = np.nonzero(sojourn)  # row by row, each row's segments in time order
+    i, x = chain[row, rnd], sojourn[row, rnd]
+    charge = charge_model.charge_block(i, chain[row, rnd + 1], x, rng)
+    state = np.repeat(i.astype(np.int8), x)
+    length = sojourn.sum(axis=1)
+    start = np.cumsum(length) - length + np.ravel(initial_backwards).astype(int)
+    window = start[:, None] + np.arange(horizon + 1)
+    return state[window], charge[window]
 
 
 def simulate_penalty_path(

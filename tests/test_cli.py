@@ -498,6 +498,57 @@ class TestStageErrors:
         assert err.count("[simulate]") == 1 and match in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            (("samplers", None, "corr"), [[1.0, 0.0], [0.0, 1.0]], "copula corr must be 3x3, got shape (2, 2)"),
+            (("samplers", None, "corr"), [], "copula corr must be 3x3, got shape (0,)"),
+            (("samplers", None, "marginals", "rho"), [], "copula marginal rho must be a non-empty list, got shape (0,)"),
+            (("samplers", None, "marginals", "h"), 0.5, "copula marginal h must be a non-empty list, got shape ()"),
+        ],
+        ids=["corr-2x2", "corr-empty", "rho-empty", "h-scalar"],
+    )
+    def test_misshapen_sampler_exits_with_error_line(self, pipeline_run, tmp_path, capsys, path, value, match):
+        cfg, _ = pipeline_run
+        out = tmp_path / "out"
+        out.mkdir()
+        for artifact in ("kernel_0.05.json", "model_0.05.json"):
+            shutil.copy(cfg.out_dir / artifact, out)
+        doc = json.loads((out / "model_0.05.json").read_text())
+        set_at(doc, path, value)
+        (out / "model_0.05.json").write_text(json.dumps(doc))
+        rc = main(["--out", str(out), "--limit", "0.05", "--paths", "20", "--stage", "simulate"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: [simulate] broken artifact {out / 'model_0.05.json'}: InputError: {match}\n"
+
+    @pytest.mark.parametrize(
+        "stage, name, column, value",
+        [
+            ("correct", "power.csv", 1, "nan"),
+            ("segment", "corrected_0.05.csv", 1, "inf"),
+            ("segment", "corrected_0.05.csv", 2, "-0.5"),
+        ],
+        ids=["power-e-nan", "corrected-e-inf", "corrected-e_bar-negative"],
+    )
+    def test_bad_power_value_exits_with_error_line(self, pipeline_run, tmp_path, capsys, stage, name, column, value):
+        cfg, _ = pipeline_run
+        out = tmp_path / "out"
+        out.mkdir()
+        lines = (cfg.out_dir / name).read_text().splitlines()
+        assert lines[0].startswith("#") and lines[1] in ("k,e", "k,e,e_bar")
+        fields = lines[6].split(",")
+        fields[column] = value
+        lines[6] = ",".join(fields)
+        (out / name).write_text("\n".join(lines) + "\n")
+        rc = main(["--out", str(out), "--limit", "0.05", "--stage", stage])
+        err = capsys.readouterr().err
+        header = lines[1].split(",")
+        assert rc == 1
+        assert err == (
+            f"error: [{stage}] {out / name}:7: {header[column]} must be finite and nonnegative, got {value!r}\n"
+        )
+
     @pytest.mark.parametrize("stage", ["simulate", "validate"])
     def test_kernel_mass_at_an_unfitted_class_is_refused(self, pipeline_run, tmp_path, stage):
         # a mass too small for any path to enter is refused at load, as a large one is

@@ -242,6 +242,22 @@ class TestCsvRoundTrips:
         with pytest.raises(InputError, match="header"):
             read_wind_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line, name, field",
+        [
+            ("k,e\n0,1.0\n1,nan\n", 3, "e", "nan"),
+            ("k,e,e_bar\n0,1.0,1.0\n1,1.2,-0.5\n2,inf,1.0\n", 3, "e_bar", "-0.5"),
+            ("# stamp\nk,e,e_bar\n\n0,1.0,1.0\n# note\n1,-inf,nan\n", 6, "e", "-inf"),
+        ],
+    )
+    def test_bad_power_value_names_file_line_and_column(self, tmp_path, text, line, name, field):
+        path = tmp_path / "corrected_0.05.csv"
+        path.write_text(text)
+        message = f"{path}:{line}: {name} must be finite and nonnegative, got {field!r}"
+        with pytest.raises(InputError) as info:
+            read_power_csv(path)
+        assert str(info.value) == message
+
     def test_bad_wind_speed_names_file_and_line(self, tmp_path):
         path = tmp_path / "wind.csv"
         path.write_text("timestamp,speed_ms\n0,5.0\n1,nan\n2,-3\n")
@@ -370,7 +386,7 @@ def oracle_read_power_csv(path):
         raise InputError(f"empty power file: {path}") from None
     if header not in (power.POWER_HEADER, power.POWER_HEADER[:2]):
         raise InputError(f"unexpected power header {header!r} in {path}")
-    es, ebs = [], []
+    es, ebs, fields = [], [], []
     for line, row in rows:
         if len(row) != len(header):
             raise _oracle_malformed(path, line, row, header)
@@ -381,8 +397,13 @@ def oracle_read_power_csv(path):
                 ebs.append(float(row[2]))
         except ValueError:
             raise _oracle_malformed(path, line, row, header) from None
+        fields.append((line, row))
     if not es:
         raise InputError(f"no power rows in {path}")
+    for line, row in fields:
+        for name, field in zip(header[1:], row[1:]):
+            if not (math.isfinite(float(field)) and float(field) >= 0.0):
+                raise InputError(f"{path}:{line}: {name} must be finite and nonnegative, got {field!r}")
     corrected = np.asarray(ebs) if ebs else None
     return PowerSeries(generated=np.asarray(es), corrected=corrected)
 

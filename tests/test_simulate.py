@@ -321,6 +321,26 @@ class TestChargeBlock:
             cov_gap = np.abs(pa.mean(axis=0) - pb.mean(axis=0))
             assert np.all(cov_gap <= 4.0 * np.hypot(standard_error(pa), standard_error(pb)) + 1e-15), key
 
+    def test_runs_may_come_in_any_order(self, fitted_model):
+        # the classes interleaved, each class's runs kept in their order: every
+        # run gets the charges the class-sorted block gives it
+        counts = {key: 7 for key in sorted(fitted_model.samplers)[::5]}
+        counts[(0, 1, 3)] = 4
+        keys = block_keys(counts)
+        n = keys[0].size
+        where = np.random.default_rng(1).permutation(n)  # each sorted run's place in the interleaving
+        bounds = np.cumsum([0] + [counts[key] for key in sorted(counts)])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            where[lo:hi].sort()
+        mixed = [np.empty_like(v) for v in keys]
+        for m, v in zip(mixed, keys):
+            m[where] = v
+        assert not np.array_equal(mixed[0], keys[0])
+        want = np.split(fitted_model.charge_block(*keys, np.random.default_rng(5)), np.cumsum(keys[2])[:-1])
+        got = np.split(fitted_model.charge_block(*mixed, np.random.default_rng(5)), np.cumsum(mixed[2])[:-1])
+        for r in range(n):
+            np.testing.assert_array_equal(got[where[r]], want[r])
+
     def test_rows_stay_in_band(self):
         entries = {
             (1, 0, 5): (1.9, 2, 0.5),
@@ -538,6 +558,37 @@ class TestDegenerateOracle:
         np.testing.assert_array_equal(discounted_penalty(path.penalty, fees.discount_rate), w)
 
 
+def oracle_step_grids(kernel, model, initial_states, seed, initial_backwards, horizon):
+    """The state and charge grids of a block, step by step: the jump chains
+    drawn from ``default_rng(seed)``, then one ``charge_block`` call on the
+    segments sorted by class, then each row's segments walked in time."""
+    rng = np.random.default_rng(seed)
+    chain, sojourns = kernel.sample_chains(initial_states, rng, initial_backwards, horizon=horizon)
+    segments = list(zip(*np.nonzero(sojourns)))
+    # a stable sort by class, as the engine draws them
+    segments.sort(key=lambda s: (chain[s], chain[s[0], s[1] + 1], sojourns[s]))
+    flat = model.charge_block(
+        [chain[s] for s in segments], [chain[s[0], s[1] + 1] for s in segments],
+        [sojourns[s] for s in segments], rng,
+    )
+    paths, at = {}, 0
+    for s in segments:
+        paths[s] = flat[at : at + sojourns[s]]
+        at += sojourns[s]
+    states = np.full((chain.shape[0], horizon + 1), 9, dtype=np.int8)
+    charges = np.full((chain.shape[0], horizon + 1), np.nan)
+    for n in range(chain.shape[0]):
+        t = -int(initial_backwards[n])  # when the row's first segment was entered
+        for r in range(sojourns.shape[1]):
+            for k in range(int(sojourns[n, r])):
+                if 0 <= t <= horizon:
+                    states[n, t] = chain[n, r]
+                    charges[n, t] = paths[(n, r)][k]
+                t += 1
+    assert np.all(states != 9) and not np.isnan(charges).any()
+    return states, charges
+
+
 class TestPenaltyBlock:
     def test_rows_match_one_row_paths_and_oracle(self):
         kernel, model = cycle_kernel(x=3), degenerate_model(CYCLE_ENTRIES)
@@ -575,6 +626,19 @@ class TestPenaltyBlock:
             np.testing.assert_array_equal(penalty[n], want_pen)
             np.testing.assert_array_equal(discounted[n], w)
             assert states[n, 0] == z0[n] and backward[n, 0] == b0[n]
+
+    def test_step_grids_match_the_step_oracle(self, fitted_kernel, fitted_model):
+        rng = np.random.default_rng(31)
+        z0 = rng.choice(kernel_states(fitted_kernel), 60)
+        b0 = (rng.random(60) * fitted_kernel.max_sojourn(z0)).astype(int)
+        assert b0.max() > 0
+        for horizon in (1, 24, 150):
+            got = sample_step_grids(fitted_kernel, fitted_model, z0, np.random.default_rng(horizon), b0,
+                                    horizon=horizon)
+            want = oracle_step_grids(fitted_kernel, fitted_model, z0, horizon, b0, horizon)
+            for name, g, w in zip(("states", "charges"), got, want):
+                assert g.dtype == w.dtype, name
+                np.testing.assert_array_equal(g, w, err_msg=name)
 
     def test_conditioned_first_sojourns_exceed_backward(self, fitted_kernel):
         rng = np.random.default_rng(12)
