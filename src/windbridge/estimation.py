@@ -621,17 +621,15 @@ def predict_sigma(model: SigmaModel, rho: float, tau: float, h: float, x: float)
 def predict_sigma_batch(model: SigmaModel, rho, tau, h, x) -> np.ndarray:
     """:func:`predict_sigma` for arrays of ``(rho, tau, h)``, at one sojourn ``x`` or one per row.
 
+    The model reads the first ``coef.size`` regressors, the constant first,
+    so each row of a constant model is ``1.0 * coef[0]``: ``coef[0]`` exactly.
     A one-row batch equals :func:`predict_sigma` bit for bit; rows of a
     larger batch may differ from it in the last bit, since the matrix-vector
     product sums in another order.  Predictions outside the inverse
     transform's domain are floored and counted in
     ``model.floored_predictions``.
     """
-    rho = np.asarray(rho, dtype=float)
-    if model.feature_names == ("const",):
-        pred = np.full(rho.shape, float(model.coef[0]))
-    else:
-        pred = _design_matrix(rho, tau, h, x) @ model.coef
+    pred = _design_matrix(rho, tau, h, x)[:, : model.coef.size] @ model.coef
     sigma = inv_box_cox(pred, model.lam)
     outside = np.isnan(sigma)
     n_outside = int(np.count_nonzero(outside))

@@ -60,6 +60,7 @@ from .simulate import (
     ChargeModel,
     PenaltySpec,
     _check_horizon,
+    _check_integer,
     battery_recursion,
     discounted_penalty,
     mc_moments,
@@ -104,6 +105,7 @@ class SyntheticWindSpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        _check_integer("n_steps", self.n_steps)
         if self.n_steps < 2:
             raise InputError("synthetic wind needs at least 2 steps")
         _check_wind_law(self.shape, self.scale, self.autocorrelation)
@@ -138,6 +140,8 @@ class RunConfig:
         if len(set(tags)) < len(tags):
             raise InputError(f"limits {self.limits} repeat an artifact tag: {tags}")
         _check_horizon(self.horizon)
+        for name in ("n_paths", "seed", "eligibility", "min_group_sample"):
+            _check_integer(name, getattr(self, name))
         # moments and class covariances need two rows: one has no spread
         if self.n_paths < 2:
             raise InputError(f"n_paths must be >= 2, got {self.n_paths}")
@@ -384,12 +388,11 @@ def build_model_doc(
             continue
         charges, tau, h = charges[keep], tau[keep], h[keep]
         rho = compute_initial_power(i, table.entry_power[rows[keep]], x, limit, capacity)
-        if x >= 2:
-            s_hat = mle_sigma(decompose(charges, rho, tau, h, limit), tau, x)
-            # a run with no informative point (NaN) gives no observation
-            obs = np.column_stack((s_hat, rho, tau, h, np.full(len(h), x)))[~np.isnan(s_hat)]
-            if len(obs):
-                sigma_obs.setdefault((i, j), []).append(obs)
+        s_hat = mle_sigma(decompose(charges, rho, tau, h, limit), tau, x)
+        # a run with no informative point (NaN), such as any one-step run, gives no observation
+        obs = np.column_stack((s_hat, rho, tau, h, np.full(len(h), x)))[~np.isnan(s_hat)]
+        if len(obs):
+            sigma_obs.setdefault((i, j), []).append(obs)
         rng = np.random.default_rng(np.random.SeedSequence((*seed_key, i + 2, j + 2, x)))
         sampler = fit_joint_density(
             np.column_stack((rho, tau, h)), support, min_sample=min_group_sample, rng=rng

@@ -137,8 +137,9 @@ class ChargeModel:
         predicted from its row, one :func:`predict_sigma_batch` per ``(i, j)``
         pair; volatilities at the floor draw no bridge and give the clipped
         triangle.  Every value lies in ``[0, rho - (k-1)*limit]``; the pinned
-        zeros at ``k = 0`` and ``k = x+1`` are not stored.  A one-step run is
-        ``min(max(h, 0), rho)`` and predicts no volatility.
+        zeros at ``k = 0`` and ``k = x+1`` are not stored.  A one-step run
+        predicts no volatility and draws no bridge: it is its peak clipped
+        into the band, ``min(max(h, 0), rho)``.
 
         Stream rule, all from ``rng``:
 
@@ -175,21 +176,18 @@ class ChargeModel:
         names = [f"(i={a}, j={b}, x={c})" for a, b, c in keys]
         rho, tau, h = sample_classes([self.sampler_for(*k)[0] for k in keys], counts, rng, names=names)
 
-        one = x == 1
-        out[offset[one]] = np.minimum(np.maximum(h[one], 0.0), rho[one])
         sigma = np.zeros(live.size)
         pair = np.flatnonzero(np.r_[True, (np.diff(i) != 0) | (np.diff(j) != 0)])
         for lo, hi in zip(pair.tolist(), np.r_[pair[1:], live.size].tolist()):
-            rows = np.arange(lo, hi)[~one[lo:hi]]
+            rows = lo + np.flatnonzero(x[lo:hi] > 1)  # a one-step run has no bridge to scale
             if rows.size:
                 model = self.sigma_model_for(int(i[lo]), int(j[lo]))
                 sigma[rows] = predict_sigma_batch(model, rho[rows], tau[rows], h[rows], x[rows])
         # volatilities within rounding of the floor count as "no noise"
         noisy = sigma > SIGMA_FLOOR * (1.0 + 1e-9)
         normals = np.where(noisy, x + (tau < x), 0)
-        points = np.where(one, 0, x)
-        for lo, hi in _chunks(points):
-            run, col = _ragged(points[lo:hi])
+        for lo, hi in _chunks(x):
+            run, col = _ragged(x[lo:hi])
             run += lo
             bridged = lo + np.flatnonzero(noisy[lo:hi])
             latent = np.zeros(run.size)
@@ -221,13 +219,14 @@ class PenaltyPath:
 def discounted_penalty(penalty: np.ndarray, rate: float) -> np.ndarray:
     """Running sum of ``penalty[..., m] * exp(-rate * m)`` along the last axis.
 
-    Nondecreasing for r >= 0 and nonnegative penalties.  Rows of a 2-d array
+    Nondecreasing for nonnegative penalties; a rate that is not finite and
+    nonnegative raises :class:`InputError`.  Rows of a 2-d array
     are independent paths or windows, each discounted from its own column 0;
     a 2-d cumsum adds along each row in the order a 1-d one does, so every row
     equals the one-row result bit for bit.
     """
-    if rate < 0:
-        raise InputError("discount rate must be nonnegative")
+    if not (np.isfinite(rate) and rate >= 0):
+        raise InputError(f"discount rate must be finite and nonnegative, got {rate}")
     m = np.asarray(penalty, dtype=float)
     weights = np.exp(-rate * np.arange(m.shape[-1]))
     return np.cumsum(m * weights, axis=-1)
@@ -333,8 +332,15 @@ def _first_bad(what: str, values: np.ndarray, bad: np.ndarray, rule: str) -> Non
         raise InputError(f"{what} at {at} {rule}, got {values[tuple(where)]}")
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a count that is not an integer; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value}")
+
+
 def _check_horizon(horizon: int) -> None:
-    """Reject a penalty window of fewer than one step."""
+    """Reject a penalty window that is not a whole number of steps, at least one."""
+    _check_integer("horizon", horizon)
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
 

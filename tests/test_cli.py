@@ -296,6 +296,19 @@ class TestRunConfig:
             small_config(tmp_path, **{name: 1})
         assert getattr(small_config(tmp_path, **{name: 2}), name) == 2
 
+    @pytest.mark.parametrize("name", ["horizon", "n_paths", "seed", "eligibility", "min_group_sample"])
+    @pytest.mark.parametrize("value", [2.5, 30.5, 30.0, True, np.float64(30.0)], ids=str)
+    def test_non_integer_count_rejected(self, tmp_path, name, value):
+        with pytest.raises(InputError, match=f"^{name} must be an integer, got {re.escape(str(value))}$"):
+            small_config(tmp_path, **{name: value})
+        assert getattr(small_config(tmp_path, **{name: np.int64(30)}), name) == 30
+
+    @pytest.mark.parametrize("value", [100.5, 6000.0, True], ids=str)
+    def test_non_integer_synthetic_step_count_rejected(self, value):
+        with pytest.raises(InputError, match=f"^n_steps must be an integer, got {re.escape(str(value))}$"):
+            SyntheticWindSpec(n_steps=value)
+        assert SyntheticWindSpec(n_steps=np.int64(6000)).n_steps == 6000
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_synthetic_spec_rejected(self, value):
         with pytest.raises(InputError, match="SyntheticWindSpec.scale must be finite"):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -619,6 +620,34 @@ class TestSigmaRegression:
         old = json.loads(text.replace("null", "NaN"))
         assert np.isnan(SigmaModel.from_dict(old).adj_r2)
         assert SigmaModel.from_dict(old).to_dict() == doc
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    @pytest.mark.parametrize("sigma", [SIGMA_FLOOR / 2, SIGMA_FLOOR, 0.05, 0.3, 7.0])
+    def test_constant_model_is_its_intercept_bit_for_bit(self, n, sigma):
+        # the intercept-only formula, whatever rows the batch holds
+        model = SigmaModel.constant(sigma)
+        rng = np.random.default_rng(n)
+        rho, h = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 1.0, n)
+        tau, x = rng.integers(1, 9, n), rng.integers(9, 20, n)
+        want = np.fmax(np.exp(np.full(n, model.coef[0])), SIGMA_FLOOR)
+        for sojourn in (x, 12):
+            assert predict_sigma_batch(model, rho, tau, h, sojourn).tobytes() == want.tobytes()
+        for r in range(min(n, 5)):
+            assert np.float64(predict_sigma(model, rho[r], tau[r], h[r], x[r])).tobytes() == want[r].tobytes()
+        assert model.floored_predictions == 0
+
+    def test_constant_model_outside_the_domain_is_floored_and_counted(self):
+        # a constant model read from a file may carry any lambda
+        model = SigmaModel(
+            lam=0.5, coef=np.array([-3.0]), feature_names=("const",),
+            adj_r2=float("nan"), resid_std=0.0, n_outliers_removed=0, n_obs=0,
+        )
+        got = predict_sigma_batch(model, np.ones(4), np.ones(4), np.ones(4), 3)
+        assert got.tobytes() == np.full(4, SIGMA_FLOOR).tobytes()
+        assert model.floored_predictions == 4
+        inside = replace(model, coef=np.array([0.7]))
+        want = np.fmax(inv_box_cox(np.full(3, 0.7), 0.5), SIGMA_FLOOR)
+        assert predict_sigma_batch(inside, np.ones(3), np.ones(3), np.ones(3), 3).tobytes() == want.tobytes()
 
     def test_model_round_trip(self):
         obs = synthetic_sigma_observations(100, np.random.default_rng(27))

@@ -32,6 +32,7 @@ from windbridge.simulate import (
     sample_step_grids,
     simulate_penalty_path,
 )
+from windbridge.validation import daily_penalty_moments
 
 from conftest import (
     DegenerateSampler,
@@ -340,6 +341,27 @@ class TestChargeBlock:
         got = np.split(fitted_model.charge_block(*mixed, np.random.default_rng(5)), np.cumsum(mixed[2])[:-1])
         for r in range(n):
             np.testing.assert_array_equal(got[where[r]], want[r])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_one_step_run_is_its_peak_clipped_into_the_band(self, data, seed):
+        # every (rho, h) a one-step class can fit, discharge peaks above rho
+        # included; the one-step runs sit among longer, noisy runs
+        entries = {(1, 0, 5): (1.9, 2, 0.5), (-1, 1, 3): (0.3, 3, 0.25)}
+        for i, j in ((1, 0), (1, -1), (-1, 0), (-1, 1)):
+            support = attainable_param_support(i, 1, LIMIT, CAPACITY)
+            rho = data.draw(st.floats(float(support.rho_min), float(support.rho_max)))
+            h_max = float(support.h_max(rho, 1))
+            h = data.draw(st.floats(0.0, h_max, exclude_min=True) | st.floats(min(rho, h_max), h_max))
+            entries[(i, j, 1)] = (rho, 1, h)
+        model = degenerate_model(entries, sigma=0.3)
+        keys = data.draw(st.lists(st.sampled_from(sorted(entries)), min_size=1, max_size=30))
+        i, j, x = (np.array(v) for v in zip(*keys))
+        runs = np.split(model.charge_block(i, j, x, np.random.default_rng(seed)), np.cumsum(x)[:-1])
+        for key, run in zip(keys, runs):
+            if key[2] == 1:
+                rho, _, h = entries[key]
+                assert run.tobytes() == np.float64(min(h, rho)).tobytes(), (key, rho, h)
 
     def test_rows_stay_in_band(self):
         entries = {
@@ -928,6 +950,18 @@ class TestDiscountedPenalty:
     def test_huge_rate_keeps_only_step_zero(self):
         w = discounted_penalty([2.0, 1.0, 1.0], 1e3)
         np.testing.assert_allclose(w, [2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0, -1e-300])
+    def test_rate_not_finite_and_nonnegative_rejected(self, rate):
+        # no NaN moments: every reader of the discounted sum refuses the rate
+        calls = [
+            lambda: discounted_penalty(np.ones(3), rate),
+            lambda: mc_moments(np.ones((4, 3)), rate),
+            lambda: daily_penalty_moments(np.ones(49), horizon=24, discount_rate=rate),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match=rf"^discount rate must be finite and nonnegative, got {rate}$"):
+                call()
 
     def test_nondecreasing(self):
         rng = np.random.default_rng(0)
