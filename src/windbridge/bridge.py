@@ -99,20 +99,25 @@ def triangle(tau, h, x, k):
     return np.where(k <= tau, up, down)
 
 
-def compute_initial_power(i: int, entry_power, x: int, limit: float, capacity: float):
+def compute_initial_power(i, entry_power, x, limit: float, capacity: float):
     """Charge-ceiling proxy ``rho`` for runs of ``x`` steps entered at ``entry_power``.
 
-    Discharging runs use the entry power itself (shifted one ramp step back
-    and floored so a ``x+1``-step discharge stays feasible); charging runs
-    use the headroom to rated capacity, mirrored the same way.  One ``rho``
-    per entry power.
+    Discharging runs (``i == -1``) use the entry power itself (shifted one
+    ramp step back and floored so a ``x+1``-step discharge stays feasible);
+    charging runs (``i == 1``) use the headroom to rated capacity, mirrored
+    the same way.  ``i``, ``entry_power`` and ``x`` are values or arrays that
+    broadcast, such as one side and entry power per run of one sojourn
+    length; one ``rho`` per entry is returned.  A side other than -1 or +1
+    raises.
     """
+    side = np.asarray(i)
+    if np.any((side != -1) & (side != 1)):
+        raise InputError("initial power is defined only for charging or discharging segments")
     p = np.asarray(entry_power, dtype=float)
-    if i == -1:
-        return np.minimum(np.maximum(p - limit, limit * (x + 1)), capacity)
-    if i == 1:
-        return np.maximum(np.maximum(capacity - (p - limit), capacity - limit * (x + 1)), 0.0)
-    raise InputError("initial power is defined only for charging or discharging segments")
+    reach = limit * (np.asarray(x) + 1)
+    discharging = np.minimum(np.maximum(p - limit, reach), capacity)
+    charging = np.maximum(np.maximum(capacity - (p - limit), capacity - reach), 0.0)
+    return np.where(side == -1, discharging, charging)
 
 
 def _per_row(rho, tau, h, shape: tuple) -> tuple:

@@ -27,6 +27,7 @@ __all__ = [
     "attainable_param_support",
     "EmpiricalCopulaSampler",
     "sample_classes",
+    "fit_copula_docs",
     "fit_joint_density",
     "mle_sigma",
     "SigmaModel",
@@ -302,15 +303,27 @@ def sample_classes(samplers, counts, rng: np.random.Generator, names=None):
             filled[cls] += np.bincount(owner[take], minlength=cls.size)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks ``1..n`` of ``values``; a run of ties shares the mean of its ranks."""
-    order = np.argsort(values, kind="stable")
+def _average_ranks(values: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of ``values`` within each class and each class's values sorted.
+
+    Classes of ``sizes`` rows lie end to end.  A class's ranks run ``1..n``,
+    and a run of ties shares the mean of its ranks.  One stable sort keyed
+    by class orders every class at once.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    order = np.lexsort((values, owner))
     ordered = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    new = np.ones(ordered.size, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]) | (owner[1:] != owner[:-1])
+    starts = np.flatnonzero(new)
     ends = np.append(starts[1:], ordered.size)
+    # positions within the class, so that the sums below are those of a class alone
+    first = (np.cumsum(sizes) - sizes)[owner[starts]]
+    starts, ends = starts - first, ends - first
     ranks = np.empty(ordered.size)
     ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
-    return ranks
+    return ranks, ordered
 
 
 def _nearest_corr(corr: np.ndarray, floor: float = 1e-10) -> np.ndarray:
@@ -322,58 +335,90 @@ def _nearest_corr(corr: np.ndarray, floor: float = 1e-10) -> np.ndarray:
     return fixed / np.outer(d, d)
 
 
+def _augment(data: np.ndarray, support: SupportSpec, min_sample: int, rng) -> np.ndarray:
+    """``min_sample`` bootstrap picks of a thin class's rows, jittered by 1% of each
+    marginal's observed range and clamped back into the support."""
+    rng = np.random.default_rng(rng)
+    data = data[rng.integers(0, data.shape[0], size=min_sample)]
+    widths = []
+    fallback = (
+        support.rho_max - support.rho_min or support.limit,
+        max(support.x - 1, 1),
+        max(float(np.max(data[:, 2])), support.limit),
+    )
+    for d in range(3):
+        w = float(np.ptp(data[:, d]))
+        widths.append(w if w > 0 else float(fallback[d]))
+    jitter = rng.uniform(-1.0, 1.0, size=data.shape) * (0.01 * np.asarray(widths))
+    data = data + jitter
+    return np.column_stack(support.clamp(data[:, 0], data[:, 1], data[:, 2]))
+
+
+def fit_copula_docs(triplets, counts, supports, rngs, min_sample: int = 10) -> list[dict]:
+    """Fit the joint ``(rho, tau, h)`` law of many segment classes in one pass.
+
+    Class ``c`` owns the next ``counts[c]`` rows of ``triplets``, lies on
+    ``supports[c]`` and, if it has fewer than ``min_sample`` rows, is
+    bootstrap-resampled up to ``min_sample`` with a small uniform jitter (1%
+    of each marginal's observed range) so ranks are informative; jittered
+    points are clamped back into the support.  A thin class draws from
+    ``default_rng(rngs[c])``, so ``rngs[c]`` is a Generator, a seed or a
+    SeedSequence; the others are not read.
+
+    One stable sort per coordinate gives every class's average ranks and
+    sorted marginal, and one ``ndtri`` gives every normal score; each class's
+    correlation comes from its own ``np.corrcoef``, so a class's result is
+    the same, bit for bit, whatever classes share the call.  Returns one
+    :meth:`EmpiricalCopulaSampler.to_dict` document per class.
+    """
+    data = np.asarray(triplets, dtype=float)
+    counts = np.asarray(counts, dtype=np.int64)
+    if data.ndim != 2 or data.shape[1] != 3 or np.any(counts < 1) or counts.sum() != data.shape[0]:
+        raise EstimationError("need a non-empty (n, 3) array of (rho, tau, h) observations per class")
+    sizes = np.maximum(counts, min_sample)
+    thin = np.flatnonzero(counts < min_sample).tolist()
+    if thin:
+        pieces = np.split(data, np.cumsum(counts)[:-1])
+        for c in thin:
+            pieces[c] = _augment(pieces[c], supports[c], min_sample, rngs[c])
+        data = np.concatenate(pieces)
+
+    scores = np.empty_like(data)  # C order: each class's rows are one (n, 3) block
+    plotting = np.repeat(sizes + 1.0, sizes)
+    marginals = []
+    for d in range(3):
+        ranks, ordered = _average_ranks(data[:, d], sizes)
+        scores[:, d] = ndtri(ranks / plotting)
+        marginals.append(ordered.tolist())
+    ends = np.cumsum(sizes).tolist()
+    docs = []
+    for c, (a, b) in enumerate(zip([0, *ends[:-1]], ends)):
+        corr = np.eye(3)  # one row has no spread, and np.corrcoef would warn
+        if b - a > 1:
+            with np.errstate(invalid="ignore"):
+                corr = np.corrcoef(scores[a:b], rowvar=False)
+            corr = np.where(np.isfinite(corr), corr, 0.0)
+            np.fill_diagonal(corr, 1.0)
+        docs.append({
+            "corr": corr.tolist(),
+            "marginals": {name: m[a:b] for name, m in zip(("rho", "tau", "h"), marginals)},
+            "n_obs": int(counts[c]),
+            "bootstrap_augmented": bool(counts[c] < min_sample),
+        })
+    return docs
+
+
 def fit_joint_density(
     triplets,
     support: SupportSpec,
     min_sample: int = 10,
     rng: np.random.Generator | int | None = None,
 ) -> EmpiricalCopulaSampler:
-    """Fit the joint ``(rho, tau, h)`` sampler for one segment class.
-
-    Samples with fewer than ``min_sample`` observations are bootstrap-resampled
-    up to ``min_sample`` with a small uniform jitter (1% of each marginal's
-    observed range) so ranks are informative; jittered points are clamped back
-    into the support.
-    """
+    """Fit the joint ``(rho, tau, h)`` sampler for one segment class: the
+    one-class case of :func:`fit_copula_docs`."""
     data = np.asarray(triplets, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] == 0:
-        raise EstimationError("need a non-empty (n, 3) array of (rho, tau, h) observations")
-    rng = np.random.default_rng(rng)
-
-    n_obs = data.shape[0]
-    augmented = False
-    if n_obs < min_sample:
-        augmented = True
-        picks = rng.integers(0, n_obs, size=min_sample)
-        data = data[picks]
-        widths = []
-        fallback = (
-            support.rho_max - support.rho_min or support.limit,
-            max(support.x - 1, 1),
-            max(float(np.max(data[:, 2])), support.limit),
-        )
-        for d in range(3):
-            w = float(np.ptp(data[:, d]))
-            widths.append(w if w > 0 else float(fallback[d]))
-        jitter = rng.uniform(-1.0, 1.0, size=data.shape) * (0.01 * np.asarray(widths))
-        data = data + jitter
-        rho, tau, h = support.clamp(data[:, 0], data[:, 1], data[:, 2])
-        data = np.column_stack([rho, tau, h])
-
-    scores = np.column_stack(
-        [ndtri(_average_ranks(data[:, d]) / (data.shape[0] + 1.0)) for d in range(3)]
-    )
-    with np.errstate(invalid="ignore"):
-        corr = np.corrcoef(scores, rowvar=False)
-    corr = np.where(np.isfinite(corr), corr, 0.0)
-    np.fill_diagonal(corr, 1.0)
-    return EmpiricalCopulaSampler(
-        support=support,
-        corr=corr,
-        marginals=(data[:, 0], data[:, 1], data[:, 2]),
-        n_obs=n_obs,
-        bootstrap_augmented=augmented,
-    )
+    (doc,) = fit_copula_docs(data, data.shape[:1], [support], [rng], min_sample)
+    return EmpiricalCopulaSampler.from_dict(doc, support)
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +427,20 @@ def fit_joint_density(
 
 
 def mle_sigma(error: ErrorPath, tau, x: int) -> np.ndarray:
-    """Exact Gaussian MLE of the bridge volatility of each error path of a class.
+    """Exact Gaussian MLE of the bridge volatility of each of ``n`` error paths of ``x`` steps.
 
-    ``error`` is a class ``(n, x)`` with one ``tau`` per row; one volatility
-    per row is returned.  Only unclipped points carry information.
+    ``error`` is an ``(n, x)`` matrix with one ``tau`` per row, such as every
+    run of one sojourn length whatever its class; one volatility per row is
+    returned.  Only unclipped points carry information.
     Walking the unclipped times ``u_1 < u_2 < ...`` (with ``u_0 = 0`` and
     ``Y(0) = 0``), each step contributes the squared innovation of the
     pinned-bridge transition, scaled by its variance factor; the horizon is
     ``tau`` before the peak and ``x+1`` after it.  Selections landing exactly
     on a pinning time contribute nothing and are skipped (they still serve as
-    conditioning points).  A class takes one :func:`bb_transition` call; the
-    squares are taken on Python floats and each row's mean over its own
+    conditioning points).  The matrix takes one :func:`bb_transition` call;
+    the squares are taken on Python floats and each row's mean over its own
     terms, so a row's estimate is the same, bit for bit, whatever rows share
-    its class.  A row without a term is NaN.
+    the call.  A row without a term is NaN.
     """
     shape = error.values.shape
     if len(shape) != 2 or shape[1] != x:

@@ -33,7 +33,7 @@ from .estimation import (
     EmpiricalCopulaSampler,
     SigmaModel,
     attainable_param_support,
-    fit_joint_density,
+    fit_copula_docs,
     fit_sigma_regression,
     mle_sigma,
 )
@@ -147,6 +147,8 @@ class RunConfig:
             raise InputError(f"n_paths must be >= 2, got {self.n_paths}")
         if self.eligibility < 2:
             raise InputError(f"eligibility must be >= 2, got {self.eligibility}")
+        if self.min_group_sample < 1:
+            raise InputError(f"min_group_sample must be >= 1, got {self.min_group_sample}")
         if self.seed < 0:
             raise InputError("seed must be nonnegative")
 
@@ -371,40 +373,58 @@ def build_model_doc(
 ) -> dict:
     """Fit every per-class sampler and per-pair volatility model.
 
-    A thin class ``(i, j, x)`` that needs bootstrap augmentation draws from
+    The runs are read one sojourn length ``x`` at a time: one pass over the
+    rows of every class ``(i, j, x)`` with that ``x`` gives their peaks,
+    ``rho`` and volatility estimates.  The rows are kept in class order,
+    ``(i, j, x)`` then time, so a pair's volatility observations come in
+    increasing ``x``, and one :func:`fit_copula_docs` call fits every class.
+    A thin class that needs bootstrap augmentation draws from
     ``default_rng(SeedSequence((*seed_key, i + 2, j + 2, x)))``, so a fit is
     reproducible.  Returns the JSON-ready model document.
     """
-    samplers: dict[str, dict] = {}
-    sigma_obs: dict[tuple[int, int], list[np.ndarray]] = {}
     classes = complete_classes(table)
-    supports = _class_supports(list(classes), limit, capacity)
-    for ((i, j, x), rows), support in zip(classes.items(), supports):
-        charges = table.charge_matrix(rows, x)
-        tau, h = extract_peak(charges)
+    rows = np.concatenate([np.zeros(0, dtype=int), *classes.values()])
+    owner = np.repeat(np.arange(len(classes)), [group.size for group in classes.values()])
+    i, j, x = table.i[rows], table.j[rows], table.x[rows]
+    tau, h, rho = np.zeros(rows.size, dtype=int), np.zeros(rows.size), np.zeros(rows.size)
+    s_hat = np.full(rows.size, np.nan)
+    # each sojourn's rows in class order: a stable sort keeps (i, j) then time
+    by_x = np.argsort(x, kind="stable")
+    sojourns, firsts = np.unique(x[by_x], return_index=True)
+    for n, at in zip(sojourns.tolist(), np.split(by_x, firsts[1:])):
+        charges = table.charge_matrix(rows[at], n)
+        tau[at], h[at] = extract_peak(charges)
         # a flat (all-zero) run carries no parameter information
-        keep = h > 0.0
-        if not keep.any():
-            continue
-        charges, tau, h = charges[keep], tau[keep], h[keep]
-        rho = compute_initial_power(i, table.entry_power[rows[keep]], x, limit, capacity)
-        s_hat = mle_sigma(decompose(charges, rho, tau, h, limit), tau, x)
+        live = h[at] > 0.0
+        at, charges = at[live], charges[live]
+        rho[at] = compute_initial_power(i[at], table.entry_power[rows[at]], n, limit, capacity)
         # a run with no informative point (NaN), such as any one-step run, gives no observation
-        obs = np.column_stack((s_hat, rho, tau, h, np.full(len(h), x)))[~np.isnan(s_hat)]
-        if len(obs):
-            sigma_obs.setdefault((i, j), []).append(obs)
-        rng = np.random.default_rng(np.random.SeedSequence((*seed_key, i + 2, j + 2, x)))
-        sampler = fit_joint_density(
-            np.column_stack((rho, tau, h)), support, min_sample=min_group_sample, rng=rng
-        )
-        samplers[f"{i},{j},{x}"] = sampler.to_dict()
+        s_hat[at] = mle_sigma(decompose(charges, rho[at], tau[at], h[at], limit), tau[at], n)
 
-    all_sigmas = [obs[:, 0] for blocks in sigma_obs.values() for obs in blocks]
-    sigma_default = _pooled_sigma(np.concatenate(all_sigmas)) if all_sigmas else SIGMA_FLOOR
+    keep = h > 0.0
+    per_class = np.bincount(owner[keep], minlength=len(classes))
+    keys = [key for key, count in zip(classes, per_class.tolist()) if count]
+    counts = per_class[per_class > 0]
+    seeds = [np.random.SeedSequence((*seed_key, a + 2, b + 2, n)) if count < min_group_sample else None
+             for (a, b, n), count in zip(keys, counts.tolist())]
+    docs = fit_copula_docs(
+        np.column_stack((rho, tau, h))[keep],
+        counts,
+        _class_supports(keys, limit, capacity),
+        seeds,
+        min_sample=min_group_sample,
+    )
+    samplers = {f"{a},{b},{n}": doc for (a, b, n), doc in zip(keys, docs)}
 
+    # class order reads each pair's observations in increasing x, and the pairs in order
+    seen = ~np.isnan(s_hat)
+    sigma_default = _pooled_sigma(s_hat[seen]) if seen.any() else SIGMA_FLOOR
+    observations = np.column_stack((s_hat, rho, tau, h, x))
     sigma_models: dict[str, dict] = {}
-    for pair in sorted(sigma_obs):
-        obs = np.concatenate(sigma_obs[pair])
+    for pair in sorted({key[:2] for key in keys}):
+        obs = observations[seen & (i == pair[0]) & (j == pair[1])]
+        if not len(obs):
+            continue
         try:
             model = fit_sigma_regression(obs)
         except (InsufficientDataError, EstimationError) as exc:

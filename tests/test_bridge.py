@@ -132,6 +132,15 @@ class TestInitialPower:
         for e, r in zip(entry.tolist(), rho.tolist()):
             assert compute_initial_power(i, e, 4, 0.02, 2.0) == r
 
+    def test_one_side_per_row_matches_scalars(self):
+        side = np.array([-1, 1, 1, -1, 1, -1])
+        entry = np.array([0.0, 0.01, 0.5, 1.5, 1.99, 2.0])
+        rho = compute_initial_power(side, entry, 4, 0.02, 2.0)
+        for i, e, r in zip(side.tolist(), entry.tolist(), rho.tolist()):
+            assert np.float64(compute_initial_power(i, e, 4, 0.02, 2.0)).tobytes() == np.float64(r).tobytes()
+        with pytest.raises(InputError, match="charging or discharging"):
+            compute_initial_power(np.array([1, 0, -1]), entry[:3], 4, 0.02, 2.0)
+
 
 class TestDecomposeAndClip:
     def test_reconstruction_identity(self):

@@ -296,6 +296,12 @@ class TestRunConfig:
             small_config(tmp_path, **{name: 1})
         assert getattr(small_config(tmp_path, **{name: 2}), name) == 2
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_min_group_sample_below_one_rejected(self, tmp_path, value):
+        with pytest.raises(InputError, match=f"^min_group_sample must be >= 1, got {value}$"):
+            small_config(tmp_path, min_group_sample=value)
+        assert small_config(tmp_path, min_group_sample=1).min_group_sample == 1
+
     @pytest.mark.parametrize("name", ["horizon", "n_paths", "seed", "eligibility", "min_group_sample"])
     @pytest.mark.parametrize("value", [2.5, 30.5, 30.0, True, np.float64(30.0)], ids=str)
     def test_non_integer_count_rejected(self, tmp_path, name, value):
@@ -673,6 +679,8 @@ class TestCliFrontEnd:
             ("[simulation]\npaths = 3.5\n", r"\[simulation\] paths = '3.5' is not int"),
             ("[policy]\nlimits = 0.01 five\n", r"\[policy\] limits = '0.01 five' is not a list of floats"),
             ("[validation]\neligibility = 1\n", r"eligibility must be >= 2, got 1"),
+            ("[fit]\nmin_group_sample = 0\n", r"min_group_sample must be >= 1, got 0"),
+            ("[fit]\nmin_group_sample = -3\n", r"min_group_sample must be >= 1, got -3"),
         ],
     )
     def test_unknown_config_entries_rejected(self, tmp_path, text, match):

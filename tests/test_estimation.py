@@ -19,6 +19,7 @@ from windbridge.estimation import (
     SupportSpec,
     attainable_param_support,
     box_cox,
+    fit_copula_docs,
     fit_joint_density,
     fit_sigma_regression,
     inv_box_cox,
@@ -385,7 +386,13 @@ class TestJointDensity:
             np.tile([0.5, 0.25], 10),
         ]
         for values in cases:
-            np.testing.assert_array_equal(_average_ranks(values), rankdata(values))
+            ranks, ordered = _average_ranks(values, [values.size])
+            np.testing.assert_array_equal(ranks, rankdata(values))
+            np.testing.assert_array_equal(ordered, np.sort(values))
+        # the same classes laid end to end, ranked by one call
+        ranks, ordered = _average_ranks(np.concatenate(cases), [len(v) for v in cases])
+        np.testing.assert_array_equal(ranks, np.concatenate([rankdata(v) for v in cases]))
+        np.testing.assert_array_equal(ordered, np.concatenate([np.sort(v) for v in cases]))
 
 
 class TestSampleParams:
@@ -754,3 +761,38 @@ def test_sampled_triplets_always_in_support(side, x, seed):
     rho, tau, h = sampler.sample_n(300, rng)
     assert np.all(support.contains(rho, tau, h))
     assert np.all((tau >= 1) & (tau <= x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    classes=st.lists(
+        st.tuples(
+            st.sampled_from([-1, 1]),
+            st.integers(min_value=1, max_value=8),  # x: tau ties whenever a class has more rows
+            st.integers(min_value=1, max_value=25),  # rows: one-row and thin classes included
+            st.integers(min_value=1, max_value=4),  # distinct rho values: ties
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    min_sample=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_batched_copula_fit_equals_each_class_alone(classes, min_sample, seed):
+    rng = np.random.default_rng(seed)
+    supports, blocks = [], []
+    for side, x, n, levels in classes:
+        support = attainable_param_support(side, x, LIMIT, CAPACITY)
+        pts = np.array(uniform_triplets(support, n, rng))
+        pts[:, 0] = pts[rng.integers(0, levels, n) % n, 0]
+        supports.append(support)
+        blocks.append(pts)
+    seeds = [seed + c for c in range(len(blocks))]
+    docs = fit_copula_docs(np.concatenate(blocks), [len(b) for b in blocks], supports, seeds, min_sample)
+    assert len(docs) == len(blocks)
+    for doc, block, support, s in zip(docs, blocks, supports, seeds):
+        alone = fit_joint_density(block, support, min_sample=min_sample, rng=np.random.default_rng(s))
+        assert np.array(doc["corr"]).tobytes() == alone.corr.tobytes()
+        for name, marginal in zip(("rho", "tau", "h"), alone.marginals):
+            assert np.array(doc["marginals"][name]).tobytes() == marginal.tobytes()
+        assert (doc["n_obs"], doc["bootstrap_augmented"]) == (len(block), len(block) < min_sample)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
+from scipy.special import ndtri
+from scipy.stats import rankdata
 
 from windbridge import bridge
 from windbridge.bridge import SIGMA_FLOOR, decompose
@@ -12,11 +14,17 @@ from windbridge.errors import EstimationError, InputError, InsufficientDataError
 from windbridge.estimation import (
     SigmaModel,
     attainable_param_support,
-    fit_joint_density,
     fit_sigma_regression,
 )
 from windbridge.pipeline import build_model_doc, charge_model_from_doc
-from windbridge.power import RampPolicy, apply_ramp_limit
+from windbridge.power import (
+    DEFAULT_TURBINE,
+    PowerSeries,
+    RampPolicy,
+    apply_ramp_limit,
+    generate_synthetic_wind,
+    wind_to_power,
+)
 from windbridge.segmentation import SegmentTable, complete_classes, extract_segments
 from windbridge.simulate import BatterySpec, PenaltySpec, mc_moments, sample_step_grids
 from windbridge.validation import (
@@ -44,10 +52,41 @@ def class_table(i, j, charges):
     )
 
 
+def one_class_sampler_doc(triplets, i, x, limit, capacity, min_sample, rng):
+    """One class's copula document, written out: the thin-class bootstrap and
+    its clamp, then scipy's average ranks, normal scores, ``np.corrcoef`` and
+    sorted marginals."""
+    data = np.asarray(triplets, dtype=float)
+    n_obs = len(data)
+    if n_obs < min_sample:
+        support = attainable_param_support(i, x, limit, capacity)
+        data = data[rng.integers(0, n_obs, size=min_sample)]
+        fallback = (support.rho_max - support.rho_min or limit, max(x - 1, 1), max(data[:, 2].max(), limit))
+        widths = [float(np.ptp(data[:, d])) or float(fallback[d]) for d in range(3)]
+        data = data + rng.uniform(-1.0, 1.0, size=data.shape) * (0.01 * np.asarray(widths))
+        rho = np.clip(data[:, 0], support.rho_min, support.rho_max)
+        tau = np.clip(data[:, 1], 1.0, x)
+        h_max = rho + support.h_offset - tau * limit
+        h = np.maximum(np.minimum(data[:, 2], np.maximum(h_max, 1e-15)), 1e-15)
+        data = np.column_stack((rho, tau, h))
+    scores = np.column_stack([ndtri(rankdata(data[:, d], method="average") / (len(data) + 1.0)) for d in range(3)])
+    with np.errstate(invalid="ignore"):
+        corr = np.corrcoef(scores, rowvar=False)
+    corr = np.where(np.isfinite(corr), corr, 0.0)
+    np.fill_diagonal(corr, 1.0)
+    return {
+        "corr": corr.tolist(),
+        "marginals": {name: np.sort(data[:, d]).tolist() for d, name in enumerate(("rho", "tau", "h"))},
+        "n_obs": n_obs,
+        "bootstrap_augmented": n_obs < min_sample,
+    }
+
+
 def per_run_model_doc(table, limit, capacity, min_group_sample=10, seed_key=()):
     """The fitted model document, one run at a time: each run's charges padded
     with zeros at ``k = 0`` and ``k = x+1``, its peak scanned over the interior,
-    ``rho`` from Python floats and one one-row ``decompose`` per run."""
+    ``rho`` from Python floats, one one-row ``decompose`` per run and one
+    :func:`one_class_sampler_doc` per class."""
 
     def pooled(sigmas):
         return float(np.exp(np.mean(np.log(np.maximum(sigmas, SIGMA_FLOOR)))))
@@ -79,9 +118,7 @@ def per_run_model_doc(table, limit, capacity, min_group_sample=10, seed_key=()):
         if not triplets:
             continue
         rng = np.random.default_rng(np.random.SeedSequence((*seed_key, i + 2, j + 2, x)))
-        support = attainable_param_support(i, x, limit, capacity)
-        sampler = fit_joint_density(triplets, support, min_sample=min_group_sample, rng=rng)
-        samplers[f"{i},{j},{x}"] = sampler.to_dict()
+        samplers[f"{i},{j},{x}"] = one_class_sampler_doc(triplets, i, x, limit, capacity, min_group_sample, rng)
 
     all_sigmas = [obs[0] for pair in sigma_obs.values() for obs in pair]
     sigma_models = {}
@@ -280,6 +317,22 @@ class TestBuildModelDoc:
         _, table = extract_segments(series)
         doc = build_model_doc(table, limit, CAPACITY, seed_key=(7,))
         assert json.dumps(doc) == json.dumps(per_run_model_doc(table, limit, CAPACITY, seed_key=(7,)))
+
+    def test_short_series_fit_matches_per_run_loop(self):
+        """800 hours at 1/5/7%: classes are augmented and some pairs fall back to constants."""
+        speeds = generate_synthetic_wind(800, 2.0, 8.0, 0.9, seed=42)
+        series = PowerSeries(generated=wind_to_power(speeds, DEFAULT_TURBINE))
+        docs = []
+        for limit in (0.02, 0.1, 0.14):
+            _, table = extract_segments(apply_ramp_limit(series, RampPolicy(limit=limit), capacity=CAPACITY))
+            doc = build_model_doc(table, limit, CAPACITY, seed_key=(7,))
+            assert json.dumps(doc) == json.dumps(per_run_model_doc(table, limit, CAPACITY, seed_key=(7,)))
+            docs.append(doc)
+        samplers = [s for doc in docs for s in doc["samplers"].values()]
+        models = [m for doc in docs for m in doc["sigma_models"].values()]
+        assert any(s["bootstrap_augmented"] for s in samplers)
+        assert any(not s["bootstrap_augmented"] for s in samplers)
+        assert any(m["feature_names"] == ["const"] for m in models)
 
 
 class TestEmpiricalPenalty:
