@@ -247,9 +247,9 @@ def _chunks(sizes: np.ndarray) -> list[tuple[int, int]]:
     ``CHUNK_POINTS`` points of items and then one last item of any size: a
     large item joins the run it begins in, and the next item starts afresh.
     """
-    before = np.cumsum(sizes) - sizes
-    edges = np.flatnonzero(np.r_[True, np.diff(before // CHUNK_POINTS) > 0])
-    return list(zip(edges.tolist(), np.r_[edges[1:], sizes.size].tolist()))
+    bins = (np.cumsum(sizes) - sizes) // CHUNK_POINTS
+    edges = [0, *(1 + np.flatnonzero(bins[1:] > bins[:-1])).tolist()]
+    return list(zip(edges, edges[1:] + [sizes.size]))
 
 
 def latent_bridges(x, tau, sigma, z: np.ndarray) -> np.ndarray:

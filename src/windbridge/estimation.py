@@ -168,6 +168,118 @@ def _nearest_tau(tau_cont, x: int) -> np.ndarray:
     return np.minimum(np.maximum(nearest, 1), x).astype(int)
 
 
+@dataclass(frozen=True)
+class _Copulas:
+    """The copulas of ``C`` classes, built in one pass by :func:`_copulas`.
+
+    ``corr`` holds each class's correlation as given and ``chol`` the Cholesky
+    factor of its nearest comfortably positive definite one, both
+    ``(C, 3, 3)``.  The ``3C`` sorted marginals lie end to end in ``values``,
+    class after class: marginal ``d`` of class ``c`` starts at ``start[d, c]``
+    and holds ``size[d, c]`` values, and ``pp`` holds its plotting positions
+    ``(k + 0.5) / size[d, c]`` at the same offsets.
+    """
+
+    corr: np.ndarray
+    chol: np.ndarray
+    values: np.ndarray
+    pp: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+
+    def correlate(self, z: np.ndarray, c: np.ndarray, size: np.ndarray) -> None:
+        """Correlate ``(S, 3)`` normals in place, class by class: class ``c[k]`` takes the
+        next ``size[k]`` rows in one ``(size[k], 3) @ (3, 3)`` product, as it would alone."""
+        for k, lo, n in zip(c.tolist(), (np.cumsum(size) - size).tolist(), size.tolist()):
+            z[lo : lo + n] = z[lo : lo + n] @ self.chol[k].T
+
+    def quantiles(self, u: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Candidate ``(rho, tau, h)`` rows, ``tau`` unrounded, at ``(3, R)`` uniforms.
+
+        Column ``r`` of ``u`` is read on the marginals of class ``c[r]``, each
+        coordinate of every column in one pass over the flat marginals.  The
+        pass replays ``np.interp`` step by step, so each value equals that of
+        ``np.interp`` on its own marginal bit for bit (for marginals whose
+        neighbouring values differ by a finite amount): the first value below
+        the first plotting position, the last at or above the last, the value
+        at ``pp[j]`` when ``u`` equals it, and otherwise
+        ``slope * (u - pp[j]) + values[j]`` on the interval
+        ``pp[j] <= u < pp[j+1]``, found from ``floor(u * n - 0.5)`` by exact
+        comparisons with its neighbours.
+        """
+        return np.array([self._interp(u[d], self.start[d][c], self.size[d][c]) for d in range(3)])
+
+    def _interp(self, u: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+        pp, values = self.pp, self.values
+        last = start + size - 1
+        first_pp, last_pp = pp[start], pp[last]
+        j = start + np.clip(np.floor(u * size - 0.5), 0, np.maximum(size - 2, 0)).astype(np.int64)
+        j -= (j > start) & (pp[j] > u)
+        j += (j < last - 1) & (pp[np.minimum(j + 1, last)] <= u)
+        out = np.where(u < first_pp, values[start], values[last])
+        inner = np.flatnonzero((u >= first_pp) & (u < last_pp))
+        j, u = j[inner], u[inner]
+        at, left = pp[j], values[j]
+        slope = (values[j + 1] - left) / (pp[j + 1] - at)
+        out[inner] = np.where(at == u, left, slope * (u - at) + left)
+        return out
+
+
+def _misshapen(corr: np.ndarray, marginals) -> str | None:
+    """Why one class's ``corr`` and marginals cannot make a copula, or None."""
+    if corr.shape != (3, 3):
+        return f"copula corr must be 3x3, got shape {corr.shape}"
+    for name, m in zip(("rho", "tau", "h"), marginals):
+        if m.ndim != 1 or m.size == 0:
+            return f"copula marginal {name} must be a non-empty list, got shape {m.shape}"
+    return None
+
+
+def _copulas(corrs, marginals) -> _Copulas:
+    """The copulas of many classes, ``corrs[c]`` and ``marginals[c]`` (three
+    sequences) being class ``c``'s, built in one pass.
+
+    Classes are checked in order, each as one class alone: the first whose
+    ``corr`` is not 3x3, whose marginal is not a non-empty list, or which
+    holds a non-finite value raises :class:`InputError` naming what is wrong.
+    One stacked ``eigh`` and ``cholesky`` factor every class, each class's
+    factor equal to that of its own 3x3 call, and the marginals are laid end
+    to end once and sorted where they are not sorted already.
+    """
+    corr = [np.asarray(c, dtype=float) for c in corrs]
+    margs = [[np.asarray(m, dtype=float) for m in ms] for ms in marginals]
+    error, n = None, len(corr)
+    for c, (cc, ms) in enumerate(zip(corr, margs)):
+        error = _misshapen(cc, ms)
+        if error:
+            n = c
+            break
+    corr = np.array(corr[:n]).reshape(n, 3, 3)
+    values = np.concatenate([np.empty(0), *(m for ms in margs[:n] for m in ms)])
+    if not (np.isfinite(corr).all() and np.isfinite(values).all()):
+        for c in range(n):
+            for name, v in zip(("corr", "marginal rho", "marginal tau", "marginal h"), (corr[c], *margs[c])):
+                if not np.isfinite(v).all():
+                    raise InputError(f"copula {name} must be finite")
+    if error:
+        raise InputError(error)
+    size = np.array([m.size for ms in margs[:n] for m in ms], dtype=np.int64)  # of marginal 3c + d
+    start = np.cumsum(size) - size
+    owner = np.repeat(np.arange(size.size), size)
+    local = np.arange(values.size) - start[owner]
+    down = 1 + np.flatnonzero(values[1:] < values[:-1])
+    for m in np.unique(owner[down[local[down] > 0]]).tolist():
+        values[start[m] : start[m] + size[m]].sort()
+    return _Copulas(
+        corr=corr,
+        chol=np.linalg.cholesky(_nearest_corr(corr)),
+        values=values,
+        pp=(local + 0.5) / size[owner],
+        start=start.reshape(n, 3).T.copy(),
+        size=size.reshape(n, 3).T.copy(),
+    )
+
+
 class EmpiricalCopulaSampler:
     """Gaussian copula over normal scores with empirical-quantile marginals.
 
@@ -175,7 +287,10 @@ class EmpiricalCopulaSampler:
     (possibly bootstrap-augmented) observations; marginals are linearly
     interpolated empirical quantile functions.  ``tau`` is sampled as a
     continuous variable and snapped to the nearest admissible integer; draws
-    are rejected until they fall inside the support.
+    are rejected until they fall inside the support.  A sampler is one class
+    of a :class:`_Copulas`: its own, or that of every class of a model built
+    at once by :meth:`from_dicts`; its ``corr`` and ``marginals`` are views
+    into it.
     """
 
     def __init__(
@@ -186,29 +301,17 @@ class EmpiricalCopulaSampler:
         n_obs: int,
         bootstrap_augmented: bool = False,
     ):
+        self._bind(_copulas([corr], [marginals]), 0, support, n_obs, bootstrap_augmented)
+
+    def _bind(self, copulas: _Copulas, c: int, support: SupportSpec, n_obs: int, bootstrap_augmented: bool):
         self.support = support
-        self.corr = np.asarray(corr, dtype=float)
-        if self.corr.shape != (3, 3):
-            raise InputError(f"copula corr must be 3x3, got shape {self.corr.shape}")
-        self.marginals = tuple(np.asarray(m, dtype=float) for m in marginals)
-        for name, m in zip(("rho", "tau", "h"), self.marginals):
-            if m.ndim != 1 or m.size == 0:
-                raise InputError(f"copula marginal {name} must be a non-empty list, got shape {m.shape}")
-        self.marginals = tuple(np.sort(m) for m in self.marginals)
+        self._copulas, self._c = copulas, c
+        self.corr = copulas.corr[c]
+        self.marginals = tuple(
+            copulas.values[a : a + m] for a, m in zip(copulas.start[:, c].tolist(), copulas.size[:, c].tolist())
+        )
         self.n_obs = int(n_obs)
         self.bootstrap_augmented = bool(bootstrap_augmented)
-        if not np.isfinite(np.concatenate((self.corr.ravel(), *self.marginals))).all():
-            named = zip(("corr", "marginal rho", "marginal tau", "marginal h"), (self.corr, *self.marginals))
-            bad = [name for name, values in named if not np.isfinite(values).all()]
-            raise InputError(f"copula {bad[0]} must be finite")
-        self._chol = np.linalg.cholesky(_nearest_corr(self.corr))
-        # plotting positions of each sorted marginal, for the quantile lookup
-        self._pp = tuple((np.arange(m.size) + 0.5) / m.size for m in self.marginals)
-
-    def _quantiles(self, z: np.ndarray) -> np.ndarray:
-        """Candidate ``(rho, tau, h)`` columns, ``tau`` unrounded, from ``(m, 3)`` normals."""
-        u = ndtr(z @ self._chol.T)
-        return np.array([np.interp(u[:, d], self._pp[d], self.marginals[d]) for d in range(3)])
 
     def sample_n(self, n: int, rng: np.random.Generator):
         """``n`` draws inside the support: the one-class case of :func:`sample_classes`."""
@@ -230,17 +333,31 @@ class EmpiricalCopulaSampler:
     @classmethod
     def from_dict(cls, data: dict, support: SupportSpec) -> "EmpiricalCopulaSampler":
         """Rebuild a sampler on ``support`` from :meth:`to_dict`; other keys are ignored."""
-        return cls(
-            support=support,
-            corr=np.asarray(data["corr"]),
-            marginals=(
-                np.asarray(data["marginals"]["rho"]),
-                np.asarray(data["marginals"]["tau"]),
-                np.asarray(data["marginals"]["h"]),
-            ),
-            n_obs=data["n_obs"],
-            bootstrap_augmented=data["bootstrap_augmented"],
+        return cls.from_dicts([data], [support])[0]
+
+    @classmethod
+    def from_dicts(cls, docs, supports) -> list["EmpiricalCopulaSampler"]:
+        """:meth:`from_dict` of many classes, their copulas built in one pass by :func:`_copulas`."""
+        docs = list(docs)
+        copulas = _copulas(
+            [data["corr"] for data in docs],
+            [[data["marginals"][name] for name in ("rho", "tau", "h")] for data in docs],
         )
+        samplers = []
+        for c, (data, support) in enumerate(zip(docs, supports)):
+            sampler = cls.__new__(cls)
+            sampler._bind(copulas, c, support, data["n_obs"], data["bootstrap_augmented"])
+            samplers.append(sampler)
+        return samplers
+
+
+def _shared_copulas(samplers) -> tuple[_Copulas, np.ndarray]:
+    """The one :class:`_Copulas` the samplers belong to and each one's class in it;
+    if they belong to several, the copulas of these samplers built anew in one pass."""
+    copulas = samplers[0]._copulas if samplers else None
+    if all(s._copulas is copulas for s in samplers):
+        return copulas, np.array([s._c for s in samplers], dtype=np.int64)
+    return _copulas([s.corr for s in samplers], [s.marginals for s in samplers]), np.arange(len(samplers))
 
 
 def sample_classes(samplers, counts, rng: np.random.Generator, names=None):
@@ -252,7 +369,19 @@ def sample_classes(samplers, counts, rng: np.random.Generator, names=None):
     candidates and keeps its first accepted ones, in order.  With one class
     this is :meth:`EmpiricalCopulaSampler.sample_n`.  A class that meets
     ``MAX_REJECTIONS`` consecutive rejections raises :class:`EstimationError`,
-    which names ``names[c]`` when given.
+    which names ``names[c]`` when given, the first such class of a chunk if
+    several meet it.
+
+    Each class's candidates are correlated by its own ``(k, 3) @ (3, 3)``
+    product, as a class drawn alone would be, and then read in order only up
+    to its last kept one: first a head sized from its shortfall, then the
+    rest if it is still short.  Candidates past a filled class's last kept
+    one are drawn but never evaluated.  That changes no row, error or random
+    state: a class takes ``max(short, 64)`` candidates to keep ``short``, so
+    at most 63 lie past its last kept one; as rejections they cannot meet the
+    budget while ``MAX_REJECTIONS > 63``, and a filled class's trailing run
+    is never read again.  A class that meets the budget is named only after
+    both reads, so that an earlier class meeting it in its rest comes first.
     """
     counts = np.asarray(counts, dtype=np.int64)
     start = np.cumsum(counts) - counts
@@ -264,6 +393,7 @@ def sample_classes(samplers, counts, rng: np.random.Generator, names=None):
     supports = [s.support for s in samplers]
     # one column per class, one row per SupportSpec field
     bounds = np.array([(s.side, s.x, s.limit, s.rho_min, s.rho_max, s.h_offset) for s in supports]).T
+    copulas, index = _shared_copulas(samplers)
     while True:
         active = np.flatnonzero(filled < counts)
         if active.size == 0:
@@ -275,32 +405,43 @@ def sample_classes(samplers, counts, rng: np.random.Generator, names=None):
             cls, size = active[a:b], m[a:b]
             zc = rng.standard_normal((int(size.sum()), 3))
             first = np.cumsum(size) - size
-            cand = np.hstack([samplers[c]._quantiles(zc[lo : lo + n])
-                              for c, lo, n in zip(cls.tolist(), first.tolist(), size.tolist())])
-            owner = np.repeat(np.arange(cls.size), size)
-            rows = SupportSpec(*bounds[:, cls[owner]])
-            tau = _nearest_tau(cand[1], rows.x)
-            ok = rows.contains(cand[0], tau, cand[2])
-            # a reject's run is its key less the last accepted key before it, or less its class's
-            # base (first key - 1 - trailing run), which the key spacing keeps above earlier classes
-            key = np.arange(ok.size) + owner * MAX_REJECTIONS
-            base = key[first] - 1 - rejects[cls]
-            run = key - np.maximum.accumulate(np.where(ok, key, base[owner]))
-            if run.max() >= MAX_REJECTIONS:
-                c = int(cls[owner[np.argmax(run >= MAX_REJECTIONS)]])
+            copulas.correlate(zc, index[cls], size)
+            short = (counts - filled)[cls]
+            head = np.minimum(short + short // 4 + 8, size)  # the shortfall, a quarter more and 8 spare
+            over = np.zeros(cls.size, dtype=bool)  # classes that met the budget
+            for lo, n in ((first, head), (first + head, size - head)):
+                part = np.flatnonzero((n > 0) & (filled[cls] < counts[cls]) & ~over)
+                if part.size == 0:
+                    continue
+                k, n = cls[part], n[part]
+                seg = np.cumsum(n) - n  # each class's first candidate in this pass
+                owner = np.repeat(np.arange(k.size), n)
+                u = np.empty((3, owner.size))
+                ndtr(zc[np.arange(owner.size) + (lo[part] - seg)[owner]].T, out=u)
+                cand = copulas.quantiles(u, index[k][owner])
+                rows = SupportSpec(*bounds[:, k[owner]])
+                tau = _nearest_tau(cand[1], rows.x)
+                ok = rows.contains(cand[0], tau, cand[2])
+                # a reject's run is its key less the last accepted key before it, or less its class's
+                # base (first key - 1 - trailing run), which the key spacing keeps above earlier classes
+                key = np.arange(ok.size) + owner * MAX_REJECTIONS
+                base = key[seg] - 1 - rejects[k]
+                run = key - np.maximum.accumulate(np.where(ok, key, base[owner]))
+                over[part] = np.maximum.reduceat(run, seg) >= MAX_REJECTIONS
+                rejects[k] = run[seg + n - 1]
+                seen = np.cumsum(ok)  # accepted so far; ranks within a class are differences of it
+                rank = seen - (seen[seg] - ok[seg])[owner] - 1
+                take = np.flatnonzero(ok & (rank < (counts - filled)[k][owner]))
+                dest = (start + filled)[k][owner[take]] + rank[take]
+                rho_out[dest], tau_out[dest], h_out[dest] = cand[0, take], tau[take], cand[2, take]
+                filled[k] += np.bincount(owner[take], minlength=k.size)
+            if over.any():
+                c = int(cls[np.argmax(over)])
                 support, where = supports[c], "" if names is None else f" in class {names[c]}"
                 raise EstimationError(
                     f"{MAX_REJECTIONS} consecutive rejections: fitted density is "
                     f"inconsistent with its support (side={support.side}, x={support.x}){where}"
                 )
-            rejects[cls] = run[first + size - 1]
-            seen = np.cumsum(ok)  # accepted so far; ranks within a class are differences of it
-            rank = seen - (seen[first] - ok[first])[owner] - 1
-            short = (counts - filled)[cls]
-            take = np.flatnonzero(ok & (rank < short[owner]))
-            dest = (start + filled)[cls][owner[take]] + rank[take]
-            rho_out[dest], tau_out[dest], h_out[dest] = cand[0, take], tau[take], cand[2, take]
-            filled[cls] += np.bincount(owner[take], minlength=cls.size)
 
 
 def _average_ranks(values: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -327,12 +468,16 @@ def _average_ranks(values: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nearest_corr(corr: np.ndarray, floor: float = 1e-10) -> np.ndarray:
-    """Push a correlation matrix to the nearest comfortably PD one."""
+    """Push a correlation matrix, or each of a stack of them, to the nearest comfortably PD one.
+
+    Each matrix of a stack comes out as its own call would give it, bit for
+    bit: ``eigh`` and ``@`` run the same LAPACK and BLAS call per matrix.
+    """
     vals, vecs = np.linalg.eigh(corr)
     vals = np.maximum(vals, floor)
-    fixed = vecs @ np.diag(vals) @ vecs.T
-    d = np.sqrt(np.diag(fixed))
-    return fixed / np.outer(d, d)
+    fixed = vecs @ (vals[..., None] * np.eye(vals.shape[-1])) @ np.swapaxes(vecs, -1, -2)
+    d = np.sqrt(np.diagonal(fixed, axis1=-2, axis2=-1))
+    return fixed / (d[..., :, None] * d[..., None, :])
 
 
 def _augment(data: np.ndarray, support: SupportSpec, min_sample: int, rng) -> np.ndarray:
@@ -473,9 +618,19 @@ def mle_sigma(error: ErrorPath, tau, x: int) -> np.ndarray:
 
 
 def box_cox(y, lam: float):
+    return _box_cox(_positive(y), lam)
+
+
+def _positive(y) -> np.ndarray:
+    """``y`` as a float array, which :func:`box_cox` requires to be positive."""
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise InputError("Box-Cox transform requires positive values")
+    return y
+
+
+def _box_cox(y: np.ndarray, lam: float) -> np.ndarray:
+    """:func:`box_cox` of a float array already checked by :func:`_positive`."""
     if lam == 0.0:
         return np.log(y)
     return (y**lam - 1.0) / lam
@@ -619,14 +774,17 @@ def fit_sigma_regression(observations) -> SigmaModel:
         raise EstimationError(f"rank-deficient design; collinear terms: {', '.join(sorted(bad))}")
 
     # one column per grid exponent, each transformed on its own: numpy's array
-    # power takes special paths for some exponents that differ in the last bit
+    # power takes special paths for some exponents that differ in the last bit;
+    # the responses are checked once, not once per exponent
+    sig = _positive(sig)
     grid_resid = np.empty((n, LAMBDA_GRID.size))
-    for c, lam in enumerate(LAMBDA_GRID):
-        grid_resid[:, c] = box_cox(sig, float(lam))
+    for c, lam in enumerate(LAMBDA_GRID.tolist()):
+        grid_resid[:, c] = _box_cox(sig, lam)
     grid_resid -= q @ (q.T @ grid_resid)
     best = int(np.argmax(_normality_scores(grid_resid)))  # first maximum, as a strict ``>`` scan
     best_lam = float(LAMBDA_GRID[best])
-    y, resid = box_cox(sig, best_lam), grid_resid[:, best]
+    # the best column again, rather than the whole grid kept through the scoring
+    y, resid = _box_cox(sig, best_lam), grid_resid[:, best]
 
     # Cook's distances from the first fit; Tukey rule on their distribution.
     leverage = np.clip(np.sum(q * q, axis=1), 0.0, 1.0 - 1e-12)

@@ -457,10 +457,7 @@ def charge_model_from_doc(doc: dict) -> ChargeModel:
     limit, capacity = doc["limit_mw"], doc["capacity_mw"]
     keys = [tuple(int(v) for v in key.split(",")) for key in doc["samplers"]]
     supports = _class_supports(keys, limit, capacity)
-    samplers = {
-        key: EmpiricalCopulaSampler.from_dict(data, support)
-        for key, data, support in zip(keys, doc["samplers"].values(), supports)
-    }
+    samplers = dict(zip(keys, EmpiricalCopulaSampler.from_dicts(doc["samplers"].values(), supports)))
     sigma_models = {}
     for key, data in doc["sigma_models"].items():
         i, j = (int(v) for v in key.split(","))

@@ -147,7 +147,9 @@ class ChargeModel:
            :func:`sample_classes`: each copula round draws one ``(S, 3)``
            normal array, of which every class still short of rows takes
            ``max(short, 64)`` candidates in sorted class order, keeping its
-           first accepted ones in order;
+           first accepted ones in order.  Candidates past a class's last kept
+           one are drawn but not evaluated, which moves nothing while
+           ``MAX_REJECTIONS > 63`` (see :func:`sample_classes`);
         2. every bridge with volatility above the floor, by
            :func:`latent_bridges`, run after run in sorted order: each
            takes its ``tau`` normals and then, if ``tau < x``, its

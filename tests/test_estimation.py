@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import spearmanr
 
 from windbridge.bridge import SIGMA_FLOOR, ErrorPath, sample_latent_bridge
@@ -27,7 +27,9 @@ from windbridge.estimation import (
     predict_sigma,
     predict_sigma_batch,
     sample_classes,
+    _copulas,
     _design_matrix,
+    _nearest_corr,
     _nearest_tau,
 )
 
@@ -48,6 +50,54 @@ def uniform_triplets(support, n, rng):
             continue
         out.append((rho, tau, rng.uniform(0.0, hmax) * 0.999 + 1e-9))
     return out
+
+
+def nearest_corr_one(corr):
+    """``_nearest_corr`` of one 3x3 matrix, written as one matrix at a time."""
+    vals, vecs = np.linalg.eigh(corr)
+    fixed = vecs @ np.diag(np.maximum(vals, 1e-10)) @ vecs.T
+    d = np.sqrt(np.diag(fixed))
+    return fixed / np.outer(d, d)
+
+
+def copula_oracle(corr, marginals, z):
+    """Candidate ``(rho, tau, h)`` columns, ``tau`` unrounded, of one class's ``(k, 3)``
+    normals: ``ndtr(z @ cholesky(nearest corr).T)``, then ``np.interp`` on each sorted marginal."""
+    u = ndtr(z @ np.linalg.cholesky(nearest_corr_one(np.asarray(corr, dtype=float))).T)
+    out = []
+    for d, m in enumerate(marginals):
+        m = np.sort(np.asarray(m, dtype=float))
+        out.append(np.interp(u[:, d], (np.arange(m.size) + 0.5) / m.size, m))
+    return np.array(out)
+
+
+def every_candidate(samplers, counts, rng):
+    """The stream rule with every candidate evaluated: each round draws one normal
+    array, every short class takes ``max(short, 64)`` rows of it in order and keeps
+    its first accepted ones."""
+    kept = [[] for _ in samplers]
+    while any(len(k) < n for k, n in zip(kept, counts)):
+        active = [c for c, n in enumerate(counts) if len(kept[c]) < n]
+        m = [max(counts[c] - len(kept[c]), 64) for c in active]
+        z = rng.standard_normal((sum(m), 3))
+        for c, lo, size in zip(active, np.cumsum(m) - m, m):
+            s = samplers[c]
+            rho, tau, h = copula_oracle(s.corr, s.marginals, z[lo : lo + size])
+            tau = _nearest_tau(tau, s.support.x)
+            ok = np.flatnonzero(s.support.contains(rho, tau, h))
+            kept[c] += [(rho[r], tau[r], h[r]) for r in ok[: counts[c] - len(kept[c])]]
+    return np.array([row for k in kept for row in k]).reshape(-1, 3).T
+
+
+def normal_at(p):
+    """A normal score whose ``ndtr`` is exactly ``p``, or None where neighbouring floats step over it."""
+    w = float(ndtri(p))
+    for _ in range(64):
+        u = float(ndtr(w))
+        if u == p:
+            return w
+        w = float(np.nextafter(w, np.inf if u < p else -np.inf))
+    return None
 
 
 class ScriptedClasses:
@@ -109,7 +159,8 @@ class ScriptedClasses:
             m = [max(counts[c] - len(kept[c]), 64) for c in active]
             z = rng.standard_normal((sum(m), 3))
             for c, lo, size in zip(active, np.cumsum(m) - m, m):
-                rho, tau, h = self.samplers[c]._quantiles(z[lo : lo + size])
+                s = self.samplers[c]
+                rho, tau, h = copula_oracle(s.corr, s.marginals, z[lo : lo + size])
                 tau = _nearest_tau(tau, 3)
                 for r in range(size):
                     if self.accept(c, seen[c]):
@@ -269,12 +320,20 @@ class TestJointDensity:
         import windbridge.estimation as est
 
         monkeypatch.setattr(est, "MAX_REJECTIONS", 100)
-        batches = iter(accepted)
+        # each batch's indices counted from the first candidate of the first round:
+        # a round draws max(short, 64) candidates
+        accept, offset, kept = [], 0, 0
+        for batch in accepted:
+            accept += [offset + k for k in batch]
+            offset += max(n - kept, 64)
+            kept += min(len(batch), n - kept)
+        seen = [0]
 
         def scripted_contains(rows, rho, tau, h):
-            ok = np.zeros(np.size(rho), dtype=bool)
-            ok[next(batches)] = True
-            return ok
+            # accepts by script, one candidate at a time, however the candidates are split into calls
+            k = seen[0] + np.arange(np.size(rho))
+            seen[0] += k.size
+            return np.isin(k, accept)
 
         # the candidates of every class are tested against per-row bounds at once
         monkeypatch.setattr(est.SupportSpec, "contains", scripted_contains)
@@ -289,30 +348,31 @@ class TestJointDensity:
             assert sampler.sample_n(n, np.random.default_rng(0))[0].size == n
 
     @pytest.mark.parametrize("chunk", [10**9, 100, 1])
+    def test_first_class_at_the_budget_is_named(self, chunk):
+        """A needs 1 row and B 23, both rejecting all: in round 2 B meets the budget
+        in the head of its candidates and A only in the rest of its own, but A comes first."""
+        script = ScriptedClasses([[], []], [False, False])
+        got = script.draw((1, 23), 5, chunk)
+        assert got.startswith("100 consecutive rejections") and got.endswith("in class A")
+        assert script.oracle((1, 23), 5) == 0
+
+    @pytest.mark.parametrize("chunk", [10**9, 100, 1])
     def test_classes_share_rounds(self, fitted_model, monkeypatch, chunk):
         """Round by round, each short class takes max(short, 64) candidates of
-        one normal array, in order, and keeps its first accepted ones."""
+        one normal array, in order, and keeps its first accepted ones.  Reading
+        each class's candidates only up to its last kept one gives the rows and
+        leaves the random state of evaluating every candidate."""
         import windbridge.bridge as bridge
 
         monkeypatch.setattr(bridge, "CHUNK_POINTS", chunk)
         samplers = [fitted_model.samplers[key] for key in sorted(fitted_model.samplers)[:40:4]]
         counts = [0, 1, 5, 63, 64, 65, 150, 2, 300, 7][: len(samplers)]
-        got = sample_classes(samplers, counts, np.random.default_rng(17))
-
-        rng = np.random.default_rng(17)
-        kept = [[] for _ in samplers]
-        while any(len(k) < n for k, n in zip(kept, counts)):
-            active = [c for c, n in enumerate(counts) if len(kept[c]) < n]
-            m = [max(counts[c] - len(kept[c]), 64) for c in active]
-            z = rng.standard_normal((sum(m), 3))
-            for c, lo, size in zip(active, np.cumsum(m) - m, m):
-                s = samplers[c]
-                rho, tau, h = s._quantiles(z[lo : lo + size])
-                tau = _nearest_tau(tau, s.support.x)
-                ok = np.flatnonzero(s.support.contains(rho, tau, h))
-                kept[c] += [(rho[r], tau[r], h[r]) for r in ok[: counts[c] - len(kept[c])]]
-        want = np.array([row for k in kept for row in k]).T
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        got = sample_classes(samplers, counts, rng)
+        want = every_candidate(samplers, counts, ref)
         np.testing.assert_array_equal(np.array(got), want)
+        assert all(g.tobytes() == w.astype(g.dtype).tobytes() for g, w in zip(got, want))
+        assert rng.bit_generator.state == ref.bit_generator.state
         assert got[1].dtype == int
 
     # with a budget of 100: A (150 rows) accepts its first 51 candidates and
@@ -371,6 +431,93 @@ class TestJointDensity:
             )
         else:
             np.testing.assert_array_equal(np.array(got), want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        classes=st.lists(
+            st.tuples(
+                st.lists(
+                    st.lists(st.one_of(st.sampled_from([0.0, 0.25, 1.0, 2.0]), st.floats(-4.0, 4.0)),
+                             min_size=1, max_size=30),
+                    min_size=3, max_size=3,
+                ),
+                st.booleans(),  # identity corr, so that chosen normals reach the marginals unchanged
+                st.integers(1, 120),  # candidates
+                st.floats(0.0, 1.0),  # share of them in the head
+            ),
+            min_size=1, max_size=5,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_lookup_matches_per_class_interp(self, classes, seed):
+        """The flat quantile lookup of a head and of the rest of every class's candidates
+        equals ``ndtr(z @ cholesky(nearest corr).T)`` and ``np.interp`` class by class."""
+        rng = np.random.default_rng(seed)
+        corrs, marginals, zs = [], [], []
+        for margs, identity, k, _ in classes:
+            corr = np.eye(3) if identity else np.corrcoef(rng.standard_normal((4, 3)), rowvar=False)
+            z = rng.standard_normal((k, 3))
+            z[0] = 0.0  # u = 0.5: a plotting position of each odd-sized marginal
+            z[1 % k] = 40.0 * rng.choice([-1.0, 1.0], 3)  # u beyond both ends
+            if identity:  # u on other plotting positions and one float either side, where a normal reaches them
+                for d, m in enumerate(margs):
+                    pp = (np.arange(len(m)) + 0.5) / len(m)
+                    targets = np.column_stack((np.nextafter(pp, 0.0), pp, np.nextafter(pp, 1.0))).ravel()
+                    for r, t in zip(range(2, k), map(normal_at, targets.tolist())):
+                        z[r, d] = np.nan if t is None else t
+                z[np.isnan(z)] = 0.3
+            corrs.append(corr)
+            marginals.append(margs)
+            zs.append(z)
+        copulas = _copulas(corrs, marginals)
+        size = np.array([z.shape[0] for z in zs])
+        w = np.concatenate(zs)
+        copulas.correlate(w, np.arange(size.size), size)
+        first = np.cumsum(size) - size
+        for c, (corr, margs, z, (*_, share)) in enumerate(zip(corrs, marginals, zs, classes)):
+            want = copula_oracle(corr, margs, z)
+            head = int(share * z.shape[0])
+            for lo, hi in ((0, head), (head, z.shape[0])):
+                got = copulas.quantiles(ndtr(w[first[c] + lo : first[c] + hi]).T, np.full(hi - lo, c))
+                assert got.shape == (3, hi - lo)
+                assert got.tobytes() == want[:, lo:hi].tobytes(), (c, lo, hi)
+        # and every class's head in one call, as a pass of sample_classes reads them
+        heads = [np.arange(first[c], first[c] + max(1, int(cl[3] * size[c]))) for c, cl in enumerate(classes)]
+        rows = np.concatenate(heads)
+        got = copulas.quantiles(ndtr(w[rows]).T, np.repeat(np.arange(size.size), [h.size for h in heads]))
+        want = np.hstack([copula_oracle(cr, m, z)[:, : h.size] for cr, m, z, h in zip(corrs, marginals, zs, heads)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_flat_lookup_at_every_plotting_position(self):
+        """Uniforms on every plotting position, one float either side, and at 0 and 1,
+        looked up on marginals of 1 to 60 values with ties, all in one call."""
+        rng = np.random.default_rng(13)
+        marginals = [
+            [np.round(rng.uniform(-3, 3, n), 1) if n % 3 == 0 else rng.uniform(-3, 3, n) for _ in range(3)]
+            for n in range(1, 61)
+        ]
+        copulas = _copulas([np.eye(3)] * len(marginals), marginals)
+        us, owners = [], []
+        for c, margs in enumerate(marginals):
+            pp = (np.arange(len(margs[0])) + 0.5) / len(margs[0])
+            u = np.concatenate((np.nextafter(pp, 0.0), pp, np.nextafter(pp, 1.0), [0.0, 1.0], rng.random(20)))
+            us.append(np.column_stack((u, u[::-1], rng.permutation(u))))
+            owners.append(np.full(u.size, c))
+        got = copulas.quantiles(np.concatenate(us).T, np.concatenate(owners))
+        want = [
+            [np.interp(u[:, d], (np.arange(len(m)) + 0.5) / len(m), np.sort(m)) for d, m in enumerate(margs)]
+            for u, margs in zip(us, marginals)
+        ]
+        assert got.tobytes() == np.hstack(want).tobytes()
+
+    def test_stacked_factors_equal_one_class_at_a_time(self, fitted_model):
+        samplers = list(fitted_model.samplers.values())
+        copulas = samplers[0]._copulas
+        assert all(s._copulas is copulas for s in samplers)
+        for s in samplers:
+            one = np.linalg.cholesky(nearest_corr_one(s.corr))
+            assert copulas.chol[s._c].tobytes() == one.tobytes()
+            assert _nearest_corr(s.corr).tobytes() == nearest_corr_one(s.corr).tobytes()
 
     def test_average_ranks_match_scipy(self):
         from scipy.stats import rankdata
