@@ -170,18 +170,19 @@ def _nearest_tau(tau_cont, x: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Copulas:
-    """The copulas of ``C`` classes, built in one pass by :func:`_copulas`.
+    """The copula table of ``C`` classes, built in one pass by :func:`_copulas`.
 
-    ``corr`` holds each class's correlation as given and ``chol`` the Cholesky
-    factor of its nearest comfortably positive definite one, both
-    ``(C, 3, 3)``.  The ``3C`` sorted marginals lie end to end in ``values``,
-    class after class: marginal ``d`` of class ``c`` starts at ``start[d, c]``
-    and holds ``size[d, c]`` values, and ``pp`` holds its plotting positions
-    ``(k + 0.5) / size[d, c]`` at the same offsets.
+    ``chol`` holds the Cholesky factor of each class's nearest comfortably
+    positive definite correlation, ``(C, 3, 3)``, and ``bounds`` each class's
+    support, ``(6, C)``: one column per class, one row per
+    :class:`SupportSpec` field.  The ``3C`` marginals, sorted, lie end to end
+    in ``values``, class after class: marginal ``d`` of class ``c`` starts at
+    ``start[d, c]`` and holds ``size[d, c]`` values, and ``pp`` holds its
+    plotting positions ``(k + 0.5) / size[d, c]`` at the same offsets.
     """
 
-    corr: np.ndarray
     chol: np.ndarray
+    bounds: np.ndarray
     values: np.ndarray
     pp: np.ndarray
     start: np.ndarray
@@ -224,6 +225,67 @@ class _Copulas:
         out[inner] = np.where(at == u, left, slope * (u - at) + left)
         return out
 
+    def draw(self, rows, counts, rng: np.random.Generator, names=None):
+        """The rounds of :func:`sample_classes`, ``counts[c]`` rows of table class ``rows[c]``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        start = np.cumsum(counts) - counts
+        rho_out = np.empty(int(counts.sum()))
+        tau_out = np.empty(rho_out.size, dtype=int)
+        h_out = np.empty(rho_out.size)
+        filled = np.zeros(counts.size, dtype=np.int64)
+        rejects = np.zeros(counts.size, dtype=np.int64)  # each class's trailing run of rejects
+        while True:
+            active = np.flatnonzero(filled < counts)
+            if active.size == 0:
+                return rho_out, tau_out, h_out
+            m = np.maximum(counts - filled, 64)[active]
+            # whole classes at a time, about CHUNK_POINTS candidates a chunk: the
+            # chunks' normals, drawn one after another, are the round's array
+            for a, b in _chunks(m):
+                cls, size = active[a:b], m[a:b]
+                zc = rng.standard_normal((int(size.sum()), 3))
+                first = np.cumsum(size) - size
+                self.correlate(zc, rows[cls], size)
+                short = (counts - filled)[cls]
+                head = np.minimum(short + short // 4 + 8, size)  # the shortfall, a quarter more and 8 spare
+                over = np.zeros(cls.size, dtype=bool)  # classes that met the budget
+                for lo, n in ((first, head), (first + head, size - head)):
+                    part = np.flatnonzero((n > 0) & (filled[cls] < counts[cls]) & ~over)
+                    if part.size == 0:
+                        continue
+                    k, n = cls[part], n[part]
+                    seg = np.cumsum(n) - n  # each class's first candidate in this pass
+                    owner = np.repeat(np.arange(k.size), n)
+                    row = rows[k][owner]  # each candidate's class in the table
+                    u = np.empty((3, owner.size))
+                    ndtr(zc[np.arange(owner.size) + (lo[part] - seg)[owner]].T, out=u)
+                    cand = self.quantiles(u, row)
+                    support = SupportSpec(*self.bounds[:, row])
+                    tau = _nearest_tau(cand[1], support.x)
+                    ok = support.contains(cand[0], tau, cand[2])
+                    # a reject's run is its key less the last accepted key before it, or less its class's
+                    # base (first key - 1 - trailing run), which the key spacing keeps above earlier classes
+                    key = np.arange(ok.size) + owner * MAX_REJECTIONS
+                    base = key[seg] - 1 - rejects[k]
+                    run = key - np.maximum.accumulate(np.where(ok, key, base[owner]))
+                    over[part] = np.maximum.reduceat(run, seg) >= MAX_REJECTIONS
+                    rejects[k] = run[seg + n - 1]
+                    seen = np.cumsum(ok)  # accepted so far; ranks within a class are differences of it
+                    rank = seen - (seen[seg] - ok[seg])[owner] - 1
+                    take = np.flatnonzero(ok & (rank < (counts - filled)[k][owner]))
+                    dest = (start + filled)[k][owner[take]] + rank[take]
+                    rho_out[dest], tau_out[dest], h_out[dest] = cand[0, take], tau[take], cand[2, take]
+                    filled[k] += np.bincount(owner[take], minlength=k.size)
+                if over.any():
+                    c = int(cls[np.argmax(over)])
+                    side, x = self.bounds[:2, rows[c]].astype(int).tolist()
+                    where = "" if names is None else f" in class {names[c]}"
+                    raise EstimationError(
+                        f"{MAX_REJECTIONS} consecutive rejections: fitted density is "
+                        f"inconsistent with its support (side={side}, x={x}){where}"
+                    )
+
 
 def _misshapen(corr: np.ndarray, marginals) -> str | None:
     """Why one class's ``corr`` and marginals cannot make a copula, or None."""
@@ -235,19 +297,21 @@ def _misshapen(corr: np.ndarray, marginals) -> str | None:
     return None
 
 
-def _copulas(corrs, marginals) -> _Copulas:
-    """The copulas of many classes, ``corrs[c]`` and ``marginals[c]`` (three
-    sequences) being class ``c``'s, built in one pass.
+def _copulas(samplers) -> _Copulas:
+    """The copula table of ``samplers``, class ``c`` being ``samplers[c]``, built in one pass.
 
     Classes are checked in order, each as one class alone: the first whose
     ``corr`` is not 3x3, whose marginal is not a non-empty list, or which
     holds a non-finite value raises :class:`InputError` naming what is wrong.
     One stacked ``eigh`` and ``cholesky`` factor every class, each class's
-    factor equal to that of its own 3x3 call, and the marginals are laid end
-    to end once and sorted where they are not sorted already.
+    factor equal to that of its own 3x3 call; the supports' bounds are
+    stacked into one array, and the marginals are laid end to end once and
+    sorted where they are not sorted already.  The samplers themselves are
+    left as they are, marginals in the order given.
     """
-    corr = [np.asarray(c, dtype=float) for c in corrs]
-    margs = [[np.asarray(m, dtype=float) for m in ms] for ms in marginals]
+    samplers = list(samplers)
+    corr = [np.asarray(s.corr, dtype=float) for s in samplers]
+    margs = [[np.asarray(m, dtype=float) for m in s.marginals] for s in samplers]
     error, n = None, len(corr)
     for c, (cc, ms) in enumerate(zip(corr, margs)):
         error = _misshapen(cc, ms)
@@ -263,16 +327,17 @@ def _copulas(corrs, marginals) -> _Copulas:
                     raise InputError(f"copula {name} must be finite")
     if error:
         raise InputError(error)
-    size = np.array([m.size for ms in margs[:n] for m in ms], dtype=np.int64)  # of marginal 3c + d
+    size = np.array([m.size for ms in margs for m in ms], dtype=np.int64)  # of marginal 3c + d
     start = np.cumsum(size) - size
     owner = np.repeat(np.arange(size.size), size)
     local = np.arange(values.size) - start[owner]
     down = 1 + np.flatnonzero(values[1:] < values[:-1])
     for m in np.unique(owner[down[local[down] > 0]]).tolist():
         values[start[m] : start[m] + size[m]].sort()
+    bounds = [(s.side, s.x, s.limit, s.rho_min, s.rho_max, s.h_offset) for s in (r.support for r in samplers)]
     return _Copulas(
-        corr=corr,
         chol=np.linalg.cholesky(_nearest_corr(corr)),
+        bounds=np.array(bounds, dtype=float).reshape(n, 6).T,
         values=values,
         pp=(local + 0.5) / size[owner],
         start=start.reshape(n, 3).T.copy(),
@@ -280,94 +345,52 @@ def _copulas(corrs, marginals) -> _Copulas:
     )
 
 
+@dataclass(frozen=True, eq=False)
 class EmpiricalCopulaSampler:
-    """Gaussian copula over normal scores with empirical-quantile marginals.
+    """One fitted class of the Gaussian copula over normal scores with
+    empirical-quantile marginals: a plain record of what the fit found.
 
-    The dependence is the correlation matrix of the normal scores of the
-    (possibly bootstrap-augmented) observations; marginals are linearly
-    interpolated empirical quantile functions.  ``tau`` is sampled as a
-    continuous variable and snapped to the nearest admissible integer; draws
-    are rejected until they fall inside the support.  A sampler is one class
-    of a :class:`_Copulas`: its own, or that of every class of a model built
-    at once by :meth:`from_dicts`; its ``corr`` and ``marginals`` are views
-    into it.
+    ``corr`` is the correlation matrix of the normal scores of the (possibly
+    bootstrap-augmented) observations and ``marginals`` the ``(rho, tau, h)``
+    observations, kept in the order given.  Records draw through a copula
+    table of many classes, built by :func:`_copulas`: :func:`sample_classes`
+    builds one per call, and a :class:`~windbridge.simulate.ChargeModel` one
+    for all its classes when it is built.  The marginals are read as linearly
+    interpolated empirical quantile functions of the sorted values; ``tau`` is
+    sampled as a continuous variable and snapped to the nearest admissible
+    integer; draws are rejected until they fall inside the support.
     """
 
-    def __init__(
-        self,
-        support: SupportSpec,
-        corr: np.ndarray,
-        marginals: tuple[np.ndarray, np.ndarray, np.ndarray],
-        n_obs: int,
-        bootstrap_augmented: bool = False,
-    ):
-        self._bind(_copulas([corr], [marginals]), 0, support, n_obs, bootstrap_augmented)
-
-    def _bind(self, copulas: _Copulas, c: int, support: SupportSpec, n_obs: int, bootstrap_augmented: bool):
-        self.support = support
-        self._copulas, self._c = copulas, c
-        self.corr = copulas.corr[c]
-        self.marginals = tuple(
-            copulas.values[a : a + m] for a, m in zip(copulas.start[:, c].tolist(), copulas.size[:, c].tolist())
-        )
-        self.n_obs = int(n_obs)
-        self.bootstrap_augmented = bool(bootstrap_augmented)
+    support: SupportSpec
+    corr: np.ndarray
+    marginals: tuple[np.ndarray, np.ndarray, np.ndarray]
+    n_obs: int
+    bootstrap_augmented: bool = False
 
     def sample_n(self, n: int, rng: np.random.Generator):
         """``n`` draws inside the support: the one-class case of :func:`sample_classes`."""
         return sample_classes([self], [n], rng)
 
-    def to_dict(self) -> dict:
-        """The fitted values; the support is not stored, since the class fixes it."""
-        return {
-            "corr": self.corr.tolist(),
-            "marginals": {
-                "rho": self.marginals[0].tolist(),
-                "tau": self.marginals[1].tolist(),
-                "h": self.marginals[2].tolist(),
-            },
-            "n_obs": self.n_obs,
-            "bootstrap_augmented": self.bootstrap_augmented,
-        }
-
     @classmethod
     def from_dict(cls, data: dict, support: SupportSpec) -> "EmpiricalCopulaSampler":
-        """Rebuild a sampler on ``support`` from :meth:`to_dict`; other keys are ignored."""
-        return cls.from_dicts([data], [support])[0]
-
-    @classmethod
-    def from_dicts(cls, docs, supports) -> list["EmpiricalCopulaSampler"]:
-        """:meth:`from_dict` of many classes, their copulas built in one pass by :func:`_copulas`."""
-        docs = list(docs)
-        copulas = _copulas(
-            [data["corr"] for data in docs],
-            [[data["marginals"][name] for name in ("rho", "tau", "h")] for data in docs],
-        )
-        samplers = []
-        for c, (data, support) in enumerate(zip(docs, supports)):
-            sampler = cls.__new__(cls)
-            sampler._bind(copulas, c, support, data["n_obs"], data["bootstrap_augmented"])
-            samplers.append(sampler)
-        return samplers
-
-
-def _shared_copulas(samplers) -> tuple[_Copulas, np.ndarray]:
-    """The one :class:`_Copulas` the samplers belong to and each one's class in it;
-    if they belong to several, the copulas of these samplers built anew in one pass."""
-    copulas = samplers[0]._copulas if samplers else None
-    if all(s._copulas is copulas for s in samplers):
-        return copulas, np.array([s._c for s in samplers], dtype=np.int64)
-    return _copulas([s.corr for s in samplers], [s.marginals for s in samplers]), np.arange(len(samplers))
+        """The record on ``support`` of one class's document, as :func:`fit_copula_docs`
+        writes it, with ``corr`` and marginals as float arrays; other keys are ignored."""
+        corr = np.asarray(data["corr"], dtype=float)
+        marginals = tuple(np.asarray(data["marginals"][name], dtype=float) for name in ("rho", "tau", "h"))
+        return cls(support, corr, marginals, data["n_obs"], data["bootstrap_augmented"])
 
 
 def sample_classes(samplers, counts, rng: np.random.Generator, names=None):
     """Draws of several classes from shared rounds, laid out class after class.
 
-    ``counts[c]`` rows come from ``samplers[c]``.  Stream rule: each round
-    draws one ``(S, 3)`` standard normal array; in the given order, every
-    class still short of rows takes the next ``max(short, 64)`` rows of it as
-    candidates and keeps its first accepted ones, in order.  With one class
-    this is :meth:`EmpiricalCopulaSampler.sample_n`.  A class that meets
+    ``counts[c]`` rows come from ``samplers[c]``: this builds the samplers'
+    copula table with :func:`_copulas`, then draws from it.  A
+    :class:`~windbridge.simulate.ChargeModel` draws the same way from the
+    table it built once.  Stream rule: each round draws one ``(S, 3)``
+    standard normal array; in the given order, every class still short of
+    rows takes the next ``max(short, 64)`` rows of it as candidates and keeps
+    its first accepted ones, in order.  With one class this is
+    :meth:`EmpiricalCopulaSampler.sample_n`.  A class that meets
     ``MAX_REJECTIONS`` consecutive rejections raises :class:`EstimationError`,
     which names ``names[c]`` when given, the first such class of a chunk if
     several meet it.
@@ -383,65 +406,7 @@ def sample_classes(samplers, counts, rng: np.random.Generator, names=None):
     is never read again.  A class that meets the budget is named only after
     both reads, so that an earlier class meeting it in its rest comes first.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    start = np.cumsum(counts) - counts
-    rho_out = np.empty(int(counts.sum()))
-    tau_out = np.empty(rho_out.size, dtype=int)
-    h_out = np.empty(rho_out.size)
-    filled = np.zeros(counts.size, dtype=np.int64)
-    rejects = np.zeros(counts.size, dtype=np.int64)  # each class's trailing run of rejects
-    supports = [s.support for s in samplers]
-    # one column per class, one row per SupportSpec field
-    bounds = np.array([(s.side, s.x, s.limit, s.rho_min, s.rho_max, s.h_offset) for s in supports]).T
-    copulas, index = _shared_copulas(samplers)
-    while True:
-        active = np.flatnonzero(filled < counts)
-        if active.size == 0:
-            return rho_out, tau_out, h_out
-        m = np.maximum(counts - filled, 64)[active]
-        # whole classes at a time, about CHUNK_POINTS candidates a chunk: the
-        # chunks' normals, drawn one after another, are the round's array
-        for a, b in _chunks(m):
-            cls, size = active[a:b], m[a:b]
-            zc = rng.standard_normal((int(size.sum()), 3))
-            first = np.cumsum(size) - size
-            copulas.correlate(zc, index[cls], size)
-            short = (counts - filled)[cls]
-            head = np.minimum(short + short // 4 + 8, size)  # the shortfall, a quarter more and 8 spare
-            over = np.zeros(cls.size, dtype=bool)  # classes that met the budget
-            for lo, n in ((first, head), (first + head, size - head)):
-                part = np.flatnonzero((n > 0) & (filled[cls] < counts[cls]) & ~over)
-                if part.size == 0:
-                    continue
-                k, n = cls[part], n[part]
-                seg = np.cumsum(n) - n  # each class's first candidate in this pass
-                owner = np.repeat(np.arange(k.size), n)
-                u = np.empty((3, owner.size))
-                ndtr(zc[np.arange(owner.size) + (lo[part] - seg)[owner]].T, out=u)
-                cand = copulas.quantiles(u, index[k][owner])
-                rows = SupportSpec(*bounds[:, k[owner]])
-                tau = _nearest_tau(cand[1], rows.x)
-                ok = rows.contains(cand[0], tau, cand[2])
-                # a reject's run is its key less the last accepted key before it, or less its class's
-                # base (first key - 1 - trailing run), which the key spacing keeps above earlier classes
-                key = np.arange(ok.size) + owner * MAX_REJECTIONS
-                base = key[seg] - 1 - rejects[k]
-                run = key - np.maximum.accumulate(np.where(ok, key, base[owner]))
-                over[part] = np.maximum.reduceat(run, seg) >= MAX_REJECTIONS
-                rejects[k] = run[seg + n - 1]
-                seen = np.cumsum(ok)  # accepted so far; ranks within a class are differences of it
-                rank = seen - (seen[seg] - ok[seg])[owner] - 1
-                take = np.flatnonzero(ok & (rank < (counts - filled)[k][owner]))
-                dest = (start + filled)[k][owner[take]] + rank[take]
-                rho_out[dest], tau_out[dest], h_out[dest] = cand[0, take], tau[take], cand[2, take]
-                filled[k] += np.bincount(owner[take], minlength=k.size)
-            if over.any():
-                c = int(cls[np.argmax(over)])
-                support, where = supports[c], "" if names is None else f" in class {names[c]}"
-                raise EstimationError(
-                    f"{MAX_REJECTIONS} consecutive rejections: fitted density is "
-                    f"inconsistent with its support (side={support.side}, x={support.x}){where}"
-                )
+    return _copulas(samplers).draw(np.arange(len(samplers)), counts, rng, names)
 
 
 def _average_ranks(values: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -514,7 +479,7 @@ def fit_copula_docs(triplets, counts, supports, rngs, min_sample: int = 10) -> l
     sorted marginal, and one ``ndtri`` gives every normal score; each class's
     correlation comes from its own ``np.corrcoef``, so a class's result is
     the same, bit for bit, whatever classes share the call.  Returns one
-    :meth:`EmpiricalCopulaSampler.to_dict` document per class.
+    document per class, the form :meth:`EmpiricalCopulaSampler.from_dict` reads.
     """
     data = np.asarray(triplets, dtype=float)
     counts = np.asarray(counts, dtype=np.int64)

@@ -42,6 +42,7 @@ from .power import (
     PowerSeries,
     RampPolicy,
     TurbineSpec,
+    _check_integer,
     _check_wind_law,
     apply_ramp_limit,
     generate_synthetic_wind,
@@ -60,7 +61,6 @@ from .simulate import (
     ChargeModel,
     PenaltySpec,
     _check_horizon,
-    _check_integer,
     battery_recursion,
     discounted_penalty,
     mc_moments,
@@ -456,8 +456,8 @@ def charge_model_from_doc(doc: dict) -> ChargeModel:
             raise InputError(f"{name} must be finite and positive, got {doc[name]}")
     limit, capacity = doc["limit_mw"], doc["capacity_mw"]
     keys = [tuple(int(v) for v in key.split(",")) for key in doc["samplers"]]
-    supports = _class_supports(keys, limit, capacity)
-    samplers = dict(zip(keys, EmpiricalCopulaSampler.from_dicts(doc["samplers"].values(), supports)))
+    records = map(EmpiricalCopulaSampler.from_dict, doc["samplers"].values(), _class_supports(keys, limit, capacity))
+    samplers = dict(zip(keys, records))
     sigma_models = {}
     for key, data in doc["sigma_models"].items():
         i, j = (int(v) for v in key.split(","))

@@ -42,6 +42,12 @@ def require_finite(spec) -> None:
             raise InputError(f"{type(spec).__name__}.{f.name} must be finite, got {value}")
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a count that is not an integer; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value}")
+
+
 @dataclass(frozen=True)
 class TurbineSpec:
     """Static turbine parameters: operating wind band and rated capacity (MW)."""
@@ -184,6 +190,7 @@ def generate_synthetic_wind(
 
     Deterministic for a fixed ``seed``.
     """
+    _check_integer("n_steps", n_steps)
     if n_steps < 1:
         raise InputError(f"n_steps must be >= 1, got {n_steps}")
     _check_wind_law(shape, scale, autocorrelation)

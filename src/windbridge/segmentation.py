@@ -32,6 +32,19 @@ SIGN_TOLERANCE = 1e-9
 STATES = (-1, 0, 1)
 
 
+def _whole(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array; the first that is not a whole number raises
+    :class:`InputError` naming it.  An integer array is checked by its dtype alone."""
+    v = np.asarray(values)
+    if v.dtype.kind in "iu":
+        return v.astype(np.int64, copy=False)
+    f = v.astype(float)
+    bad = ~(np.isfinite(f) & (f == np.floor(f)))
+    if bad.any():
+        raise InputError(f"{name} must be a whole number, got {v[bad].flat[0]}")
+    return f.astype(np.int64)
+
+
 @dataclass
 class SegmentTable:
     """The maximal runs of one battery state, one row per run, in time order.
@@ -155,8 +168,9 @@ class SemiMarkovKernel:
     # -- queries ------------------------------------------------------------
 
     def _rows(self, states) -> np.ndarray:
-        """Row of ``Q`` for each entry of ``states``; a state never left raises."""
-        rows = np.asarray(states, dtype=int) + 1
+        """Row of ``Q`` for each entry of ``states``; a state never left, or one that
+        is not a whole number, raises."""
+        rows = _whole("state", states) + 1
         if rows.size and (rows.min() < 0 or rows.max() > 2 or not self._longest[rows].all()):
             n = next(n for n, r in enumerate(rows.tolist()) if not (0 <= r <= 2 and self._longest[r]))
             raise EstimationError(f"no transitions observed from state {rows[n] - 1}")
@@ -184,7 +198,7 @@ class SemiMarkovKernel:
         if longer_than is None:
             v = rng.random(rows.size) * total
         else:
-            b = np.asarray(longer_than, dtype=int)
+            b = _whole("sojourn condition", longer_than)
             if np.any(b < 0):
                 raise InputError("sojourn conditions must be nonnegative")
             longest = self._longest[rows]
@@ -228,17 +242,18 @@ class SemiMarkovKernel:
         ``n`` starts ``initial_backwards[n]`` steps into its first sojourn:
         that sojourn is conditioned on being longer, and only its remainder
         counts towards the row's time.  A row stops once its time passes
-        ``horizon``.
+        ``horizon``.  A state or backward time that is not a whole number
+        raises :class:`InputError` naming it.
 
         Returns ``(states, sojourns)``: row ``n`` stays ``sojourns[n, r]``
         steps in ``states[n, r]``, then enters ``states[n, r + 1]``; a zero
         sojourn pads a row that stopped before the last round.
         """
-        state = np.array(initial_states, dtype=int).ravel()
+        state = _whole("state", initial_states).flatten()
         p = state.size
         if p == 0:
             raise InputError("need at least one initial state")
-        backward = np.ravel(initial_backwards).astype(int)
+        backward = _whole("backward time", initial_backwards).ravel()
         if backward.size != p:
             raise InputError(f"initial_backwards has {backward.size} entries for {p} initial states")
         if np.any(backward < 0):
@@ -299,9 +314,10 @@ def estimate_kernel(i, j, x) -> SemiMarkovKernel:
     Transition ``n`` leaves state ``i[n]`` after ``x[n]`` steps for state
     ``j[n]``; a censored run has no successor and must be left out.  Each
     source row is divided by the number ``N_i`` of completed visits to it, so
-    ``sum_{j,x} Q[i + 1, j + 1, x] = 1``.
+    ``sum_{j,x} Q[i + 1, j + 1, x] = 1``.  A state, successor or sojourn that
+    is not a whole number raises :class:`InputError` naming it.
     """
-    columns = [np.asarray(a, dtype=int).ravel() for a in (i, j, x)]
+    columns = [_whole(name, a).ravel() for name, a in zip(("state", "successor", "sojourn"), (i, j, x))]
     if len({c.size for c in columns}) > 1:
         raise InputError("transition sources, successors and sojourns must have equal length")
     sources, successors, sojourns = columns

@@ -5,19 +5,15 @@ and Monte Carlo estimation of the discounted cumulative penalty moments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .bridge import SIGMA_FLOOR, _chunks, _ragged, clip_to_band, latent_bridges
 from .errors import InputError, SimulationError
-from .estimation import (
-    EmpiricalCopulaSampler,
-    SigmaModel,
-    predict_sigma_batch,
-    sample_classes,
-)
-from .power import require_finite
-from .segmentation import SemiMarkovKernel
+from .estimation import EmpiricalCopulaSampler, SigmaModel, _copulas, predict_sigma_batch
+from .power import _check_integer, require_finite
+from .segmentation import SemiMarkovKernel, _whole
 
 __all__ = [
     "BatterySpec",
@@ -74,11 +70,16 @@ DEFAULT_FEES = PenaltySpec(up_fee=21.52, down_fee=26.50, discount_rate=0.0)
 
 
 class ChargeModel:
-    """Registry of fitted samplers and volatility models for one ramp limit.
+    """Fitted samplers and volatility models for one ramp limit, and the copula
+    table of its samplers.
 
     Each non-idle class ``(i, j, x)`` a kernel enters needs its own fitted
     sampler, as a kernel and a model fitted from one segment table always have;
-    any other class raises :class:`SimulationError` naming it.
+    any other class raises :class:`SimulationError` naming it.  The model
+    builds its samplers' copula table once, when it is built, by one
+    :func:`~windbridge.estimation._copulas` pass, which refuses a sampler that
+    cannot make a copula; every :meth:`charge_block` draws from it.
+    ``samplers`` is a read-only mapping, so the table cannot fall behind it.
     """
 
     def __init__(
@@ -89,20 +90,27 @@ class ChargeModel:
         capacity: float,
         sigma_default: float = SIGMA_FLOOR,
     ):
-        self.samplers = dict(samplers)
+        self.samplers = MappingProxyType(dict(samplers))
+        self._table = _copulas(self.samplers.values())
+        self._rows = {key: c for c, key in enumerate(self.samplers)}
         self.sigma_models = dict(sigma_models)
         self.limit = float(limit)
         self.capacity = float(capacity)
         self.sigma_default = float(sigma_default)
 
+    def _row(self, key: tuple[int, int, int]) -> int:
+        """The copula table's class of the fitted class ``key``."""
+        row = self._rows.get(key)
+        if row is None:
+            raise SimulationError("no fitted sampler for class (i={}, j={}, x={})".format(*key))
+        return row
+
     def sampler_for(self, i: int, j: int, x: int) -> tuple[EmpiricalCopulaSampler, bool]:
         """``(sampler, False)`` for the fitted class ``(i, j, x)``.  The flag is
         always ``False``, since no class draws from another's sampler; the
         benchmark tracer's ``fallbacks`` counter reads it."""
-        sampler = self.samplers.get((i, j, x))
-        if sampler is None:
-            raise SimulationError(f"no fitted sampler for class (i={i}, j={j}, x={x})")
-        return sampler, False
+        self._row((i, j, x))
+        return self.samplers[(i, j, x)], False
 
     def sigma_model_for(self, i: int, j: int) -> SigmaModel:
         return self.sigma_models.get((i, j)) or SigmaModel.constant(self.sigma_default)
@@ -133,21 +141,22 @@ class ChargeModel:
         offset in the given order.  The runs are drawn sorted by class ``(i,
         j, x)``, a stable sort that keeps each class's runs in their given
         order, so interleaving the classes changes no run's charges.  Idle
-        runs are zeros and draw nothing.  Each volatility is
-        predicted from its row, one :func:`predict_sigma_batch` per ``(i, j)``
-        pair; volatilities at the floor draw no bridge and give the clipped
-        triangle.  Every value lies in ``[0, rho - (k-1)*limit]``; the pinned
-        zeros at ``k = 0`` and ``k = x+1`` are not stored.  A one-step run
-        predicts no volatility and draws no bridge: it is its peak clipped
-        into the band, ``min(max(h, 0), rho)``.
+        runs are zeros and draw nothing.  A state, successor or sojourn that
+        is not a whole number raises :class:`InputError` naming it.  Each
+        volatility is predicted from its row, one :func:`predict_sigma_batch`
+        per ``(i, j)`` pair; volatilities at the floor draw no bridge and give
+        the clipped triangle.  Every value lies in ``[0, rho - (k-1)*limit]``;
+        the pinned zeros at ``k = 0`` and ``k = x+1`` are not stored.  A
+        one-step run predicts no volatility and draws no bridge: it is its
+        peak clipped into the band, ``min(max(h, 0), rho)``.
 
         Stream rule, all from ``rng``:
 
-        1. the ``(rho, tau, h)`` rows of every non-idle class, by
-           :func:`sample_classes`: each copula round draws one ``(S, 3)``
-           normal array, of which every class still short of rows takes
-           ``max(short, 64)`` candidates in sorted class order, keeping its
-           first accepted ones in order.  Candidates past a class's last kept
+        1. the ``(rho, tau, h)`` rows of every non-idle class, drawn from the
+           model's copula table by the rounds of :func:`sample_classes`: each
+           round draws one ``(S, 3)`` normal array, of which every class still
+           short of rows takes ``max(short, 64)`` candidates in sorted class
+           order, keeping its first accepted ones in order.  Candidates past a class's last kept
            one are drawn but not evaluated, which moves nothing while
            ``MAX_REJECTIONS > 63`` (see :func:`sample_classes`);
         2. every bridge with volatility above the floor, by
@@ -162,7 +171,7 @@ class ChargeModel:
         chunk drawing its own slice of the normals in turn; that bounds the
         temporaries of long blocks and changes no draw.
         """
-        i, j, x = (np.asarray(v, dtype=np.int64) for v in (i, j, x))
+        i, j, x = (_whole(name, v) for name, v in (("state", i), ("successor", j), ("sojourn", x)))
         if x.size and x.min() < 1:
             raise InputError(f"sojourn must be >= 1, got {x.min()}")
         out = np.zeros(int(x.sum()))
@@ -175,8 +184,9 @@ class ChargeModel:
         starts = np.flatnonzero(np.r_[True, (np.diff(i) != 0) | (np.diff(j) != 0) | (np.diff(x) != 0)])
         counts = np.diff(np.r_[starts, live.size])
         keys = list(zip(i[starts].tolist(), j[starts].tolist(), x[starts].tolist()))
+        rows = [self._row(key) for key in keys]
         names = [f"(i={a}, j={b}, x={c})" for a, b, c in keys]
-        rho, tau, h = sample_classes([self.sampler_for(*k)[0] for k in keys], counts, rng, names=names)
+        rho, tau, h = self._table.draw(rows, counts, rng, names)
 
         sigma = np.zeros(live.size)
         pair = np.flatnonzero(np.r_[True, (np.diff(i) != 0) | (np.diff(j) != 0)])
@@ -332,12 +342,6 @@ def _first_bad(what: str, values: np.ndarray, bad: np.ndarray, rule: str) -> Non
         where = np.argwhere(bad)[0]
         at = f"row {where[0]}" + (f", step {where[1] + 1}" if bad.ndim == 2 else "")
         raise InputError(f"{what} at {at} {rule}, got {values[tuple(where)]}")
-
-
-def _check_integer(name: str, value) -> None:
-    """Reject a count that is not an integer; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{name} must be an integer, got {value}")
 
 
 def _check_horizon(horizon: int) -> None:

@@ -138,6 +138,17 @@ def mle_sigma_loop(error, tau, x):
     return float(np.sqrt(np.mean(terms)))
 
 
+def sampler_doc(sampler):
+    """A sampler's fitted values in the form ``fit_copula_docs`` writes them, the
+    entry of a model's ``samplers`` it is read from."""
+    return {
+        "corr": np.asarray(sampler.corr).tolist(),
+        "marginals": {name: np.asarray(m).tolist() for name, m in zip(("rho", "tau", "h"), sampler.marginals)},
+        "n_obs": sampler.n_obs,
+        "bootstrap_augmented": sampler.bootstrap_augmented,
+    }
+
+
 class DegenerateSampler(EmpiricalCopulaSampler):
     """Always returns one fixed triplet: a stand-in for a fitted sampler.
 
@@ -177,7 +188,12 @@ def fitted_kernel(renewal_data):
 
 
 @pytest.fixture(scope="session")
-def fitted_model(renewal_data):
+def fitted_doc(renewal_data):
+    """The model document fitted from ``renewal_data``."""
     _, table = renewal_data
-    doc = build_model_doc(table, limit=LIMIT, capacity=CAPACITY, seed_key=(7,))
-    return charge_model_from_doc(doc)
+    return build_model_doc(table, limit=LIMIT, capacity=CAPACITY, seed_key=(7,))
+
+
+@pytest.fixture(scope="session")
+def fitted_model(fitted_doc):
+    return charge_model_from_doc(fitted_doc)

@@ -38,6 +38,8 @@ from windbridge.simulate import (
     sample_step_grids,
 )
 
+from conftest import sampler_doc
+
 
 def small_config(out_dir, **kw):
     defaults = dict(
@@ -96,7 +98,7 @@ class TestPipeline:
         path = cfg.out_dir / "model_0.01.json"
         model = load_charge_model(path)
         doc = json.loads(path.read_text())
-        rebuilt = {k: s.to_dict() for k, s in (
+        rebuilt = {k: sampler_doc(s) for k, s in (
             (f"{i},{j},{x}", smp) for (i, j, x), smp in model.samplers.items()
         )}
         assert rebuilt == doc["samplers"]

@@ -33,7 +33,7 @@ from windbridge.estimation import (
     _nearest_tau,
 )
 
-from conftest import DegenerateSampler, mle_sigma_loop
+from conftest import DegenerateSampler, mle_sigma_loop, sampler_doc
 
 LIMIT = 0.02
 CAPACITY = 2.0
@@ -69,6 +69,12 @@ def copula_oracle(corr, marginals, z):
         m = np.sort(np.asarray(m, dtype=float))
         out.append(np.interp(u[:, d], (np.arange(m.size) + 0.5) / m.size, m))
     return np.array(out)
+
+
+def records(corrs, marginals):
+    """One sampler record per class of ``corrs`` and ``marginals``, all on one support."""
+    support = attainable_param_support(1, 3, LIMIT, CAPACITY)
+    return [EmpiricalCopulaSampler(support, c, m, n_obs=1) for c, m in zip(corrs, marginals)]
 
 
 def every_candidate(samplers, counts, rng):
@@ -469,7 +475,7 @@ class TestJointDensity:
             corrs.append(corr)
             marginals.append(margs)
             zs.append(z)
-        copulas = _copulas(corrs, marginals)
+        copulas = _copulas(records(corrs, marginals))
         size = np.array([z.shape[0] for z in zs])
         w = np.concatenate(zs)
         copulas.correlate(w, np.arange(size.size), size)
@@ -496,7 +502,7 @@ class TestJointDensity:
             [np.round(rng.uniform(-3, 3, n), 1) if n % 3 == 0 else rng.uniform(-3, 3, n) for _ in range(3)]
             for n in range(1, 61)
         ]
-        copulas = _copulas([np.eye(3)] * len(marginals), marginals)
+        copulas = _copulas(records([np.eye(3)] * len(marginals), marginals))
         us, owners = [], []
         for c, margs in enumerate(marginals):
             pp = (np.arange(len(margs[0])) + 0.5) / len(margs[0])
@@ -512,11 +518,11 @@ class TestJointDensity:
 
     def test_stacked_factors_equal_one_class_at_a_time(self, fitted_model):
         samplers = list(fitted_model.samplers.values())
-        copulas = samplers[0]._copulas
-        assert all(s._copulas is copulas for s in samplers)
-        for s in samplers:
+        copulas = fitted_model._table  # the model's one pass over its samplers
+        assert copulas.chol.tobytes() == _copulas(samplers).chol.tobytes()
+        for key, s in fitted_model.samplers.items():
             one = np.linalg.cholesky(nearest_corr_one(s.corr))
-            assert copulas.chol[s._c].tobytes() == one.tobytes()
+            assert copulas.chol[fitted_model._rows[key]].tobytes() == one.tobytes()
             assert _nearest_corr(s.corr).tobytes() == nearest_corr_one(s.corr).tobytes()
 
     def test_average_ranks_match_scipy(self):
@@ -562,8 +568,8 @@ class TestSampleParams:
 
     def test_serialization_round_trip(self, fitted_model):
         sampler = next(iter(fitted_model.samplers.values()))
-        back = EmpiricalCopulaSampler.from_dict(sampler.to_dict(), sampler.support)
-        assert back.to_dict() == sampler.to_dict()
+        back = EmpiricalCopulaSampler.from_dict(json.loads(json.dumps(sampler_doc(sampler))), sampler.support)
+        assert sampler_doc(back) == sampler_doc(sampler)
         np.testing.assert_array_equal(
             back.sample_n(1, np.random.default_rng(3)), sampler.sample_n(1, np.random.default_rng(3))
         )

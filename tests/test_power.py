@@ -215,6 +215,12 @@ class TestSyntheticWind:
         with pytest.raises(InputError):
             generate_synthetic_wind(10, 2.0, 8.0, autocorrelation=1.0)
 
+    @pytest.mark.parametrize("n_steps", [10.5, 10.0, True])
+    def test_step_count_must_be_an_integer(self, n_steps):
+        # the refusal SyntheticWindSpec gives, not numpy's TypeError or a one-step series
+        with pytest.raises(InputError, match=rf"^n_steps must be an integer, got {n_steps}$"):
+            generate_synthetic_wind(n_steps, 2.0, 8.0)
+
 
 class TestCsvRoundTrips:
     def test_wind_round_trip(self, tmp_path):

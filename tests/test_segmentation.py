@@ -359,6 +359,50 @@ class TestEstimateKernel:
         with pytest.raises(InputError, match="at least one step"):
             estimate_kernel([1], [0], [0])
 
+    @pytest.mark.parametrize(
+        "i, j, x, match",
+        [
+            ([1, 0], [0, 1], [3, 2.5], "sojourn must be a whole number, got 2.5"),  # not counted as 2
+            ([1.0, 0.5], [0, 1], [3, 2], "state must be a whole number, got 0.5"),
+            ([1, 0], [0, np.nan], [3, 2], "successor must be a whole number, got nan"),
+            ([1, 0], [0, 1], [3, np.inf], "sojourn must be a whole number, got inf"),
+        ],
+    )
+    def test_non_integer_transition_refused(self, i, j, x, match):
+        with pytest.raises(InputError, match=f"^{match}$"):
+            estimate_kernel(i, j, x)
+
+    def test_whole_floats_count_as_integers(self):
+        want = estimate_kernel([1, 0, -1], [0, -1, 1], [3, 2, 4])
+        assert estimate_kernel([1.0, 0.0, -1.0], [0.0, -1.0, 1.0], [3.0, 2.0, 4.0]) == want
+
+    @pytest.mark.parametrize(
+        "states, backwards, match",
+        [
+            ([0.7], [1], "state must be a whole number, got 0.7"),  # not started idle
+            ([1], [1.9], "backward time must be a whole number, got 1.9"),  # not one step in
+            ([0.7], [1.9], "state must be a whole number, got 0.7"),
+            ([1, -1], np.array([0.0, 0.5]), "backward time must be a whole number, got 0.5"),
+        ],
+    )
+    def test_chains_refuse_non_integer_starts(self, states, backwards, match):
+        kernel = estimate_kernel(*make_transitions([(0, 2), (1, 3), (-1, 4), (0, 5), (1, 3)], -1))
+        with pytest.raises(InputError, match=f"^{match}$"):
+            kernel.sample_chains(states, np.random.default_rng(0), backwards, horizon=5)
+        whole = kernel.sample_chains([1.0, 0.0], np.random.default_rng(0), [1.0, 0.0], horizon=5)
+        for got, want in zip(whole, kernel.sample_chains([1, 0], np.random.default_rng(0), [1, 0], horizon=5)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_jumps_refuse_non_integer_states_and_conditions(self):
+        kernel = estimate_kernel(*make_transitions([(0, 2), (1, 3), (-1, 4), (0, 5), (1, 3)], -1))
+        rng = np.random.default_rng(0)
+        with pytest.raises(InputError, match="^state must be a whole number, got 0.7$"):
+            kernel.sample_jumps(np.array([0.7]), rng)  # not drawn from state 0
+        with pytest.raises(InputError, match="^sojourn condition must be a whole number, got 1.5$"):
+            kernel.sample_jumps(np.array([1]), rng, np.array([1.5]))  # not conditioned on 1
+        with pytest.raises(InputError, match="^state must be a whole number, got 1.9$"):
+            kernel.max_sojourn(np.array([1.9]))
+
     def test_conditioned_sojourn_sampling(self):
         kernel = estimate_kernel(*make_transitions([(0, 2), (1, 1), (0, 5), (1, 1), (0, 9), (1, 1)], 0))
         rng = np.random.default_rng(3)

@@ -21,6 +21,7 @@ from windbridge.estimation import (
     predict_sigma,
     predict_sigma_batch,
 )
+from windbridge.pipeline import charge_model_from_doc
 from windbridge.segmentation import SemiMarkovKernel
 from windbridge.simulate import (
     BatterySpec,
@@ -387,12 +388,64 @@ class TestChargeBlock:
         # a sampler whose support lies above every value it can draw: its h
         # ceiling, at most 1e-6 - tau*limit, is below zero
         attainable = attainable_param_support(1, 5, LIMIT, CAPACITY)
-        model.samplers[(1, 0, 5)] = EmpiricalCopulaSampler(
+        bad = EmpiricalCopulaSampler(
             replace(attainable, h_offset=1e-6 - attainable.rho_max),
             np.eye(3), ([1.95, 1.96], [2.0, 3.0], [0.5, 0.6]), n_obs=2,
         )
+        with pytest.raises(TypeError):  # read-only, so the model's copula table cannot go stale
+            model.samplers[(1, 0, 5)] = bad
+        model = ChargeModel({**model.samplers, (1, 0, 5): bad}, model.sigma_models, LIMIT, CAPACITY, SIGMA_FLOOR)
         with pytest.raises(EstimationError, match=r"10000 consecutive rejections.* in class \(i=1, j=0, x=5\)"):
             model.charge_block([-1, 1, 1], [1, 0, 0], [4, 4, 5], np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "i, j, x, match",
+        [
+            ([-0.6], [0], [6.5], "state must be a whole number, got -0.6"),  # not drawn as idle
+            ([-1], [0], [6.5], "sojourn must be a whole number, got 6.5"),
+            ([1, -1], [0, 1.5], [4, 4], "successor must be a whole number, got 1.5"),
+            ([1, -1], [0, 1], [4, np.nan], "sojourn must be a whole number, got nan"),
+        ],
+    )
+    def test_non_integer_class_refused(self, i, j, x, match):
+        model = degenerate_model({(1, 0, 4): (1.9, 2, 0.6), (-1, 1, 4): (1.0, 2, 0.5), (-1, 0, 6): (1.0, 2, 0.5)})
+        with pytest.raises(InputError, match=f"^{match}$"):
+            model.charge_block(i, j, x, np.random.default_rng(0))
+        whole = model.charge_block([1.0, -1.0], [0.0, 1.0], [4.0, 4.0], np.random.default_rng(0))
+        assert whole.tobytes() == model.charge_block([1, -1], [0, 1], [4, 4], np.random.default_rng(0)).tobytes()
+
+    def test_one_draw_path_however_the_model_is_built(self, fitted_doc):
+        """A model of separately built samplers, one read from the document, one with its
+        samplers inserted in reverse order and one with every marginal reversed draw the
+        same charges and leave the same random state: every model draws from a table."""
+        limit, capacity = fitted_doc["limit_mw"], fitted_doc["capacity_mw"]
+        loaded = charge_model_from_doc(fitted_doc)
+        names = ("rho", "tau", "h")
+
+        def built(docs, flip=1):
+            samplers = {}
+            for key, d in docs:
+                i, j, x = (int(v) for v in key.split(","))
+                samplers[(i, j, x)] = EmpiricalCopulaSampler(
+                    attainable_param_support(i, x, limit, capacity), np.array(d["corr"]),
+                    tuple(np.array(d["marginals"][name][::flip]) for name in names),
+                    d["n_obs"], d["bootstrap_augmented"],
+                )
+            return ChargeModel(samplers, loaded.sigma_models, limit, capacity, fitted_doc["sigma_default"])
+
+        entries = list(fitted_doc["samplers"].items())
+        models = [built(entries), loaded, built(entries[::-1]), built(entries, flip=-1)]
+        assert list(models[2].samplers) == list(models[0].samplers)[::-1]
+        counts = {key: 1 + n % 40 for n, key in enumerate(sorted(loaded.samplers))}
+        counts[(0, 1, 3)] = 5
+        keys = block_keys(counts)
+        where = np.random.default_rng(4).permutation(keys[0].size)
+        draws = []
+        for model in models:
+            rng = np.random.default_rng(31)
+            charges = model.charge_block(*(v[where] for v in keys), rng)
+            draws.append((charges.tobytes(), rng.bit_generator.state))
+        assert all(d == draws[0] for d in draws[1:])
 
     def test_chunks_change_no_draw(self, fitted_model, fitted_kernel, monkeypatch):
         import windbridge.bridge as bridge
